@@ -46,8 +46,7 @@ def build_parser():
     run.add_argument("--quad-bump", type=int, default=0,
                      help="extra exactness for the error quadrature")
     run.add_argument("--seq", action="store_true",
-                     help="force deterministic sequential assembly "
-                          "(assembly is sequential either way)")
+                     help="ignored; assembly is always sequential")
     return parser
 
 
@@ -58,8 +57,7 @@ def main(argv=None):
         problem=args.problem, p=args.p, trial=args.trial, mode=args.mode,
         theta=args.theta, levels=args.levels, max_dofs=args.max_dofs,
         postprocess=args.postprocess, out=args.out,
-        solver_tol=args.solver_tol, quad_bump=args.quad_bump,
-        sequential=True)
+        solver_tol=args.solver_tol, quad_bump=args.quad_bump)
     try:
         config.validate()
     except ConfigError as exc:

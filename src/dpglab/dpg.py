@@ -25,9 +25,10 @@ the trial unknowns:
 
     S = sum_T  B_T' G_T^{-1} B_T,      rhs = sum_T B_T' G_T^{-1} F_T.
 
-The elementwise residual representer eps_T = G_T^{-1} (F_T - B_T x_T)
-recovered after the solve carries the localized error estimator
-eta(T)^2 = eps_T' G_T eps_T.
+One kernel, condense(), serves one element and the stack assemble_solve
+passes: one Cholesky SPD check, one solve of G_T^{-1} [B_T | F_T].  The
+residual representer eps_T = G_T^{-1} F_T - (G_T^{-1} B_T) x_T reuses that
+solve and carries the localized estimator eta(T)^2 = eps_T' G_T eps_T.
 """
 
 from dataclasses import dataclass, field
@@ -37,8 +38,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .spaces import (REFERENCE_VERTICES, edge_basis, edge_bubbles,
-                     edge_quadrature, scalar_basis, triangle_quadrature)
+from .spaces import (REFERENCE_VERTICES, affine_maps, edge_basis,
+                     edge_bubbles, edge_quadrature, scalar_basis,
+                     triangle_quadrature)
 
 REACTION_DIFFUSION = "reaction-diffusion"
 POISSON = "poisson"
@@ -217,20 +219,6 @@ def _reference_tables(u_degree, p, r, exactness):
     return tab
 
 
-def _geometry(mesh, elements):
-    verts = mesh.vertices[mesh.triangles[elements]]
-    jac = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]],
-                   axis=2)
-    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-    inv = np.empty_like(jac)
-    inv[:, 0, 0] = jac[:, 1, 1]
-    inv[:, 0, 1] = -jac[:, 0, 1]
-    inv[:, 1, 0] = -jac[:, 1, 0]
-    inv[:, 1, 1] = jac[:, 0, 0]
-    inv /= det[:, None, None]
-    return verts, jac, det, inv
-
-
 def default_exactness(p, delta_p=2):
     """Quadrature exactness used for assembly: products of enriched test
     functions with themselves and one extra order for the load."""
@@ -256,7 +244,8 @@ def _local_systems(mesh, trial, kind, source, delta_p, exactness, elements):
     elements = np.arange(mesh.num_triangles) if elements is None \
         else np.asarray(elements, dtype=np.int64)
     ne = elements.shape[0]
-    verts, jac, det, inv = _geometry(mesh, elements)
+    verts = mesh.vertices[mesh.triangles[elements]]
+    jac, det, inv = affine_maps(verts)
     inv_t = inv.transpose(0, 2, 1)    # J^{-T}, maps reference gradients
 
     sv = slice(0, n_t)
@@ -362,12 +351,25 @@ def local_load(mesh, tri, f, p, delta_p=2, exactness=None):
     return F[0]
 
 
-def condense(gram, coupling, load=None):
-    """Schur complement of one local saddle-point block.
+class _Condensed(tuple):
+    """The pair (S, r) of condense(), carrying the solves G^{-1} B and
+    G^{-1} F as ginv_b and ginv_f for the residual representer."""
 
-    Eliminates the residual representer from the mixed system, producing
-    S = B' G^{-1} B and r = B' G^{-1} F.  This realizes the discrete
-    trial-to-test operator G^{-1} B locally.
+    def __new__(cls, schur, rhs, ginv_b, ginv_f):
+        pair = super().__new__(cls, (schur, rhs))
+        pair.ginv_b, pair.ginv_f = ginv_b, ginv_f
+        return pair
+
+
+def condense(gram, coupling, load=None):
+    """Schur complement of local saddle-point blocks.
+
+    Eliminates the residual representer from the mixed system of one
+    element (2-D gram and coupling, 1-D load) or of a stack of elements
+    (one leading batch axis on every argument), producing S = B' G^{-1} B
+    and r = B' G^{-1} F, or (S, None) without a load.  This realizes the
+    discrete trial-to-test operator G^{-1} B locally.  Raises LinAlgError
+    if any Gram is not SPD.
     """
     try:
         np.linalg.cholesky(gram)
@@ -375,11 +377,14 @@ def condense(gram, coupling, load=None):
         raise np.linalg.LinAlgError(
             "local test-space Gram is not SPD (quadrature or basis bug)"
         ) from exc
-    ginv_b = np.linalg.solve(gram, coupling)
-    schur = coupling.T @ ginv_b
+    rhs = coupling if load is None else np.concatenate(
+        [coupling, load[..., None]], axis=-1)
+    solved = np.linalg.solve(gram, rhs)
+    product = np.swapaxes(coupling, -1, -2) @ solved
     if load is None:
-        return schur, None
-    return schur, coupling.T @ np.linalg.solve(gram, load)
+        return _Condensed(product, None, solved, None)
+    return _Condensed(product[..., :-1], product[..., -1], solved[..., :-1],
+                      solved[..., -1])
 
 
 def _dirichlet_values(mesh, dofmap, data, exactness):
@@ -435,6 +440,9 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *, delta_p=2,
     Returns
     -------
     Solution
+
+    Raises ValueError on non-finite source or Dirichlet values and
+    SolverError when the linear solve misses solver_tol.
     """
     p = trial.p
     if exactness is None:
@@ -442,19 +450,15 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *, delta_p=2,
     dofmap = DofMap(mesh, trial)
     G, B, F = _local_systems(mesh, trial, kind, source, delta_p, exactness,
                              None)
+    prescribed = (np.zeros(dofmap.n_total) if dirichlet is None else
+                  _dirichlet_values(mesh, dofmap, dirichlet, exactness))
+    if not np.isfinite(F).all():
+        raise ValueError("source term has non-finite values")
+    if not np.isfinite(prescribed).all():
+        raise ValueError("Dirichlet data has non-finite values")
     nt = mesh.num_triangles
-    try:
-        np.linalg.cholesky(G)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            "a local test-space Gram is not SPD (quadrature or basis bug)"
-        ) from exc
-
-    rhs_block = np.concatenate([B, F[:, :, None]], axis=2)
-    sol_block = np.linalg.solve(G, rhs_block)
-    ginv_b, ginv_f = sol_block[:, :, :-1], sol_block[:, :, -1]
-    S_loc = np.einsum("emi,emj->eij", B, ginv_b)
-    r_loc = np.einsum("emi,em->ei", B, ginv_f)
+    condensed = condense(G, B, F)
+    S_loc, r_loc = condensed
 
     cols = dofmap.local_cols
     n_local = dofmap.n_local
@@ -466,11 +470,7 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *, delta_p=2,
     np.add.at(rhs, cols.ravel(), r_loc.ravel())
 
     # move prescribed Dirichlet trace values to the right-hand side
-    if dirichlet is not None:
-        prescribed = _dirichlet_values(mesh, dofmap, dirichlet, exactness)
-        rhs = rhs - S @ prescribed
-    else:
-        prescribed = np.zeros(dofmap.n_total)
+    rhs = rhs - S @ prescribed
 
     ifree = np.flatnonzero(dofmap.free)
     A = S[ifree][:, ifree].tocsc()
@@ -480,10 +480,8 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *, delta_p=2,
     x = prescribed.copy()
     x[ifree] = x_free
 
-    # residual representer and localized estimator
-    x_loc = x[cols]
-    eps = np.linalg.solve(
-        G, (F - np.einsum("emn,en->em", B, x_loc))[:, :, None])[:, :, 0]
+    # residual representer from the condensation solve; local estimator
+    eps = condensed.ginv_f - (condensed.ginv_b @ x[cols][:, :, None])[:, :, 0]
     eta_sq = np.einsum("em,emn,en->e", eps, G, eps)
     eta_local = np.sqrt(np.maximum(eta_sq, 0.0))
 
@@ -540,10 +538,10 @@ def _solve_spd(A, b, tol, max_iter):
         nonlocal iters
         iters += 1
 
-    x, info = spla.cg(A, b, rtol=tol, atol=0.0, maxiter=max_iter, M=precond,
+    x, _ = spla.cg(A, b, rtol=tol, atol=0.0, maxiter=max_iter, M=precond,
                       callback=count)
     rel = float(np.linalg.norm(b - A @ x)) / bnorm
-    if info != 0 and rel > tol:
+    if not rel <= tol:      # also rejects a NaN residual
         raise SolverError(
             f"linear solver failed: direct residual {direct_fail:.3e}, "
             f"cg residual {rel:.3e} after {iters} iterations "

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import scalar_basis, triangle_quadrature
+from .spaces import affine_maps, scalar_basis, triangle_quadrature
 
 
 @dataclass
@@ -56,16 +56,7 @@ def _local_neumann_systems(mesh, p, u_coeffs, sigma_coeffs, exactness,
     sphi = sbasis.values(pts)
     n = basis.dim
 
-    verts = mesh.vertices[mesh.triangles[elements]]
-    jac = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]],
-                   axis=2)
-    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
-    inv = np.empty_like(jac)
-    inv[:, 0, 0] = jac[:, 1, 1]
-    inv[:, 0, 1] = -jac[:, 0, 1]
-    inv[:, 1, 0] = -jac[:, 1, 0]
-    inv[:, 1, 1] = jac[:, 0, 0]
-    inv /= det[:, None, None]
+    _, det, inv = affine_maps(mesh.vertices[mesh.triangles[elements]])
     inv_t = inv.transpose(0, 2, 1)
 
     metric = np.einsum("eca,ecb->eab", inv_t, inv_t)

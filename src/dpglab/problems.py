@@ -15,7 +15,7 @@ import numpy as np
 
 from .dpg import POISSON, REACTION_DIFFUSION
 from .mesh import lshape_mesh, unit_square_mesh
-from .spaces import scalar_basis, triangle_quadrature
+from .spaces import affine_maps, scalar_basis, triangle_quadrature
 
 
 @dataclass(frozen=True)
@@ -151,9 +151,7 @@ def error_report(solution, postprocessed, problem, extra_exactness=0):
     pts, w = rule.points, rule.weights
 
     verts = mesh.vertices[mesh.triangles]
-    jac = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]],
-                   axis=2)
-    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+    jac, det, _ = affine_maps(verts)
     xy = verts[:, None, 0, :] + np.einsum("eDd,kd->ekD", jac, pts)
     wq = det[:, None] * w[None, :]
     x, y = xy[..., 0], xy[..., 1]

@@ -242,6 +242,21 @@ class ElementMap:
         return (pts - self.origin) @ self.inverse_jacobian.T
 
 
+def affine_maps(verts):
+    """Batched affine maps of triangles with vertices verts (ne, 3, 2):
+    Jacobians J (ne, 2, 2) as in ElementMap, det J (ne,) and J^{-1}."""
+    jac = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]],
+                   axis=2)
+    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+    inv = np.empty_like(jac)
+    inv[:, 0, 0] = jac[:, 1, 1]
+    inv[:, 0, 1] = -jac[:, 0, 1]
+    inv[:, 1, 0] = -jac[:, 1, 0]
+    inv[:, 1, 1] = jac[:, 0, 0]
+    inv /= det[:, None, None]
+    return jac, det, inv
+
+
 def project_l2(degree, f, emap, exactness=None):
     """L2-orthogonal projection of f onto P^degree on one element.
 

@@ -70,7 +70,6 @@ class StudyConfig:
     out: Optional[str] = None
     solver_tol: float = 1e-10
     quad_bump: int = 0
-    sequential: bool = True
 
     def validate(self):
         if self.problem not in PROBLEMS:

@@ -242,8 +242,7 @@ def test_criterion_8_deterministic_csv(tmp_path):
         path = tmp_path / name
         run_study(StudyConfig(problem="lshape", p=0, trial="standard",
                               mode="adaptive", theta=0.25, max_dofs=900,
-                              postprocess=True, out=str(path),
-                              sequential=True))
+                              postprocess=True, out=str(path)))
         paths.append(path)
     identical = paths[0].read_bytes() == paths[1].read_bytes()
     print(f"ACCEPTANCE 8 {'PASS' if identical else 'FAIL'}: "

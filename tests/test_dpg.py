@@ -130,12 +130,28 @@ def test_condense_symmetry_and_nullspace():
     assert np.abs(S - S.T).max() < 1e-13 * np.abs(S).max()
     assert np.linalg.eigvalsh(S).min() > -1e-12
     assert np.allclose(S @ np.zeros(5), 0.0)
+    # a stack of elements condenses like a loop over its members
+    A = rng.standard_normal((4, 8, 8))
+    Gs = A @ A.transpose(0, 2, 1) + 8 * np.eye(8)
+    Bs = rng.standard_normal((4, 8, 5))
+    Fs = rng.standard_normal((4, 8))
+    S_all, r_all = condense(Gs, Bs, Fs)
+    assert condense(Gs, Bs)[1] is None
+    for k in range(4):
+        S_k, r_k = condense(Gs[k], Bs[k], Fs[k])
+        assert np.abs(S_all[k] - S_k).max() <= 1e-13 * np.abs(S_k).max()
+        assert np.abs(r_all[k] - r_k).max() <= 1e-13 * np.abs(r_k).max()
 
 
 def test_condense_rejects_indefinite_gram():
     G = np.diag([1.0, -1.0])
     with pytest.raises(np.linalg.LinAlgError):
         condense(G, np.eye(2), np.zeros(2))
+    # one indefinite Gram in a stack of SPD ones
+    Gs = np.repeat(np.eye(2)[None], 3, axis=0)
+    Gs[1] = G
+    with pytest.raises(np.linalg.LinAlgError):
+        condense(Gs, np.repeat(np.eye(2)[None], 3, axis=0), np.zeros((3, 2)))
 
 
 def test_zero_problem_gives_zero_solution():
@@ -144,6 +160,25 @@ def test_zero_problem_gives_zero_solution():
     assert np.abs(sol.coeffs).max() == 0.0
     assert sol.eta == 0.0
     assert np.abs(sol.residual_coeffs).max() == 0.0
+
+
+def test_non_finite_data_fails_loudly():
+    import scipy.sparse as sp
+    from dpglab.dpg import SolverError, _solve_spd
+
+    mesh = unit_square_mesh(2)
+    sources = [lambda x, y: np.full_like(x, np.nan),
+               lambda x, y: np.where(x < 0.2, np.inf, 1.0)]
+    for source in sources:
+        with pytest.raises(ValueError, match="non-finite"):
+            assemble_solve(mesh, TrialSpace(0), REACTION_DIFFUSION, source)
+    with pytest.raises(ValueError, match="non-finite"):
+        assemble_solve(mesh, TrialSpace(1), POISSON, None,
+                       dirichlet=lambda x, y: np.where(y > 0.9, np.nan, x))
+    # a NaN residual is a solver failure, not a converged solve
+    with pytest.raises(SolverError):
+        _solve_spd(sp.identity(3, format="csc"), np.array([1.0, np.nan, 0.0]),
+                   1e-10, None)
 
 
 def affine_poisson_problem():
@@ -191,6 +226,56 @@ def test_galerkin_orthogonality_on_solves():
                              dirichlet=problem.dirichlet)
         scale = max(sol.diagnostics["load_scale"], 1e-30)
         assert sol.diagnostics["galerkin_residual"] <= 1e-8 * scale
+
+
+@pytest.mark.parametrize("p", [0, 1])
+def test_condensed_solve_matches_monolithic_saddle_point(p):
+    # oracle: the uncondensed mixed system
+    #   [[G, B_free], [B_free', 0]] [eps; x_free] = [F - B_D x_D; 0]
+    # assembled and solved densely; it shares only the local matrices and
+    # the Dirichlet values with assemble_solve
+    from dpglab.dpg import _dirichlet_values, _local_systems, default_exactness
+    from dpglab.problems import lshape_singular
+
+    if p == 0:
+        mesh, problem = unit_square_mesh(2), square_smooth()
+    else:   # inhomogeneous Dirichlet data
+        mesh, problem = refine_uniform(lshape_mesh()), lshape_singular()
+    trial = TrialSpace(p)
+    dm = DofMap(mesh, trial)
+    G, B, F = _local_systems(mesh, trial, problem.kind, problem.source, 2,
+                             None, None)
+    x_d = _dirichlet_values(mesh, dm, problem.dirichlet, default_exactness(p))
+    nt, m, _ = B.shape
+    G_glob = np.zeros((nt * m, nt * m))
+    B_glob = np.zeros((nt * m, dm.n_total))
+    for t in range(nt):
+        rows = slice(t * m, (t + 1) * m)
+        G_glob[rows, rows] = G[t]
+        B_glob[rows, dm.local_cols[t]] = B[t]
+    B_free = B_glob[:, dm.free]
+    nf = B_free.shape[1]
+    K = np.block([[G_glob, B_free], [B_free.T, np.zeros((nf, nf))]])
+    rhs = np.concatenate([F.ravel() - B_glob[:, ~dm.free] @ x_d[~dm.free],
+                          np.zeros(nf)])
+    z = np.linalg.solve(K, rhs)
+    eps = z[:nt * m].reshape(nt, m)
+    x = x_d.copy()
+    x[dm.free] = z[nt * m:]
+    interior = x[:dm.interior_count].reshape(nt, dm.k_int)
+    eta_local = np.sqrt(np.einsum("em,emn,en->e", eps, G, eps))
+
+    sol = assemble_solve(mesh, trial, problem.kind, problem.source,
+                         dirichlet=problem.dirichlet)
+
+    def assert_close(got, want):
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    assert_close(sol.u_coeffs, interior[:, :dm.n_u])
+    assert_close(sol.sigma_coeffs.reshape(nt, -1), interior[:, dm.n_u:])
+    assert_close(sol.coeffs[dm.interior_count:], x[dm.interior_count:])
+    assert_close(sol.residual_coeffs, eps)
+    assert_close(sol.eta_local, eta_local)
 
 
 def test_condensed_matrix_spd():
