@@ -503,8 +503,18 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *, delta_p=2,
                     eta=float(np.sqrt(eta_sq.sum())), diagnostics=diag)
 
 
+# fill-reducing ordering of the symmetric graph, recorded in diagnostics
+_ORDERING = "MMD_AT_PLUS_A"
+
+
 def _solve_spd(A, b, tol, max_iter):
-    """Direct sparse solve with iterative refinement; CG fallback."""
+    """Direct sparse solve with iterative refinement; CG fallback.
+
+    A is symmetric positive definite, so SuperLU runs in symmetric mode:
+    a minimum-degree ordering of the graph of A + A' applied to rows and
+    columns alike, and diagonal pivots.  Without row pivoting the residual
+    check of the refinement loop is what catches a bad factorization.
+    """
     n = A.shape[0]
     if n == 0:
         return np.zeros(0), {"method": "trivial", "iterations": 0,
@@ -514,7 +524,8 @@ def _solve_spd(A, b, tol, max_iter):
         return np.zeros(n), {"method": "direct", "iterations": 0,
                              "rel_residual": 0.0}
     try:
-        lu = spla.splu(A)
+        lu = spla.splu(A, permc_spec=_ORDERING, diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
         x = lu.solve(b)
         rel = None
         for it in range(4):
@@ -522,7 +533,8 @@ def _solve_spd(A, b, tol, max_iter):
             rel = float(np.linalg.norm(res)) / bnorm
             if rel <= tol:
                 return x, {"method": "direct", "iterations": it,
-                           "rel_residual": rel}
+                           "rel_residual": rel, "ordering": _ORDERING,
+                           "nnz_A": int(A.nnz), "nnz_factor": int(lu.nnz)}
             x = x + lu.solve(res)
         direct_fail = rel
     except RuntimeError:

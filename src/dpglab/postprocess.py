@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import affine_maps, scalar_basis, triangle_quadrature
+from .spaces import affine_maps, basis_at_quadrature, triangle_quadrature
 
 
 @dataclass
@@ -41,20 +41,15 @@ def _dim_to_degree(n):
 def _local_neumann_systems(mesh, p, u_coeffs, sigma_coeffs, exactness,
                            elements):
     """Stacked Lagrange-augmented local systems and right-hand sides."""
-    basis = scalar_basis(p + 1)
     u_deg = _dim_to_degree(u_coeffs.shape[1])
-    ubasis = scalar_basis(u_deg)
-    sbasis = scalar_basis(p)
     if exactness is None:
         exactness = 2 * (p + 3)
-    rule = triangle_quadrature(exactness)
-    pts, w = rule.points, rule.weights
+    w = triangle_quadrature(exactness).weights
 
-    phi = basis.values(pts)
-    grad = basis.gradients(pts)
-    uphi = ubasis.values(pts)
-    sphi = sbasis.values(pts)
-    n = basis.dim
+    phi, grad = basis_at_quadrature(p + 1, exactness)
+    uphi, _ = basis_at_quadrature(u_deg, exactness)
+    sphi, _ = basis_at_quadrature(p, exactness)
+    n = phi.shape[0]
 
     _, det, inv = affine_maps(mesh.vertices[mesh.triangles[elements]])
     inv_t = inv.transpose(0, 2, 1)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dpg import POISSON, REACTION_DIFFUSION
 from .mesh import lshape_mesh, unit_square_mesh
-from .spaces import affine_maps, scalar_basis, triangle_quadrature
+from .spaces import affine_maps, basis_at_quadrature, triangle_quadrature
 
 
 @dataclass(frozen=True)
@@ -147,7 +147,8 @@ def error_report(solution, postprocessed, problem, extra_exactness=0):
     """
     mesh = solution.mesh
     p = solution.trial.p
-    rule = triangle_quadrature(2 * (p + 3) + 4 + extra_exactness)
+    exactness = 2 * (p + 3) + 4 + extra_exactness
+    rule = triangle_quadrature(exactness)
     pts, w = rule.points, rule.weights
 
     verts = mesh.vertices[mesh.triangles]
@@ -159,8 +160,9 @@ def error_report(solution, postprocessed, problem, extra_exactness=0):
     u_exact = problem.exact(x, y)
     gx_exact, gy_exact = problem.exact_grad(x, y)
 
-    u_vals = solution.u_coeffs @ scalar_basis(solution.trial.u_degree).values(pts)
-    sig_basis = scalar_basis(p).values(pts)
+    u_vals = solution.u_coeffs @ basis_at_quadrature(solution.trial.u_degree,
+                                                     exactness)[0]
+    sig_basis = basis_at_quadrature(p, exactness)[0]
     sx_vals = solution.sigma_coeffs[:, 0, :] @ sig_basis
     sy_vals = solution.sigma_coeffs[:, 1, :] @ sig_basis
 
@@ -170,7 +172,8 @@ def error_report(solution, postprocessed, problem, extra_exactness=0):
 
     err_post = None
     if postprocessed is not None:
-        post_vals = postprocessed.coeffs @ scalar_basis(postprocessed.degree).values(pts)
+        post_vals = postprocessed.coeffs @ basis_at_quadrature(
+            postprocessed.degree, exactness)[0]
         err_post = float(np.sqrt(np.sum(wq * (u_exact - post_vals) ** 2)))
 
     return ErrorReport(err_u=float(err_u), err_sigma=float(err_sigma),

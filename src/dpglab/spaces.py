@@ -187,6 +187,19 @@ def scalar_basis(degree):
     return ScalarBasis(degree)
 
 
+@lru_cache(maxsize=None)
+def basis_at_quadrature(degree, exactness):
+    """Cached, read-only values (dim, npts) and reference gradients
+    (dim, npts, 2) of scalar_basis(degree) at the points of
+    triangle_quadrature(exactness)."""
+    basis = scalar_basis(degree)
+    pts = triangle_quadrature(exactness).points
+    values, gradients = basis.values(pts), basis.gradients(pts)
+    values.flags.writeable = False
+    gradients.flags.writeable = False
+    return values, gradients
+
+
 class EdgeBasis:
     """Orthonormal shifted Legendre basis on the reference edge [0, 1].
 

@@ -369,3 +369,67 @@ def test_dof_counts():
     # interior edge, flux 2 per edge
     dm1 = DofMap(mesh, TrialSpace(1))
     assert dm1.num_free == 8 * 9 + 1 + 8 + 2 * 16
+
+
+def test_factorization_fill_stays_small():
+    # the condensed system is SPD; a symmetric fill-reducing ordering keeps
+    # nnz(L + U) within a small multiple of nnz(A) (a column ordering with
+    # partial pivoting gives ~13x on this mesh)
+    problem = square_smooth()
+    mesh = problem.initial_mesh()
+    for _ in range(4):
+        mesh = refine_uniform(mesh)
+    sol = assemble_solve(mesh, TrialSpace(1), problem.kind, problem.source,
+                         dirichlet=problem.dirichlet)
+    diag = sol.diagnostics
+    assert sol.num_dofs == 7169
+    assert diag["method"] == "direct"
+    assert diag["ordering"] == "MMD_AT_PLUS_A"
+    assert diag["nnz_factor"] / diag["nnz_A"] <= 3.0
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_direct_solve_needs_no_refinement(p):
+    from dpglab.problems import lshape_singular
+
+    problem = lshape_singular()
+    sol = assemble_solve(refine_uniform(lshape_mesh()), TrialSpace(p),
+                         problem.kind, problem.source,
+                         dirichlet=problem.dirichlet)
+    assert sol.diagnostics["method"] == "direct"
+    assert sol.diagnostics["iterations"] == 0
+    assert sol.diagnostics["rel_residual"] <= 1e-10
+
+
+def test_solve_spd_badly_scaled_matches_dense_oracle():
+    import scipy.sparse as sp
+    from dpglab.dpg import _solve_spd
+
+    rng = np.random.default_rng(3)
+    t = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(12, 12))
+    eye = sp.identity(12)
+    lap = sp.kron(t, eye) + sp.kron(eye, t) + sp.identity(144)
+    n = lap.shape[0]
+    # diagonal of A spread over 1e-6 .. 1e6 in shuffled order
+    d = sp.diags(np.sqrt(np.logspace(-6, 6, n))[rng.permutation(n)])
+    A = (d @ lap @ d).tocsc()
+    b = rng.standard_normal(n)
+    x, diag = _solve_spd(A, b, 1e-10, None)
+    oracle = np.linalg.solve(A.toarray(), b)
+    assert diag["method"] == "direct"
+    assert np.linalg.norm(x - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_solve_spd_singular_inconsistent_raises():
+    import scipy.sparse as sp
+    from dpglab.dpg import SolverError, _solve_spd
+
+    # pure Neumann Laplacian: symmetric, constants span its kernel, and a
+    # right-hand side with nonzero mean has no solution
+    t = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(12, 12)).tolil()
+    t[0, 0] = t[-1, -1] = 1.0
+    eye = sp.identity(12)
+    A = (sp.kron(t, eye) + sp.kron(eye, t)).tocsc()
+    with pytest.raises(SolverError):
+        _solve_spd(A, np.ones(A.shape[0]), 1e-10, None)

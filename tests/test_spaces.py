@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from dpglab.spaces import (EdgeBasis, ElementMap, edge_bubbles,
-                           edge_quadrature, monomial_exponents,
+from dpglab.spaces import (EdgeBasis, ElementMap, basis_at_quadrature,
+                           edge_bubbles, edge_quadrature, monomial_exponents,
                            monomial_integral, project_l2, scalar_basis,
                            triangle_quadrature)
 
@@ -111,6 +111,19 @@ def test_scalar_basis_high_degree_orthonormal_and_smooth_at_collapsed_vertex(
                       for k in range(3))
         fd = (-3.0 * f0 + 4.0 * f1 - f2) / (2.0 * h)
         assert np.abs(fd - grad @ direction).max() <= 1e-6 * np.abs(grad).max()
+
+
+def test_basis_at_quadrature_is_cached_read_only_and_exact():
+    values, gradients = basis_at_quadrature(3, 10)
+    pts = triangle_quadrature(10).points
+    # the same arithmetic as evaluating the basis, bit for bit
+    assert np.array_equal(values, scalar_basis(3).values(pts))
+    assert np.array_equal(gradients, scalar_basis(3).gradients(pts))
+    assert basis_at_quadrature(3, 10)[0] is values
+    with pytest.raises(ValueError):
+        values[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        gradients[0, 0, 0] = 1.0
 
 
 def test_element_map_area_and_roundtrip():
