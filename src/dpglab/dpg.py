@@ -25,10 +25,17 @@ the trial unknowns:
 
     S = sum_T  B_T' G_T^{-1} B_T,      rhs = sum_T B_T' G_T^{-1} F_T.
 
-One kernel, condense(), serves one element and the stack assemble_solve
-passes: one Cholesky SPD check, one solve of G_T^{-1} [B_T | F_T].  The
-residual representer eps_T = G_T^{-1} F_T - (G_T^{-1} B_T) x_T reuses that
-solve and carries the localized estimator eta(T)^2 = eps_T' G_T eps_T.
+G_T and B_T depend on T only through its Jacobian and the orientation of
+its edges, and newest-vertex bisection produces few distinct element
+shapes.  assemble_solve therefore groups the elements into classes whose
+members share both bit for bit and condenses one representative per class
+with condense(): one Cholesky SPD check and one solve G^{-1} [B | E],
+where E selects the scalar test rows that carry the load.  Every element
+then needs only gathers and small matrix-vector products with its class
+operators: G^{-1} F_T and r_T from its load moments, and the residual
+representer eps_T = G^{-1} F_T - (G^{-1} B) x_T, which carries the
+localized estimator eta(T)^2 = eps_T' G eps_T.  A mesh without repeated
+shapes gives one class per element and runs the same code.
 """
 
 from dataclasses import dataclass, field
@@ -185,7 +192,7 @@ def _reference_tables(u_degree, p, r, exactness):
     Vg = tbasis.gradients(tri.points)
 
     tab = {
-        "tri_points": tri.points,
+        "tri_points": tri.points, "tri_weights": w,
         "n_u": ubasis.dim, "n_s": sbasis.dim, "n_t": tbasis.dim,
         "V": V,
         # volume contractions against the quadrature weight
@@ -245,6 +252,8 @@ def _local_systems(mesh, trial, kind, source, delta_p, exactness, elements):
         else np.asarray(elements, dtype=np.int64)
     ne = elements.shape[0]
     verts = mesh.vertices[mesh.triangles[elements]]
+    # G and B below depend only on the Jacobian and the edge flips, so
+    # elements that share both get bitwise equal matrices
     jac, det, inv = affine_maps(verts)
     inv_t = inv.transpose(0, 2, 1)    # J^{-T}, maps reference gradients
 
@@ -287,15 +296,16 @@ def _local_systems(mesh, trial, kind, source, delta_p, exactness, elements):
         B[:, sv, cs[c]] = np.einsum("e,ea,aij->eij", det, inv_t[:, c],
                                     tab["GS"])
 
-    # skeleton terms: -<uhat, tau.n> and -<shat, v> edge by edge
-    tris = mesh.triangles[elements]
-    for le in range(3):
-        ge = mesh.tri_edges[elements, le]
+    # skeleton terms: -<uhat, tau.n> and -<shat, v> edge by edge; local
+    # edge le runs from vertex le+1 to le+2, so its vector end - start is
+    # J_1 - J_0, -J_1, J_0 in terms of the Jacobian columns
+    flips = _edge_flips(mesh, elements)
+    edge_vectors = (jac[:, :, 1] - jac[:, :, 0], -jac[:, :, 1], jac[:, :, 0])
+    for le, d in enumerate(edge_vectors):
         start_loc, end_loc = (le + 1) % 3, (le + 2) % 3
-        d = verts[:, end_loc] - verts[:, start_loc]
         length = np.hypot(d[:, 0], d[:, 1])
         normal = np.column_stack([d[:, 1], -d[:, 0]]) / length[:, None]
-        flip = tris[:, start_loc] != mesh.edges[ge, 0]
+        flip = flips[:, le]
         sign = np.where(flip, -1.0, 1.0)
         for fl in (False, True):
             g = np.flatnonzero(flip == fl)
@@ -318,12 +328,27 @@ def _local_systems(mesh, trial, kind, source, delta_p, exactness, elements):
     # load (f, v); tau rows stay zero
     F = np.zeros((ne, m))
     if source is not None:
-        pts = tab["tri_points"]
-        xy = verts[:, None, 0, :] + np.einsum("eDd,kd->ekD", jac, pts)
-        fv = np.asarray(source(xy[..., 0], xy[..., 1]), dtype=float)
-        wq = det[:, None] * triangle_quadrature(exactness).weights[None, :]
-        F[:, sv] = np.einsum("ek,ik->ei", wq * fv, tab["V"])
+        F[:, sv] = _load_moments(tab, source, verts, jac, det)
     return G, B, F
+
+
+def _edge_flips(mesh, elements):
+    """(ne, 3) bool: local edge k, from local vertex k+1 to k+2, runs
+    against the global orientation (lower to higher vertex number)."""
+    start = mesh.triangles[elements][:, [1, 2, 0]]
+    return start != mesh.edges[mesh.tri_edges[elements], 0]
+
+
+def _load_moments(tab, source, verts, jac, det):
+    """Moments (f, v_i)_T against the scalar test functions, (ne, n_t).
+
+    Raises ValueError on non-finite source values at the quadrature points,
+    before they enter any contraction."""
+    xy = verts[:, None, 0, :] + tab["tri_points"] @ jac.transpose(0, 2, 1)
+    fv = np.asarray(source(xy[..., 0], xy[..., 1]), dtype=float)
+    if not np.isfinite(fv).all():
+        raise ValueError("source term has non-finite values")
+    return (det[:, None] * tab["tri_weights"] * fv) @ tab["V"].T
 
 
 def local_gram(mesh, tri, p, delta_p=2, exactness=None):
@@ -367,9 +392,10 @@ def condense(gram, coupling, load=None):
     Eliminates the residual representer from the mixed system of one
     element (2-D gram and coupling, 1-D load) or of a stack of elements
     (one leading batch axis on every argument), producing S = B' G^{-1} B
-    and r = B' G^{-1} F, or (S, None) without a load.  This realizes the
-    discrete trial-to-test operator G^{-1} B locally.  Raises LinAlgError
-    if any Gram is not SPD.
+    and r = B' G^{-1} F, or (S, None) without a load.  A load with as many
+    axes as the coupling holds several load columns, and r one column per
+    load column.  This realizes the discrete trial-to-test operator
+    G^{-1} B locally.  Raises LinAlgError if any Gram is not SPD.
     """
     try:
         np.linalg.cholesky(gram)
@@ -377,14 +403,20 @@ def condense(gram, coupling, load=None):
         raise np.linalg.LinAlgError(
             "local test-space Gram is not SPD (quadrature or basis bug)"
         ) from exc
-    rhs = coupling if load is None else np.concatenate(
-        [coupling, load[..., None]], axis=-1)
+    vector = load is not None and load.ndim < coupling.ndim
+    if vector:
+        load = load[..., None]
+    rhs = coupling if load is None else np.concatenate([coupling, load],
+                                                       axis=-1)
     solved = np.linalg.solve(gram, rhs)
     product = np.swapaxes(coupling, -1, -2) @ solved
     if load is None:
         return _Condensed(product, None, solved, None)
-    return _Condensed(product[..., :-1], product[..., -1], solved[..., :-1],
-                      solved[..., -1])
+    n = coupling.shape[-1]
+    r, ginv_f = product[..., n:], solved[..., n:]
+    if vector:
+        r, ginv_f = r[..., 0], ginv_f[..., 0]
+    return _Condensed(product[..., :n], r, solved[..., :n], ginv_f)
 
 
 def _dirichlet_values(mesh, dofmap, data, exactness):
@@ -448,23 +480,41 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *, delta_p=2,
     if exactness is None:
         exactness = default_exactness(p, delta_p)
     dofmap = DofMap(mesh, trial)
-    G, B, F = _local_systems(mesh, trial, kind, source, delta_p, exactness,
-                             None)
     prescribed = (np.zeros(dofmap.n_total) if dirichlet is None else
                   _dirichlet_values(mesh, dofmap, dirichlet, exactness))
-    if not np.isfinite(F).all():
-        raise ValueError("source term has non-finite values")
     if not np.isfinite(prescribed).all():
         raise ValueError("Dirichlet data has non-finite values")
     nt = mesh.num_triangles
-    condensed = condense(G, B, F)
-    S_loc, r_loc = condensed
+    verts = mesh.vertices[mesh.triangles]
+    jac, det, _ = affine_maps(verts)
+    tab = _reference_tables(trial.u_degree, p, p + delta_p, exactness)
+    n_t = tab["n_t"]
+    load = (np.zeros((nt, n_t)) if source is None else
+            _load_moments(tab, source, verts, jac, det))
+
+    # element classes: the bits of the Jacobian plus the edge flips, all
+    # that G and B depend on; condense one representative per class
+    key = np.column_stack([jac.reshape(nt, 4).view(np.int64),
+                           _edge_flips(mesh, slice(None))])
+    _, rep, cls = np.unique(key, axis=0, return_index=True,
+                            return_inverse=True)
+    cls = cls.ravel()
+    G, B, _ = _local_systems(mesh, trial, kind, None, delta_p, exactness,
+                             rep)
+    nc, m, n_local = B.shape
+    # the load columns E = eye(m, n_t) pick the scalar test rows, so
+    # F_T = E load_T and [G^{-1} E ; B' G^{-1} E] maps load moments to
+    # G^{-1} F_T and r_T
+    condensed = condense(G, B, np.broadcast_to(np.eye(m, n_t), (nc, m, n_t)))
+    schur, rhs_op = condensed
+    load_op = np.concatenate([condensed.ginv_f, rhs_op], axis=1)
+    ginv_f_r = np.einsum("eij,ej->ei", load_op[cls], load)
+    ginv_f, r_loc = ginv_f_r[:, :m], ginv_f_r[:, m:]
 
     cols = dofmap.local_cols
-    n_local = dofmap.n_local
     rows = np.repeat(cols[:, :, None], n_local, axis=2)
     colix = np.repeat(cols[:, None, :], n_local, axis=1)
-    S = sp.coo_matrix((S_loc.ravel(), (rows.ravel(), colix.ravel())),
+    S = sp.coo_matrix((schur[cls].ravel(), (rows.ravel(), colix.ravel())),
                       shape=(dofmap.n_total, dofmap.n_total)).tocsr()
     rhs = np.zeros(dofmap.n_total)
     np.add.at(rhs, cols.ravel(), r_loc.ravel())
@@ -480,18 +530,20 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *, delta_p=2,
     x = prescribed.copy()
     x[ifree] = x_free
 
-    # residual representer from the condensation solve; local estimator
-    eps = condensed.ginv_f - (condensed.ginv_b @ x[cols][:, :, None])[:, :, 0]
-    eta_sq = np.einsum("em,emn,en->e", eps, G, eps)
+    # residual representer eps = G^{-1} F - (G^{-1} B) x; local estimator
+    eps = ginv_f - np.einsum("emn,en->em", condensed.ginv_b[cls], x[cols])
+    eta_sq = np.einsum("em,em->e", eps,
+                       np.einsum("emn,en->em", G[cls], eps))
     eta_local = np.sqrt(np.maximum(eta_sq, 0.0))
 
     # Galerkin orthogonality of the mixed system: B' eps vanishes on the
     # free trial dofs up to solver accuracy
     gal = np.zeros(dofmap.n_total)
-    np.add.at(gal, cols.ravel(), np.einsum("emn,em->en", B, eps).ravel())
+    np.add.at(gal, cols.ravel(), np.einsum("emn,em->en", B[cls], eps).ravel())
     scale = float(np.abs(b).max()) if b.size else 0.0
     diag["galerkin_residual"] = float(np.abs(gal[ifree]).max()) if ifree.size else 0.0
     diag["load_scale"] = scale
+    diag["element_classes"] = nc
 
     interior = x[:dofmap.interior_count].reshape(nt, dofmap.k_int)
     u_coeffs = interior[:, :dofmap.n_u].copy()
@@ -542,7 +594,15 @@ def _solve_spd(A, b, tol, max_iter):
 
     if max_iter is None:
         max_iter = int(50 * np.sqrt(n)) + 10
-    dinv = 1.0 / A.diagonal()
+    diagonal = A.diagonal()
+    if not (np.isfinite(diagonal) & (diagonal > 0.0)).all():
+        # an SPD matrix has a finite positive diagonal; CG would only
+        # iterate on NaNs
+        raise SolverError(
+            f"linear solver failed: direct residual {direct_fail:.3e}, and "
+            f"the matrix has a non-finite or non-positive diagonal entry, "
+            f"so it is not SPD", residual=direct_fail)
+    dinv = 1.0 / diagonal
     precond = spla.LinearOperator(A.shape, matvec=lambda v: v * dinv)
     iters = 0
 

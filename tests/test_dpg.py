@@ -141,6 +141,14 @@ def test_condense_symmetry_and_nullspace():
         S_k, r_k = condense(Gs[k], Bs[k], Fs[k])
         assert np.abs(S_all[k] - S_k).max() <= 1e-13 * np.abs(S_k).max()
         assert np.abs(r_all[k] - r_k).max() <= 1e-13 * np.abs(r_k).max()
+    # a load with one column per right-hand side condenses column by column
+    Fm = rng.standard_normal((4, 8, 3))
+    many = condense(Gs, Bs, Fm)
+    for j in range(3):
+        one = condense(Gs, Bs, Fm[:, :, j])
+        assert np.abs(many[1][:, :, j] - one[1]).max() <= 1e-13 * np.abs(one[1]).max()
+        assert np.abs(many.ginv_f[:, :, j] - one.ginv_f).max() <= 1e-13 * np.abs(one.ginv_f).max()
+        assert np.abs(many[0] - one[0]).max() <= 1e-13 * np.abs(one[0]).max()
 
 
 def test_condense_rejects_indefinite_gram():
@@ -162,7 +170,9 @@ def test_zero_problem_gives_zero_solution():
     assert np.abs(sol.residual_coeffs).max() == 0.0
 
 
+@pytest.mark.filterwarnings("error")
 def test_non_finite_data_fails_loudly():
+    # rejected before any contraction: no RuntimeWarning on the way
     import scipy.sparse as sp
     from dpglab.dpg import SolverError, _solve_spd
 
@@ -433,3 +443,155 @@ def test_solve_spd_singular_inconsistent_raises():
     A = (sp.kron(t, eye) + sp.kron(eye, t)).tocsc()
     with pytest.raises(SolverError):
         _solve_spd(A, np.ones(A.shape[0]), 1e-10, None)
+
+
+@pytest.mark.filterwarnings("error")
+def test_solve_spd_zero_diagonal_raises_at_once():
+    # a zero diagonal entry rules out SPD; the CG fallback must not divide
+    # by it and iterate on NaNs
+    import scipy.sparse as sp
+    from dpglab.dpg import SolverError, _solve_spd
+
+    A = sp.diags([1.0, 0.0, 2.0]).tocsc()
+    with pytest.raises(SolverError, match="diagonal"):
+        _solve_spd(A, np.ones(3), 1e-10, None)
+
+
+def corner_refined_lshape(uniform, corner):
+    """NVB mesh of the L-shape: uniform sweeps, then bisection of every
+    element at the reentrant corner, repeated."""
+    from dpglab.mesh import refine_marked
+
+    mesh = lshape_mesh()
+    for _ in range(uniform):
+        mesh = refine_uniform(mesh)
+    for _ in range(corner):
+        at_corner = np.all(mesh.vertices[mesh.triangles] == 0.0, axis=2)
+        mesh = refine_marked(mesh, np.flatnonzero(at_corner.any(axis=1)))
+    return mesh
+
+
+def perturbed(mesh, seed=5, amount=0.03):
+    """The mesh with every interior vertex moved at random: no two
+    elements share a shape any more."""
+    rng = np.random.default_rng(seed)
+    v = mesh.vertices.copy()
+    inner = ~mesh.boundary_vertex
+    v[inner] += rng.uniform(-amount, amount, size=(inner.sum(), 2))
+    return Mesh(v, mesh.triangles, mesh.refinement_edges)
+
+
+def per_element_oracle(mesh, trial, kind, source, dirichlet):
+    """condense() on every element's own local systems, no element
+    classes, and a dense solve of the assembled system."""
+    from dpglab.dpg import _dirichlet_values, _local_systems, default_exactness
+
+    dm = DofMap(mesh, trial)
+    G, B, F = _local_systems(mesh, trial, kind, source, 2, None, None)
+    x = _dirichlet_values(mesh, dm, dirichlet, default_exactness(trial.p))
+    S = np.zeros((dm.n_total, dm.n_total))
+    r = np.zeros(dm.n_total)
+    parts = [condense(G[t], B[t], F[t]) for t in range(mesh.num_triangles)]
+    for ix, (S_t, r_t) in zip(dm.local_cols, parts):
+        S[np.ix_(ix, ix)] += S_t
+        r[ix] += r_t
+    free = dm.free
+    x[free] = np.linalg.solve(S[np.ix_(free, free)], (r - S @ x)[free])
+    eps = np.array([part.ginv_f - part.ginv_b @ x[ix]
+                    for ix, part in zip(dm.local_cols, parts)])
+    eta_local = np.sqrt(np.einsum("em,emn,en->e", eps, G, eps))
+    return x, eps, eta_local
+
+
+@pytest.mark.parametrize("case", ["corner-refined", "perturbed"])
+def test_element_classes_match_per_element_oracle(case):
+    if case == "corner-refined":     # 108 elements in 22 classes
+        mesh = corner_refined_lshape(2, 2)
+        trial, kind = TrialSpace(1), POISSON
+    else:                            # 96 elements, 96 classes
+        mesh = perturbed(refine_uniform(refine_uniform(lshape_mesh())))
+        trial, kind = TrialSpace(2), REACTION_DIFFUSION
+
+    def source(x, y):
+        return 1.0 + x * y - np.sin(3.0 * x)
+
+    def dirichlet(x, y):
+        return np.cos(x + 2.0 * y)
+
+    sol = assemble_solve(mesh, trial, kind, source, dirichlet=dirichlet)
+    classes = sol.diagnostics["element_classes"]
+    if case == "corner-refined":
+        assert classes < mesh.num_triangles / 4
+    else:
+        assert classes == mesh.num_triangles
+    x, eps, eta_local = per_element_oracle(mesh, trial, kind, source,
+                                           dirichlet)
+
+    def assert_close(got, want):
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    assert_close(sol.coeffs, x)
+    assert_close(sol.residual_coeffs, eps)
+    assert_close(sol.eta_local, eta_local)
+
+
+def test_element_classes_diagnostic():
+    # guards the deduplication: uniform NVB on the L-shape repeats 8 shapes,
+    # a perturbed mesh has one class per element
+    from dpglab.problems import lshape_singular
+
+    problem = lshape_singular()
+    mesh = lshape_mesh()
+    for _ in range(4):
+        mesh = refine_uniform(mesh)
+    shaken = perturbed(refine_uniform(lshape_mesh()))
+    for m, classes in ((mesh, 8), (shaken, shaken.num_triangles)):
+        sol = assemble_solve(m, TrialSpace(1), problem.kind, problem.source,
+                             dirichlet=problem.dirichlet)
+        assert sol.diagnostics["element_classes"] == classes
+    assert mesh.num_triangles == 1536
+
+
+def polynomial_poisson_problem(p):
+    """Poisson problem whose exact solution is a fixed polynomial of total
+    degree p, with every coefficient nonzero."""
+    rng = np.random.default_rng(p)
+    terms = [(i, d - i, rng.uniform(0.5, 1.5) * rng.choice([-1.0, 1.0]))
+             for d in range(p + 1) for i in range(d + 1)]
+
+    def monomial(x, y, i, j):
+        # x^i y^j, zero for a negative exponent (derivative of a constant)
+        if i < 0 or j < 0:
+            return np.zeros_like(np.asarray(x, dtype=float))
+        return np.asarray(x, dtype=float) ** i * np.asarray(y, dtype=float) ** j
+
+    def exact(x, y):
+        return sum(c * monomial(x, y, i, j) for i, j, c in terms)
+
+    def exact_grad(x, y):
+        return (sum(c * i * monomial(x, y, i - 1, j) for i, j, c in terms),
+                sum(c * j * monomial(x, y, i, j - 1) for i, j, c in terms))
+
+    def source(x, y):       # -Lap(u)
+        return -sum(c * (i * (i - 1) * monomial(x, y, i - 2, j) +
+                         j * (j - 1) * monomial(x, y, i, j - 2))
+                    for i, j, c in terms)
+
+    return ManufacturedProblem(
+        name=f"poly-{p}", domain="lshape", kind=POISSON, exact=exact,
+        exact_grad=exact_grad, source=source, dirichlet=exact,
+        regularity="smooth")
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_polynomial_reproduction(p):
+    # u in P^p lies in the trial space (sigma = grad u in P^(p-1), traces
+    # of degree p), so the minimal residual, the errors and eta vanish
+    problem = polynomial_poisson_problem(p)
+    mesh = corner_refined_lshape(1, 2)
+    sol = assemble_solve(mesh, TrialSpace(p), POISSON, problem.source,
+                         dirichlet=problem.dirichlet)
+    rep = error_report(sol, None, problem)
+    assert rep.err_u < 1e-8
+    assert rep.err_sigma < 1e-8
+    assert sol.eta < 1e-8
