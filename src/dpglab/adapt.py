@@ -27,7 +27,7 @@ def mark(eta_local, theta):
 
     Parameters
     ----------
-    eta_local : (nt,) array of nonnegative local estimator values eta(T).
+    eta_local : (nt,) array of finite, nonnegative local estimator values.
     theta : float in (0, 1).
 
     Returns
@@ -38,8 +38,9 @@ def mark(eta_local, theta):
     eta_local = np.asarray(eta_local, dtype=float)
     if not 0.0 < theta < 1.0:
         raise ValueError("marking parameter theta must lie in (0, 1)")
-    if np.any(eta_local < 0.0):
-        raise ValueError("local estimator values must be nonnegative")
+    if not (np.isfinite(eta_local) & (eta_local >= 0.0)).all():
+        raise ValueError("local estimator values must be finite and "
+                         "nonnegative")
     eta_sq = eta_local ** 2
     order = np.lexsort((np.arange(eta_sq.size), -eta_sq))
     running = np.cumsum(eta_sq[order])

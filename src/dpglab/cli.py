@@ -45,8 +45,6 @@ def build_parser():
                      help="relative residual target of the linear solver")
     run.add_argument("--quad-bump", type=int, default=0,
                      help="extra exactness for the error quadrature")
-    run.add_argument("--seq", action="store_true",
-                     help="ignored; assembly is always sequential")
     return parser
 
 

@@ -94,7 +94,9 @@ class DofMap:
     edge-interior dofs per edge, then p+1 flux dofs per edge.  Boundary
     vertex and boundary edge-interior uhat dofs are constrained by the
     Dirichlet data (zero in the homogeneous case); everything else is
-    free.  num_free is the reported dof count D_h.
+    free.  num_free is the reported dof count D_h.  free_index numbers
+    the free dofs 0..num_free-1 in global order and maps the prescribed
+    ones to -1.
     """
 
     def __init__(self, mesh, trial):
@@ -121,6 +123,7 @@ class DofMap:
             free[idx] = False
         self.free = free
         self.num_free = int(free.sum())
+        self.free_index = np.where(free, np.cumsum(free) - 1, -1)
 
         # local trial columns per element:
         #   [u | sigma_x | sigma_y | uhat vertices | uhat bubbles | flux]
@@ -448,9 +451,12 @@ def _dirichlet_values(mesh, dofmap, data, exactness):
 
 
 def assemble_solve(mesh, trial, kind, source, dirichlet=None, *, delta_p=2,
-                   exactness=None, solver_tol=1e-10, max_iter=None):
+                   exactness=None, solver_tol=1e-10):
     """Assemble the condensed DPG system, solve it, and recover the
     elementwise residual representer.
+
+    The global system is the SPD block of the free trial dofs alone,
+    assembled as one CSC matrix and factored directly by _solve_spd.
 
     Parameters
     ----------
@@ -464,17 +470,14 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *, delta_p=2,
     exactness : int, optional
         Assembly quadrature exactness, default 2(p + delta_p + 1).
     solver_tol : float
-        Relative residual target of the linear solve.
-    max_iter : int, optional
-        Iteration cap of the conjugate-gradient fallback, default
-        50 sqrt(num dofs).
+        Relative residual target of the direct solve of the free block.
 
     Returns
     -------
     Solution
 
     Raises ValueError on non-finite source or Dirichlet values and
-    SolverError when the linear solve misses solver_tol.
+    SolverError when the system is not SPD or the solve misses solver_tol.
     """
     p = trial.p
     if exactness is None:
@@ -501,7 +504,7 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *, delta_p=2,
     cls = cls.ravel()
     G, B, _ = _local_systems(mesh, trial, kind, None, delta_p, exactness,
                              rep)
-    nc, m, n_local = B.shape
+    nc, m, _ = B.shape
     # the load columns E = eye(m, n_t) pick the scalar test rows, so
     # F_T = E load_T and [G^{-1} E ; B' G^{-1} E] maps load moments to
     # G^{-1} F_T and r_T
@@ -511,24 +514,26 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *, delta_p=2,
     ginv_f_r = np.einsum("eij,ej->ei", load_op[cls], load)
     ginv_f, r_loc = ginv_f_r[:, :m], ginv_f_r[:, m:]
 
+    # free block only: local columns carry their free number (-1 when
+    # prescribed), and the Dirichlet values are lifted element by element
     cols = dofmap.local_cols
-    rows = np.repeat(cols[:, :, None], n_local, axis=2)
-    colix = np.repeat(cols[:, None, :], n_local, axis=1)
-    S = sp.coo_matrix((schur[cls].ravel(), (rows.ravel(), colix.ravel())),
-                      shape=(dofmap.n_total, dofmap.n_total)).tocsr()
-    rhs = np.zeros(dofmap.n_total)
-    np.add.at(rhs, cols.ravel(), r_loc.ravel())
-
-    # move prescribed Dirichlet trace values to the right-hand side
-    rhs = rhs - S @ prescribed
-
-    ifree = np.flatnonzero(dofmap.free)
-    A = S[ifree][:, ifree].tocsc()
-    b = rhs[ifree]
-    x_free, diag = _solve_spd(A, b, solver_tol, max_iter)
+    schur_loc = schur[cls]
+    r_loc = r_loc - (schur_loc @ prescribed[cols][..., None])[..., 0]
+    fcols = dofmap.free_index[cols]
+    own = fcols >= 0
+    fown = fcols[own]
+    nf = dofmap.num_free
+    b = np.bincount(fown, r_loc[own], minlength=nf)
+    pair = own[:, :, None] & own[:, None, :]
+    A = sp.csc_matrix(
+        (schur_loc[pair],
+         (np.broadcast_to(fcols[:, :, None], pair.shape)[pair],
+          np.broadcast_to(fcols[:, None, :], pair.shape)[pair])),
+        shape=(nf, nf))
+    x_free, diag = _solve_spd(A, b, solver_tol)
 
     x = prescribed.copy()
-    x[ifree] = x_free
+    x[dofmap.free] = x_free
 
     # residual representer eps = G^{-1} F - (G^{-1} B) x; local estimator
     eps = ginv_f - np.einsum("emn,en->em", condensed.ginv_b[cls], x[cols])
@@ -538,11 +543,10 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *, delta_p=2,
 
     # Galerkin orthogonality of the mixed system: B' eps vanishes on the
     # free trial dofs up to solver accuracy
-    gal = np.zeros(dofmap.n_total)
-    np.add.at(gal, cols.ravel(), np.einsum("emn,em->en", B[cls], eps).ravel())
-    scale = float(np.abs(b).max()) if b.size else 0.0
-    diag["galerkin_residual"] = float(np.abs(gal[ifree]).max()) if ifree.size else 0.0
-    diag["load_scale"] = scale
+    gal = np.bincount(fown, np.einsum("emn,em->en", B[cls], eps)[own],
+                      minlength=nf)
+    diag["galerkin_residual"] = float(np.abs(gal).max()) if nf else 0.0
+    diag["load_scale"] = float(np.abs(b).max()) if nf else 0.0
     diag["element_classes"] = nc
 
     interior = x[:dofmap.interior_count].reshape(nt, dofmap.k_int)
@@ -559,66 +563,46 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *, delta_p=2,
 _ORDERING = "MMD_AT_PLUS_A"
 
 
-def _solve_spd(A, b, tol, max_iter):
-    """Direct sparse solve with iterative refinement; CG fallback.
+def _solve_spd(A, b, tol):
+    """Direct sparse solve with iterative refinement.
 
     A is symmetric positive definite, so SuperLU runs in symmetric mode:
     a minimum-degree ordering of the graph of A + A' applied to rows and
     columns alike, and diagonal pivots.  Without row pivoting the residual
     check of the refinement loop is what catches a bad factorization.
+
+    Raises SolverError on a non-finite or non-positive diagonal entry, a
+    singular factor, or a residual that refinement cannot bring to tol.
     """
-    n = A.shape[0]
-    if n == 0:
-        return np.zeros(0), {"method": "trivial", "iterations": 0,
-                             "rel_residual": 0.0}
     bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return np.zeros(n), {"method": "direct", "iterations": 0,
-                             "rel_residual": 0.0}
+    if bnorm == 0.0:        # also the empty system
+        return np.zeros(A.shape[0]), {"method": "direct", "iterations": 0,
+                                      "rel_residual": 0.0}
+    diagonal = A.diagonal()
+    if not (np.isfinite(diagonal) & (diagonal > 0.0)).all():
+        # an SPD matrix has a finite positive diagonal; refuse before any
+        # factorization divides by such an entry
+        raise SolverError("linear solver failed: the matrix has a "
+                          "non-finite or non-positive diagonal entry, so it "
+                          "is not SPD", residual=np.inf)
     try:
         lu = spla.splu(A, permc_spec=_ORDERING, diag_pivot_thresh=0.0,
                        options={"SymmetricMode": True})
-        x = lu.solve(b)
-        rel = None
-        for it in range(4):
-            res = b - A @ x
-            rel = float(np.linalg.norm(res)) / bnorm
-            if rel <= tol:
-                return x, {"method": "direct", "iterations": it,
-                           "rel_residual": rel, "ordering": _ORDERING,
-                           "nnz_A": int(A.nnz), "nnz_factor": int(lu.nnz)}
-            x = x + lu.solve(res)
-        direct_fail = rel
-    except RuntimeError:
-        direct_fail = np.inf
-
-    if max_iter is None:
-        max_iter = int(50 * np.sqrt(n)) + 10
-    diagonal = A.diagonal()
-    if not (np.isfinite(diagonal) & (diagonal > 0.0)).all():
-        # an SPD matrix has a finite positive diagonal; CG would only
-        # iterate on NaNs
-        raise SolverError(
-            f"linear solver failed: direct residual {direct_fail:.3e}, and "
-            f"the matrix has a non-finite or non-positive diagonal entry, "
-            f"so it is not SPD", residual=direct_fail)
-    dinv = 1.0 / diagonal
-    precond = spla.LinearOperator(A.shape, matvec=lambda v: v * dinv)
-    iters = 0
-
-    def count(_):
-        nonlocal iters
-        iters += 1
-
-    x, _ = spla.cg(A, b, rtol=tol, atol=0.0, maxiter=max_iter, M=precond,
-                      callback=count)
-    rel = float(np.linalg.norm(b - A @ x)) / bnorm
-    if not rel <= tol:      # also rejects a NaN residual
-        raise SolverError(
-            f"linear solver failed: direct residual {direct_fail:.3e}, "
-            f"cg residual {rel:.3e} after {iters} iterations "
-            f"(target {tol:.1e})", residual=rel)
-    return x, {"method": "cg", "iterations": iters, "rel_residual": rel}
+    except RuntimeError as exc:
+        raise SolverError(f"linear solver failed: {exc}",
+                          residual=np.inf) from exc
+    x = lu.solve(b)
+    for it in range(4):
+        res = b - A @ x
+        rel = float(np.linalg.norm(res)) / bnorm
+        if rel <= tol:
+            return x, {"method": "direct", "iterations": it,
+                       "rel_residual": rel, "ordering": _ORDERING,
+                       "nnz_A": int(A.nnz), "nnz_factor": int(lu.nnz)}
+        x = x + lu.solve(res)
+    raise SolverError(
+        f"linear solver failed: residual {rel:.3e} after {it} refinement "
+        f"steps (target {tol:.1e})", residual=rel)
 
 
 def estimator(solution):

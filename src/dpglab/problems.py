@@ -127,6 +127,11 @@ class ErrorReport:
     eta: float
 
 
+def error_exactness(p, extra_exactness=0):
+    """Exactness of the error quadrature at trial order p."""
+    return 2 * (p + 3) + 4 + extra_exactness
+
+
 def error_report(solution, postprocessed, problem, extra_exactness=0):
     """Measure L2 errors of a solution against the exact manufactured one.
 
@@ -147,13 +152,13 @@ def error_report(solution, postprocessed, problem, extra_exactness=0):
     """
     mesh = solution.mesh
     p = solution.trial.p
-    exactness = 2 * (p + 3) + 4 + extra_exactness
+    exactness = error_exactness(p, extra_exactness)
     rule = triangle_quadrature(exactness)
     pts, w = rule.points, rule.weights
 
     verts = mesh.vertices[mesh.triangles]
     jac, det, _ = affine_maps(verts)
-    xy = verts[:, None, 0, :] + np.einsum("eDd,kd->ekD", jac, pts)
+    xy = verts[:, None, 0, :] + pts @ jac.transpose(0, 2, 1)
     wq = det[:, None] * w[None, :]
     x, y = xy[..., 0], xy[..., 1]
 

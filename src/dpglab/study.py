@@ -24,7 +24,9 @@ from .adapt import adaptive_loop
 from .dpg import TrialSpace, assemble_solve
 from .mesh import refine_uniform
 from .postprocess import postprocess_all
-from .problems import error_report, lshape_singular, square_smooth
+from .problems import (error_exactness, error_report, lshape_singular,
+                       square_smooth)
+from .spaces import MAX_QUADRATURE_DEGREE
 
 CSV_HEADER = ("level,dofs,h_max,err_u,err_sigma,err_u_post,eta,"
               "eoc_u,eoc_sigma,eoc_post,eoc_eta")
@@ -95,8 +97,11 @@ class StudyConfig:
             raise ConfigError("max-dofs must be >= 1")
         if self.quad_bump < 0:
             raise ConfigError("quadrature bump must be >= 0")
-        if self.solver_tol <= 0:
-            raise ConfigError("solver tolerance must be positive")
+        if error_exactness(self.p, self.quad_bump) > MAX_QUADRATURE_DEGREE:
+            raise ConfigError("quadrature bump too large: error quadrature "
+                              f"exceeds exactness {MAX_QUADRATURE_DEGREE}")
+        if not 0.0 < self.solver_tol < 1.0:     # also rejects NaN
+            raise ConfigError("solver tolerance must lie in (0, 1)")
 
     def trial_space(self):
         return TrialSpace(self.p, augmented=(self.trial == "augmented"))

@@ -32,6 +32,8 @@ def test_mark_parameter_validation():
         mark([1.0], 1.0)
     with pytest.raises(ValueError):
         mark([1.0, -1.0], 0.5)
+    with pytest.raises(ValueError):
+        mark([1.0, np.nan, 2.0, 0.5], 0.5)
 
 
 def test_mark_tie_break_is_deterministic():

@@ -188,7 +188,7 @@ def test_non_finite_data_fails_loudly():
     # a NaN residual is a solver failure, not a converged solve
     with pytest.raises(SolverError):
         _solve_spd(sp.identity(3, format="csc"), np.array([1.0, np.nan, 0.0]),
-                   1e-10, None)
+                   1e-10)
 
 
 def affine_poisson_problem():
@@ -424,13 +424,13 @@ def test_solve_spd_badly_scaled_matches_dense_oracle():
     d = sp.diags(np.sqrt(np.logspace(-6, 6, n))[rng.permutation(n)])
     A = (d @ lap @ d).tocsc()
     b = rng.standard_normal(n)
-    x, diag = _solve_spd(A, b, 1e-10, None)
+    x, diag = _solve_spd(A, b, 1e-10)
     oracle = np.linalg.solve(A.toarray(), b)
     assert diag["method"] == "direct"
     assert np.linalg.norm(x - oracle) <= 1e-10 * np.linalg.norm(oracle)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_solve_spd_singular_inconsistent_raises():
     import scipy.sparse as sp
     from dpglab.dpg import SolverError, _solve_spd
@@ -442,19 +442,19 @@ def test_solve_spd_singular_inconsistent_raises():
     eye = sp.identity(12)
     A = (sp.kron(t, eye) + sp.kron(eye, t)).tocsc()
     with pytest.raises(SolverError):
-        _solve_spd(A, np.ones(A.shape[0]), 1e-10, None)
+        _solve_spd(A, np.ones(A.shape[0]), 1e-10)
 
 
 @pytest.mark.filterwarnings("error")
 def test_solve_spd_zero_diagonal_raises_at_once():
-    # a zero diagonal entry rules out SPD; the CG fallback must not divide
-    # by it and iterate on NaNs
+    # a zero diagonal entry rules out SPD; the solve must refuse it before
+    # any factorization divides by it
     import scipy.sparse as sp
     from dpglab.dpg import SolverError, _solve_spd
 
     A = sp.diags([1.0, 0.0, 2.0]).tocsc()
     with pytest.raises(SolverError, match="diagonal"):
-        _solve_spd(A, np.ones(3), 1e-10, None)
+        _solve_spd(A, np.ones(3), 1e-10)
 
 
 def corner_refined_lshape(uniform, corner):

@@ -108,18 +108,24 @@ def test_config_validation_errors():
         StudyConfig(levels=0),
         StudyConfig(levels=3, quad_bump=-1),
         StudyConfig(levels=3, solver_tol=0.0),
+        StudyConfig(levels=3, solver_tol=float("nan")),
+        StudyConfig(levels=3, solver_tol=float("inf")),
+        StudyConfig(levels=3, solver_tol=1.0),
+        # error quadrature exactness 2(p+3)+4+bump beyond 20
+        StudyConfig(p=3, levels=3, quad_bump=5),
     ]
     for config in bad:
         with pytest.raises(ConfigError):
             config.validate()
     StudyConfig(levels=3).validate()
+    StudyConfig(p=3, levels=3, quad_bump=4).validate()
 
 
 def test_cli_run_and_exit_codes(tmp_path, capsys):
     out = tmp_path / "cli.csv"
     code = main(["run", "--problem", "square", "--p", "0", "--trial",
                  "augmented", "--mode", "uniform", "--levels", "3",
-                 "--out", str(out), "--seq"])
+                 "--out", str(out)])
     assert code == 0
     captured = capsys.readouterr()
     assert "level" in captured.out and str(out) in captured.out
@@ -128,6 +134,11 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     code = main(["run", "--problem", "square", "--p", "9", "--levels", "2"])
     assert code == 2
     assert "error" in capsys.readouterr().err
+
+    code = main(["run", "--problem", "square", "--p", "0", "--levels", "1",
+                 "--quad-bump", "20"])
+    assert code == 2
+    assert "quadrature" in capsys.readouterr().err
 
 
 def test_cli_solver_failure_exit_code(monkeypatch, capsys):
