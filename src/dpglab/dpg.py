@@ -25,14 +25,27 @@ the trial unknowns:
 
     S = sum_T  B_T' G_T^{-1} B_T,      rhs = sum_T B_T' G_T^{-1} F_T.
 
+The fields u and sigma of an element (its interior block I) couple only
+to themselves and to the element's skeleton dofs S (uhat and shat), so a
+second local Schur complement, hybridization, removes them as well.  The
+global sparse system holds the free skeleton dofs alone,
+
+    S_hat = sum_T S_SS - S_SI S_II^{-1} S_IS,
+    r_hat = sum_T r_S - S_SI S_II^{-1} r_I,
+
+and the fields come back element by element, x_I = S_II^{-1} (r_I -
+S_IS x_S).
+
 G_T and B_T depend on T only through its Jacobian and the orientation of
 its edges, and newest-vertex bisection produces few distinct element
 shapes.  assemble_solve therefore groups the elements into classes whose
-members share both bit for bit and condenses one representative per class
+members share both bit for bit and runs both condensations once per class
 with condense(): one Cholesky SPD check and one solve G^{-1} [B | E],
-where E selects the scalar test rows that carry the load.  Every element
-then needs only gathers and small matrix-vector products with its class
-operators: G^{-1} F_T and r_T from its load moments, and the residual
+where E selects the scalar test rows that carry the load, then one
+Cholesky check and one solve S_II^{-1} [S_IS | R_I].  Every element then
+needs only gathers and small matrix-vector products with its class
+operators: G^{-1} F_T, its skeleton load and S_II^{-1} r_I from its load
+moments, its fields from its skeleton values, and the residual
 representer eps_T = G^{-1} F_T - (G^{-1} B) x_T, which carries the
 localized estimator eta(T)^2 = eps_T' G eps_T.  A mesh without repeated
 shapes gives one class per element and runs the same code.
@@ -342,6 +355,18 @@ def _edge_flips(mesh, elements):
     return start != mesh.edges[mesh.tri_edges[elements], 0]
 
 
+def _element_classes(mesh, jac):
+    """Group the elements by the bits of their Jacobian jac (nt, 2, 2) and
+    their edge flips, all that G and B depend on.  Returns one
+    representative element per class and the class of every element."""
+    nt = mesh.num_triangles
+    key = np.column_stack([jac.reshape(nt, 4).view(np.int64),
+                           _edge_flips(mesh, slice(None))])
+    _, rep, cls = np.unique(key, axis=0, return_index=True,
+                            return_inverse=True)
+    return rep, cls.ravel()
+
+
 def _load_moments(tab, source, verts, jac, det):
     """Moments (f, v_i)_T against the scalar test functions, (ne, n_t).
 
@@ -452,11 +477,14 @@ def _dirichlet_values(mesh, dofmap, data, exactness):
 
 def assemble_solve(mesh, trial, kind, source, dirichlet=None, *, delta_p=2,
                    exactness=None, solver_tol=1e-10):
-    """Assemble the condensed DPG system, solve it, and recover the
-    elementwise residual representer.
+    """Assemble the hybridized DPG system, solve it, and recover the fields
+    and the elementwise residual representer.
 
-    The global system is the SPD block of the free trial dofs alone,
-    assembled as one CSC matrix and factored directly by _solve_spd.
+    The global system is the SPD block of the free skeleton dofs alone
+    (uhat and shat): u and sigma are eliminated per element class by a
+    second Schur complement, and the system is assembled as one CSC matrix
+    and factored directly by _solve_spd.  The fields come back element by
+    element, and Solution.coeffs holds every trial dof.
 
     Parameters
     ----------
@@ -470,14 +498,16 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *, delta_p=2,
     exactness : int, optional
         Assembly quadrature exactness, default 2(p + delta_p + 1).
     solver_tol : float
-        Relative residual target of the direct solve of the free block.
+        Relative residual target of the direct solve of the skeleton
+        system.
 
     Returns
     -------
     Solution
 
     Raises ValueError on non-finite source or Dirichlet values and
-    SolverError when the system is not SPD or the solve misses solver_tol.
+    SolverError when the interior block S_II of an element class or the
+    skeleton system is not SPD, or the solve misses solver_tol.
     """
     p = trial.p
     if exactness is None:
@@ -495,63 +525,87 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *, delta_p=2,
     load = (np.zeros((nt, n_t)) if source is None else
             _load_moments(tab, source, verts, jac, det))
 
-    # element classes: the bits of the Jacobian plus the edge flips, all
-    # that G and B depend on; condense one representative per class
-    key = np.column_stack([jac.reshape(nt, 4).view(np.int64),
-                           _edge_flips(mesh, slice(None))])
-    _, rep, cls = np.unique(key, axis=0, return_index=True,
-                            return_inverse=True)
-    cls = cls.ravel()
+    # condense one representative per element class
+    rep, cls = _element_classes(mesh, jac)
     G, B, _ = _local_systems(mesh, trial, kind, None, delta_p, exactness,
                              rep)
     nc, m, _ = B.shape
     # the load columns E = eye(m, n_t) pick the scalar test rows, so
-    # F_T = E load_T and [G^{-1} E ; B' G^{-1} E] maps load moments to
+    # F_T = E load_T, and G^{-1} E and R = B' G^{-1} E map load moments to
     # G^{-1} F_T and r_T
     condensed = condense(G, B, np.broadcast_to(np.eye(m, n_t), (nc, m, n_t)))
     schur, rhs_op = condensed
-    load_op = np.concatenate([condensed.ginv_f, rhs_op], axis=1)
-    ginv_f_r = np.einsum("eij,ej->ei", load_op[cls], load)
-    ginv_f, r_loc = ginv_f_r[:, :m], ginv_f_r[:, m:]
 
-    # free block only: local columns carry their free number (-1 when
-    # prescribed), and the Dirichlet values are lifted element by element
-    cols = dofmap.local_cols
-    schur_loc = schur[cls]
-    r_loc = r_loc - (schur_loc @ prescribed[cols][..., None])[..., 0]
-    fcols = dofmap.free_index[cols]
+    # hybridization: the interior block [u | sigma] comes first in the
+    # local columns; condense it out of the class Schur complements
+    k = dofmap.k_int
+    try:
+        inner = condense(schur[:, :k, :k], schur[:, :k, k:], rhs_op[:, :k])
+    except np.linalg.LinAlgError as exc:
+        raise SolverError("linear solver failed: the interior block S_II "
+                          "(u and sigma) of an element class is not SPD",
+                          residual=np.inf) from exc
+    inner_schur, inner_rhs = inner
+    s_hat = schur[:, k:, k:] - inner_schur
+    # [G^{-1} E ; R_S - S_SI S_II^{-1} R_I ; S_II^{-1} R_I] maps load
+    # moments to G^{-1} F_T, the skeleton load and the interior load
+    load_op = np.concatenate([condensed.ginv_f, rhs_op[:, k:] - inner_rhs,
+                              inner.ginv_f], axis=1)
+    parts = np.einsum("eij,ej->ei", load_op[cls], load)
+    ginv_f, r_hat, x_int = parts[:, :m], parts[:, m:-k], parts[:, -k:]
+
+    # free skeleton block only: interior dofs come first in the global
+    # order and are all free, so free_index - interior_count numbers the
+    # free skeleton dofs (negative when prescribed); the Dirichlet values
+    # are lifted element by element
+    ic = dofmap.interior_count
+    skel = dofmap.local_cols[:, k:]
+    s_loc = s_hat[cls]
+    r_hat = r_hat - (s_loc @ prescribed[skel][..., None])[..., 0]
+    fcols = dofmap.free_index[skel] - ic
     own = fcols >= 0
-    fown = fcols[own]
-    nf = dofmap.num_free
-    b = np.bincount(fown, r_loc[own], minlength=nf)
+    ns = dofmap.num_free - ic
+    b = np.bincount(fcols[own], r_hat[own], minlength=ns)
     pair = own[:, :, None] & own[:, None, :]
     A = sp.csc_matrix(
-        (schur_loc[pair],
+        (s_loc[pair],
          (np.broadcast_to(fcols[:, :, None], pair.shape)[pair],
           np.broadcast_to(fcols[:, None, :], pair.shape)[pair])),
-        shape=(nf, nf))
-    x_free, diag = _solve_spd(A, b, solver_tol)
+        shape=(ns, ns))
+    x_skel, diag = _solve_spd(A, b, solver_tol)
+    diag["skeleton_dofs"] = ns
 
+    # fields per element: x_I = S_II^{-1} R_I load_T - S_II^{-1} S_IS x_S
     x = prescribed.copy()
-    x[dofmap.free] = x_free
+    x[ic:][dofmap.free[ic:]] = x_skel
+    x_int -= np.einsum("eij,ej->ei", inner.ginv_b[cls], x[skel])
+    x[:ic] = x_int.ravel()
 
-    # residual representer eps = G^{-1} F - (G^{-1} B) x; local estimator
-    eps = ginv_f - np.einsum("emn,en->em", condensed.ginv_b[cls], x[cols])
+    # residual representer eps = G^{-1} F - (G^{-1} B) x; local estimator.
+    # Taken at x = the Dirichlet lift as well, B' eps gives the condensed
+    # load of the free trial dofs, the scale of the Galerkin check below
+    cols = dofmap.local_cols
+    both = ginv_f[..., None] - condensed.ginv_b[cls] @ np.stack(
+        [x[cols], prescribed[cols]], axis=-1)
+    eps = both[..., 0]
     eta_sq = np.einsum("em,em->e", eps,
                        np.einsum("emn,en->em", G[cls], eps))
     eta_local = np.sqrt(np.maximum(eta_sq, 0.0))
 
     # Galerkin orthogonality of the mixed system: B' eps vanishes on the
     # free trial dofs up to solver accuracy
-    gal = np.bincount(fown, np.einsum("emn,em->en", B[cls], eps)[own],
-                      minlength=nf)
+    fall = dofmap.free_index[cols]
+    fown = fall >= 0
+    nf = dofmap.num_free
+    bt_both = np.swapaxes(B[cls], 1, 2) @ both
+    gal = np.bincount(fall[fown], bt_both[..., 0][fown], minlength=nf)
+    free_load = np.bincount(fall[fown], bt_both[..., 1][fown], minlength=nf)
     diag["galerkin_residual"] = float(np.abs(gal).max()) if nf else 0.0
-    diag["load_scale"] = float(np.abs(b).max()) if nf else 0.0
+    diag["load_scale"] = float(np.abs(free_load).max()) if nf else 0.0
     diag["element_classes"] = nc
 
-    interior = x[:dofmap.interior_count].reshape(nt, dofmap.k_int)
-    u_coeffs = interior[:, :dofmap.n_u].copy()
-    sigma_coeffs = interior[:, dofmap.n_u:].reshape(nt, 2, dofmap.n_s).copy()
+    u_coeffs = x_int[:, :dofmap.n_u].copy()
+    sigma_coeffs = x_int[:, dofmap.n_u:].reshape(nt, 2, dofmap.n_s).copy()
 
     return Solution(mesh=mesh, trial=trial, kind=kind, dofmap=dofmap,
                     coeffs=x, u_coeffs=u_coeffs, sigma_coeffs=sigma_coeffs,

@@ -238,12 +238,13 @@ def test_galerkin_orthogonality_on_solves():
         assert sol.diagnostics["galerkin_residual"] <= 1e-8 * scale
 
 
-@pytest.mark.parametrize("p", [0, 1])
-def test_condensed_solve_matches_monolithic_saddle_point(p):
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_condensed_solve_matches_monolithic_saddle_point(p, monkeypatch):
     # oracle: the uncondensed mixed system
     #   [[G, B_free], [B_free', 0]] [eps; x_free] = [F - B_D x_D; 0]
     # assembled and solved densely; it shares only the local matrices and
     # the Dirichlet values with assemble_solve
+    import dpglab.dpg as dpg
     from dpglab.dpg import _dirichlet_values, _local_systems, default_exactness
     from dpglab.problems import lshape_singular
 
@@ -275,8 +276,22 @@ def test_condensed_solve_matches_monolithic_saddle_point(p):
     interior = x[:dm.interior_count].reshape(nt, dm.k_int)
     eta_local = np.sqrt(np.einsum("em,emn,en->e", eps, G, eps))
 
+    # the factored system holds the free skeleton dofs alone: u and sigma
+    # come back from the hybridization, not from the sparse solve
+    factored = []
+    real_solve = dpg._solve_spd
+
+    def recording_solve(A, b, tol):
+        factored.append(A.shape)
+        return real_solve(A, b, tol)
+
+    monkeypatch.setattr(dpg, "_solve_spd", recording_solve)
     sol = assemble_solve(mesh, trial, problem.kind, problem.source,
                          dirichlet=problem.dirichlet)
+    skeleton = dm.num_free - dm.interior_count
+    assert sol.diagnostics["skeleton_dofs"] == skeleton
+    assert factored == [(skeleton, skeleton)]
+    assert sol.num_dofs == dm.num_free
 
     def assert_close(got, want):
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
@@ -286,6 +301,31 @@ def test_condensed_solve_matches_monolithic_saddle_point(p):
     assert_close(sol.coeffs[dm.interior_count:], x[dm.interior_count:])
     assert_close(sol.residual_coeffs, eps)
     assert_close(sol.eta_local, eta_local)
+
+
+def test_interior_block_not_spd_raises_before_factorization(monkeypatch):
+    # with the u and sigma columns of B zeroed, the interior block S_II of
+    # every element class vanishes; the hybridization must refuse it before
+    # any sparse factorization
+    import dpglab.dpg as dpg
+    from dpglab.dpg import SolverError
+
+    real_local_systems = dpg._local_systems
+
+    def no_interior_coupling(mesh, trial, *args):
+        G, B, F = real_local_systems(mesh, trial, *args)
+        B[:, :, :DofMap(mesh, trial).k_int] = 0.0
+        return G, B, F
+
+    def no_sparse_solve(A, b, tol):
+        raise AssertionError("sparse solve reached")
+
+    monkeypatch.setattr(dpg, "_local_systems", no_interior_coupling)
+    monkeypatch.setattr(dpg, "_solve_spd", no_sparse_solve)
+    problem = square_smooth()
+    with pytest.raises(SolverError, match="interior block"):
+        assemble_solve(unit_square_mesh(2), TrialSpace(1), problem.kind,
+                       problem.source)
 
 
 def test_condensed_matrix_spd():
@@ -595,3 +635,4 @@ def test_polynomial_reproduction(p):
     assert rep.err_u < 1e-8
     assert rep.err_sigma < 1e-8
     assert sol.eta < 1e-8
+
