@@ -7,8 +7,8 @@ adaptive newest-vertex-bisection refinement.
 
 from .adapt import AdaptiveRun, AdaptiveStep, adaptive_loop, mark
 from .dpg import (POISSON, REACTION_DIFFUSION, DofMap, Solution, SolverError,
-                  TrialSpace, assemble_solve, condense, estimator, local_b,
-                  local_gram, local_load)
+                  TrialSpace, assemble_solve, condense, local_b, local_gram,
+                  local_load)
 from .mesh import (Mesh, load_mesh, lshape_mesh, refine_marked,
                    refine_uniform, save_mesh, unit_square_mesh)
 from .postprocess import (PostprocessedField, postprocess_all,
@@ -26,8 +26,8 @@ __version__ = "0.1.0"
 __all__ = [
     "AdaptiveRun", "AdaptiveStep", "adaptive_loop", "mark",
     "POISSON", "REACTION_DIFFUSION", "DofMap", "Solution", "SolverError",
-    "TrialSpace", "assemble_solve", "condense", "estimator", "local_b",
-    "local_gram", "local_load",
+    "TrialSpace", "assemble_solve", "condense", "local_b", "local_gram",
+    "local_load",
     "Mesh", "load_mesh", "lshape_mesh", "refine_marked", "refine_uniform",
     "save_mesh", "unit_square_mesh",
     "PostprocessedField", "postprocess_all", "postprocess_element",

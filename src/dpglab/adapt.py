@@ -16,7 +16,7 @@ from typing import List
 
 import numpy as np
 
-from .dpg import TrialSpace, assemble_solve
+from .dpg import assemble_solve
 from .mesh import refine_marked
 from .postprocess import postprocess_all
 from .problems import error_report
@@ -74,8 +74,7 @@ class AdaptiveRun:
 
 def adaptive_loop(problem, trial, theta=0.25, max_dofs=10000,
                   max_steps=None, postprocess=False, mesh=None,
-                  solver_tol=1e-10, delta_p=2,
-                  error_exactness_bump=0):
+                  solver_tol=1e-10, error_exactness_bump=0):
     """Run the adaptive algorithm on a manufactured problem.
 
     Each iteration solves on the current mesh, records the error report
@@ -88,16 +87,13 @@ def adaptive_loop(problem, trial, theta=0.25, max_dofs=10000,
     AdaptiveRun with one AdaptiveStep per solve; dof counts increase
     strictly from step to step.
     """
-    if isinstance(trial, int):
-        trial = TrialSpace(trial)
     if mesh is None:
         mesh = problem.initial_mesh()
     dirichlet = problem.dirichlet
     steps = []
     while True:
         solution = assemble_solve(mesh, trial, problem.kind, problem.source,
-                                  dirichlet=dirichlet, delta_p=delta_p,
-                                  solver_tol=solver_tol)
+                                  dirichlet=dirichlet, solver_tol=solver_tol)
         post = postprocess_all(solution) if postprocess else None
         report = error_report(solution, post, problem,
                               extra_exactness=error_exactness_bump)

@@ -10,7 +10,7 @@ The trial space couples elementwise L2 fields with skeleton traces,
     shat  a single-valued normal flux, one degree-p polynomial per edge,
 
 and is tested against the broken space of degree-(p + delta_p) scalar and
-vector polynomials per element (delta_p = 2 by default).  The bilinear
+vector polynomials per element (delta_p = 2).  The bilinear
 form moves all derivatives onto the test pair (v, tau):
 
     reaction-diffusion:  (u, div tau + v) + (sigma, tau + grad v)
@@ -66,6 +66,9 @@ REACTION_DIFFUSION = "reaction-diffusion"
 POISSON = "poisson"
 
 PROBLEM_KINDS = (REACTION_DIFFUSION, POISSON)
+
+# test-space enrichment: test functions have degree p + DELTA_P
+DELTA_P = 2
 
 
 class SolverError(RuntimeError):
@@ -129,11 +132,7 @@ class DofMap:
 
         free = np.ones(self.n_total, dtype=bool)
         free[self.vertex_offset + np.flatnonzero(mesh.boundary_vertex)] = False
-        if p > 0:
-            bdry = np.flatnonzero(mesh.boundary_edge)
-            idx = (self.bubble_offset + bdry[:, None] * p +
-                   np.arange(p)[None, :]).ravel()
-            free[idx] = False
+        free[self.bubble_dofs(np.flatnonzero(mesh.boundary_edge))] = False
         self.free = free
         self.num_free = int(free.sum())
         self.free_index = np.where(free, np.cumsum(free) - 1, -1)
@@ -141,35 +140,21 @@ class DofMap:
         # local trial columns per element:
         #   [u | sigma_x | sigma_y | uhat vertices | uhat bubbles | flux]
         self.n_local = self.k_int + 3 + 3 * p + 3 * (p + 1)
-        cols = np.empty((nt, self.n_local), dtype=np.int64)
-        cols[:, :self.k_int] = (np.arange(nt)[:, None] * self.k_int +
-                                np.arange(self.k_int)[None, :])
-        pos = self.k_int
-        cols[:, pos:pos + 3] = self.vertex_offset + mesh.triangles
-        pos += 3
-        for le in range(3):
-            ge = mesh.tri_edges[:, le]
-            cols[:, pos:pos + p] = (self.bubble_offset + ge[:, None] * p +
-                                    np.arange(p)[None, :])
-            pos += p
-        for le in range(3):
-            ge = mesh.tri_edges[:, le]
-            cols[:, pos:pos + p + 1] = (self.flux_offset +
-                                        ge[:, None] * (p + 1) +
-                                        np.arange(p + 1)[None, :])
-            pos += p + 1
-        self.local_cols = cols
+        ge = mesh.tri_edges
+        flux = self.flux_offset + ge[..., None] * (p + 1) + np.arange(p + 1)
+        self.local_cols = np.concatenate([
+            np.arange(self.interior_count).reshape(nt, self.k_int),
+            self.vertex_offset + mesh.triangles,
+            self.bubble_dofs(ge).reshape(nt, 3 * p),
+            flux.reshape(nt, 3 * (p + 1))], axis=1)
 
     def vertex_dof(self, v):
         return self.vertex_offset + v
 
     def bubble_dofs(self, e):
+        """uhat edge-interior dofs of edge(s) e: shape e.shape + (p,)."""
         p = self.trial.p
-        return self.bubble_offset + e * p + np.arange(p)
-
-    def flux_dofs(self, e):
-        p = self.trial.p
-        return self.flux_offset + e * (p + 1) + np.arange(p + 1)
+        return self.bubble_offset + np.asarray(e)[..., None] * p + np.arange(p)
 
 
 @dataclass
@@ -242,25 +227,26 @@ def _reference_tables(u_degree, p, r, exactness):
     return tab
 
 
-def default_exactness(p, delta_p=2):
+def default_exactness(p):
     """Quadrature exactness used for assembly: products of enriched test
     functions with themselves and one extra order for the load."""
-    return 2 * (p + delta_p + 1)
+    return 2 * (p + DELTA_P + 1)
 
 
-def _local_systems(mesh, trial, kind, source, delta_p, exactness, elements):
-    """Gram matrices, coupling matrices, and loads for a set of elements.
+def _local_systems(mesh, trial, kind, source, elements, exactness=None):
+    """Gram matrices, coupling matrices, and loads for a set of elements
+    (all of them when elements is None).
 
     Returns (G, B, F) with shapes (ne, m, m), (ne, m, n_local), (ne, m),
-    where m = 3 * dim P^{p+delta_p} and columns follow DofMap layout.
+    where m = 3 * dim P^{p+DELTA_P} and columns follow DofMap layout.
+    exactness overrides the assembly quadrature, default_exactness(p).
     """
     if kind not in PROBLEM_KINDS:
         raise ValueError(f"unknown problem kind {kind!r}")
     p = trial.p
-    r = p + delta_p
     if exactness is None:
-        exactness = default_exactness(p, delta_p)
-    tab = _reference_tables(trial.u_degree, p, r, exactness)
+        exactness = default_exactness(p)
+    tab = _reference_tables(trial.u_degree, p, p + DELTA_P, exactness)
     n_u, n_s, n_t = tab["n_u"], tab["n_s"], tab["n_t"]
     m = 3 * n_t
 
@@ -379,28 +365,26 @@ def _load_moments(tab, source, verts, jac, det):
     return (det[:, None] * tab["tri_weights"] * fv) @ tab["V"].T
 
 
-def local_gram(mesh, tri, p, delta_p=2, exactness=None):
+def local_gram(mesh, tri, p):
     """Test-space Gram matrix of one element (symmetric positive definite)."""
     G, _, _ = _local_systems(mesh, TrialSpace(p), REACTION_DIFFUSION, None,
-                             delta_p, exactness, [tri])
+                             [tri])
     return G[0]
 
 
-def local_b(mesh, tri, trial, kind, delta_p=2, exactness=None):
+def local_b(mesh, tri, trial, kind):
     """Trial-to-test coupling matrix of one element.
 
     Columns follow the DofMap layout [u | sigma_x | sigma_y | uhat
     vertices | uhat edge modes | flux edge modes].
     """
-    _, B, _ = _local_systems(mesh, trial, kind, None, delta_p, exactness,
-                             [tri])
+    _, B, _ = _local_systems(mesh, trial, kind, None, [tri])
     return B[0]
 
 
-def local_load(mesh, tri, f, p, delta_p=2, exactness=None):
+def local_load(mesh, tri, f, p):
     """Load vector (f, v)_T of one element; tau components are zero."""
-    _, _, F = _local_systems(mesh, TrialSpace(p), REACTION_DIFFUSION, f,
-                             delta_p, exactness, [tri])
+    _, _, F = _local_systems(mesh, TrialSpace(p), REACTION_DIFFUSION, f, [tri])
     return F[0]
 
 
@@ -469,14 +453,12 @@ def _dirichlet_values(mesh, dofmap, data, exactness):
         gb = values[dofmap.vertex_offset + mesh.edges[bedges, 1]]
         resid = gvals - (np.outer(ga, 1.0 - t) + np.outer(gb, t))
         rhs = np.einsum("ek,jk,k->ej", resid, bub, w)
-        coeff = np.linalg.solve(gram, rhs.T).T
-        for i, e in enumerate(bedges):
-            values[dofmap.bubble_dofs(e)] = coeff[i]
+        values[dofmap.bubble_dofs(bedges)] = np.linalg.solve(gram, rhs.T).T
     return values
 
 
-def assemble_solve(mesh, trial, kind, source, dirichlet=None, *, delta_p=2,
-                   exactness=None, solver_tol=1e-10):
+def assemble_solve(mesh, trial, kind, source, dirichlet=None, *,
+                   solver_tol=1e-10):
     """Assemble the hybridized DPG system, solve it, and recover the fields
     and the elementwise residual representer.
 
@@ -493,10 +475,6 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *, delta_p=2,
     kind : REACTION_DIFFUSION or POISSON
     source : callable f(x, y) or None for f = 0
     dirichlet : callable g(x, y) or None for homogeneous data
-    delta_p : int
-        Test-space enrichment; the experiments all use 2.
-    exactness : int, optional
-        Assembly quadrature exactness, default 2(p + delta_p + 1).
     solver_tol : float
         Relative residual target of the direct solve of the skeleton
         system.
@@ -510,8 +488,7 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *, delta_p=2,
     skeleton system is not SPD, or the solve misses solver_tol.
     """
     p = trial.p
-    if exactness is None:
-        exactness = default_exactness(p, delta_p)
+    exactness = default_exactness(p)
     dofmap = DofMap(mesh, trial)
     prescribed = (np.zeros(dofmap.n_total) if dirichlet is None else
                   _dirichlet_values(mesh, dofmap, dirichlet, exactness))
@@ -520,15 +497,14 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *, delta_p=2,
     nt = mesh.num_triangles
     verts = mesh.vertices[mesh.triangles]
     jac, det, _ = affine_maps(verts)
-    tab = _reference_tables(trial.u_degree, p, p + delta_p, exactness)
+    tab = _reference_tables(trial.u_degree, p, p + DELTA_P, exactness)
     n_t = tab["n_t"]
     load = (np.zeros((nt, n_t)) if source is None else
             _load_moments(tab, source, verts, jac, det))
 
     # condense one representative per element class
     rep, cls = _element_classes(mesh, jac)
-    G, B, _ = _local_systems(mesh, trial, kind, None, delta_p, exactness,
-                             rep)
+    G, B, _ = _local_systems(mesh, trial, kind, None, rep)
     nc, m, _ = B.shape
     # the load columns E = eye(m, n_t) pick the scalar test rows, so
     # F_T = E load_T, and G^{-1} E and R = B' G^{-1} E map load moments to
@@ -657,13 +633,3 @@ def _solve_spd(A, b, tol):
     raise SolverError(
         f"linear solver failed: residual {rel:.3e} after {it} refinement "
         f"steps (target {tol:.1e})", residual=rel)
-
-
-def estimator(solution):
-    """Built-in DPG error estimator.
-
-    Returns (eta, eta_local) with eta(T)^2 = eps_T' G_T eps_T and
-    eta^2 = sum_T eta(T)^2, taken from the residual representer that the
-    solve recovered element by element.
-    """
-    return solution.eta, solution.eta_local

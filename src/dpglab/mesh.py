@@ -44,7 +44,6 @@ class Mesh:
     edges : (ne, 2) int array, each row sorted low < high, rows in
         lexicographic order.
     tri_edges : (nt, 3) int array, global edge id of local edge k.
-    edge_tris : (ne, 2) int array, adjacent triangle ids, -1 padding.
     boundary_edge : (ne,) bool, boundary_vertex : (nv,) bool.
     h_max : float, maximum element diameter (longest edge).
     """
@@ -93,9 +92,8 @@ class Mesh:
         self.h_max = float(lengths[self.tri_edges].max()) if len(triangles) else 0.0
 
         for arr in (self.vertices, self.triangles, self.refinement_edges,
-                    self.edges, self.tri_edges, self.edge_tris,
-                    self.boundary_edge, self.boundary_vertex,
-                    self.edge_lengths, self._areas):
+                    self.edges, self.tri_edges, self.boundary_edge,
+                    self.boundary_vertex, self.edge_lengths, self._areas):
             arr.setflags(write=False)
 
     def _build_edges(self):
@@ -104,23 +102,13 @@ class Mesh:
         raw = np.concatenate([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]])
         raw = np.sort(raw, axis=1)
         edges, inverse = np.unique(raw, axis=0, return_inverse=True)
-        nt = t.shape[0]
         self.edges = edges
-        self.tri_edges = inverse.reshape(3, nt).T.copy()
+        self.tri_edges = inverse.reshape(3, t.shape[0]).T.copy()
 
-        ne = edges.shape[0]
-        counts = np.bincount(self.tri_edges.ravel(), minlength=ne)
+        counts = np.bincount(self.tri_edges.ravel(), minlength=edges.shape[0])
         if counts.size and counts.max() > 2:
             raise ValueError("an edge has more than two adjacent triangles "
                              "(nonmanifold mesh)")
-        order = np.argsort(self.tri_edges.ravel(), kind="stable")
-        tri_of_entry = np.repeat(np.arange(nt), 3)[order]
-        edge_tris = np.full((ne, 2), -1, dtype=np.int64)
-        first = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        edge_tris[:, 0] = tri_of_entry[first]
-        twice = counts == 2
-        edge_tris[twice, 1] = tri_of_entry[first[twice] + 1]
-        self.edge_tris = edge_tris
         self.boundary_edge = counts == 1
         self.boundary_vertex = np.zeros(self.vertices.shape[0], dtype=bool)
         self.boundary_vertex[edges[self.boundary_edge].ravel()] = True
@@ -302,32 +290,19 @@ def refine_marked(mesh, marked):
     new_ref[pos] = mesh.refinement_edges[keep]
 
     # first bisection: (a, b, c) -> (c, a, m_ab) and (b, c, m_ab); the new
-    # vertex is newest, so both children refine through their (v0, v1) edge
-    pos = offsets[:-1][split_ab]
-    child1 = np.column_stack([c, a, m_ab])[split_ab]
-    child2 = np.column_stack([b, c, m_ab])[split_ab]
-
-    # second bisection of child (c, a, m_ab) through (c, a) when marked
-    ca = split_ca[split_ab]
-    sub = np.where(ca)[0]
-    c1a = np.column_stack([child1[sub, 2], child1[sub, 0], m_ca[split_ab][sub]])
-    c1b = np.column_stack([child1[sub, 1], child1[sub, 2], m_ca[split_ab][sub]])
-    cursor = pos.copy()
-    new_tris[cursor[~ca]] = child1[~ca]
-    new_tris[cursor[ca]] = c1a
-    cursor = cursor + 1
-    new_tris[cursor[ca]] = c1b
-    cursor = cursor + ca.astype(np.int64)
-
-    # second bisection of child (b, c, m_ab) through (b, c) when marked
-    bc = split_bc[split_ab]
-    sub = np.where(bc)[0]
-    c2a = np.column_stack([child2[sub, 2], child2[sub, 0], m_bc[split_ab][sub]])
-    c2b = np.column_stack([child2[sub, 1], child2[sub, 2], m_bc[split_ab][sub]])
-    new_tris[cursor[~bc]] = child2[~bc]
-    new_tris[cursor[bc]] = c2a
-    cursor = cursor + 1
-    new_tris[cursor[bc]] = c2b
+    # vertex is newest, so both children refine through their (v0, v1) edge.
+    # Each child (x, y, m_ab) is bisected once more through (x, y) when that
+    # edge is marked, into (m_ab, x, m_xy) and (y, m_ab, m_xy)
+    cursor = offsets[:-1][split_ab]
+    for child, split, mid in ((np.column_stack([c, a, m_ab]), split_ca, m_ca),
+                              (np.column_stack([b, c, m_ab]), split_bc, m_bc)):
+        child, split, mid = child[split_ab], split[split_ab], mid[split_ab]
+        new_tris[cursor[~split]] = child[~split]
+        new_tris[cursor[split]] = np.column_stack(
+            [child[split, 2], child[split, 0], mid[split]])
+        new_tris[cursor[split] + 1] = np.column_stack(
+            [child[split, 1], child[split, 2], mid[split]])
+        cursor = cursor + 1 + split
 
     return Mesh(vertices, new_tris, new_ref)
 
@@ -359,24 +334,33 @@ def save_mesh(mesh, path):
 
 
 def load_mesh(path):
-    """Read a mesh written by save_mesh."""
+    """Read a mesh written by save_mesh.
+
+    Raises ValueError naming the file and the line when the header is not
+    a mesh header, a vertex or triangle line is missing or has the wrong
+    number of entries, or content follows the last declared triangle.
+    """
     with open(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 4 or header[0] != "vertices" or header[2] != "triangles":
-            raise ValueError(f"not a mesh file: {path}")
-        nv, nt = int(header[1]), int(header[3])
-        vertices = np.empty((nv, 2))
-        for i in range(nv):
-            tok = fh.readline().split()
-            if tok[0] != "v":
-                raise ValueError(f"expected vertex line {i} in {path}")
-            vertices[i] = float(tok[1]), float(tok[2])
-        triangles = np.empty((nt, 3), dtype=np.int64)
-        ref = np.empty(nt, dtype=np.int64)
-        for i in range(nt):
-            tok = fh.readline().split()
-            if tok[0] != "t":
-                raise ValueError(f"expected triangle line {i} in {path}")
-            triangles[i] = int(tok[1]), int(tok[2]), int(tok[3])
-            ref[i] = int(tok[4])
-    return Mesh(vertices, triangles, ref)
+        lines = fh.read().splitlines()
+    header = lines[0].split() if lines else []
+    if len(header) != 4 or header[0] != "vertices" or header[2] != "triangles":
+        raise ValueError(f"not a mesh file: {path}")
+    nv, nt = int(header[1]), int(header[3])
+
+    def records(first, count, tag, width, kind):
+        rows = []
+        for n in range(first, first + count):
+            tok = lines[n].split() if n < len(lines) else []
+            if len(tok) != width + 1 or tok[0] != tag:
+                raise ValueError(f"{path}, line {n + 1}: expected "
+                                 f"'{tag}' and {width} numbers")
+            rows.append([kind(x) for x in tok[1:]])
+        return np.array(rows, dtype=kind).reshape(count, width)
+
+    vertices = records(1, nv, "v", 2, float)
+    tris = records(1 + nv, nt, "t", 4, int)
+    for n in range(1 + nv + nt, len(lines)):
+        if lines[n].strip():
+            raise ValueError(f"{path}, line {n + 1}: content after the "
+                             f"{nt} declared triangles")
+    return Mesh(vertices, tris[:, :3], tris[:, 3])

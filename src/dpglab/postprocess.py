@@ -38,12 +38,15 @@ def _dim_to_degree(n):
     return d
 
 
-def _local_neumann_systems(mesh, p, u_coeffs, sigma_coeffs, exactness,
-                           elements):
-    """Stacked Lagrange-augmented local systems and right-hand sides."""
+def _neumann_solve(mesh, p, u_coeffs, sigma_coeffs, elements):
+    """Solve the stacked Lagrange-augmented local systems of the given
+    elements; coefficient rows correspond to the elements argument.
+
+    Returns the (ne, dim P^{p+1}) field coefficients.  Raises LinAlgError
+    naming the elements whose system is singular.
+    """
     u_deg = _dim_to_degree(u_coeffs.shape[1])
-    if exactness is None:
-        exactness = 2 * (p + 3)
+    exactness = 2 * (p + 3)
     w = triangle_quadrature(exactness).weights
 
     phi, grad = basis_at_quadrature(p + 1, exactness)
@@ -58,8 +61,7 @@ def _local_neumann_systems(mesh, p, u_coeffs, sigma_coeffs, exactness,
     t1 = np.einsum("ika,jkb,k->abij", grad, grad, w)
     stiff = np.einsum("e,eab,abij->eij", det, metric, t1)
 
-    # (sigma_h, grad v)_T with the physical gradient of every test mode;
-    # coefficient rows correspond to the elements argument
+    # (sigma_h, grad v)_T with the physical gradient of every test mode
     svals = np.einsum("ecj,jk->eck", sigma_coeffs, sphi)
     gphys = np.einsum("eca,ika->eick", inv_t, grad)
     rhs_grad = np.einsum("e,eck,eick,k->ei", det, svals, gphys, w)
@@ -75,10 +77,17 @@ def _local_neumann_systems(mesh, p, u_coeffs, sigma_coeffs, exactness,
     rhs = np.zeros((ne, n + 1))
     rhs[:, :n] = rhs_grad
     rhs[:, n] = mean_target
-    return system, rhs
+    try:
+        out = np.linalg.solve(system, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError as exc:
+        bad = elements[np.abs(np.linalg.det(system)) < 1e-300]
+        raise np.linalg.LinAlgError(
+            f"singular postprocessing system on elements {bad[:5].tolist()} "
+            "(basis bug)") from exc
+    return out[:, :-1]
 
 
-def postprocess_element(mesh, tri, u_coeffs, sigma_coeffs, exactness=None):
+def postprocess_element(mesh, tri, u_coeffs, sigma_coeffs):
     """Postprocess a single element.
 
     Parameters
@@ -95,21 +104,13 @@ def postprocess_element(mesh, tri, u_coeffs, sigma_coeffs, exactness=None):
     -------
     (dim P^{p+1},) array of coefficients in the orthonormal reference basis.
     """
+    sigma_coeffs = np.asarray(sigma_coeffs, dtype=float)
     p = _dim_to_degree(sigma_coeffs.shape[1])
-    system, rhs = _local_neumann_systems(
-        mesh, p, np.asarray(u_coeffs, dtype=float)[None, :],
-        np.asarray(sigma_coeffs, dtype=float)[None, :, :], exactness,
-        np.array([tri]))
-    try:
-        out = np.linalg.solve(system, rhs[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"singular postprocessing system on element {tri} (basis bug)"
-        ) from exc
-    return out[0, :-1]
+    return _neumann_solve(mesh, p, np.asarray(u_coeffs, dtype=float)[None],
+                          sigma_coeffs[None], np.array([tri]))[0]
 
 
-def postprocess_all(solution, exactness=None):
+def postprocess_all(solution):
     """Postprocess every element of a solution independently.
 
     The superconvergence statement targets the standard trial space; an
@@ -122,16 +123,7 @@ def postprocess_all(solution, exactness=None):
                       stacklevel=2)
     mesh = solution.mesh
     p = solution.trial.p
-    elements = np.arange(mesh.num_triangles)
-    system, rhs = _local_neumann_systems(
-        mesh, p, solution.u_coeffs, solution.sigma_coeffs, exactness,
-        elements)
-    try:
-        out = np.linalg.solve(system, rhs[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError as exc:
-        bad = [int(t) for t in elements
-               if abs(np.linalg.det(system[t])) < 1e-300]
-        raise np.linalg.LinAlgError(
-            f"singular postprocessing system (elements {bad[:5]}...)"
-        ) from exc
-    return PostprocessedField(degree=p + 1, coeffs=out[:, :-1])
+    coeffs = _neumann_solve(mesh, p, solution.u_coeffs,
+                            solution.sigma_coeffs,
+                            np.arange(mesh.num_triangles))
+    return PostprocessedField(degree=p + 1, coeffs=coeffs)

@@ -85,14 +85,10 @@ class StudyConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if not 0.0 < self.theta < 1.0:
             raise ConfigError("theta must lie in (0, 1)")
-        if self.mode == "uniform":
-            if self.levels is None and self.max_dofs is None:
-                raise ConfigError("uniform mode needs --levels or --max-dofs")
-            if self.levels is not None and self.levels < 1:
-                raise ConfigError("levels must be >= 1")
-        if self.mode == "adaptive" and self.max_dofs is None \
-                and self.levels is None:
-            raise ConfigError("adaptive mode needs --max-dofs or --levels")
+        if self.levels is None and self.max_dofs is None:
+            raise ConfigError(f"{self.mode} mode needs --levels or --max-dofs")
+        if self.levels is not None and self.levels < 1:
+            raise ConfigError("levels must be >= 1")
         if self.max_dofs is not None and self.max_dofs < 1:
             raise ConfigError("max-dofs must be >= 1")
         if self.quad_bump < 0:

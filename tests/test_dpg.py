@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dpglab.dpg import (POISSON, REACTION_DIFFUSION, DofMap, TrialSpace,
-                        assemble_solve, condense, estimator, local_b,
-                        local_gram, local_load)
+                        assemble_solve, condense, local_b, local_gram,
+                        local_load)
 from dpglab.mesh import Mesh, lshape_mesh, refine_uniform, unit_square_mesh
 from dpglab.problems import ManufacturedProblem, error_report, square_smooth
 from dpglab.spaces import ElementMap, project_l2, scalar_basis
@@ -254,8 +254,7 @@ def test_condensed_solve_matches_monolithic_saddle_point(p, monkeypatch):
         mesh, problem = refine_uniform(lshape_mesh()), lshape_singular()
     trial = TrialSpace(p)
     dm = DofMap(mesh, trial)
-    G, B, F = _local_systems(mesh, trial, problem.kind, problem.source, 2,
-                             None, None)
+    G, B, F = _local_systems(mesh, trial, problem.kind, problem.source, None)
     x_d = _dirichlet_values(mesh, dm, problem.dirichlet, default_exactness(p))
     nt, m, _ = B.shape
     G_glob = np.zeros((nt * m, nt * m))
@@ -335,8 +334,7 @@ def test_condensed_matrix_spd():
     mesh = unit_square_mesh(2)
     trial = TrialSpace(1)
     dm = DofMap(mesh, trial)
-    G, B, F = _local_systems(mesh, trial, REACTION_DIFFUSION, None, 2, None,
-                             None)
+    G, B, F = _local_systems(mesh, trial, REACTION_DIFFUSION, None, None)
     schur = np.linalg.solve(G, B)
     S_loc = np.einsum("emi,emj->eij", B, schur)
     S = np.zeros((dm.n_total, dm.n_total))
@@ -355,12 +353,12 @@ def test_estimator_consistency_and_locality():
     problem = square_smooth()
     mesh = refine_uniform(unit_square_mesh(1))
     sol = assemble_solve(mesh, TrialSpace(0), problem.kind, problem.source)
-    eta, eta_local = estimator(sol)
+    eta, eta_local = sol.eta, sol.eta_local
     # locality: the total is exactly the root of summed local squares
     assert eta == pytest.approx(np.sqrt(np.sum(eta_local ** 2)), rel=1e-13)
     # norm consistency: recompute ||eps||_V^2 with elevated quadrature
-    G_hi, _, _ = _local_systems(mesh, TrialSpace(0), problem.kind, None, 2,
-                                default_exactness(0) + 4, None)
+    G_hi, _, _ = _local_systems(mesh, TrialSpace(0), problem.kind, None,
+                                None, default_exactness(0) + 4)
     direct = np.einsum("em,emn,en->e", sol.residual_coeffs, G_hi,
                        sol.residual_coeffs)
     assert np.abs(direct - eta_local ** 2).max() <= 1e-12 * eta ** 2
@@ -527,7 +525,7 @@ def per_element_oracle(mesh, trial, kind, source, dirichlet):
     from dpglab.dpg import _dirichlet_values, _local_systems, default_exactness
 
     dm = DofMap(mesh, trial)
-    G, B, F = _local_systems(mesh, trial, kind, source, 2, None, None)
+    G, B, F = _local_systems(mesh, trial, kind, source, None)
     x = _dirichlet_values(mesh, dm, dirichlet, default_exactness(trial.p))
     S = np.zeros((dm.n_total, dm.n_total))
     r = np.zeros(dm.n_total)

@@ -160,6 +160,20 @@ def test_mesh_dump_roundtrip(tmp_path):
     assert header == f"vertices {m.num_vertices} triangles {m.num_triangles}"
 
 
+@pytest.mark.parametrize("mangle, line", [
+    (lambda lines: lines[:-1], 18),
+    (lambda lines: lines[:3] + ["v 0.5"] + lines[4:], 4),
+    (lambda lines: lines + ["t 0 1 2 0"], 19),
+], ids=["truncated", "short-vertex-line", "extra-line"])
+def test_load_mesh_rejects_malformed_file(tmp_path, mangle, line):
+    path = tmp_path / "mesh.txt"
+    save_mesh(unit_square_mesh(2), path)    # 9 vertices, 8 triangles
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(mangle(lines)) + "\n")
+    with pytest.raises(ValueError, match=f"mesh.txt, line {line}:"):
+        load_mesh(path)
+
+
 def test_mesh_arrays_immutable():
     m = unit_square_mesh(1)
     with pytest.raises(ValueError):

@@ -63,6 +63,21 @@ def test_gradient_reproduction(p):
         assert np.abs(out - target).max() < 1e-12
 
 
+@pytest.mark.parametrize("augmented", [False, True])
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_element_and_batched_entry_points_agree(p, augmented, recwarn):
+    problem = square_smooth()
+    mesh = refine_uniform(unit_square_mesh(1))
+    sol = assemble_solve(mesh, TrialSpace(p, augmented=augmented),
+                         problem.kind, problem.source)
+    batched = postprocess_all(sol).coeffs
+    scale = np.abs(batched).max()
+    for t in range(mesh.num_triangles):
+        single = postprocess_element(mesh, t, sol.u_coeffs[t],
+                                     sol.sigma_coeffs[t])
+        assert np.abs(single - batched[t]).max() <= 1e-14 * scale
+
+
 def test_mean_constraint_on_full_solve():
     problem = square_smooth()
     mesh = refine_uniform(refine_uniform(unit_square_mesh(2)))   # 128 elements

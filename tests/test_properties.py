@@ -28,7 +28,7 @@ def test_element_class_members_share_local_systems_bitwise(data, p, kind):
         mesh = refine_marked(mesh, sorted(marked))
     jac = affine_maps(mesh.vertices[mesh.triangles])[0]
     rep, cls = _element_classes(mesh, jac)
-    G, B, _ = _local_systems(mesh, TrialSpace(p), kind, None, 2, None, None)
+    G, B, _ = _local_systems(mesh, TrialSpace(p), kind, None, None)
     owner = rep[cls]
     assert np.array_equal(G, G[owner])
     assert np.array_equal(B, B[owner])

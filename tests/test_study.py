@@ -106,6 +106,8 @@ def test_config_validation_errors():
         StudyConfig(mode="uniform"),            # needs levels or max_dofs
         StudyConfig(mode="adaptive"),           # needs max_dofs or levels
         StudyConfig(levels=0),
+        StudyConfig(mode="adaptive", levels=0),
+        StudyConfig(mode="adaptive", levels=-3),
         StudyConfig(levels=3, quad_bump=-1),
         StudyConfig(levels=3, solver_tol=0.0),
         StudyConfig(levels=3, solver_tol=float("nan")),
@@ -139,6 +141,12 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
                  "--quad-bump", "20"])
     assert code == 2
     assert "quadrature" in capsys.readouterr().err
+
+    for levels in ("0", "-3"):
+        code = main(["run", "--problem", "lshape", "--mode", "adaptive",
+                     "--levels", levels])
+        assert code == 2
+        assert "levels must be >= 1" in capsys.readouterr().err
 
 
 def test_cli_solver_failure_exit_code(monkeypatch, capsys):
