@@ -1,5 +1,6 @@
 """
-Bulk (Doerfler) marking and the SOLVE -> ESTIMATE -> MARK -> REFINE loop.
+Bulk (Doerfler) marking and the SOLVE -> ESTIMATE -> MARK -> REFINE loop
+that uniform and adaptive studies share.
 
 The marking step selects a minimal-cardinality element set M with
 
@@ -17,7 +18,7 @@ from typing import List
 import numpy as np
 
 from .dpg import assemble_solve
-from .mesh import refine_marked
+from .mesh import refine_marked, refine_uniform
 from .postprocess import postprocess_all
 from .problems import error_report
 
@@ -80,33 +81,52 @@ def adaptive_loop(problem, trial, theta=0.25, max_dofs=10000,
     Each iteration solves on the current mesh, records the error report
     and estimator, and stops once num_dofs >= max_dofs (or after
     max_steps solves); otherwise it bulk-marks and refines by
-    newest-vertex bisection.
+    newest-vertex bisection.  This is _steps in "adaptive" mode, run to
+    the end.
 
     Returns
     -------
     AdaptiveRun with one AdaptiveStep per solve; dof counts increase
     strictly from step to step.
     """
+    return AdaptiveRun(steps=list(_steps(
+        problem, trial, "adaptive", theta, max_dofs, max_steps, postprocess,
+        mesh, solver_tol, error_exactness_bump)))
+
+
+def _steps(problem, trial, mode, theta, max_dofs, max_steps, postprocess,
+           mesh, solver_tol, error_exactness_bump):
+    """The one SOLVE -> ESTIMATE -> REFINE loop of every study: yields an
+    AdaptiveStep per solve, from mesh (None: the problem's initial mesh).
+
+    Stops once num_dofs >= max_dofs or after max_steps solves (None: no
+    bound); otherwise refines uniformly (mode "uniform") or the Doerfler
+    set mark(eta_local, theta) (mode "adaptive"), stopping when that set
+    is empty.  The pipeline calls are looked up in this module at call
+    time, so a tracer can wrap them here.
+    """
     if mesh is None:
         mesh = problem.initial_mesh()
-    dirichlet = problem.dirichlet
-    steps = []
+    solves = 0
     while True:
         solution = assemble_solve(mesh, trial, problem.kind, problem.source,
-                                  dirichlet=dirichlet, solver_tol=solver_tol)
+                                  dirichlet=problem.dirichlet,
+                                  solver_tol=solver_tol)
         post = postprocess_all(solution) if postprocess else None
         report = error_report(solution, post, problem,
                               extra_exactness=error_exactness_bump)
-        steps.append(AdaptiveStep(mesh=mesh, solution=solution,
-                                  postprocessed=post, eta=solution.eta,
-                                  eta_local=solution.eta_local,
-                                  report=report))
-        if solution.num_dofs >= max_dofs:
-            break
-        if max_steps is not None and len(steps) >= max_steps:
-            break
-        marked = mark(solution.eta_local, theta)
-        if marked.size == 0:
-            break      # estimator vanished everywhere: converged
-        mesh = refine_marked(mesh, marked)
-    return AdaptiveRun(steps=steps)
+        yield AdaptiveStep(mesh=mesh, solution=solution, postprocessed=post,
+                           eta=solution.eta, eta_local=solution.eta_local,
+                           report=report)
+        solves += 1
+        if max_dofs is not None and solution.num_dofs >= max_dofs:
+            return
+        if max_steps is not None and solves >= max_steps:
+            return
+        if mode == "uniform":
+            mesh = refine_uniform(mesh)
+        else:
+            marked = mark(solution.eta_local, theta)
+            if marked.size == 0:
+                return     # estimator vanished everywhere: converged
+            mesh = refine_marked(mesh, marked)

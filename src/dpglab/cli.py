@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from .dpg import SolverError
-from .study import ConfigError, StudyConfig, fit_slope, run_study
+from .study import _CHOICES, ConfigError, StudyConfig, fit_slope, run_study
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 2
@@ -23,62 +23,56 @@ def build_parser():
         prog="dpg-lab",
         description="Ultra-weak DPG convergence studies on triangular meshes")
     sub = parser.add_subparsers(dest="command", required=True)
-    run = sub.add_parser("run", help="run a convergence study")
-    run.add_argument("--problem", choices=["square", "lshape"],
+    # an option left out stays out of the namespace: StudyConfig's default
+    run = sub.add_parser("run", help="run a convergence study",
+                         argument_default=argparse.SUPPRESS)
+    run.add_argument("--problem", choices=_CHOICES["problem"],
                      required=True, help="benchmark problem")
-    run.add_argument("--p", type=int, default=0,
+    run.add_argument("--p", type=int,
                      help="polynomial order of the trial space (0..3)")
-    run.add_argument("--trial", choices=["standard", "augmented"],
-                     default="standard", help="trial space variant")
-    run.add_argument("--mode", choices=["uniform", "adaptive"],
-                     default="uniform", help="refinement strategy")
-    run.add_argument("--theta", type=float, default=0.25,
+    run.add_argument("--trial", choices=_CHOICES["trial"],
+                     help="trial space variant")
+    run.add_argument("--mode", choices=_CHOICES["mode"],
+                     help="refinement strategy")
+    run.add_argument("--theta", type=float,
                      help="bulk marking parameter (adaptive mode)")
-    run.add_argument("--levels", type=int, default=None,
+    run.add_argument("--levels", type=int,
                      help="number of refinement levels / solve steps")
-    run.add_argument("--max-dofs", type=int, default=None,
+    run.add_argument("--max-dofs", type=int,
                      help="stop once the dof count reaches this bound")
     run.add_argument("--postprocess", action="store_true",
                      help="also compute the superconvergent postprocessed field")
-    run.add_argument("--out", default=None, help="CSV output path")
-    run.add_argument("--solver-tol", type=float, default=1e-10,
+    run.add_argument("--out", help="CSV output path")
+    run.add_argument("--solver-tol", type=float,
                      help="relative residual target of the linear solver")
-    run.add_argument("--quad-bump", type=int, default=0,
+    run.add_argument("--quad-bump", type=int,
                      help="extra exactness for the error quadrature")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = StudyConfig(
-        problem=args.problem, p=args.p, trial=args.trial, mode=args.mode,
-        theta=args.theta, levels=args.levels, max_dofs=args.max_dofs,
-        postprocess=args.postprocess, out=args.out,
-        solver_tol=args.solver_tol, quad_bump=args.quad_bump)
+    options = vars(build_parser().parse_args(argv))
+    del options["command"]
+    config = StudyConfig(**options)
     try:
-        config.validate()
+        records = run_study(config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    try:
-        records = run_study(config)
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER_FAILURE
     _print_table(records)
     if len(records) >= 3:
-        for col, label in [("err_u", "err_u"), ("err_sigma", "err_sigma"),
-                           ("err_u_post", "err_u_post"), ("eta", "eta")]:
+        for col in ("err_u", "err_sigma", "err_u_post", "eta"):
             if getattr(records[-1], col) is not None:
                 try:
-                    slope = fit_slope(records, col, window=min(3, len(records)))
+                    slope = fit_slope(records, col)
                 except ValueError:
                     continue
-                print(f"slope of {label} vs dofs (last 3 levels): "
-                      f"{slope:.3f}")
-    if args.out:
-        print(f"wrote {args.out}")
+                print(f"slope of {col} vs dofs (last 3 levels): {slope:.3f}")
+    if config.out:
+        print(f"wrote {config.out}")
     return EXIT_OK
 
 

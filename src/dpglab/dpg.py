@@ -58,8 +58,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .spaces import (REFERENCE_VERTICES, affine_maps, edge_basis,
-                     edge_bubbles, edge_quadrature, scalar_basis,
+from .spaces import (REFERENCE_VERTICES, affine_maps, basis_at_quadrature,
+                     edge_basis, edge_bubbles, edge_quadrature, scalar_basis,
                      triangle_quadrature)
 
 REACTION_DIFFUSION = "reaction-diffusion"
@@ -183,18 +183,13 @@ def _reference_tables(u_degree, p, r, exactness):
     tri = triangle_quadrature(exactness)
     edge = edge_quadrature(exactness)
     w = tri.weights
-    ubasis = scalar_basis(u_degree)
-    sbasis = scalar_basis(p)
-    tbasis = scalar_basis(r)
-
-    U = ubasis.values(tri.points)
-    S = sbasis.values(tri.points)
-    V = tbasis.values(tri.points)
-    Vg = tbasis.gradients(tri.points)
+    U = basis_at_quadrature(u_degree, exactness)[0]
+    S = basis_at_quadrature(p, exactness)[0]
+    V, Vg = basis_at_quadrature(r, exactness)
 
     tab = {
         "tri_points": tri.points, "tri_weights": w,
-        "n_u": ubasis.dim, "n_s": sbasis.dim, "n_t": tbasis.dim,
+        "n_u": U.shape[0], "n_s": S.shape[0], "n_t": V.shape[0],
         "V": V,
         # volume contractions against the quadrature weight
         "M0": np.einsum("ik,jk,k->ij", V, V, w),
@@ -219,7 +214,7 @@ def _reference_tables(u_degree, p, r, exactness):
                 s_loc, e_loc = e_loc, s_loc
             a, b = REFERENCE_VERTICES[s_loc], REFERENCE_VERTICES[e_loc]
             pts = a[None, :] + t[:, None] * (b - a)[None, :]
-            EV = tbasis.values(pts)                      # (n_t, nqe)
+            EV = scalar_basis(r).values(pts)             # (n_t, nqe)
             HB[le, flip] = np.einsum("wk,ik,k->wi", hat, EV, we)
             BB[le, flip] = np.einsum("jk,ik,k->ji", bub, EV, we)
             LB[le, flip] = np.einsum("jk,ik,k->ji", leg, EV, we)
@@ -431,7 +426,7 @@ def condense(gram, coupling, load=None):
     return _Condensed(product[..., :n], r, solved[..., :n], ginv_f)
 
 
-def _dirichlet_values(mesh, dofmap, data, exactness):
+def _dirichlet_values(mesh, dofmap, data):
     """Prescribed uhat values: vertex interpolation plus edgewise L2
     projection of the remainder onto the edge-interior modes."""
     p = dofmap.trial.p
@@ -440,7 +435,7 @@ def _dirichlet_values(mesh, dofmap, data, exactness):
     xy = mesh.vertices[bverts]
     values[dofmap.vertex_offset + bverts] = data(xy[:, 0], xy[:, 1])
     if p > 0:
-        rule = edge_quadrature(exactness + 4)
+        rule = edge_quadrature(default_exactness(p) + 4)
         t, w = rule.points, rule.weights
         bub = edge_bubbles(p, t)
         gram = np.einsum("ik,jk,k->ij", bub, bub, w)
@@ -488,16 +483,16 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *,
     skeleton system is not SPD, or the solve misses solver_tol.
     """
     p = trial.p
-    exactness = default_exactness(p)
     dofmap = DofMap(mesh, trial)
     prescribed = (np.zeros(dofmap.n_total) if dirichlet is None else
-                  _dirichlet_values(mesh, dofmap, dirichlet, exactness))
+                  _dirichlet_values(mesh, dofmap, dirichlet))
     if not np.isfinite(prescribed).all():
         raise ValueError("Dirichlet data has non-finite values")
     nt = mesh.num_triangles
     verts = mesh.vertices[mesh.triangles]
     jac, det, _ = affine_maps(verts)
-    tab = _reference_tables(trial.u_degree, p, p + DELTA_P, exactness)
+    tab = _reference_tables(trial.u_degree, p, p + DELTA_P,
+                            default_exactness(p))
     n_t = tab["n_t"]
     load = (np.zeros((nt, n_t)) if source is None else
             _load_moments(tab, source, verts, jac, det))

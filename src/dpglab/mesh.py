@@ -58,6 +58,9 @@ class Mesh:
             raise ValueError("vertex coordinates must be finite")
         if triangles.ndim != 2 or triangles.shape[1] != 3:
             raise ValueError("triangles must be an (nt, 3) array")
+        if not ((triangles >= 0) & (triangles < vertices.shape[0])).all():
+            raise ValueError("triangle vertex indices must lie in "
+                             f"[0, {vertices.shape[0]})")
         if refinement_edges.shape != (triangles.shape[0],):
             raise ValueError("need one refinement edge index per triangle")
         if refinement_edges.size and not (
@@ -337,15 +340,25 @@ def load_mesh(path):
     """Read a mesh written by save_mesh.
 
     Raises ValueError naming the file and the line when the header is not
-    a mesh header, a vertex or triangle line is missing or has the wrong
-    number of entries, or content follows the last declared triangle.
+    a mesh header, a header count or a vertex or triangle entry is not a
+    number, a vertex or triangle line is missing or has the wrong number
+    of entries, or content follows the last declared triangle.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
     header = lines[0].split() if lines else []
     if len(header) != 4 or header[0] != "vertices" or header[2] != "triangles":
         raise ValueError(f"not a mesh file: {path}")
-    nv, nt = int(header[1]), int(header[3])
+
+    def numbers(n, tokens, kind):
+        try:
+            return [kind(x) for x in tokens]
+        except ValueError:
+            raise ValueError(f"{path}, line {n + 1}: expected "
+                             f"{kind.__name__} entries, got "
+                             f"{' '.join(tokens)!r}") from None
+
+    nv, nt = numbers(0, header[1::2], int)
 
     def records(first, count, tag, width, kind):
         rows = []
@@ -354,7 +367,7 @@ def load_mesh(path):
             if len(tok) != width + 1 or tok[0] != tag:
                 raise ValueError(f"{path}, line {n + 1}: expected "
                                  f"'{tag}' and {width} numbers")
-            rows.append([kind(x) for x in tok[1:]])
+            rows.append(numbers(n, tok[1:], kind))
         return np.array(rows, dtype=kind).reshape(count, width)
 
     vertices = records(1, nv, "v", 2, float)

@@ -20,18 +20,20 @@ from typing import Optional
 
 import numpy as np
 
-from .adapt import adaptive_loop
-from .dpg import TrialSpace, assemble_solve
-from .mesh import refine_uniform
-from .postprocess import postprocess_all
-from .problems import (error_exactness, error_report, lshape_singular,
-                       square_smooth)
+from .adapt import _steps
+from .dpg import TrialSpace
+from .problems import error_exactness, lshape_singular, square_smooth
 from .spaces import MAX_QUADRATURE_DEGREE
 
 CSV_HEADER = ("level,dofs,h_max,err_u,err_sigma,err_u_post,eta,"
               "eoc_u,eoc_sigma,eoc_post,eoc_eta")
 
 PROBLEMS = {"square": square_smooth, "lshape": lshape_singular}
+
+# the values StudyConfig.validate accepts for each choice field, in the
+# order the CLI lists them
+_CHOICES = {"problem": tuple(PROBLEMS), "trial": ("standard", "augmented"),
+            "mode": ("uniform", "adaptive")}
 
 
 class ConfigError(ValueError):
@@ -59,12 +61,13 @@ class StudyConfig:
 
     problem "square" runs the smooth reaction-diffusion benchmark,
     "lshape" the singular Poisson benchmark; other pairings are not
-    meaningful and are rejected.
+    meaningful and are rejected.  problem, trial and mode take the values
+    listed in _CHOICES.
     """
     problem: str = "square"
     p: int = 0
-    trial: str = "standard"            # "standard" | "augmented"
-    mode: str = "uniform"              # "uniform" | "adaptive"
+    trial: str = "standard"
+    mode: str = "uniform"
     theta: float = 0.25
     levels: Optional[int] = None
     max_dofs: Optional[int] = None
@@ -74,15 +77,12 @@ class StudyConfig:
     quad_bump: int = 0
 
     def validate(self):
-        if self.problem not in PROBLEMS:
-            raise ConfigError(f"unknown problem {self.problem!r}; choose "
-                              "square or lshape")
+        for name, allowed in _CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"unknown {name} {getattr(self, name)!r}; "
+                                  f"choose {' or '.join(allowed)}")
         if not 0 <= self.p <= 3:
             raise ConfigError("polynomial order p must be in 0..3")
-        if self.trial not in ("standard", "augmented"):
-            raise ConfigError(f"unknown trial space {self.trial!r}")
-        if self.mode not in ("uniform", "adaptive"):
-            raise ConfigError(f"unknown mode {self.mode!r}")
         if not 0.0 < self.theta < 1.0:
             raise ConfigError("theta must lie in (0, 1)")
         if self.levels is None and self.max_dofs is None:
@@ -124,61 +124,31 @@ def _attach_eocs(records):
 def run_study(config):
     """Execute a convergence study and return its records.
 
-    Writes the CSV table to config.out when set; on a solver failure the
-    partial table is flushed before the error propagates.
+    Validates config (raising ConfigError), then turns each solve of the
+    shared loop (adapt._steps) into a record as it completes.  Writes the
+    CSV table to config.out when set; on a solver failure, in either mode,
+    the partial table of the completed levels is flushed before the error
+    propagates.
     """
     config.validate()
-    problem = PROBLEMS[config.problem]()
-    trial = config.trial_space()
     records = []
     try:
-        if config.mode == "uniform":
-            _run_uniform(config, problem, trial, records)
-        else:
-            _run_adaptive(config, problem, trial, records)
+        for level, step in enumerate(_steps(
+                PROBLEMS[config.problem](), config.trial_space(),
+                config.mode, config.theta, config.max_dofs, config.levels,
+                config.postprocess, None, config.solver_tol,
+                config.quad_bump)):
+            rep = step.report
+            records.append(ConvergenceRecord(
+                level=level, dofs=step.solution.num_dofs,
+                h_max=step.mesh.h_max, err_u=rep.err_u,
+                err_sigma=rep.err_sigma, err_u_post=rep.err_u_post,
+                eta=rep.eta))
     finally:
         _attach_eocs(records)
         if config.out is not None:
             write_csv(records, config.out)
     return records
-
-
-def _run_uniform(config, problem, trial, records):
-    mesh = problem.initial_mesh()
-    levels = config.levels if config.levels is not None else 10 ** 9
-    level = 0
-    while True:
-        solution = assemble_solve(mesh, trial, problem.kind, problem.source,
-                                  dirichlet=problem.dirichlet,
-                                  solver_tol=config.solver_tol)
-        post = postprocess_all(solution) if config.postprocess else None
-        rep = error_report(solution, post, problem,
-                           extra_exactness=config.quad_bump)
-        records.append(ConvergenceRecord(
-            level=level, dofs=solution.num_dofs, h_max=mesh.h_max,
-            err_u=rep.err_u, err_sigma=rep.err_sigma,
-            err_u_post=rep.err_u_post, eta=rep.eta))
-        level += 1
-        if level >= levels:
-            break
-        if config.max_dofs is not None and solution.num_dofs >= config.max_dofs:
-            break
-        mesh = refine_uniform(mesh)
-
-
-def _run_adaptive(config, problem, trial, records):
-    run = adaptive_loop(problem, trial, theta=config.theta,
-                        max_dofs=config.max_dofs or 10 ** 9,
-                        max_steps=config.levels,
-                        postprocess=config.postprocess,
-                        solver_tol=config.solver_tol,
-                        error_exactness_bump=config.quad_bump)
-    for level, step in enumerate(run.steps):
-        records.append(ConvergenceRecord(
-            level=level, dofs=step.solution.num_dofs,
-            h_max=step.mesh.h_max, err_u=step.report.err_u,
-            err_sigma=step.report.err_sigma,
-            err_u_post=step.report.err_u_post, eta=step.report.eta))
 
 
 def fit_slope(records, column, window=3):
@@ -224,15 +194,22 @@ def write_csv(records, path):
 
 
 def read_csv(path):
-    """Parse a CSV written by write_csv back into records."""
+    """Parse a CSV written by write_csv back into records.
+
+    Raises ValueError on a foreign header, and naming the file and the
+    line on a row without one cell per column.
+    """
     with open(path) as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ValueError(f"unexpected CSV header in {path}")
         records = []
         names = [f.name for f in fields(ConvergenceRecord)]
-        for line in fh:
+        for n, line in enumerate(fh, start=2):
             cells = line.rstrip("\n").split(",")
+            if len(cells) != len(names):
+                raise ValueError(f"{path}, line {n}: expected {len(names)} "
+                                 f"cells, got {len(cells)}")
             kwargs = {}
             for name, cell in zip(names, cells):
                 if cell == "":

@@ -245,7 +245,7 @@ def test_condensed_solve_matches_monolithic_saddle_point(p, monkeypatch):
     # assembled and solved densely; it shares only the local matrices and
     # the Dirichlet values with assemble_solve
     import dpglab.dpg as dpg
-    from dpglab.dpg import _dirichlet_values, _local_systems, default_exactness
+    from dpglab.dpg import _dirichlet_values, _local_systems
     from dpglab.problems import lshape_singular
 
     if p == 0:
@@ -255,7 +255,7 @@ def test_condensed_solve_matches_monolithic_saddle_point(p, monkeypatch):
     trial = TrialSpace(p)
     dm = DofMap(mesh, trial)
     G, B, F = _local_systems(mesh, trial, problem.kind, problem.source, None)
-    x_d = _dirichlet_values(mesh, dm, problem.dirichlet, default_exactness(p))
+    x_d = _dirichlet_values(mesh, dm, problem.dirichlet)
     nt, m, _ = B.shape
     G_glob = np.zeros((nt * m, nt * m))
     B_glob = np.zeros((nt * m, dm.n_total))
@@ -522,11 +522,11 @@ def perturbed(mesh, seed=5, amount=0.03):
 def per_element_oracle(mesh, trial, kind, source, dirichlet):
     """condense() on every element's own local systems, no element
     classes, and a dense solve of the assembled system."""
-    from dpglab.dpg import _dirichlet_values, _local_systems, default_exactness
+    from dpglab.dpg import _dirichlet_values, _local_systems
 
     dm = DofMap(mesh, trial)
     G, B, F = _local_systems(mesh, trial, kind, source, None)
-    x = _dirichlet_values(mesh, dm, dirichlet, default_exactness(trial.p))
+    x = _dirichlet_values(mesh, dm, dirichlet)
     S = np.zeros((dm.n_total, dm.n_total))
     r = np.zeros(dm.n_total)
     parts = [condense(G[t], B[t], F[t]) for t in range(mesh.num_triangles)]

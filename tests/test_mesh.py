@@ -164,13 +164,33 @@ def test_mesh_dump_roundtrip(tmp_path):
     (lambda lines: lines[:-1], 18),
     (lambda lines: lines[:3] + ["v 0.5"] + lines[4:], 4),
     (lambda lines: lines + ["t 0 1 2 0"], 19),
-], ids=["truncated", "short-vertex-line", "extra-line"])
+    (lambda lines: ["vertices x triangles 8"] + lines[1:], 1),
+    (lambda lines: lines[:3] + ["v 0.5 y"] + lines[4:], 4),
+    (lambda lines: lines[:12] + ["t 0 1 2.5 0"] + lines[13:], 13),
+], ids=["truncated", "short-vertex-line", "extra-line", "non-numeric-count",
+        "non-numeric-vertex", "non-integer-triangle"])
 def test_load_mesh_rejects_malformed_file(tmp_path, mangle, line):
     path = tmp_path / "mesh.txt"
     save_mesh(unit_square_mesh(2), path)    # 9 vertices, 8 triangles
     lines = path.read_text().splitlines()
     path.write_text("\n".join(mangle(lines)) + "\n")
     with pytest.raises(ValueError, match=f"mesh.txt, line {line}:"):
+        load_mesh(path)
+
+
+@pytest.mark.parametrize("bad", [-1, 4], ids=["negative", "too-large"])
+def test_mesh_rejects_out_of_range_vertex_index(bad):
+    # -1 would wrap to vertex 3 and give a sixth, doubly counted edge
+    with pytest.raises(ValueError, match="vertex indices"):
+        Mesh([[0, 0], [1, 0], [0, 1], [1, 1]], [[0, 1, bad], [1, 3, 2]],
+             [0, 0])
+
+
+def test_load_mesh_rejects_out_of_range_vertex_index(tmp_path):
+    path = tmp_path / "mesh.txt"
+    path.write_text("vertices 3 triangles 1\nv 0 0\nv 1 0\nv 0 1\n"
+                    "t 0 1 5 0\n")
+    with pytest.raises(ValueError, match="vertex indices"):
         load_mesh(path)
 
 

@@ -174,12 +174,13 @@ def test_cli_entry_point_subprocess(tmp_path):
     assert header == CSV_HEADER
 
 
-def test_partial_table_flushed_on_failure(tmp_path, monkeypatch):
+@pytest.mark.parametrize("mode", ["uniform", "adaptive"])
+def test_partial_table_flushed_on_failure(tmp_path, monkeypatch, mode):
     # the CSV holds the completed levels when a later solve blows up
-    import dpglab.study as study_mod
+    import dpglab.adapt as adapt_mod
     from dpglab.dpg import SolverError
 
-    real = study_mod.assemble_solve
+    real = adapt_mod.assemble_solve
     calls = {"n": 0}
 
     def flaky(*args, **kwargs):
@@ -188,10 +189,20 @@ def test_partial_table_flushed_on_failure(tmp_path, monkeypatch):
             raise SolverError("injected failure", residual=1.0)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(study_mod, "assemble_solve", flaky)
+    monkeypatch.setattr(adapt_mod, "assemble_solve", flaky)
     out = tmp_path / "partial.csv"
     config = StudyConfig(problem="square", p=0, trial="standard",
-                         mode="uniform", levels=5, out=str(out))
+                         mode=mode, levels=5, out=str(out))
     with pytest.raises(SolverError):
         run_study(config)
     assert len(read_csv(out)) == 2
+
+
+@pytest.mark.parametrize("cells", [4, 13])
+def test_read_csv_rejects_wrong_cell_count(tmp_path, cells):
+    path = tmp_path / "t.csv"
+    row = ",".join(["1", "10"] + ["0.5"] * (cells - 2))
+    path.write_text(f"{CSV_HEADER}\n0,4,1,,,,,,,,\n{row}\n")
+    with pytest.raises(ValueError, match=f"t.csv, line 3: expected 11 "
+                                         f"cells, got {cells}"):
+        read_csv(path)
