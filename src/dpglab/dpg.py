@@ -40,15 +40,19 @@ G_T and B_T depend on T only through its Jacobian and the orientation of
 its edges, and newest-vertex bisection produces few distinct element
 shapes.  assemble_solve therefore groups the elements into classes whose
 members share both bit for bit and runs both condensations once per class
-with condense(): one Cholesky SPD check and one solve G^{-1} [B | E],
-where E selects the scalar test rows that carry the load, then one
-Cholesky check and one solve S_II^{-1} [S_IS | R_I].  Every element then
-needs only gathers and small matrix-vector products with its class
-operators: G^{-1} F_T, its skeleton load and S_II^{-1} r_I from its load
-moments, its fields from its skeleton values, and the residual
-representer eps_T = G^{-1} F_T - (G^{-1} B) x_T, which carries the
-localized estimator eta(T)^2 = eps_T' G eps_T.  A mesh without repeated
-shapes gives one class per element and runs the same code.
+with condense(), which treats a load as one more coupling column.  The
+first condenses [B | E], where E selects the scalar test rows that carry
+the load: its Schur complement holds S and, past the trial columns,
+R = B' G^{-1} E.  The second condenses S_II against [S_IS | R_I], the
+rest of the interior rows of that augmented complement, which leaves
+S_hat and the skeleton load operator R_S - S_SI S_II^{-1} R_I side by
+side.  Every element then needs only gathers and small matrix-vector
+products with its class operators: G^{-1} F_T, its skeleton load and
+S_II^{-1} r_I from its load moments, its fields from its skeleton values,
+and the residual representer eps_T = G^{-1} F_T - (G^{-1} B) x_T, which
+carries the localized estimator eta(T)^2 = eps_T' G eps_T.  A mesh
+without repeated shapes gives one class per element and runs the same
+code.
 """
 
 from dataclasses import dataclass, field
@@ -200,25 +204,27 @@ def _reference_tables(u_degree, p, r, exactness):
         "GS": np.einsum("ika,jk,k->aij", Vg, S, w),
     }
 
-    # trace contractions for the six (local edge, flip) configurations;
-    # t parametrizes each edge from its lower- to higher-numbered endpoint
+    # trace contractions for the six (local edge, flip) configurations.
+    # t runs along each edge from its lower- to its higher-numbered
+    # endpoint, i.e. from the local end vertex to the local start vertex
+    # when the edge is flipped.  SK[le, flip] pairs the rows [start vertex
+    # hat; end vertex hat; uhat bubbles] with the scalar test functions,
+    # FX[le, flip] the flux modes
     t, we = edge.points, edge.weights
     hat = np.vstack([1.0 - t, t])
     bub = edge_bubbles(p, t)
     leg = edge_basis(p).values(t)
-    HB, BB, LB = {}, {}, {}
+    tab["SK"] = np.empty((3, 2, 2 + p, V.shape[0]))
+    tab["FX"] = np.empty((3, 2, p + 1, V.shape[0]))
     for le in range(3):
-        for flip in (False, True):
-            s_loc, e_loc = (le + 1) % 3, (le + 2) % 3
-            if flip:
-                s_loc, e_loc = e_loc, s_loc
-            a, b = REFERENCE_VERTICES[s_loc], REFERENCE_VERTICES[e_loc]
-            pts = a[None, :] + t[:, None] * (b - a)[None, :]
+        for flip in (0, 1):
+            order = slice(None, None, -1 if flip else 1)
+            a, b = REFERENCE_VERTICES[[(le + 1) % 3, (le + 2) % 3][order]]
+            pts = a + t[:, None] * (b - a)
             EV = scalar_basis(r).values(pts)             # (n_t, nqe)
-            HB[le, flip] = np.einsum("wk,ik,k->wi", hat, EV, we)
-            BB[le, flip] = np.einsum("jk,ik,k->ji", bub, EV, we)
-            LB[le, flip] = np.einsum("jk,ik,k->ji", leg, EV, we)
-    tab["HB"], tab["BB"], tab["LB"] = HB, BB, LB
+            trace = np.vstack([hat[order], bub])
+            tab["SK"][le, flip] = np.einsum("jk,ik,k->ji", trace, EV, we)
+            tab["FX"][le, flip] = np.einsum("jk,ik,k->ji", leg, EV, we)
     return tab
 
 
@@ -296,31 +302,22 @@ def _local_systems(mesh, trial, kind, source, elements, exactness=None):
     # skeleton terms: -<uhat, tau.n> and -<shat, v> edge by edge; local
     # edge le runs from vertex le+1 to le+2, so its vector end - start is
     # J_1 - J_0, -J_1, J_0 in terms of the Jacobian columns
-    flips = _edge_flips(mesh, elements)
+    flips = _edge_flips(mesh, elements).astype(np.intp)
     edge_vectors = (jac[:, :, 1] - jac[:, :, 0], -jac[:, :, 1], jac[:, :, 0])
     for le, d in enumerate(edge_vectors):
-        start_loc, end_loc = (le + 1) % 3, (le + 2) % 3
+        flip = flips[:, le]
         length = np.hypot(d[:, 0], d[:, 1])
         normal = np.column_stack([d[:, 1], -d[:, 0]]) / length[:, None]
-        flip = flips[:, le]
-        sign = np.where(flip, -1.0, 1.0)
-        for fl in (False, True):
-            g = np.flatnonzero(flip == fl)
-            if g.size == 0:
-                continue
-            HB = tab["HB"][le, fl]
-            BB = tab["BB"][le, fl]
-            LB = tab["LB"][le, fl]
-            # hat functions attach to the endpoint vertices in global
-            # orientation: row 0 of HB is the lower-numbered endpoint
-            a_loc, b_loc = (end_loc, start_loc) if fl else (start_loc, end_loc)
-            for c in range(2):
-                B[g, st[c], vert_col + a_loc] -= np.outer(length[g] * normal[g, c], HB[0])
-                B[g, st[c], vert_col + b_loc] -= np.outer(length[g] * normal[g, c], HB[1])
-                for j in range(p):
-                    B[g, st[c], bub_col + le * p + j] -= np.outer(length[g] * normal[g, c], BB[j])
-            for j in range(p + 1):
-                B[g, sv, flux_col + le * (p + 1) + j] -= np.outer(sign[g] * length[g], LB[j])
+        # columns [start vertex | end vertex | uhat bubbles] and the flux
+        trace_cols = np.r_[vert_col + (le + 1) % 3, vert_col + (le + 2) % 3,
+                           bub_col + le * p:bub_col + (le + 1) * p]
+        flux_cols = slice(flux_col + le * (p + 1), flux_col + (le + 1) * (p + 1))
+        SK = tab["SK"][le, flip]
+        for c in range(2):
+            B[:, st[c], trace_cols] -= np.einsum(
+                "e,eji->eij", length * normal[:, c], SK)
+        B[:, sv, flux_cols] -= np.einsum(
+            "e,eji->eij", np.where(flip, -length, length), tab["FX"][le, flip])
 
     # load (f, v); tau rows stay zero
     F = np.zeros((ne, m))
@@ -383,26 +380,17 @@ def local_load(mesh, tri, f, p):
     return F[0]
 
 
-class _Condensed(tuple):
-    """The pair (S, r) of condense(), carrying the solves G^{-1} B and
-    G^{-1} F as ginv_b and ginv_f for the residual representer."""
-
-    def __new__(cls, schur, rhs, ginv_b, ginv_f):
-        pair = super().__new__(cls, (schur, rhs))
-        pair.ginv_b, pair.ginv_f = ginv_b, ginv_f
-        return pair
-
-
-def condense(gram, coupling, load=None):
+def condense(gram, coupling):
     """Schur complement of local saddle-point blocks.
 
     Eliminates the residual representer from the mixed system of one
-    element (2-D gram and coupling, 1-D load) or of a stack of elements
-    (one leading batch axis on every argument), producing S = B' G^{-1} B
-    and r = B' G^{-1} F, or (S, None) without a load.  A load with as many
-    axes as the coupling holds several load columns, and r one column per
-    load column.  This realizes the discrete trial-to-test operator
-    G^{-1} B locally.  Raises LinAlgError if any Gram is not SPD.
+    element (2-D gram and coupling) or of a stack of elements (one leading
+    batch axis on both), returning the pair (S, G^{-1} C) for the coupling
+    C, with S = C' G^{-1} C.  G^{-1} C realizes the discrete trial-to-test
+    operator locally.  A load is one more coupling column: for C = [B | F]
+    the last column of G^{-1} C is G^{-1} F and the last column of S holds
+    r = B' G^{-1} F above F' G^{-1} F.  Raises LinAlgError if any Gram is
+    not SPD.
     """
     try:
         np.linalg.cholesky(gram)
@@ -410,20 +398,8 @@ def condense(gram, coupling, load=None):
         raise np.linalg.LinAlgError(
             "local test-space Gram is not SPD (quadrature or basis bug)"
         ) from exc
-    vector = load is not None and load.ndim < coupling.ndim
-    if vector:
-        load = load[..., None]
-    rhs = coupling if load is None else np.concatenate([coupling, load],
-                                                       axis=-1)
-    solved = np.linalg.solve(gram, rhs)
-    product = np.swapaxes(coupling, -1, -2) @ solved
-    if load is None:
-        return _Condensed(product, None, solved, None)
-    n = coupling.shape[-1]
-    r, ginv_f = product[..., n:], solved[..., n:]
-    if vector:
-        r, ginv_f = r[..., 0], ginv_f[..., 0]
-    return _Condensed(product[..., :n], r, solved[..., :n], ginv_f)
+    solved = np.linalg.solve(gram, coupling)
+    return np.swapaxes(coupling, -1, -2) @ solved, solved
 
 
 def _dirichlet_values(mesh, dofmap, data):
@@ -497,33 +473,35 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *,
     load = (np.zeros((nt, n_t)) if source is None else
             _load_moments(tab, source, verts, jac, det))
 
-    # condense one representative per element class
+    # condense one representative per element class.  A load is one more
+    # coupling column: E = eye(m, n_t) picks the scalar test rows, so
+    # F_T = E load_T, and condensing [B | E] puts R = B' G^{-1} E in the
+    # Schur complement's columns past n and G^{-1} E next to G^{-1} B
     rep, cls = _element_classes(mesh, jac)
     G, B, _ = _local_systems(mesh, trial, kind, None, rep)
-    nc, m, _ = B.shape
-    # the load columns E = eye(m, n_t) pick the scalar test rows, so
-    # F_T = E load_T, and G^{-1} E and R = B' G^{-1} E map load moments to
-    # G^{-1} F_T and r_T
-    condensed = condense(G, B, np.broadcast_to(np.eye(m, n_t), (nc, m, n_t)))
-    schur, rhs_op = condensed
+    nc, m, n = B.shape
+    schur, ginv = condense(G, np.concatenate(
+        [B, np.broadcast_to(np.eye(m, n_t), (nc, m, n_t))], axis=2))
 
     # hybridization: the interior block [u | sigma] comes first in the
-    # local columns; condense it out of the class Schur complements
+    # local columns.  Condensing S_II against [S_IS | R_I] leaves, in the
+    # skeleton rows, S_hat and past it the skeleton load operator
+    # R_S - S_SI S_II^{-1} R_I
     k = dofmap.k_int
     try:
-        inner = condense(schur[:, :k, :k], schur[:, :k, k:], rhs_op[:, :k])
+        inner_schur, inner = condense(schur[:, :k, :k], schur[:, :k, k:])
     except np.linalg.LinAlgError as exc:
         raise SolverError("linear solver failed: the interior block S_II "
                           "(u and sigma) of an element class is not SPD",
                           residual=np.inf) from exc
-    inner_schur, inner_rhs = inner
-    s_hat = schur[:, k:, k:] - inner_schur
-    # [G^{-1} E ; R_S - S_SI S_II^{-1} R_I ; S_II^{-1} R_I] maps load
-    # moments to G^{-1} F_T, the skeleton load and the interior load
-    load_op = np.concatenate([condensed.ginv_f, rhs_op[:, k:] - inner_rhs,
-                              inner.ginv_f], axis=1)
+    hybrid = schur[:, k:n, k:] - inner_schur[:, :n - k]
+    s_hat = hybrid[:, :, :n - k]
+    # [G^{-1} E ; skeleton load ; S_II^{-1} R_I] maps load moments to
+    # G^{-1} F_T, the skeleton load and the interior load
+    load_op = np.concatenate([ginv[:, :, n:], hybrid[:, :, n - k:],
+                              inner[:, :, n - k:]], axis=1)
     parts = np.einsum("eij,ej->ei", load_op[cls], load)
-    ginv_f, r_hat, x_int = parts[:, :m], parts[:, m:-k], parts[:, -k:]
+    ginv_load, r_hat, x_int = parts[:, :m], parts[:, m:-k], parts[:, -k:]
 
     # free skeleton block only: interior dofs come first in the global
     # order and are all free, so free_index - interior_count numbers the
@@ -549,14 +527,14 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *,
     # fields per element: x_I = S_II^{-1} R_I load_T - S_II^{-1} S_IS x_S
     x = prescribed.copy()
     x[ic:][dofmap.free[ic:]] = x_skel
-    x_int -= np.einsum("eij,ej->ei", inner.ginv_b[cls], x[skel])
+    x_int -= np.einsum("eij,ej->ei", inner[cls, :, :n - k], x[skel])
     x[:ic] = x_int.ravel()
 
     # residual representer eps = G^{-1} F - (G^{-1} B) x; local estimator.
     # Taken at x = the Dirichlet lift as well, B' eps gives the condensed
     # load of the free trial dofs, the scale of the Galerkin check below
     cols = dofmap.local_cols
-    both = ginv_f[..., None] - condensed.ginv_b[cls] @ np.stack(
+    both = ginv_load[..., None] - ginv[cls, :, :n] @ np.stack(
         [x[cols], prescribed[cols]], axis=-1)
     eps = both[..., 0]
     eta_sq = np.einsum("em,em->e", eps,

@@ -340,9 +340,10 @@ def load_mesh(path):
     """Read a mesh written by save_mesh.
 
     Raises ValueError naming the file and the line when the header is not
-    a mesh header, a header count or a vertex or triangle entry is not a
-    number, a vertex or triangle line is missing or has the wrong number
-    of entries, or content follows the last declared triangle.
+    a mesh header, a header count is negative, a header count or a vertex
+    or triangle entry is not a number, a vertex or triangle line is
+    missing or has the wrong number of entries, or content follows the
+    last declared triangle.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()
@@ -359,6 +360,9 @@ def load_mesh(path):
                              f"{' '.join(tokens)!r}") from None
 
     nv, nt = numbers(0, header[1::2], int)
+    if min(nv, nt) < 0:
+        raise ValueError(f"{path}, line 1: header count {min(nv, nt)} is "
+                         "negative")
 
     def records(first, count, tag, width, kind):
         rows = []

@@ -197,7 +197,8 @@ def read_csv(path):
     """Parse a CSV written by write_csv back into records.
 
     Raises ValueError on a foreign header, and naming the file and the
-    line on a row without one cell per column.
+    line on a row without one cell per column, or also the column on a
+    cell that is not a number.
     """
     with open(path) as fh:
         header = fh.readline().strip()
@@ -211,12 +212,13 @@ def read_csv(path):
                 raise ValueError(f"{path}, line {n}: expected {len(names)} "
                                  f"cells, got {len(cells)}")
             kwargs = {}
-            for name, cell in zip(names, cells):
-                if cell == "":
-                    kwargs[name] = None
-                elif name in ("level", "dofs"):
-                    kwargs[name] = int(cell)
-                else:
-                    kwargs[name] = float(cell)
+            for col, (name, cell) in enumerate(zip(names, cells), start=1):
+                kind = int if name in ("level", "dofs") else float
+                try:
+                    kwargs[name] = None if cell == "" else kind(cell)
+                except ValueError:
+                    raise ValueError(f"{path}, line {n}, column {col} "
+                                     f"({name}): expected {kind.__name__}, "
+                                     f"got {cell!r}") from None
             records.append(ConvergenceRecord(**kwargs))
     return records

@@ -81,16 +81,39 @@ def exact_affine_local_coeffs(mesh, t, trial):
     return np.concatenate([cu, cs, uhat, bubbles, flux])
 
 
-@pytest.mark.parametrize("p,augmented", [(0, True), (1, False), (2, False)])
+def relabelled(mesh, seed=0):
+    """The mesh with its vertex labels and triangle order permuted at
+    random: the same elements, with other edge orientations."""
+    rng = np.random.default_rng(seed)
+    new_label = rng.permutation(mesh.num_vertices)
+    order = rng.permutation(mesh.num_triangles)
+    vertices = np.empty_like(mesh.vertices)
+    vertices[new_label] = mesh.vertices
+    return Mesh(vertices, new_label[mesh.triangles[order]],
+                mesh.refinement_edges[order])
+
+
+@pytest.mark.parametrize("p,augmented",
+                         [(0, True), (1, False), (2, False), (3, False)])
 def test_local_b_exact_solution_columns(p, augmented):
     # for the affine Poisson solution with consistent traces and f = 0,
-    # b_T(u*, v) vanishes for every enriched test function
+    # b_T(u*, v) vanishes for every enriched test function.  On the plain
+    # mesh local edge 0 is never flipped and local edge 1 always is; the
+    # relabelled copy brings in the other two (local edge, flip) tables
     mesh = refine_uniform(lshape_mesh())
     trial = TrialSpace(p, augmented=augmented)
-    for t in range(0, mesh.num_triangles, 5):
-        B = local_b(mesh, t, trial, POISSON)
-        coeffs = exact_affine_local_coeffs(mesh, t, trial)
-        assert np.abs(B @ coeffs).max() < 1e-12
+    seen = set()
+    for m in (mesh, relabelled(mesh)):
+        # local edge k runs from local vertex k+1 to k+2; it is flipped
+        # when that is from the higher- to the lower-numbered vertex
+        tri = m.triangles
+        flips = tri[:, [1, 2, 0]] > tri[:, [2, 0, 1]]
+        seen.update((le, bool(fl)) for row in flips for le, fl in enumerate(row))
+        for t in range(m.num_triangles):
+            B = local_b(m, t, trial, POISSON)
+            coeffs = exact_affine_local_coeffs(m, t, trial)
+            assert np.abs(B @ coeffs).max() < 1e-12
+    assert seen == {(le, fl) for le in range(3) for fl in (False, True)}
 
 
 def test_local_load_cases():
@@ -110,14 +133,24 @@ def test_local_load_cases():
     assert cv @ Fx == pytest.approx(1 / 6, rel=1e-12)
 
 
+def condense_load(gram, coupling, load):
+    """condense() with a 1-D load per element as the last coupling
+    column, split into (S, r, G^{-1} B, G^{-1} F)."""
+    n = coupling.shape[-1]
+    schur, solved = condense(gram, np.concatenate([coupling, load[..., None]],
+                                                  axis=-1))
+    return (schur[..., :n, :n], schur[..., :n, n], solved[..., :n],
+            solved[..., n])
+
+
 def test_condense_hand_example():
     G = np.eye(2)
     B = np.array([[1.0], [0.0]])
     F = np.array([1.0, 0.0])
-    S, r = condense(G, B, F)
+    S, r, _, _ = condense_load(G, B, F)
     assert S == pytest.approx(np.array([[1.0]]))
     assert r == pytest.approx(np.array([1.0]))
-    S2, r2 = condense(G, B, np.zeros(2))
+    S2, r2, _, _ = condense_load(G, B, np.zeros(2))
     assert r2 == pytest.approx(np.array([0.0]))
 
 
@@ -126,7 +159,7 @@ def test_condense_symmetry_and_nullspace():
     A = rng.standard_normal((8, 8))
     G = A @ A.T + 8 * np.eye(8)
     B = rng.standard_normal((8, 5))
-    S, r = condense(G, B, rng.standard_normal(8))
+    S, r, _, _ = condense_load(G, B, rng.standard_normal(8))
     assert np.abs(S - S.T).max() < 1e-13 * np.abs(S).max()
     assert np.linalg.eigvalsh(S).min() > -1e-12
     assert np.allclose(S @ np.zeros(5), 0.0)
@@ -135,31 +168,33 @@ def test_condense_symmetry_and_nullspace():
     Gs = A @ A.transpose(0, 2, 1) + 8 * np.eye(8)
     Bs = rng.standard_normal((4, 8, 5))
     Fs = rng.standard_normal((4, 8))
-    S_all, r_all = condense(Gs, Bs, Fs)
-    assert condense(Gs, Bs)[1] is None
+    S_all, r_all, _, _ = condense_load(Gs, Bs, Fs)
+    # without load columns S is the same block
+    S_none = condense(Gs, Bs)[0]
+    assert np.abs(S_none - S_all).max() <= 1e-13 * np.abs(S_all).max()
     for k in range(4):
-        S_k, r_k = condense(Gs[k], Bs[k], Fs[k])
+        S_k, r_k, _, _ = condense_load(Gs[k], Bs[k], Fs[k])
         assert np.abs(S_all[k] - S_k).max() <= 1e-13 * np.abs(S_k).max()
         assert np.abs(r_all[k] - r_k).max() <= 1e-13 * np.abs(r_k).max()
-    # a load with one column per right-hand side condenses column by column
+    # several load columns condense column by column
     Fm = rng.standard_normal((4, 8, 3))
-    many = condense(Gs, Bs, Fm)
+    many_S, many_solved = condense(Gs, np.concatenate([Bs, Fm], axis=2))
     for j in range(3):
-        one = condense(Gs, Bs, Fm[:, :, j])
-        assert np.abs(many[1][:, :, j] - one[1]).max() <= 1e-13 * np.abs(one[1]).max()
-        assert np.abs(many.ginv_f[:, :, j] - one.ginv_f).max() <= 1e-13 * np.abs(one.ginv_f).max()
-        assert np.abs(many[0] - one[0]).max() <= 1e-13 * np.abs(one[0]).max()
+        S_j, r_j, _, ginv_f_j = condense_load(Gs, Bs, Fm[:, :, j])
+        assert np.abs(many_S[:, :5, 5 + j] - r_j).max() <= 1e-13 * np.abs(r_j).max()
+        assert np.abs(many_solved[:, :, 5 + j] - ginv_f_j).max() <= 1e-13 * np.abs(ginv_f_j).max()
+        assert np.abs(many_S[:, :5, :5] - S_j).max() <= 1e-13 * np.abs(S_j).max()
 
 
 def test_condense_rejects_indefinite_gram():
     G = np.diag([1.0, -1.0])
     with pytest.raises(np.linalg.LinAlgError):
-        condense(G, np.eye(2), np.zeros(2))
+        condense_load(G, np.eye(2), np.zeros(2))
     # one indefinite Gram in a stack of SPD ones
     Gs = np.repeat(np.eye(2)[None], 3, axis=0)
     Gs[1] = G
     with pytest.raises(np.linalg.LinAlgError):
-        condense(Gs, np.repeat(np.eye(2)[None], 3, axis=0), np.zeros((3, 2)))
+        condense_load(Gs, np.repeat(np.eye(2)[None], 3, axis=0), np.zeros((3, 2)))
 
 
 def test_zero_problem_gives_zero_solution():
@@ -529,14 +564,14 @@ def per_element_oracle(mesh, trial, kind, source, dirichlet):
     x = _dirichlet_values(mesh, dm, dirichlet)
     S = np.zeros((dm.n_total, dm.n_total))
     r = np.zeros(dm.n_total)
-    parts = [condense(G[t], B[t], F[t]) for t in range(mesh.num_triangles)]
-    for ix, (S_t, r_t) in zip(dm.local_cols, parts):
+    parts = [condense_load(G[t], B[t], F[t]) for t in range(mesh.num_triangles)]
+    for ix, (S_t, r_t, _, _) in zip(dm.local_cols, parts):
         S[np.ix_(ix, ix)] += S_t
         r[ix] += r_t
     free = dm.free
     x[free] = np.linalg.solve(S[np.ix_(free, free)], (r - S @ x)[free])
-    eps = np.array([part.ginv_f - part.ginv_b @ x[ix]
-                    for ix, part in zip(dm.local_cols, parts)])
+    eps = np.array([ginv_f - ginv_b @ x[ix]
+                    for ix, (_, _, ginv_b, ginv_f) in zip(dm.local_cols, parts)])
     eta_local = np.sqrt(np.einsum("em,emn,en->e", eps, G, eps))
     return x, eps, eta_local
 

@@ -160,21 +160,24 @@ def test_mesh_dump_roundtrip(tmp_path):
     assert header == f"vertices {m.num_vertices} triangles {m.num_triangles}"
 
 
-@pytest.mark.parametrize("mangle, line", [
-    (lambda lines: lines[:-1], 18),
-    (lambda lines: lines[:3] + ["v 0.5"] + lines[4:], 4),
-    (lambda lines: lines + ["t 0 1 2 0"], 19),
-    (lambda lines: ["vertices x triangles 8"] + lines[1:], 1),
-    (lambda lines: lines[:3] + ["v 0.5 y"] + lines[4:], 4),
-    (lambda lines: lines[:12] + ["t 0 1 2.5 0"] + lines[13:], 13),
+@pytest.mark.parametrize("mangle, line, detail", [
+    (lambda lines: lines[:-1], 18, ""),
+    (lambda lines: lines[:3] + ["v 0.5"] + lines[4:], 4, ""),
+    (lambda lines: lines + ["t 0 1 2 0"], 19, ""),
+    (lambda lines: ["vertices x triangles 8"] + lines[1:], 1, ""),
+    (lambda lines: lines[:3] + ["v 0.5 y"] + lines[4:], 4, ""),
+    (lambda lines: lines[:12] + ["t 0 1 2.5 0"] + lines[13:], 13, ""),
+    # the triangle records would start at line 1 + nv = 0
+    (lambda lines: ["vertices -1 triangles 1", "t 0 1 2 0"], 1,
+     " header count -1 is negative"),
 ], ids=["truncated", "short-vertex-line", "extra-line", "non-numeric-count",
-        "non-numeric-vertex", "non-integer-triangle"])
-def test_load_mesh_rejects_malformed_file(tmp_path, mangle, line):
+        "non-numeric-vertex", "non-integer-triangle", "negative-count"])
+def test_load_mesh_rejects_malformed_file(tmp_path, mangle, line, detail):
     path = tmp_path / "mesh.txt"
     save_mesh(unit_square_mesh(2), path)    # 9 vertices, 8 triangles
     lines = path.read_text().splitlines()
     path.write_text("\n".join(mangle(lines)) + "\n")
-    with pytest.raises(ValueError, match=f"mesh.txt, line {line}:"):
+    with pytest.raises(ValueError, match=f"mesh.txt, line {line}:{detail}"):
         load_mesh(path)
 
 

@@ -206,3 +206,11 @@ def test_read_csv_rejects_wrong_cell_count(tmp_path, cells):
     with pytest.raises(ValueError, match=f"t.csv, line 3: expected 11 "
                                          f"cells, got {cells}"):
         read_csv(path)
+
+
+def test_read_csv_names_non_numeric_cell(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(f"{CSV_HEADER}\n0,4,abc,,,,,,,,\n")
+    with pytest.raises(ValueError, match="t.csv, line 2, column 3 "
+                                         r"\(h_max\): expected float, got 'abc'"):
+        read_csv(path)
