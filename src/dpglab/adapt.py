@@ -17,7 +17,7 @@ from typing import List
 
 import numpy as np
 
-from .dpg import assemble_solve
+from .dpg import ClassStore, assemble_solve
 from .mesh import refine_marked, refine_uniform
 from .postprocess import postprocess_all
 from .problems import error_report
@@ -82,7 +82,7 @@ def adaptive_loop(problem, trial, theta=0.25, max_dofs=10000,
     and estimator, and stops once num_dofs >= max_dofs (or after
     max_steps solves); otherwise it bulk-marks and refines by
     newest-vertex bisection.  This is _steps in "adaptive" mode, run to
-    the end.
+    the end, so bad bounds raise ValueError before the first solve.
 
     Returns
     -------
@@ -100,18 +100,29 @@ def _steps(problem, trial, mode, theta, max_dofs, max_steps, postprocess,
     AdaptiveStep per solve, from mesh (None: the problem's initial mesh).
 
     Stops once num_dofs >= max_dofs or after max_steps solves (None: no
-    bound); otherwise refines uniformly (mode "uniform") or the Doerfler
-    set mark(eta_local, theta) (mode "adaptive"), stopping when that set
-    is empty.  The pipeline calls are looked up in this module at call
-    time, so a tracer can wrap them here.
+    bound, but not both); otherwise refines uniformly (mode "uniform") or
+    the Doerfler set mark(eta_local, theta) (mode "adaptive"), stopping
+    when that set is empty.  The bounds and theta follow the rules of
+    StudyConfig.validate and raise ValueError before the first solve.
+    One ClassStore carries the condensed element-class operators from
+    each solve to the next.  The pipeline calls are looked up in this
+    module at call time, so a tracer can wrap them here.
     """
+    if not 0.0 < theta < 1.0:
+        raise ValueError("marking parameter theta must lie in (0, 1)")
+    if max_dofs is None and max_steps is None:
+        raise ValueError("the loop needs max_dofs or max_steps")
+    for name, bound in (("max_dofs", max_dofs), ("max_steps", max_steps)):
+        if bound is not None and bound < 1:
+            raise ValueError(f"{name} must be >= 1")
     if mesh is None:
         mesh = problem.initial_mesh()
+    store = ClassStore()
     solves = 0
     while True:
         solution = assemble_solve(mesh, trial, problem.kind, problem.source,
                                   dirichlet=problem.dirichlet,
-                                  solver_tol=solver_tol)
+                                  solver_tol=solver_tol, store=store)
         post = postprocess_all(solution) if postprocess else None
         report = error_report(solution, post, problem,
                               extra_exactness=error_exactness_bump)

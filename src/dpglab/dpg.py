@@ -40,7 +40,11 @@ G_T and B_T depend on T only through its Jacobian and the orientation of
 its edges, and newest-vertex bisection produces few distinct element
 shapes.  assemble_solve therefore groups the elements into classes whose
 members share both bit for bit and runs both condensations once per class
-with condense(), which treats a load as one more coupling column.  The
+with condense(), which treats a load as one more coupling column.  A
+ClassStore keeps the condensed operators of a mesh's classes for the
+next solve: an adaptive step refines few elements, and the others keep
+their class, so a study condenses each class once and a solve only the
+classes new to its mesh.  The
 first condenses [B | E], where E selects the scalar test rows that carry
 the load: its Schur complement holds S and, past the trial columns,
 R = B' G^{-1} E.  The second condenses S_II against [S_IS | R_I], the
@@ -335,14 +339,100 @@ def _edge_flips(mesh, elements):
 
 def _element_classes(mesh, jac):
     """Group the elements by the bits of their Jacobian jac (nt, 2, 2) and
-    their edge flips, all that G and B depend on.  Returns one
-    representative element per class and the class of every element."""
+    their edge flips, all that G and B depend on.  Returns the class keys
+    (one int64 row per class: the four Jacobian entries' bits and the three
+    flips), one representative element per class and the class of every
+    element."""
     nt = mesh.num_triangles
     key = np.column_stack([jac.reshape(nt, 4).view(np.int64),
                            _edge_flips(mesh, slice(None))])
-    _, rep, cls = np.unique(key, axis=0, return_index=True,
-                            return_inverse=True)
-    return rep, cls.ravel()
+    keys, rep, cls = np.unique(key, axis=0, return_index=True,
+                               return_inverse=True)
+    return keys, rep, cls.ravel()
+
+
+def _condense_classes(dofmap, kind, rep):
+    """Both condensations for the classes with representative elements
+    rep of dofmap's mesh: the stacked operators assemble_solve reads, one
+    row per class.
+
+    A load is one more coupling column: E = eye(m, n_t) picks the scalar
+    test rows, so F_T = E load_T, and condensing [B | E] puts R = B' G^{-1}
+    E in the Schur complement's columns past n and G^{-1} E next to
+    G^{-1} B.  The interior block [u | sigma] comes first in the local
+    columns, and condensing S_II against [S_IS | R_I] leaves, in the
+    skeleton rows, S_hat and past it the skeleton load operator R_S - S_SI
+    S_II^{-1} R_I.
+    """
+    G, B, _ = _local_systems(dofmap.mesh, dofmap.trial, kind, None, rep)
+    nc, m, n = B.shape
+    n_t = m // 3
+    schur, ginv = condense(G, np.concatenate(
+        [B, np.broadcast_to(np.eye(m, n_t), (nc, m, n_t))], axis=2))
+    k = dofmap.k_int
+    try:
+        inner_schur, inner = condense(schur[:, :k, :k], schur[:, :k, k:])
+    except np.linalg.LinAlgError as exc:
+        raise SolverError("linear solver failed: the interior block S_II "
+                          "(u and sigma) of an element class is not SPD",
+                          residual=np.inf) from exc
+    hybrid = schur[:, k:n, k:] - inner_schur[:, :n - k]
+    # [G^{-1} E ; skeleton load ; S_II^{-1} R_I] maps load moments to
+    # G^{-1} F_T, the skeleton load and the interior load
+    return {"G": G, "B": B, "ginv_b": ginv[:, :, :n],
+            "s_hat": hybrid[:, :, :n - k], "inner": inner[:, :, :n - k],
+            "load_op": np.concatenate([ginv[:, :, n:], hybrid[:, :, n - k:],
+                                       inner[:, :, n - k:]], axis=1)}
+
+
+class ClassStore:
+    """Condensed element-class operators, kept from one solve to the next.
+
+    A class key (_element_classes) fixes G, B and both condensations for a
+    given trial space and problem kind; the source and the Dirichlet data
+    never enter them.  Refinement leaves most elements of an adaptive step
+    alone, and with them their classes, so a solve condenses only the
+    classes new to its mesh.  Each update keeps exactly the classes of its
+    mesh, one stacked row per class in class order, and drops the rest.
+    """
+
+    def __init__(self):
+        self.space = None       # (trial, kind) of the stored operators
+        self.rows = {}          # class-key bytes -> row of the stacks
+        self.ops = {}           # operator name -> stack, one row per class
+
+    def __len__(self):
+        return len(self.rows)
+
+    def update(self, dofmap, kind, keys, rep):
+        """Operator stacks for the classes keys of dofmap's mesh, with
+        representative elements rep.  Classes already stored are copied
+        over bit for bit, the others condensed in one batch (batched
+        LAPACK factors each matrix on its own, so a class's operators do
+        not depend on the batch).  Returns (stacks, number of classes
+        condensed)."""
+        if (dofmap.trial, kind) != self.space:
+            self.space, self.rows, self.ops = (dofmap.trial, kind), {}, {}
+        names = [key.tobytes() for key in keys]
+        old = np.array([self.rows.get(name, -1) for name in names],
+                       dtype=np.intp)
+        hit, missing = np.flatnonzero(old >= 0), np.flatnonzero(old < 0)
+        fresh = (_condense_classes(dofmap, kind, rep[missing])
+                 if missing.size else {})
+        # one operator at a time, so that at most one old stack is alive
+        # next to the new ones
+        previous, self.ops = self.ops, {}
+        shapes = {name: a.shape[1:] for name, a in (fresh or previous).items()}
+        for name, shape in shapes.items():
+            stack = np.empty((len(names),) + shape)
+            kept = previous.pop(name, None)
+            if hit.size:
+                stack[hit] = kept[old[hit]]
+            if missing.size:
+                stack[missing] = fresh.pop(name)
+            self.ops[name] = stack
+        self.rows = dict(zip(names, range(len(names))))
+        return self.ops, int(missing.size)
 
 
 def _load_moments(tab, source, verts, jac, det):
@@ -429,7 +519,7 @@ def _dirichlet_values(mesh, dofmap, data):
 
 
 def assemble_solve(mesh, trial, kind, source, dirichlet=None, *,
-                   solver_tol=1e-10):
+                   solver_tol=1e-10, store=None):
     """Assemble the hybridized DPG system, solve it, and recover the fields
     and the elementwise residual representer.
 
@@ -438,6 +528,12 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *,
     second Schur complement, and the system is assembled as one CSC matrix
     and factored directly by _solve_spd.  The fields come back element by
     element, and Solution.coeffs holds every trial dof.
+
+    The class operators come from store, a ClassStore that the solves of
+    one study share (None: a new, empty one).  Only the classes it lacks
+    are condensed, and afterwards it holds exactly the classes of mesh;
+    the result is bitwise the same with or without a store.
+    Solution.diagnostics reports element_classes and classes_condensed.
 
     Parameters
     ----------
@@ -449,6 +545,8 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *,
     solver_tol : float
         Relative residual target of the direct solve of the skeleton
         system.
+    store : ClassStore or None
+        Condensed element-class operators of an earlier solve.
 
     Returns
     -------
@@ -473,34 +571,15 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *,
     load = (np.zeros((nt, n_t)) if source is None else
             _load_moments(tab, source, verts, jac, det))
 
-    # condense one representative per element class.  A load is one more
-    # coupling column: E = eye(m, n_t) picks the scalar test rows, so
-    # F_T = E load_T, and condensing [B | E] puts R = B' G^{-1} E in the
-    # Schur complement's columns past n and G^{-1} E next to G^{-1} B
-    rep, cls = _element_classes(mesh, jac)
-    G, B, _ = _local_systems(mesh, trial, kind, None, rep)
-    nc, m, n = B.shape
-    schur, ginv = condense(G, np.concatenate(
-        [B, np.broadcast_to(np.eye(m, n_t), (nc, m, n_t))], axis=2))
-
-    # hybridization: the interior block [u | sigma] comes first in the
-    # local columns.  Condensing S_II against [S_IS | R_I] leaves, in the
-    # skeleton rows, S_hat and past it the skeleton load operator
-    # R_S - S_SI S_II^{-1} R_I
+    # condense only the classes the store lacks (every class without a
+    # store); the store then holds exactly the classes of this mesh
+    if store is None:
+        store = ClassStore()
+    keys, rep, cls = _element_classes(mesh, jac)
+    ops, condensed = store.update(dofmap, kind, keys, rep)
+    m = ops["G"].shape[1]
     k = dofmap.k_int
-    try:
-        inner_schur, inner = condense(schur[:, :k, :k], schur[:, :k, k:])
-    except np.linalg.LinAlgError as exc:
-        raise SolverError("linear solver failed: the interior block S_II "
-                          "(u and sigma) of an element class is not SPD",
-                          residual=np.inf) from exc
-    hybrid = schur[:, k:n, k:] - inner_schur[:, :n - k]
-    s_hat = hybrid[:, :, :n - k]
-    # [G^{-1} E ; skeleton load ; S_II^{-1} R_I] maps load moments to
-    # G^{-1} F_T, the skeleton load and the interior load
-    load_op = np.concatenate([ginv[:, :, n:], hybrid[:, :, n - k:],
-                              inner[:, :, n - k:]], axis=1)
-    parts = np.einsum("eij,ej->ei", load_op[cls], load)
+    parts = np.einsum("eij,ej->ei", ops["load_op"][cls], load)
     ginv_load, r_hat, x_int = parts[:, :m], parts[:, m:-k], parts[:, -k:]
 
     # free skeleton block only: interior dofs come first in the global
@@ -509,7 +588,7 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *,
     # are lifted element by element
     ic = dofmap.interior_count
     skel = dofmap.local_cols[:, k:]
-    s_loc = s_hat[cls]
+    s_loc = ops["s_hat"][cls]
     r_hat = r_hat - (s_loc @ prescribed[skel][..., None])[..., 0]
     fcols = dofmap.free_index[skel] - ic
     own = fcols >= 0
@@ -527,18 +606,18 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *,
     # fields per element: x_I = S_II^{-1} R_I load_T - S_II^{-1} S_IS x_S
     x = prescribed.copy()
     x[ic:][dofmap.free[ic:]] = x_skel
-    x_int -= np.einsum("eij,ej->ei", inner[cls, :, :n - k], x[skel])
+    x_int -= np.einsum("eij,ej->ei", ops["inner"][cls], x[skel])
     x[:ic] = x_int.ravel()
 
     # residual representer eps = G^{-1} F - (G^{-1} B) x; local estimator.
     # Taken at x = the Dirichlet lift as well, B' eps gives the condensed
     # load of the free trial dofs, the scale of the Galerkin check below
     cols = dofmap.local_cols
-    both = ginv_load[..., None] - ginv[cls, :, :n] @ np.stack(
+    both = ginv_load[..., None] - ops["ginv_b"][cls] @ np.stack(
         [x[cols], prescribed[cols]], axis=-1)
     eps = both[..., 0]
     eta_sq = np.einsum("em,em->e", eps,
-                       np.einsum("emn,en->em", G[cls], eps))
+                       np.einsum("emn,en->em", ops["G"][cls], eps))
     eta_local = np.sqrt(np.maximum(eta_sq, 0.0))
 
     # Galerkin orthogonality of the mixed system: B' eps vanishes on the
@@ -546,12 +625,13 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *,
     fall = dofmap.free_index[cols]
     fown = fall >= 0
     nf = dofmap.num_free
-    bt_both = np.swapaxes(B[cls], 1, 2) @ both
+    bt_both = np.swapaxes(ops["B"][cls], 1, 2) @ both
     gal = np.bincount(fall[fown], bt_both[..., 0][fown], minlength=nf)
     free_load = np.bincount(fall[fown], bt_both[..., 1][fown], minlength=nf)
     diag["galerkin_residual"] = float(np.abs(gal).max()) if nf else 0.0
     diag["load_scale"] = float(np.abs(free_load).max()) if nf else 0.0
-    diag["element_classes"] = nc
+    diag["element_classes"] = len(keys)
+    diag["classes_condensed"] = condensed
 
     u_coeffs = x_int[:, :dofmap.n_u].copy()
     sigma_coeffs = x_int[:, dofmap.n_u:].reshape(nt, 2, dofmap.n_s).copy()

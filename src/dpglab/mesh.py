@@ -235,8 +235,16 @@ def refine_marked(mesh, marked):
     Every marked triangle is bisected at least once through its refinement
     edge; the recursive closure bisects further triangles as needed so that
     no hanging vertices remain.  Returns a new mesh; the input is unchanged.
+
+    marked is an iterable of integer triangle indices, repeats allowed.  A
+    boolean mask or any non-integer value raises ValueError.
     """
-    marked = np.asarray(sorted(set(int(m) for m in marked)), dtype=np.int64)
+    marked = np.asarray(marked if isinstance(marked, np.ndarray)
+                        else list(marked))
+    if marked.size and not np.issubdtype(marked.dtype, np.integer):
+        raise ValueError("marked must hold integer triangle indices, not a "
+                         f"boolean mask or {marked.dtype} values")
+    marked = np.unique(marked.astype(np.int64))
     if marked.size == 0:
         return mesh.copy()
     nt = mesh.num_triangles

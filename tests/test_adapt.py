@@ -73,6 +73,64 @@ def test_adaptive_loop_max_steps():
     assert len(run.steps) == 4
 
 
+@pytest.mark.parametrize("bounds", [
+    dict(max_steps=0), dict(max_dofs=0), dict(max_dofs=10 ** 9, max_steps=-1),
+    dict(max_dofs=None, max_steps=None), dict(theta=0.0), dict(theta=1.0),
+    dict(theta=float("nan"))],
+    ids=["zero-steps", "zero-dofs", "negative-steps", "unbounded",
+         "theta-0", "theta-1", "theta-nan"])
+def test_adaptive_loop_rejects_bad_bounds_before_solving(bounds,
+                                                         monkeypatch):
+    import dpglab.adapt as adapt_mod
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("assemble_solve called")
+
+    monkeypatch.setattr(adapt_mod, "assemble_solve", no_solve)
+    kwargs = dict(theta=0.25, max_dofs=600, max_steps=None)
+    kwargs.update(bounds)
+    with pytest.raises(ValueError):
+        adaptive_loop(lshape_singular(), TrialSpace(0), **kwargs)
+
+
+def test_adaptive_loop_one_step_bounds():
+    # the smallest bounds allowed still solve exactly once
+    for bounds in (dict(max_steps=1, max_dofs=None), dict(max_dofs=1)):
+        run = adaptive_loop(lshape_singular(), TrialSpace(0), theta=0.25,
+                            **bounds)
+        assert len(run.steps) == 1
+
+
+@pytest.mark.parametrize("mode", ["adaptive", "uniform"])
+def test_steps_store_holds_the_classes_of_each_mesh(mode, monkeypatch):
+    # _steps passes one ClassStore to every solve; after each solve it
+    # holds exactly the classes of that mesh.  Uniform refinement leaves
+    # no element alone, so there every class is condensed anew
+    import dpglab.adapt as adapt_mod
+
+    seen = []
+    real = adapt_mod.assemble_solve
+
+    def recording(*args, store, **kwargs):
+        solution = real(*args, store=store, **kwargs)
+        seen.append((len(store), solution.diagnostics))
+        return solution
+
+    monkeypatch.setattr(adapt_mod, "assemble_solve", recording)
+    steps = list(adapt_mod._steps(lshape_singular(), TrialSpace(1), mode,
+                                  0.25, 1500, None, False, None, 1e-10, 0))
+    assert len(seen) == len(steps) > 2
+    for size, diag in seen:
+        assert size == diag["element_classes"]
+    condensed = [diag["classes_condensed"] for _, diag in seen]
+    classes = [diag["element_classes"] for _, diag in seen]
+    if mode == "uniform":
+        assert condensed == classes
+    else:
+        assert condensed[0] == classes[0]
+        assert sum(condensed) < sum(classes) / 2
+
+
 def test_adaptive_refinement_concentrates_at_corner():
     # refinement keeps drilling into the reentrant corner: the smallest
     # element always touches the origin and the corner elements shrink

@@ -625,6 +625,44 @@ def test_element_classes_diagnostic():
     assert mesh.num_triangles == 1536
 
 
+def assert_same_solution(got, want):
+    """Bitwise equal solutions; classes_condensed may differ."""
+    for name in ("coeffs", "u_coeffs", "sigma_coeffs", "residual_coeffs",
+                 "eta_local"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.eta == want.eta
+    skip = {"classes_condensed"}
+    assert ({k: v for k, v in got.diagnostics.items() if k not in skip} ==
+            {k: v for k, v in want.diagnostics.items() if k not in skip})
+
+
+def test_class_store_reuses_operators_bitwise():
+    # a second solve on the same mesh finds every class in the store; a
+    # solve for another trial space starts the store afresh
+    from dpglab.dpg import ClassStore
+    from dpglab.problems import lshape_singular
+
+    problem = lshape_singular()
+    mesh = corner_refined_lshape(1, 2)
+    store = ClassStore()
+
+    def solve(trial, store):
+        return assemble_solve(mesh, trial, problem.kind, problem.source,
+                              dirichlet=problem.dirichlet, store=store)
+
+    first = solve(TrialSpace(1), store)
+    classes = first.diagnostics["element_classes"]
+    assert first.diagnostics["classes_condensed"] == classes == len(store)
+    assert classes < mesh.num_triangles
+    second = solve(TrialSpace(1), store)
+    assert second.diagnostics["classes_condensed"] == 0
+    assert len(store) == classes
+    assert_same_solution(second, first)
+    other = solve(TrialSpace(1, augmented=True), store)
+    assert other.diagnostics["classes_condensed"] == classes
+    assert_same_solution(other, solve(TrialSpace(1, augmented=True), None))
+
+
 def polynomial_poisson_problem(p):
     """Poisson problem whose exact solution is a fixed polynomial of total
     degree p, with every coefficient nonzero."""

@@ -83,6 +83,36 @@ def test_refine_marked_rejects_bad_index():
         refine_marked(unit_square_mesh(1), [5])
 
 
+def test_refine_marked_rejects_boolean_mask():
+    # a mask is no index list: np.asarray(mask) read as indices would
+    # refine elements 0 and 1 here instead of element 5
+    mask = np.zeros(lshape_mesh().num_triangles, dtype=bool)
+    mask[5] = True
+    with pytest.raises(ValueError, match="boolean mask"):
+        refine_marked(lshape_mesh(), mask)
+    with pytest.raises(ValueError, match="boolean mask"):
+        refine_marked(lshape_mesh(), [False, True])
+
+
+@pytest.mark.parametrize("marked", [[0.7], np.array([1.0, 2.0]), ["1"]],
+                         ids=["fraction", "float-array", "string"])
+def test_refine_marked_rejects_non_integer_index(marked):
+    with pytest.raises(ValueError, match="integer triangle indices"):
+        refine_marked(lshape_mesh(), marked)
+
+
+def test_refine_marked_integer_forms_agree():
+    # lists, sets, repeats and numpy integer arrays of any width all name
+    # the same triangles
+    want = refine_marked(lshape_mesh(), [1, 4])
+    for marked in ({4, 1}, [4, 1, 4], np.array([4, 1], dtype=np.int32),
+                   np.array([1, 4, 1], dtype=np.uint8), range(1, 5, 3)):
+        got = refine_marked(lshape_mesh(), marked)
+        assert np.array_equal(got.triangles, want.triangles)
+        assert np.array_equal(got.vertices, want.vertices)
+        assert np.array_equal(got.refinement_edges, want.refinement_edges)
+
+
 def test_refine_uniform_counts_and_h():
     m0 = unit_square_mesh(1)
     m1 = refine_uniform(m0)
