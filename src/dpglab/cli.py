@@ -11,7 +11,8 @@ import argparse
 import sys
 
 from .dpg import SolverError
-from .study import _CHOICES, ConfigError, StudyConfig, fit_slope, run_study
+from .study import (_CHOICES, _EOCS, CSV_HEADER, ConfigError, StudyConfig,
+                    fit_slope, run_study)
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 2
@@ -64,7 +65,7 @@ def main(argv=None):
         return EXIT_SOLVER_FAILURE
     _print_table(records)
     if len(records) >= 3:
-        for col in ("err_u", "err_sigma", "err_u_post", "eta"):
+        for col in _EOCS.values():
             if getattr(records[-1], col) is not None:
                 try:
                     slope = fit_slope(records, col)
@@ -77,8 +78,7 @@ def main(argv=None):
 
 
 def _print_table(records):
-    cols = ["level", "dofs", "h_max", "err_u", "err_sigma", "err_u_post",
-            "eta"]
+    cols = [c for c in CSV_HEADER.split(",") if c not in _EOCS]
     print("  ".join(f"{c:>10}" for c in cols))
     for r in records:
         cells = []

@@ -39,6 +39,8 @@ class Mesh:
         Index in {0, 1, 2} of each triangle's refinement edge (the edge
         opposite the newest vertex).
 
+    A boolean or non-integer index array raises ValueError (no truncation).
+
     Derived attributes
     ------------------
     edges : (ne, 2) int array, each row sorted low < high, rows in
@@ -49,6 +51,12 @@ class Mesh:
     """
 
     def __init__(self, vertices, triangles, refinement_edges):
+        for name, idx in (("triangles", triangles),
+                          ("refinement_edges", refinement_edges)):
+            idx = np.asarray(idx)
+            if idx.size and not np.issubdtype(idx.dtype, np.integer):
+                raise ValueError(f"{name} must hold integers, not "
+                                 f"{idx.dtype} values")
         vertices = np.array(vertices, dtype=float)
         triangles = np.array(triangles, dtype=np.int64)
         refinement_edges = np.array(refinement_edges, dtype=np.int64)

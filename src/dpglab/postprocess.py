@@ -8,11 +8,11 @@ Neumann problem:
     (grad w, grad v)_T = (sigma_h, grad v)_T   for all v in P^{p+1}(T),
     (w, 1)_T           = (u_h, 1)_T.
 
-The mean constraint fixes the constant mode that the Neumann problem
-leaves free; it is enforced through a Lagrange multiplier row, which keeps
-the local system square and unconditionally nonsingular.  On smooth
-problems the postprocessed field converges one order faster in L2 than
-u_h itself.
+The orthonormal Dubiner basis is nested and begins with the constant, so
+the mean constraint fixes exactly that mode, w_0 = u_0, for the standard
+and the augmented trial space alike; the other modes solve an SPD system.
+On smooth problems the postprocessed field converges one order faster in
+L2 than u_h itself.
 """
 
 import warnings
@@ -31,28 +31,27 @@ class PostprocessedField:
 
 
 def _dim_to_degree(n):
-    d = int(round((np.sqrt(8 * n + 1) - 3) / 2))
-    if (d + 1) * (d + 2) != 2 * n:
+    d = int(np.sqrt(2 * n)) - 1     # 2 dim P^d = (d+1)(d+2)
+    if d < 0 or (d + 1) * (d + 2) != 2 * n:
         raise ValueError(f"coefficient length {n} is not a triangle "
                          "polynomial dimension")
     return d
 
 
 def _neumann_solve(mesh, p, u_coeffs, sigma_coeffs, elements):
-    """Solve the stacked Lagrange-augmented local systems of the given
-    elements; coefficient rows correspond to the elements argument.
+    """Stacked local Neumann solves; result rows follow `elements`.
 
-    Returns the (ne, dim P^{p+1}) field coefficients.  Raises LinAlgError
-    naming the elements whose system is singular.
+    Mode 0 is the constant sqrt(2), L2-orthogonal to the others and with an
+    exactly zero gradient: the mean constraint reads w_0 = u_0, and modes
+    1.. solve the stiffness block without row and column 0, SPD because
+    only constants have a zero gradient.  Raises LinAlgError naming the
+    elements whose block is singular.
     """
-    u_deg = _dim_to_degree(u_coeffs.shape[1])
     exactness = 2 * (p + 3)
     w = triangle_quadrature(exactness).weights
 
-    phi, grad = basis_at_quadrature(p + 1, exactness)
-    uphi, _ = basis_at_quadrature(u_deg, exactness)
+    _, grad = basis_at_quadrature(p + 1, exactness)
     sphi, _ = basis_at_quadrature(p, exactness)
-    n = phi.shape[0]
 
     _, det, inv = affine_maps(mesh.vertices[mesh.triangles[elements]])
     inv_t = inv.transpose(0, 2, 1)
@@ -66,25 +65,15 @@ def _neumann_solve(mesh, p, u_coeffs, sigma_coeffs, elements):
     gphys = np.einsum("eca,ika->eick", inv_t, grad)
     rhs_grad = np.einsum("e,eck,eick,k->ei", det, svals, gphys, w)
 
-    mean_row = det[:, None] * np.einsum("ik,k->i", phi, w)[None, :]
-    mean_target = det * np.einsum("ej,jk,k->e", u_coeffs, uphi, w)
-
-    ne = len(elements)
-    system = np.zeros((ne, n + 1, n + 1))
-    system[:, :n, :n] = stiff
-    system[:, :n, n] = mean_row
-    system[:, n, :n] = mean_row
-    rhs = np.zeros((ne, n + 1))
-    rhs[:, :n] = rhs_grad
-    rhs[:, n] = mean_target
+    block = stiff[:, 1:, 1:]
     try:
-        out = np.linalg.solve(system, rhs[:, :, None])[:, :, 0]
+        rest = np.linalg.solve(block, rhs_grad[:, 1:, None])[:, :, 0]
     except np.linalg.LinAlgError as exc:
-        bad = elements[np.abs(np.linalg.det(system)) < 1e-300]
+        bad = elements[np.abs(np.linalg.det(block)) < 1e-300]
         raise np.linalg.LinAlgError(
             f"singular postprocessing system on elements {bad[:5].tolist()} "
             "(basis bug)") from exc
-    return out[:, :-1]
+    return np.column_stack([u_coeffs[:, 0], rest])
 
 
 def postprocess_element(mesh, tri, u_coeffs, sigma_coeffs):
@@ -104,6 +93,7 @@ def postprocess_element(mesh, tri, u_coeffs, sigma_coeffs):
     -------
     (dim P^{p+1},) array of coefficients in the orthonormal reference basis.
     """
+    _dim_to_degree(len(u_coeffs))       # checked only: w_0 = u_0 at any degree
     sigma_coeffs = np.asarray(sigma_coeffs, dtype=float)
     p = _dim_to_degree(sigma_coeffs.shape[1])
     return _neumann_solve(mesh, p, np.asarray(u_coeffs, dtype=float)[None],
@@ -121,9 +111,8 @@ def postprocess_all(solution):
         warnings.warn("postprocessing an augmented-trial solution; the "
                       "superconvergence theory covers the standard space",
                       stacklevel=2)
-    mesh = solution.mesh
     p = solution.trial.p
-    coeffs = _neumann_solve(mesh, p, solution.u_coeffs,
+    coeffs = _neumann_solve(solution.mesh, p, solution.u_coeffs,
                             solution.sigma_coeffs,
-                            np.arange(mesh.num_triangles))
+                            np.arange(solution.mesh.num_triangles))
     return PostprocessedField(degree=p + 1, coeffs=coeffs)

@@ -15,7 +15,7 @@ h^2, hence alpha = rate/2 in terms of the mesh size).
 
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -24,9 +24,6 @@ from .adapt import _steps
 from .dpg import TrialSpace
 from .problems import error_exactness, lshape_singular, square_smooth
 from .spaces import MAX_QUADRATURE_DEGREE
-
-CSV_HEADER = ("level,dofs,h_max,err_u,err_sigma,err_u_post,eta,"
-              "eoc_u,eoc_sigma,eoc_post,eoc_eta")
 
 PROBLEMS = {"square": square_smooth, "lshape": lshape_singular}
 
@@ -53,6 +50,13 @@ class ConvergenceRecord:
     eoc_sigma: Optional[float] = None
     eoc_post: Optional[float] = None
     eoc_eta: Optional[float] = None
+
+
+CSV_HEADER = ",".join(f.name for f in fields(ConvergenceRecord))
+
+# the error column behind each eoc column, in CSV order
+_EOCS = {"eoc_u": "err_u", "eoc_sigma": "err_sigma",
+         "eoc_post": "err_u_post", "eoc_eta": "eta"}
 
 
 @dataclass
@@ -113,12 +117,9 @@ def _eoc(err_prev, err, dofs_prev, dofs):
 
 def _attach_eocs(records):
     for prev, rec in zip(records, records[1:]):
-        rec.eoc_u = _eoc(prev.err_u, rec.err_u, prev.dofs, rec.dofs)
-        rec.eoc_sigma = _eoc(prev.err_sigma, rec.err_sigma, prev.dofs,
-                             rec.dofs)
-        rec.eoc_post = _eoc(prev.err_u_post, rec.err_u_post, prev.dofs,
-                            rec.dofs)
-        rec.eoc_eta = _eoc(prev.eta, rec.eta, prev.dofs, rec.dofs)
+        for eoc, err in _EOCS.items():
+            setattr(rec, eoc, _eoc(getattr(prev, err), getattr(rec, err),
+                                   prev.dofs, rec.dofs))
 
 
 def run_study(config):
@@ -138,12 +139,9 @@ def run_study(config):
                 config.mode, config.theta, config.max_dofs, config.levels,
                 config.postprocess, None, config.solver_tol,
                 config.quad_bump)):
-            rep = step.report
             records.append(ConvergenceRecord(
                 level=level, dofs=step.solution.num_dofs,
-                h_max=step.mesh.h_max, err_u=rep.err_u,
-                err_sigma=rep.err_sigma, err_u_post=rep.err_u_post,
-                eta=rep.eta))
+                h_max=step.mesh.h_max, **asdict(step.report)))
     finally:
         _attach_eocs(records)
         if config.out is not None:
@@ -175,22 +173,14 @@ def fit_slope(records, column, window=3):
     return -float(slope)
 
 
-def _fmt(value):
-    if value is None:
-        return ""
-    return f"{value:.17g}"
-
-
 def write_csv(records, path):
-    """Write records as CSV with LF endings and 17 significant digits."""
+    """Write records as CSV with LF endings, 17 significant digits and an
+    empty cell for None (integers print exactly)."""
     with open(path, "w", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
         for r in records:
-            cells = [str(r.level), str(r.dofs), _fmt(r.h_max),
-                     _fmt(r.err_u), _fmt(r.err_sigma), _fmt(r.err_u_post),
-                     _fmt(r.eta), _fmt(r.eoc_u), _fmt(r.eoc_sigma),
-                     _fmt(r.eoc_post), _fmt(r.eoc_eta)]
-            fh.write(",".join(cells) + "\n")
+            fh.write(",".join("" if v is None else f"{v:.17g}"
+                              for v in astuple(r)) + "\n")
 
 
 def read_csv(path):

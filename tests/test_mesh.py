@@ -219,6 +219,17 @@ def test_mesh_rejects_out_of_range_vertex_index(bad):
              [0, 0])
 
 
+@pytest.mark.parametrize("tris, ref", [
+    ([[0, 1.9, 2], [1, 3, 2]], [0, 0]),
+    ([[0, 1, 2], [1, 3, 2]], [0.7, 0]),
+    ([[0, 1, 2], [1, 3, 2]], [True, False]),
+], ids=["fractional-vertex", "fractional-edge", "boolean-edge"])
+def test_mesh_rejects_non_integer_indices(tris, ref):
+    # these used to be truncated silently: 1.9 -> 1, 0.7 -> 0, True -> 1
+    with pytest.raises(ValueError, match="must hold integers"):
+        Mesh([[0, 0], [1, 0], [0, 1], [1, 1]], tris, ref)
+
+
 def test_load_mesh_rejects_out_of_range_vertex_index(tmp_path):
     path = tmp_path / "mesh.txt"
     path.write_text("vertices 3 triangles 1\nv 0 0\nv 1 0\nv 0 1\n"

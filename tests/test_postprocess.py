@@ -78,16 +78,47 @@ def test_element_and_batched_entry_points_agree(p, augmented, recwarn):
         assert np.abs(single - batched[t]).max() <= 1e-14 * scale
 
 
-def test_mean_constraint_on_full_solve():
+def test_mean_constraint_on_full_solve(recwarn):
     problem = square_smooth()
     mesh = refine_uniform(refine_uniform(unit_square_mesh(2)))   # 128 elements
-    sol = assemble_solve(mesh, TrialSpace(0), problem.kind, problem.source)
-    post = postprocess_all(sol)
-    rule = triangle_quadrature(6)
-    mean_post = post.coeffs @ scalar_basis(1).values(rule.points) @ rule.weights
-    mean_u = sol.u_coeffs @ scalar_basis(0).values(rule.points) @ rule.weights
-    scale = np.abs(mean_u).max()
-    assert np.abs(mean_post - mean_u).max() <= 1e-12 * scale
+    for p in (0, 1, 2):
+        for trial in (TrialSpace(p), TrialSpace(p, augmented=True)):
+            sol = assemble_solve(mesh, trial, problem.kind, problem.source)
+            post = postprocess_all(sol)
+            # the constant Dubiner mode carries the whole mean
+            assert np.array_equal(post.coeffs[:, 0], sol.u_coeffs[:, 0])
+            rule = triangle_quadrature(2 * (p + 3))
+            mean_post = (post.coeffs @ scalar_basis(p + 1).values(rule.points)
+                         @ rule.weights)
+            mean_u = (sol.u_coeffs
+                      @ scalar_basis(trial.u_degree).values(rule.points)
+                      @ rule.weights)
+            scale = np.abs(mean_u).max()
+            assert np.abs(mean_post - mean_u).max() <= 1e-12 * scale
+
+
+def test_element_rejects_non_polynomial_u_length():
+    with pytest.raises(ValueError, match="length 4 is not a triangle"):
+        postprocess_element(unit_square_mesh(2), 0, np.zeros(4),
+                            np.zeros((2, 1)))
+
+
+def test_singular_system_names_the_elements(monkeypatch):
+    # zero basis gradients make every local block singular
+    import dpglab.postprocess as post_mod
+
+    real = post_mod.basis_at_quadrature
+
+    def flat(degree, exactness):
+        phi, grad = real(degree, exactness)
+        return phi, np.zeros_like(grad)
+
+    monkeypatch.setattr(post_mod, "basis_at_quadrature", flat)
+    sol = assemble_solve(unit_square_mesh(2), TrialSpace(1),
+                         "reaction-diffusion", None)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"elements \[0, 1, 2, 3, 4\]"):
+        postprocess_all(sol)
 
 
 def test_locality():

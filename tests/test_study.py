@@ -214,3 +214,10 @@ def test_read_csv_names_non_numeric_cell(tmp_path):
     with pytest.raises(ValueError, match="t.csv, line 2, column 3 "
                                          r"\(h_max\): expected float, got 'abc'"):
         read_csv(path)
+
+
+def test_csv_header_is_the_documented_format():
+    # CSV_HEADER is derived from ConvergenceRecord; the README documents
+    # the columns literally
+    assert CSV_HEADER == ("level,dofs,h_max,err_u,err_sigma,err_u_post,eta,"
+                          "eoc_u,eoc_sigma,eoc_post,eoc_eta")
