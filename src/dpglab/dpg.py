@@ -36,27 +36,24 @@ global sparse system holds the free skeleton dofs alone,
 and the fields come back element by element, x_I = S_II^{-1} (r_I -
 S_IS x_S).
 
-G_T and B_T depend on T only through its Jacobian and the orientation of
-its edges, and newest-vertex bisection produces few distinct element
-shapes.  assemble_solve therefore groups the elements into classes whose
-members share both bit for bit and runs both condensations once per class
-with condense(), which treats a load as one more coupling column.  A
-ClassStore keeps the condensed operators of a mesh's classes for the
-next solve: an adaptive step refines few elements, and the others keep
-their class, so a study condenses each class once and a solve only the
-classes new to its mesh.  The
-first condenses [B | E], where E selects the scalar test rows that carry
-the load: its Schur complement holds S and, past the trial columns,
-R = B' G^{-1} E.  The second condenses S_II against [S_IS | R_I], the
-rest of the interior rows of that augmented complement, which leaves
-S_hat and the skeleton load operator R_S - S_SI S_II^{-1} R_I side by
-side.  Every element then needs only gathers and small matrix-vector
-products with its class operators: G^{-1} F_T, its skeleton load and
-S_II^{-1} r_I from its load moments, its fields from its skeleton values,
-and the residual representer eps_T = G^{-1} F_T - (G^{-1} B) x_T, which
-carries the localized estimator eta(T)^2 = eps_T' G eps_T.  A mesh
-without repeated shapes gives one class per element and runs the same
-code.
+The element geometry comes from the mesh, which computes it once: J,
+det J and J^{-1} (Mesh.jac, det, inv), the orientation of the local edges
+(Mesh.edge_flips) and the physical quadrature points of the load moments
+(Mesh.to_physical).  G_T and B_T depend on T only through J and the edge
+flips, and newest-vertex bisection produces few distinct element shapes,
+so assemble_solve groups the elements into classes whose members share
+both bit for bit and condenses once per class; a ClassStore keeps the
+class operators for the next solve, which condenses only the classes new
+to its mesh.  condense() treats a load as one more coupling column: the
+first condensation takes [B | E], E the scalar test rows that carry the
+load, and its Schur complement holds S and, past the trial columns, R =
+B' G^{-1} E.  The second condenses S_II against [S_IS | R_I], which
+leaves S_hat and the skeleton load operator R_S - S_SI S_II^{-1} R_I side
+by side.  Every element then needs only gathers and small products with
+its class operators: G^{-1} F_T, its skeleton load and S_II^{-1} r_I from
+its load moments, its fields from its skeleton values, and the residual
+representer eps_T = G^{-1} F_T - (G^{-1} B) x_T, which carries the local
+estimator eta(T)^2 = eps_T' G eps_T.
 """
 
 from dataclasses import dataclass, field
@@ -66,8 +63,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .spaces import (REFERENCE_VERTICES, affine_maps, basis_at_quadrature,
-                     edge_basis, edge_bubbles, edge_quadrature, scalar_basis,
+from .spaces import (REFERENCE_VERTICES, basis_at_quadrature, edge_basis,
+                     edge_bubbles, edge_quadrature, scalar_basis,
                      triangle_quadrature)
 
 REACTION_DIFFUSION = "reaction-diffusion"
@@ -238,13 +235,13 @@ def default_exactness(p):
     return 2 * (p + DELTA_P + 1)
 
 
-def _local_systems(mesh, trial, kind, source, elements, exactness=None):
-    """Gram matrices, coupling matrices, and loads for a set of elements
-    (all of them when elements is None).
+def _local_systems(mesh, trial, kind, elements, exactness=None):
+    """Gram and coupling matrices for a set of elements (all of them when
+    elements is None).
 
-    Returns (G, B, F) with shapes (ne, m, m), (ne, m, n_local), (ne, m),
-    where m = 3 * dim P^{p+DELTA_P} and columns follow DofMap layout.
-    exactness overrides the assembly quadrature, default_exactness(p).
+    Returns (G, B) with shapes (ne, m, m) and (ne, m, n_local), where m =
+    3 * dim P^{p+DELTA_P} and columns follow DofMap layout.  exactness
+    overrides the assembly quadrature, default_exactness(p).
     """
     if kind not in PROBLEM_KINDS:
         raise ValueError(f"unknown problem kind {kind!r}")
@@ -258,11 +255,10 @@ def _local_systems(mesh, trial, kind, source, elements, exactness=None):
     elements = np.arange(mesh.num_triangles) if elements is None \
         else np.asarray(elements, dtype=np.int64)
     ne = elements.shape[0]
-    verts = mesh.vertices[mesh.triangles[elements]]
     # G and B below depend only on the Jacobian and the edge flips, so
     # elements that share both get bitwise equal matrices
-    jac, det, inv = affine_maps(verts)
-    inv_t = inv.transpose(0, 2, 1)    # J^{-T}, maps reference gradients
+    jac, det = mesh.jac[elements], mesh.det[elements]
+    inv_t = mesh.inv[elements].transpose(0, 2, 1)  # J^{-T}, maps gradients
 
     sv = slice(0, n_t)
     st = (slice(n_t, 2 * n_t), slice(2 * n_t, 3 * n_t))
@@ -306,7 +302,7 @@ def _local_systems(mesh, trial, kind, source, elements, exactness=None):
     # skeleton terms: -<uhat, tau.n> and -<shat, v> edge by edge; local
     # edge le runs from vertex le+1 to le+2, so its vector end - start is
     # J_1 - J_0, -J_1, J_0 in terms of the Jacobian columns
-    flips = _edge_flips(mesh, elements).astype(np.intp)
+    flips = mesh.edge_flips[elements].astype(np.intp)
     edge_vectors = (jac[:, :, 1] - jac[:, :, 0], -jac[:, :, 1], jac[:, :, 0])
     for le, d in enumerate(edge_vectors):
         flip = flips[:, le]
@@ -322,30 +318,18 @@ def _local_systems(mesh, trial, kind, source, elements, exactness=None):
                 "e,eji->eij", length * normal[:, c], SK)
         B[:, sv, flux_cols] -= np.einsum(
             "e,eji->eij", np.where(flip, -length, length), tab["FX"][le, flip])
-
-    # load (f, v); tau rows stay zero
-    F = np.zeros((ne, m))
-    if source is not None:
-        F[:, sv] = _load_moments(tab, source, verts, jac, det)
-    return G, B, F
+    return G, B
 
 
-def _edge_flips(mesh, elements):
-    """(ne, 3) bool: local edge k, from local vertex k+1 to k+2, runs
-    against the global orientation (lower to higher vertex number)."""
-    start = mesh.triangles[elements][:, [1, 2, 0]]
-    return start != mesh.edges[mesh.tri_edges[elements], 0]
-
-
-def _element_classes(mesh, jac):
-    """Group the elements by the bits of their Jacobian jac (nt, 2, 2) and
-    their edge flips, all that G and B depend on.  Returns the class keys
+def _element_classes(mesh):
+    """Group the elements by the bits of their Jacobian mesh.jac and their
+    mesh.edge_flips, all that G and B depend on.  Returns the class keys
     (one int64 row per class: the four Jacobian entries' bits and the three
     flips), one representative element per class and the class of every
     element."""
     nt = mesh.num_triangles
-    key = np.column_stack([jac.reshape(nt, 4).view(np.int64),
-                           _edge_flips(mesh, slice(None))])
+    key = np.column_stack([mesh.jac.reshape(nt, 4).view(np.int64),
+                           mesh.edge_flips])
     keys, rep, cls = np.unique(key, axis=0, return_index=True,
                                return_inverse=True)
     return keys, rep, cls.ravel()
@@ -364,7 +348,7 @@ def _condense_classes(dofmap, kind, rep):
     skeleton rows, S_hat and past it the skeleton load operator R_S - S_SI
     S_II^{-1} R_I.
     """
-    G, B, _ = _local_systems(dofmap.mesh, dofmap.trial, kind, None, rep)
+    G, B = _local_systems(dofmap.mesh, dofmap.trial, kind, rep)
     nc, m, n = B.shape
     n_t = m // 3
     schur, ginv = condense(G, np.concatenate(
@@ -435,22 +419,22 @@ class ClassStore:
         return self.ops, int(missing.size)
 
 
-def _load_moments(tab, source, verts, jac, det):
-    """Moments (f, v_i)_T against the scalar test functions, (ne, n_t).
+def _load_moments(tab, source, mesh):
+    """Moments (f, v_i)_T against the scalar test functions of every
+    element of mesh, (nt, n_t).
 
     Raises ValueError on non-finite source values at the quadrature points,
     before they enter any contraction."""
-    xy = verts[:, None, 0, :] + tab["tri_points"] @ jac.transpose(0, 2, 1)
+    xy = mesh.to_physical(tab["tri_points"])
     fv = np.asarray(source(xy[..., 0], xy[..., 1]), dtype=float)
     if not np.isfinite(fv).all():
         raise ValueError("source term has non-finite values")
-    return (det[:, None] * tab["tri_weights"] * fv) @ tab["V"].T
+    return (mesh.det[:, None] * tab["tri_weights"] * fv) @ tab["V"].T
 
 
 def local_gram(mesh, tri, p):
     """Test-space Gram matrix of one element (symmetric positive definite)."""
-    G, _, _ = _local_systems(mesh, TrialSpace(p), REACTION_DIFFUSION, None,
-                             [tri])
+    G, _ = _local_systems(mesh, TrialSpace(p), REACTION_DIFFUSION, [tri])
     return G[0]
 
 
@@ -460,14 +444,17 @@ def local_b(mesh, tri, trial, kind):
     Columns follow the DofMap layout [u | sigma_x | sigma_y | uhat
     vertices | uhat edge modes | flux edge modes].
     """
-    _, B, _ = _local_systems(mesh, trial, kind, None, [tri])
+    _, B = _local_systems(mesh, trial, kind, [tri])
     return B[0]
 
 
 def local_load(mesh, tri, f, p):
-    """Load vector (f, v)_T of one element; tau components are zero."""
-    _, _, F = _local_systems(mesh, TrialSpace(p), REACTION_DIFFUSION, f, [tri])
-    return F[0]
+    """Load vector (f, v)_T of one element, zero for f None and in tau."""
+    tab = _reference_tables(p, p, p + DELTA_P, default_exactness(p))
+    F = np.zeros(3 * tab["n_t"])
+    if f is not None:
+        F[:tab["n_t"]] = _load_moments(tab, f, mesh)[tri]
+    return F
 
 
 def condense(gram, coupling):
@@ -563,19 +550,16 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *,
     if not np.isfinite(prescribed).all():
         raise ValueError("Dirichlet data has non-finite values")
     nt = mesh.num_triangles
-    verts = mesh.vertices[mesh.triangles]
-    jac, det, _ = affine_maps(verts)
     tab = _reference_tables(trial.u_degree, p, p + DELTA_P,
                             default_exactness(p))
-    n_t = tab["n_t"]
-    load = (np.zeros((nt, n_t)) if source is None else
-            _load_moments(tab, source, verts, jac, det))
+    load = (np.zeros((nt, tab["n_t"])) if source is None else
+            _load_moments(tab, source, mesh))
 
     # condense only the classes the store lacks (every class without a
     # store); the store then holds exactly the classes of this mesh
     if store is None:
         store = ClassStore()
-    keys, rep, cls = _element_classes(mesh, jac)
+    keys, rep, cls = _element_classes(mesh)
     ops, condensed = store.update(dofmap, kind, keys, rep)
     m = ops["G"].shape[1]
     k = dofmap.k_int

@@ -23,6 +23,8 @@ property, midpoints match across neighbours and the result is conforming.
 
 import numpy as np
 
+from .spaces import affine_maps
+
 # child refinement edges under vertex permutations used below
 _FLIP_REFEDGE = np.array([0, 2, 1])
 
@@ -46,6 +48,10 @@ class Mesh:
     edges : (ne, 2) int array, each row sorted low < high, rows in
         lexicographic order.
     tri_edges : (nt, 3) int array, global edge id of local edge k.
+    edge_flips : (nt, 3) bool array, local edge k (from local vertex k+1
+        to k+2) runs against its global edge (from low to high vertex).
+    jac, det, inv : the affine maps x = v0 + J xhat of the oriented
+        triangles (spaces.affine_maps): J and J^{-1} (nt, 2, 2), det J > 0.
     boundary_edge : (ne,) bool, boundary_vertex : (nv,) bool.
     h_max : float, maximum element diameter (longest edge).
     """
@@ -75,24 +81,20 @@ class Mesh:
                 (refinement_edges >= 0) & (refinement_edges <= 2)).all():
             raise ValueError("refinement edge indices must be in {0, 1, 2}")
 
-        # normalize orientation: flip negatively oriented triangles and
-        # remap their refinement edge (swapping v1, v2 swaps edges 1 and 2)
-        p = vertices
-        d1 = p[triangles[:, 1]] - p[triangles[:, 0]]
-        d2 = p[triangles[:, 2]] - p[triangles[:, 0]]
-        area2 = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-        if np.any(area2 == 0.0):
-            raise ValueError("mesh contains a degenerate (collinear) triangle")
-        flip = area2 < 0.0
+        # normalize orientation: flip clockwise triangles, remap their
+        # refinement edge (v1, v2 swapped: edges 1, 2 too), map them anew
+        jac, det, inv = affine_maps(vertices[triangles])
+        flip = det < 0.0
         if flip.any():
             triangles[flip] = triangles[flip][:, [0, 2, 1]]
             refinement_edges[flip] = _FLIP_REFEDGE[refinement_edges[flip]]
-            area2 = np.abs(area2)
+            jac[flip], det[flip], inv[flip] = affine_maps(
+                vertices[triangles[flip]])
 
         self.vertices = vertices
         self.triangles = triangles
         self.refinement_edges = refinement_edges
-        self._areas = 0.5 * area2
+        self.jac, self.det, self.inv = jac, det, inv
 
         self._build_edges()
 
@@ -103,14 +105,16 @@ class Mesh:
         self.h_max = float(lengths[self.tri_edges].max()) if len(triangles) else 0.0
 
         for arr in (self.vertices, self.triangles, self.refinement_edges,
-                    self.edges, self.tri_edges, self.boundary_edge,
-                    self.boundary_vertex, self.edge_lengths, self._areas):
+                    self.edges, self.tri_edges, self.edge_flips,
+                    self.boundary_edge, self.boundary_vertex,
+                    self.edge_lengths, self.jac, self.det, self.inv):
             arr.setflags(write=False)
 
     def _build_edges(self):
         t = self.triangles
-        # local edge k is opposite vertex k
+        # local edge k is opposite vertex k and runs from vertex k+1 to k+2
         raw = np.concatenate([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]])
+        self.edge_flips = (raw[:, 0] > raw[:, 1]).reshape(3, t.shape[0]).T.copy()
         raw = np.sort(raw, axis=1)
         edges, inverse = np.unique(raw, axis=0, return_inverse=True)
         self.edges = edges
@@ -138,10 +142,16 @@ class Mesh:
 
     def areas(self):
         """Triangle areas; shape (nt,)."""
-        return self._areas
+        return 0.5 * self.det
 
     def total_area(self):
-        return float(self._areas.sum())
+        return float(self.areas().sum())
+
+    def to_physical(self, pts):
+        """Images v0 + J xhat of reference points pts (npts, 2) under every
+        element map; shape (nt, npts, 2)."""
+        origin = self.vertices[self.triangles[:, 0]]
+        return origin[:, None, :] + pts @ self.jac.transpose(0, 2, 1)
 
     def diameters(self):
         """Longest edge length of every triangle; shape (nt,)."""
@@ -150,18 +160,13 @@ class Mesh:
     def min_angle(self):
         """Smallest interior angle over all triangles, in radians."""
         p = self.vertices[self.triangles]
-        angles = []
-        for k in range(3):
-            a = p[:, (k + 1) % 3] - p[:, k]
-            b = p[:, (k + 2) % 3] - p[:, k]
-            cosang = np.einsum("id,id->i", a, b) / (
-                np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1))
-            angles.append(np.arccos(np.clip(cosang, -1.0, 1.0)))
-        return float(np.min(angles))
+        # the edges a, b from each corner have the cross product det J
+        a, b = np.roll(p, -1, axis=1) - p, np.roll(p, -2, axis=1) - p
+        dot = np.einsum("ekd,ekd->ek", a, b)
+        return float(np.arctan2(self.det[:, None], dot).min())
 
     def copy(self):
-        return Mesh(self.vertices.copy(), self.triangles.copy(),
-                    self.refinement_edges.copy())
+        return Mesh(self.vertices, self.triangles, self.refinement_edges)
 
     def __repr__(self):
         return (f"Mesh({self.num_vertices} vertices, "
@@ -171,12 +176,9 @@ class Mesh:
 
 def _longest_edge_indices(vertices, triangles):
     p = vertices[triangles]
-    lengths = np.stack([
-        np.linalg.norm(p[:, 2] - p[:, 1], axis=1),  # edge 0
-        np.linalg.norm(p[:, 0] - p[:, 2], axis=1),  # edge 1
-        np.linalg.norm(p[:, 1] - p[:, 0], axis=1),  # edge 2
-    ], axis=1)
-    return np.argmax(lengths, axis=1)
+    # local edge k runs from vertex k+1 to vertex k+2
+    edges = np.roll(p, -2, axis=1) - np.roll(p, -1, axis=1)
+    return np.argmax(np.linalg.norm(edges, axis=2), axis=1)
 
 
 def unit_square_mesh(n):

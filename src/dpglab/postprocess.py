@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import affine_maps, basis_at_quadrature, triangle_quadrature
+from .spaces import basis_at_quadrature, triangle_quadrature
 
 
 @dataclass
@@ -53,8 +53,8 @@ def _neumann_solve(mesh, p, u_coeffs, sigma_coeffs, elements):
     _, grad = basis_at_quadrature(p + 1, exactness)
     sphi, _ = basis_at_quadrature(p, exactness)
 
-    _, det, inv = affine_maps(mesh.vertices[mesh.triangles[elements]])
-    inv_t = inv.transpose(0, 2, 1)
+    det = mesh.det[elements]
+    inv_t = mesh.inv[elements].transpose(0, 2, 1)
 
     metric = np.einsum("eca,ecb->eab", inv_t, inv_t)
     t1 = np.einsum("ika,jkb,k->abij", grad, grad, w)
@@ -87,7 +87,7 @@ def postprocess_element(mesh, tri, u_coeffs, sigma_coeffs):
     u_coeffs : (dim,) array
         Scalar-field coefficients on the element (degree p or p+1).
     sigma_coeffs : (2, dim P^p) array
-        Flux-field coefficients on the element.
+        Flux-field coefficients on the element (any other shape: ValueError).
 
     Returns
     -------
@@ -95,6 +95,9 @@ def postprocess_element(mesh, tri, u_coeffs, sigma_coeffs):
     """
     _dim_to_degree(len(u_coeffs))       # checked only: w_0 = u_0 at any degree
     sigma_coeffs = np.asarray(sigma_coeffs, dtype=float)
+    if sigma_coeffs.ndim != 2 or sigma_coeffs.shape[0] != 2:
+        raise ValueError(f"sigma_coeffs has shape {sigma_coeffs.shape}, "
+                         "expected (2, dim P^p)")
     p = _dim_to_degree(sigma_coeffs.shape[1])
     return _neumann_solve(mesh, p, np.asarray(u_coeffs, dtype=float)[None],
                           sigma_coeffs[None], np.array([tri]))[0]

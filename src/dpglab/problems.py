@@ -15,7 +15,7 @@ import numpy as np
 
 from .dpg import POISSON, REACTION_DIFFUSION
 from .mesh import lshape_mesh, unit_square_mesh
-from .spaces import affine_maps, basis_at_quadrature, triangle_quadrature
+from .spaces import basis_at_quadrature, triangle_quadrature
 
 
 @dataclass(frozen=True)
@@ -149,6 +149,9 @@ def error_report(solution, postprocessed, problem, extra_exactness=0):
     Returns
     -------
     ErrorReport
+
+    Raises ValueError when problem.exact or problem.exact_grad is
+    non-finite at an error-quadrature point.
     """
     mesh = solution.mesh
     p = solution.trial.p
@@ -156,14 +159,15 @@ def error_report(solution, postprocessed, problem, extra_exactness=0):
     rule = triangle_quadrature(exactness)
     pts, w = rule.points, rule.weights
 
-    verts = mesh.vertices[mesh.triangles]
-    jac, det, _ = affine_maps(verts)
-    xy = verts[:, None, 0, :] + pts @ jac.transpose(0, 2, 1)
-    wq = det[:, None] * w[None, :]
+    xy = mesh.to_physical(pts)
+    wq = mesh.det[:, None] * w[None, :]
     x, y = xy[..., 0], xy[..., 1]
 
     u_exact = problem.exact(x, y)
     gx_exact, gy_exact = problem.exact_grad(x, y)
+    if not all(np.isfinite(v).all() for v in (u_exact, gx_exact, gy_exact)):
+        raise ValueError("problem.exact or problem.exact_grad is non-finite "
+                         "at an error-quadrature point")
 
     u_vals = solution.u_coeffs @ basis_at_quadrature(solution.trial.u_degree,
                                                      exactness)[0]

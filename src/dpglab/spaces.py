@@ -250,22 +250,18 @@ def edge_bubbles(count, t):
 class ElementMap:
     """Affine map from the reference triangle onto a physical triangle.
 
-    x = v0 + J xhat, where the columns of J are the edge vectors v1 - v0
-    and v2 - v0.  Physical gradients are obtained through J^{-T}.
+    x = v0 + J xhat, with J, det J and J^{-1} from affine_maps.  Physical
+    gradients are obtained through J^{-T}.
     """
 
     def __init__(self, v0, v1, v2):
-        self.origin = np.asarray(v0, dtype=float)
-        self.jacobian = np.column_stack([
-            np.asarray(v1, dtype=float) - self.origin,
-            np.asarray(v2, dtype=float) - self.origin,
-        ])
-        self.det = float(np.linalg.det(self.jacobian))
-        if self.det <= 0.0:
-            raise ValueError("element map has nonpositive Jacobian "
-                             "determinant (degenerate or misoriented triangle)")
-        self.inverse_jacobian = np.linalg.inv(self.jacobian)
-        self.inverse_transpose = self.inverse_jacobian.T
+        verts = np.array([[v0, v1, v2]], dtype=float)
+        jac, det, inv = affine_maps(verts)
+        if det[0] < 0.0:
+            raise ValueError("element map has negative Jacobian determinant "
+                             "(clockwise triangle)")
+        self.origin, self.jacobian, self.det, self.inverse_jacobian = (
+            verts[0, 0], jac[0], float(det[0]), inv[0])
 
     @property
     def area(self):
@@ -282,10 +278,15 @@ class ElementMap:
 
 def affine_maps(verts):
     """Batched affine maps of triangles with vertices verts (ne, 3, 2):
-    Jacobians J (ne, 2, 2) as in ElementMap, det J (ne,) and J^{-1}."""
+    Jacobians J (ne, 2, 2) with columns v1 - v0 and v2 - v0, det J (ne,)
+    and J^{-1}.  Raises ValueError on a zero det J (a degenerate, collinear
+    triangle) before forming J^{-1}."""
     jac = np.stack([verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]],
                    axis=2)
     det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+    if np.any(det == 0.0):
+        raise ValueError("degenerate (collinear) triangle: zero Jacobian "
+                         "determinant")
     inv = np.empty_like(jac)
     inv[:, 0, 0] = jac[:, 1, 1]
     inv[:, 0, 1] = -jac[:, 0, 1]
@@ -296,7 +297,9 @@ def affine_maps(verts):
 
 
 def project_l2(degree, f, emap, exactness=None):
-    """L2-orthogonal projection of f onto P^degree on one element.
+    """L2-orthogonal projection of f onto P^degree on one element: the
+    element mass matrix is det J times the identity, so the coefficients
+    are the moments of f against the orthonormal reference basis.
 
     Parameters
     ----------
@@ -307,7 +310,8 @@ def project_l2(degree, f, emap, exactness=None):
     emap : ElementMap
     exactness : int, optional
         Quadrature exactness; defaults to 2*degree + 4.  Must be at least
-        2*degree plus the polynomial degree of f for an exact projection.
+        2*degree (ValueError otherwise), and 2*degree plus the polynomial
+        degree of f for an exact projection.
 
     Returns
     -------
@@ -316,17 +320,11 @@ def project_l2(degree, f, emap, exactness=None):
     """
     if exactness is None:
         exactness = 2 * degree + 4
+    if exactness < 2 * degree:
+        raise ValueError(f"quadrature exactness {exactness} is below "
+                         f"2*degree = {2 * degree}")
     rule = triangle_quadrature(exactness)
-    basis = scalar_basis(degree)
-    phi = basis.values(rule.points)
-    w = rule.weights * emap.det
+    phi = scalar_basis(degree).values(rule.points)
     xy = emap.to_physical(rule.points)
     fvals = np.asarray(f(xy[:, 0], xy[:, 1]), dtype=float)
-    mass = (phi * w) @ phi.T
-    rhs = (phi * w) @ fvals
-    try:
-        return np.linalg.solve(mass, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"singular local mass matrix for degree {degree} "
-            f"(broken basis)") from exc
+    return (phi * rule.weights) @ fvals

@@ -14,6 +14,7 @@ h^2, hence alpha = rate/2 in terms of the mesh size).
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import asdict, astuple, dataclass, fields
 from typing import Optional
@@ -66,7 +67,7 @@ class StudyConfig:
     problem "square" runs the smooth reaction-diffusion benchmark,
     "lshape" the singular Poisson benchmark; other pairings are not
     meaningful and are rejected.  problem, trial and mode take the values
-    listed in _CHOICES.
+    listed in _CHOICES; p, levels, max_dofs and quad_bump are integers.
     """
     problem: str = "square"
     p: int = 0
@@ -85,6 +86,13 @@ class StudyConfig:
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"unknown {name} {getattr(self, name)!r}; "
                                   f"choose {' or '.join(allowed)}")
+        for name in ("p", "levels", "max_dofs", "quad_bump"):
+            value = getattr(self, name)
+            integer = (isinstance(value, numbers.Integral)
+                       and not isinstance(value, bool))
+            if not (integer or value is None
+                    and name in ("levels", "max_dofs")):
+                raise ConfigError(f"{name} must be an integer, not {value!r}")
         if not 0 <= self.p <= 3:
             raise ConfigError("polynomial order p must be in 0..3")
         if not 0.0 < self.theta < 1.0:
@@ -152,8 +160,8 @@ def run_study(config):
 def fit_slope(records, column, window=3):
     """Least-squares slope of log(error) vs log(dofs), negated.
 
-    Fits over the last `window` records; records with missing or
-    nonpositive values are excluded with a warning.
+    Fits over the last `window` records; records with missing,
+    nonpositive or non-finite values are excluded with a warning.
     """
     if window < 2:
         raise ValueError("slope fit needs a window of at least 2 records")
@@ -161,9 +169,9 @@ def fit_slope(records, column, window=3):
     pts = []
     for rec in tail:
         val = getattr(rec, column)
-        if val is None or val <= 0.0:
+        if val is None or not 0.0 < val < math.inf:     # also NaN
             warnings.warn(f"excluding level {rec.level}: {column} not "
-                          "positive", stacklevel=2)
+                          "positive and finite", stacklevel=2)
             continue
         pts.append((rec.dofs, val))
     if len(pts) < 2:

@@ -133,6 +133,20 @@ def test_local_load_cases():
     assert cv @ Fx == pytest.approx(1 / 6, rel=1e-12)
 
 
+def element_loads(mesh, trial, source):
+    """Loads F_T (nt, m) of every element: the moments (f, v_i)_T in the
+    scalar test rows, zero tau rows."""
+    from dpglab.dpg import (DELTA_P, _load_moments, _reference_tables,
+                            default_exactness)
+
+    p = trial.p
+    tab = _reference_tables(trial.u_degree, p, p + DELTA_P,
+                            default_exactness(p))
+    F = np.zeros((mesh.num_triangles, 3 * tab["n_t"]))
+    F[:, :tab["n_t"]] = _load_moments(tab, source, mesh)
+    return F
+
+
 def condense_load(gram, coupling, load):
     """condense() with a 1-D load per element as the last coupling
     column, split into (S, r, G^{-1} B, G^{-1} F)."""
@@ -289,7 +303,8 @@ def test_condensed_solve_matches_monolithic_saddle_point(p, monkeypatch):
         mesh, problem = refine_uniform(lshape_mesh()), lshape_singular()
     trial = TrialSpace(p)
     dm = DofMap(mesh, trial)
-    G, B, F = _local_systems(mesh, trial, problem.kind, problem.source, None)
+    G, B = _local_systems(mesh, trial, problem.kind, None)
+    F = element_loads(mesh, trial, problem.source)
     x_d = _dirichlet_values(mesh, dm, problem.dirichlet)
     nt, m, _ = B.shape
     G_glob = np.zeros((nt * m, nt * m))
@@ -347,9 +362,9 @@ def test_interior_block_not_spd_raises_before_factorization(monkeypatch):
     real_local_systems = dpg._local_systems
 
     def no_interior_coupling(mesh, trial, *args):
-        G, B, F = real_local_systems(mesh, trial, *args)
+        G, B = real_local_systems(mesh, trial, *args)
         B[:, :, :DofMap(mesh, trial).k_int] = 0.0
-        return G, B, F
+        return G, B
 
     def no_sparse_solve(A, b, tol):
         raise AssertionError("sparse solve reached")
@@ -369,7 +384,7 @@ def test_condensed_matrix_spd():
     mesh = unit_square_mesh(2)
     trial = TrialSpace(1)
     dm = DofMap(mesh, trial)
-    G, B, F = _local_systems(mesh, trial, REACTION_DIFFUSION, None, None)
+    G, B = _local_systems(mesh, trial, REACTION_DIFFUSION, None)
     schur = np.linalg.solve(G, B)
     S_loc = np.einsum("emi,emj->eij", B, schur)
     S = np.zeros((dm.n_total, dm.n_total))
@@ -392,8 +407,8 @@ def test_estimator_consistency_and_locality():
     # locality: the total is exactly the root of summed local squares
     assert eta == pytest.approx(np.sqrt(np.sum(eta_local ** 2)), rel=1e-13)
     # norm consistency: recompute ||eps||_V^2 with elevated quadrature
-    G_hi, _, _ = _local_systems(mesh, TrialSpace(0), problem.kind, None,
-                                None, default_exactness(0) + 4)
+    G_hi, _ = _local_systems(mesh, TrialSpace(0), problem.kind, None,
+                             default_exactness(0) + 4)
     direct = np.einsum("em,emn,en->e", sol.residual_coeffs, G_hi,
                        sol.residual_coeffs)
     assert np.abs(direct - eta_local ** 2).max() <= 1e-12 * eta ** 2
@@ -560,7 +575,8 @@ def per_element_oracle(mesh, trial, kind, source, dirichlet):
     from dpglab.dpg import _dirichlet_values, _local_systems
 
     dm = DofMap(mesh, trial)
-    G, B, F = _local_systems(mesh, trial, kind, source, None)
+    G, B = _local_systems(mesh, trial, kind, None)
+    F = element_loads(mesh, trial, source)
     x = _dirichlet_values(mesh, dm, dirichlet)
     S = np.zeros((dm.n_total, dm.n_total))
     r = np.zeros(dm.n_total)

@@ -163,6 +163,37 @@ def test_orientation_normalization():
     assert set(m.edges[ge]) == {0, 2}
 
 
+def test_element_geometry_matches_independent_formulas():
+    # jac, det, inv and edge_flips are computed once, after orientation;
+    # inputs with every second triangle clockwise
+    base = refine_marked(refine_uniform(lshape_mesh()), [0, 5, 9])
+    tris = base.triangles.copy()
+    tris[1::2] = tris[1::2][:, [0, 2, 1]]
+    mesh = Mesh(base.vertices, tris, base.refinement_edges)
+    v = mesh.vertices[mesh.triangles]
+    assert np.array_equal(mesh.jac, np.stack([v[:, 1] - v[:, 0],
+                                              v[:, 2] - v[:, 0]], axis=2))
+    assert (mesh.det > 0).all()
+    assert np.allclose(mesh.det, np.linalg.det(mesh.jac), rtol=1e-13, atol=0)
+    assert np.allclose(mesh.inv, np.linalg.inv(mesh.jac), rtol=1e-13,
+                       atol=1e-13)
+    # areas bit for bit the half cross product of the input triangles
+    w = mesh.vertices[tris]
+    d1, d2 = w[:, 1] - w[:, 0], w[:, 2] - w[:, 0]
+    cross = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    assert np.array_equal(mesh.areas(), 0.5 * np.abs(cross))
+    # local edge k runs from local vertex k+1 to k+2
+    start = mesh.triangles[:, [1, 2, 0]]
+    assert np.array_equal(mesh.edge_flips,
+                          start != mesh.edges[mesh.tri_edges, 0])
+    assert mesh.edge_flips.any() and not mesh.edge_flips.all()
+    # x = v0 + J xhat maps the reference vertices onto the triangles
+    ref = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    assert np.array_equal(mesh.to_physical(ref), v)
+    for arr in (mesh.jac, mesh.det, mesh.inv, mesh.edge_flips):
+        assert not arr.flags.writeable
+
+
 def test_degenerate_triangle_rejected():
     verts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
     with pytest.raises(ValueError):

@@ -103,6 +103,14 @@ def test_element_rejects_non_polynomial_u_length():
                             np.zeros((2, 1)))
 
 
+@pytest.mark.parametrize("shape", [(3,), (3, 3), (2, 3, 1), (1, 2)],
+                         ids=["1-D", "3x3", "3-D", "1x2"])
+def test_element_rejects_bad_sigma_shape(shape):
+    with pytest.raises(ValueError, match=r"expected \(2, dim P\^p\)"):
+        postprocess_element(unit_square_mesh(2), 0, np.zeros(1),
+                            np.zeros(shape))
+
+
 def test_singular_system_names_the_elements(monkeypatch):
     # zero basis gradients make every local block singular
     import dpglab.postprocess as post_mod

@@ -133,6 +133,28 @@ def test_error_report_exact_postprocessed_field():
     assert rep.err_u_post < 1e-12
 
 
+@pytest.mark.parametrize("broken", ["exact", "exact_grad"])
+def test_error_report_rejects_non_finite_exact_solution(broken):
+    # a NaN at the error-quadrature points must not turn into err_u = nan
+    import dataclasses
+
+    problem = square_smooth()
+    mesh = unit_square_mesh(2)
+    sol = assemble_solve(mesh, TrialSpace(1), problem.kind, problem.source)
+
+    def nan_exact(x, y):
+        return np.where(x > 0.5, np.nan, problem.exact(x, y))
+
+    def nan_grad(x, y):
+        gx, gy = problem.exact_grad(x, y)
+        return gx, np.where(y < 0.25, np.inf, gy)
+
+    bad = dataclasses.replace(problem, **{
+        broken: nan_exact if broken == "exact" else nan_grad})
+    with pytest.raises(ValueError, match="non-finite at an error-quadrature"):
+        error_report(sol, None, bad)
+
+
 def test_error_quadrature_stability():
     # raising the error-quadrature exactness by 4 moves the reported
     # errors by < 0.1% (smooth) and < 1% (singular)

@@ -7,7 +7,6 @@ from dpglab.adapt import mark
 from dpglab.dpg import (POISSON, REACTION_DIFFUSION, ClassStore, TrialSpace,
                         _element_classes, _local_systems, assemble_solve)
 from dpglab.mesh import lshape_mesh, refine_marked, refine_uniform
-from dpglab.spaces import affine_maps
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -27,9 +26,8 @@ def test_element_class_members_share_local_systems_bitwise(data, p, kind):
         marked = data.draw(st.sets(st.integers(0, nt - 1), min_size=1,
                                    max_size=nt), label="marked")
         mesh = refine_marked(mesh, sorted(marked))
-    jac = affine_maps(mesh.vertices[mesh.triangles])[0]
-    _, rep, cls = _element_classes(mesh, jac)
-    G, B, _ = _local_systems(mesh, TrialSpace(p), kind, None, None)
+    _, rep, cls = _element_classes(mesh)
+    G, B = _local_systems(mesh, TrialSpace(p), kind, None)
     owner = rep[cls]
     assert np.array_equal(G, G[owner])
     assert np.array_equal(B, B[owner])

@@ -168,6 +168,14 @@ def test_projection_reproduces_polynomials(degree):
     assert np.abs(out - coeffs).max() < 1e-12
 
 
+def test_projection_refuses_underintegration():
+    # below exactness 2*degree the basis is not orthonormal under the rule
+    emap = ElementMap([0, 0], [1, 0], [0, 1])
+    with pytest.raises(ValueError, match="below 2\\*degree"):
+        project_l2(2, lambda x, y: x, emap, exactness=3)
+    project_l2(2, lambda x, y: x, emap, exactness=4)
+
+
 def test_projection_mean_of_x():
     emap = ElementMap([0, 0], [1, 0], [0, 1])
     c = project_l2(0, lambda x, y: x, emap)

@@ -34,9 +34,14 @@ def test_fit_slope_halving_errors_quadrupling_dofs():
 
 
 def test_fit_slope_excludes_nonpositive_with_warning():
-    recs = synthetic_records([10, 100, 1000, 10000], [1.0, 0.0, 0.01, 0.001])
-    with pytest.warns(UserWarning, match="not positive"):
-        slope = fit_slope(recs, "err_u", window=4)
+    # zero, NaN and infinity are excluded alike, each with its own warning
+    recs = synthetic_records([10, 100, 1000, 10000, 100000, 1000000],
+                             [1.0, 0.0, 0.01, float("nan"), 0.0001,
+                              float("inf")])
+    with pytest.warns(UserWarning, match="not positive") as caught:
+        slope = fit_slope(recs, "err_u", window=6)
+    assert [str(w.message).split(":")[0] for w in caught] == [
+        "excluding level 1", "excluding level 3", "excluding level 5"]
     assert slope == pytest.approx(1.0, rel=1e-6)
 
 
@@ -115,12 +120,24 @@ def test_config_validation_errors():
         StudyConfig(levels=3, solver_tol=1.0),
         # error quadrature exactness 2(p+3)+4+bump beyond 20
         StudyConfig(p=3, levels=3, quad_bump=5),
+        # integer fields: no bools, no fractions, no strings
+        StudyConfig(p=True, levels=3),
+        StudyConfig(p=1.5, levels=3),
+        StudyConfig(p="1", levels=3),
+        StudyConfig(levels=2.5),
+        StudyConfig(levels=True),
+        StudyConfig(mode="adaptive", max_dofs=1e4),
+        StudyConfig(mode="adaptive", max_dofs=False),
+        StudyConfig(levels=3, quad_bump=0.5),
+        StudyConfig(levels=3, quad_bump=False),
     ]
     for config in bad:
         with pytest.raises(ConfigError):
             config.validate()
     StudyConfig(levels=3).validate()
     StudyConfig(p=3, levels=3, quad_bump=4).validate()
+    StudyConfig(p=np.int64(1), levels=np.int32(2), max_dofs=np.int64(10),
+                quad_bump=np.int64(0)).validate()
 
 
 def test_cli_run_and_exit_codes(tmp_path, capsys):
