@@ -9,8 +9,9 @@ residual.
 
 import numpy as np
 
-from dpglab.spaces import (ElementMap, monomial_exponents, monomial_integral,
-                           project_l2, scalar_basis, triangle_quadrature)
+from dpglab.mesh import Mesh
+from dpglab.spaces import (monomial_exponents, monomial_integral, project_l2,
+                           scalar_basis, triangle_quadrature)
 
 print("=== quadrature exactness on the reference triangle ===")
 degree = 6
@@ -25,12 +26,14 @@ print(f"worst monomial integral error up to total degree {degree}: {worst:.2e}")
 
 print()
 print("=== L2 projection of exp(x) sin(y) onto P^2 of one element ===")
-emap = ElementMap([0.0, 0.0], [0.9, 0.1], [0.2, 0.8])
+# project_l2 works on every element of a mesh at once; one triangle is a
+# one-element mesh, and row 0 of the result holds its coefficients
+element = Mesh([[0.0, 0.0], [0.9, 0.1], [0.2, 0.8]], [[0, 1, 2]], [0])
 f = lambda x, y: np.exp(x) * np.sin(y)
-coeffs = project_l2(2, f, emap, exactness=12)
+coeffs = project_l2(2, f, element, exactness=12)[0]
 rule = triangle_quadrature(12)
-xy = emap.to_physical(rule.points)
-w = rule.weights * emap.det
+xy = element.to_physical(rule.points)[0]
+w = rule.weights * element.det[0]
 vals = coeffs @ scalar_basis(2).values(rule.points)
 resid = f(xy[:, 0], xy[:, 1]) - vals
 print(f"projection coefficients: {np.array2string(coeffs, precision=4)}")

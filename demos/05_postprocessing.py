@@ -1,4 +1,4 @@
-"""The elementwise postprocessing, taken apart on a single element.
+"""The elementwise postprocessing, taken apart on a one-element mesh.
 
 Given the field pair (u_h, sigma_h), each element solves the discrete
 Neumann problem
@@ -14,15 +14,16 @@ import numpy as np
 
 from dpglab.dpg import TrialSpace, assemble_solve
 from dpglab.mesh import Mesh, refine_uniform, unit_square_mesh
-from dpglab.postprocess import postprocess_all, postprocess_element
+from dpglab.postprocess import postprocess_all, postprocess_fields
 from dpglab.problems import error_report, square_smooth
 from dpglab.spaces import scalar_basis
 
-print("=== single element: sigma = (1, 0), u_h = 0, p = 0 ===")
+print("=== one-element mesh: sigma = (1, 0), u_h = 0, p = 0 ===")
 ref = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
            np.array([[0, 1, 2]]), np.array([0]))
 sigma = np.array([[1.0 / np.sqrt(2.0)], [0.0]])   # the constant field (1, 0)
-coeffs = postprocess_element(ref, 0, np.zeros(1), sigma)
+# postprocess_fields takes one row of coefficients per element of the mesh
+coeffs = postprocess_fields(ref, np.zeros((1, 1)), sigma[None])[0]
 pts = np.array([[0.0, 0.0], [1.0, 0.0], [1 / 3, 1 / 3]])
 vals = coeffs @ scalar_basis(1).values(pts)
 print("recovered field at (0,0), (1,0), centroid:", np.round(vals, 12))

@@ -7,17 +7,16 @@ adaptive newest-vertex-bisection refinement.
 
 from .adapt import AdaptiveRun, AdaptiveStep, adaptive_loop, mark
 from .dpg import (POISSON, REACTION_DIFFUSION, DofMap, Solution, SolverError,
-                  TrialSpace, assemble_solve, condense, local_b, local_gram,
-                  local_load)
+                  TrialSpace, assemble_solve, condense)
 from .mesh import (Mesh, load_mesh, lshape_mesh, refine_marked,
                    refine_uniform, save_mesh, unit_square_mesh)
 from .postprocess import (PostprocessedField, postprocess_all,
-                          postprocess_element)
+                          postprocess_fields)
 from .problems import (ErrorReport, ManufacturedProblem, error_report,
                        lshape_singular, square_smooth)
-from .spaces import (EdgeBasis, ElementMap, QuadratureRule, ScalarBasis,
-                     edge_basis, edge_bubbles, edge_quadrature, project_l2,
-                     scalar_basis, triangle_quadrature)
+from .spaces import (EdgeBasis, QuadratureRule, ScalarBasis, edge_basis,
+                     edge_bubbles, edge_quadrature, project_l2, scalar_basis,
+                     triangle_quadrature)
 from .study import (ConvergenceRecord, StudyConfig, fit_slope, read_csv,
                     run_study, write_csv)
 
@@ -26,14 +25,13 @@ __version__ = "0.1.0"
 __all__ = [
     "AdaptiveRun", "AdaptiveStep", "adaptive_loop", "mark",
     "POISSON", "REACTION_DIFFUSION", "DofMap", "Solution", "SolverError",
-    "TrialSpace", "assemble_solve", "condense", "local_b", "local_gram",
-    "local_load",
+    "TrialSpace", "assemble_solve", "condense",
     "Mesh", "load_mesh", "lshape_mesh", "refine_marked", "refine_uniform",
     "save_mesh", "unit_square_mesh",
-    "PostprocessedField", "postprocess_all", "postprocess_element",
+    "PostprocessedField", "postprocess_all", "postprocess_fields",
     "ErrorReport", "ManufacturedProblem", "error_report", "lshape_singular",
     "square_smooth",
-    "EdgeBasis", "ElementMap", "QuadratureRule", "ScalarBasis", "edge_basis",
+    "EdgeBasis", "QuadratureRule", "ScalarBasis", "edge_basis",
     "edge_bubbles", "edge_quadrature", "project_l2", "scalar_basis",
     "triangle_quadrature",
     "ConvergenceRecord", "StudyConfig", "fit_slope", "read_csv", "run_study",

@@ -56,6 +56,7 @@ representer eps_T = G^{-1} F_T - (G^{-1} B) x_T, which carries the local
 estimator eta(T)^2 = eps_T' G eps_T.
 """
 
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -86,7 +87,7 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrialSpace:
-    """Polynomial order of the trial space.
+    """Polynomial order of the trial space, an integer p >= 0.
 
     The scalar field u is sought at degree p, or p+1 when augmented;
     fluxes and traces stay at order p either way.
@@ -95,8 +96,10 @@ class TrialSpace:
     augmented: bool = False
 
     def __post_init__(self):
-        if self.p < 0:
-            raise ValueError("polynomial order p must be >= 0")
+        p = self.p      # numpy integers pass; bools and fractions do not
+        if isinstance(p, bool) or not isinstance(p, numbers.Integral) or p < 0:
+            raise ValueError(f"polynomial order p must be an integer >= 0, "
+                             f"not {p!r}")
 
     @property
     def u_degree(self):
@@ -432,31 +435,6 @@ def _load_moments(tab, source, mesh):
     return (mesh.det[:, None] * tab["tri_weights"] * fv) @ tab["V"].T
 
 
-def local_gram(mesh, tri, p):
-    """Test-space Gram matrix of one element (symmetric positive definite)."""
-    G, _ = _local_systems(mesh, TrialSpace(p), REACTION_DIFFUSION, [tri])
-    return G[0]
-
-
-def local_b(mesh, tri, trial, kind):
-    """Trial-to-test coupling matrix of one element.
-
-    Columns follow the DofMap layout [u | sigma_x | sigma_y | uhat
-    vertices | uhat edge modes | flux edge modes].
-    """
-    _, B = _local_systems(mesh, trial, kind, [tri])
-    return B[0]
-
-
-def local_load(mesh, tri, f, p):
-    """Load vector (f, v)_T of one element, zero for f None and in tau."""
-    tab = _reference_tables(p, p, p + DELTA_P, default_exactness(p))
-    F = np.zeros(3 * tab["n_t"])
-    if f is not None:
-        F[:tab["n_t"]] = _load_moments(tab, f, mesh)[tri]
-    return F
-
-
 def condense(gram, coupling):
     """Schur complement of local saddle-point blocks.
 
@@ -539,10 +517,13 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *,
     -------
     Solution
 
-    Raises ValueError on non-finite source or Dirichlet values and
-    SolverError when the interior block S_II of an element class or the
-    skeleton system is not SPD, or the solve misses solver_tol.
+    Raises ValueError on a mesh without triangles or on non-finite source
+    or Dirichlet values, and SolverError when the interior block S_II of
+    an element class or the skeleton system is not SPD, or the solve
+    misses solver_tol.
     """
+    if mesh.num_triangles == 0:
+        raise ValueError("mesh has no triangles")
     p = trial.p
     dofmap = DofMap(mesh, trial)
     prescribed = (np.zeros(dofmap.n_total) if dirichlet is None else
@@ -642,7 +623,7 @@ def _solve_spd(A, b, tol):
     singular factor, or a residual that refinement cannot bring to tol.
     """
     bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:        # also the empty system
+    if bnorm == 0.0:        # zero source and Dirichlet data: x = 0
         return np.zeros(A.shape[0]), {"method": "direct", "iterations": 0,
                                       "rel_residual": 0.0}
     diagonal = A.diagonal()

@@ -2,8 +2,8 @@
 Elementwise superconvergent postprocessing.
 
 From the field pair (u_h, sigma_h) of a solve, a degree-(p+1) scalar field
-is recovered element by element as the solution of a local discrete
-Neumann problem:
+is recovered on every element as the solution of a local discrete Neumann
+problem:
 
     (grad w, grad v)_T = (sigma_h, grad v)_T   for all v in P^{p+1}(T),
     (w, 1)_T           = (u_h, 1)_T.
@@ -13,6 +13,9 @@ the mean constraint fixes exactly that mode, w_0 = u_0, for the standard
 and the augmented trial space alike; the other modes solve an SPD system.
 On smooth problems the postprocessed field converges one order faster in
 L2 than u_h itself.
+
+postprocess_fields solves all elements of a mesh in one batch, one row of
+coefficients per element; postprocess_all applies it to a Solution.
 """
 
 import warnings
@@ -38,8 +41,10 @@ def _dim_to_degree(n):
     return d
 
 
-def _neumann_solve(mesh, p, u_coeffs, sigma_coeffs, elements):
-    """Stacked local Neumann solves; result rows follow `elements`.
+def postprocess_fields(mesh, u_coeffs, sigma_coeffs):
+    """Postprocessed coefficients (nt, dim P^{p+1}) on every element of
+    mesh from the stacked fields u_coeffs (nt, dim P^p or P^{p+1}) and
+    sigma_coeffs (nt, 2, dim P^p); any other shape raises ValueError.
 
     Mode 0 is the constant sqrt(2), L2-orthogonal to the others and with an
     exactly zero gradient: the mean constraint reads w_0 = u_0, and modes
@@ -47,14 +52,26 @@ def _neumann_solve(mesh, p, u_coeffs, sigma_coeffs, elements):
     only constants have a zero gradient.  Raises LinAlgError naming the
     elements whose block is singular.
     """
+    nt = mesh.num_triangles
+    u_coeffs = np.asarray(u_coeffs, dtype=float)
+    sigma_coeffs = np.asarray(sigma_coeffs, dtype=float)
+    if u_coeffs.ndim != 2 or u_coeffs.shape[0] != nt:
+        raise ValueError(f"u_coeffs has shape {u_coeffs.shape}, expected "
+                         f"({nt}, dim), one row per element")
+    _dim_to_degree(u_coeffs.shape[1])   # checked only: w_0 = u_0 at any degree
+    if sigma_coeffs.ndim != 3 or sigma_coeffs.shape[:2] != (nt, 2):
+        raise ValueError(f"sigma_coeffs has shape {sigma_coeffs.shape}, "
+                         f"expected (2, dim P^p) on each of the {nt} elements")
+    p = _dim_to_degree(sigma_coeffs.shape[2])
+
     exactness = 2 * (p + 3)
     w = triangle_quadrature(exactness).weights
 
     _, grad = basis_at_quadrature(p + 1, exactness)
     sphi, _ = basis_at_quadrature(p, exactness)
 
-    det = mesh.det[elements]
-    inv_t = mesh.inv[elements].transpose(0, 2, 1)
+    det = mesh.det
+    inv_t = mesh.inv.transpose(0, 2, 1)
 
     metric = np.einsum("eca,ecb->eab", inv_t, inv_t)
     t1 = np.einsum("ika,jkb,k->abij", grad, grad, w)
@@ -69,38 +86,11 @@ def _neumann_solve(mesh, p, u_coeffs, sigma_coeffs, elements):
     try:
         rest = np.linalg.solve(block, rhs_grad[:, 1:, None])[:, :, 0]
     except np.linalg.LinAlgError as exc:
-        bad = elements[np.abs(np.linalg.det(block)) < 1e-300]
+        bad = np.flatnonzero(np.abs(np.linalg.det(block)) < 1e-300)
         raise np.linalg.LinAlgError(
             f"singular postprocessing system on elements {bad[:5].tolist()} "
             "(basis bug)") from exc
     return np.column_stack([u_coeffs[:, 0], rest])
-
-
-def postprocess_element(mesh, tri, u_coeffs, sigma_coeffs):
-    """Postprocess a single element.
-
-    Parameters
-    ----------
-    mesh : Mesh
-    tri : int
-        Element index.
-    u_coeffs : (dim,) array
-        Scalar-field coefficients on the element (degree p or p+1).
-    sigma_coeffs : (2, dim P^p) array
-        Flux-field coefficients on the element (any other shape: ValueError).
-
-    Returns
-    -------
-    (dim P^{p+1},) array of coefficients in the orthonormal reference basis.
-    """
-    _dim_to_degree(len(u_coeffs))       # checked only: w_0 = u_0 at any degree
-    sigma_coeffs = np.asarray(sigma_coeffs, dtype=float)
-    if sigma_coeffs.ndim != 2 or sigma_coeffs.shape[0] != 2:
-        raise ValueError(f"sigma_coeffs has shape {sigma_coeffs.shape}, "
-                         "expected (2, dim P^p)")
-    p = _dim_to_degree(sigma_coeffs.shape[1])
-    return _neumann_solve(mesh, p, np.asarray(u_coeffs, dtype=float)[None],
-                          sigma_coeffs[None], np.array([tri]))[0]
 
 
 def postprocess_all(solution):
@@ -114,8 +104,6 @@ def postprocess_all(solution):
         warnings.warn("postprocessing an augmented-trial solution; the "
                       "superconvergence theory covers the standard space",
                       stacklevel=2)
-    p = solution.trial.p
-    coeffs = _neumann_solve(solution.mesh, p, solution.u_coeffs,
-                            solution.sigma_coeffs,
-                            np.arange(solution.mesh.num_triangles))
-    return PostprocessedField(degree=p + 1, coeffs=coeffs)
+    coeffs = postprocess_fields(solution.mesh, solution.u_coeffs,
+                                solution.sigma_coeffs)
+    return PostprocessedField(degree=solution.trial.p + 1, coeffs=coeffs)

@@ -1,7 +1,7 @@
 """
 Reference-element machinery: quadrature rules on the reference triangle and
-edge, orthonormal polynomial bases, affine element maps, and local L2
-projection.
+edge, orthonormal polynomial bases, the batched affine maps from which a
+Mesh takes its element geometry, and elementwise L2 projection.
 
 The reference triangle is T = {(x, y) : x >= 0, y >= 0, x + y <= 1} with
 vertices (0,0), (1,0), (0,1).  Monomial integrals over T have the closed
@@ -17,6 +17,9 @@ Jacobi polynomials in the collapsed coordinates (2x - 1 + y)/(1 - y) and
 L2-orthonormal at every degree, with no Gram matrix to factorize, and
 nested: ordered by total degree, the basis of degree d is the leading
 block of that of degree d + 1.
+
+Element-level functions take a whole Mesh and return one row per element;
+a single triangle is the one-element mesh Mesh(verts, [[0, 1, 2]], [0]).
 """
 
 from functools import lru_cache
@@ -247,35 +250,6 @@ def edge_bubbles(count, t):
     return (t * (1.0 - t)) * leg
 
 
-class ElementMap:
-    """Affine map from the reference triangle onto a physical triangle.
-
-    x = v0 + J xhat, with J, det J and J^{-1} from affine_maps.  Physical
-    gradients are obtained through J^{-T}.
-    """
-
-    def __init__(self, v0, v1, v2):
-        verts = np.array([[v0, v1, v2]], dtype=float)
-        jac, det, inv = affine_maps(verts)
-        if det[0] < 0.0:
-            raise ValueError("element map has negative Jacobian determinant "
-                             "(clockwise triangle)")
-        self.origin, self.jacobian, self.det, self.inverse_jacobian = (
-            verts[0, 0], jac[0], float(det[0]), inv[0])
-
-    @property
-    def area(self):
-        return 0.5 * self.det
-
-    def to_physical(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return self.origin + pts @ self.jacobian.T
-
-    def to_reference(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return (pts - self.origin) @ self.inverse_jacobian.T
-
-
 def affine_maps(verts):
     """Batched affine maps of triangles with vertices verts (ne, 3, 2):
     Jacobians J (ne, 2, 2) with columns v1 - v0 and v2 - v0, det J (ne,)
@@ -296,18 +270,20 @@ def affine_maps(verts):
     return jac, det, inv
 
 
-def project_l2(degree, f, emap, exactness=None):
-    """L2-orthogonal projection of f onto P^degree on one element: the
-    element mass matrix is det J times the identity, so the coefficients
-    are the moments of f against the orthonormal reference basis.
+def project_l2(degree, f, mesh, exactness=None):
+    """L2-orthogonal projection of f onto P^degree on every element of
+    mesh: the element mass matrix is det J times the identity, so the
+    coefficients are the moments of f against the orthonormal reference
+    basis.
 
     Parameters
     ----------
     degree : int
         Target polynomial degree.
     f : callable
-        f(x, y) accepting arrays of physical coordinates.
-    emap : ElementMap
+        f(x, y) accepting arrays of physical coordinates of shape
+        (nt, npts), row e on element e.
+    mesh : Mesh
     exactness : int, optional
         Quadrature exactness; defaults to 2*degree + 4.  Must be at least
         2*degree (ValueError otherwise), and 2*degree plus the polynomial
@@ -315,8 +291,9 @@ def project_l2(degree, f, emap, exactness=None):
 
     Returns
     -------
-    (dim,) array
-        Coefficients in the orthonormal reference basis of the element.
+    (nt, dim) array
+        Coefficients in the orthonormal reference basis, one row per
+        element.
     """
     if exactness is None:
         exactness = 2 * degree + 4
@@ -325,6 +302,6 @@ def project_l2(degree, f, emap, exactness=None):
                          f"2*degree = {2 * degree}")
     rule = triangle_quadrature(exactness)
     phi = scalar_basis(degree).values(rule.points)
-    xy = emap.to_physical(rule.points)
-    fvals = np.asarray(f(xy[:, 0], xy[:, 1]), dtype=float)
-    return (phi * rule.weights) @ fvals
+    xy = mesh.to_physical(rule.points)
+    fvals = np.asarray(f(xy[..., 0], xy[..., 1]), dtype=float)
+    return fvals @ (phi * rule.weights).T

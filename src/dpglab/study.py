@@ -33,6 +33,11 @@ PROBLEMS = {"square": square_smooth, "lshape": lshape_singular}
 _CHOICES = {"problem": tuple(PROBLEMS), "trial": ("standard", "augmented"),
             "mode": ("uniform", "adaptive")}
 
+# the type of each numeric field of StudyConfig; bools are refused
+_NUMBERS = {"p": numbers.Integral, "levels": numbers.Integral,
+            "max_dofs": numbers.Integral, "quad_bump": numbers.Integral,
+            "theta": numbers.Real, "solver_tol": numbers.Real}
+
 
 class ConfigError(ValueError):
     """Invalid study configuration."""
@@ -67,7 +72,8 @@ class StudyConfig:
     problem "square" runs the smooth reaction-diffusion benchmark,
     "lshape" the singular Poisson benchmark; other pairings are not
     meaningful and are rejected.  problem, trial and mode take the values
-    listed in _CHOICES; p, levels, max_dofs and quad_bump are integers.
+    listed in _CHOICES; p, levels, max_dofs and quad_bump are integers,
+    theta and solver_tol real numbers and postprocess a bool.
     """
     problem: str = "square"
     p: int = 0
@@ -86,13 +92,15 @@ class StudyConfig:
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"unknown {name} {getattr(self, name)!r}; "
                                   f"choose {' or '.join(allowed)}")
-        for name in ("p", "levels", "max_dofs", "quad_bump"):
+        for name, kind in _NUMBERS.items():
             value = getattr(self, name)
-            integer = (isinstance(value, numbers.Integral)
-                       and not isinstance(value, bool))
-            if not (integer or value is None
-                    and name in ("levels", "max_dofs")):
-                raise ConfigError(f"{name} must be an integer, not {value!r}")
+            if not (isinstance(value, kind) and not isinstance(value, bool)
+                    or value is None and name in ("levels", "max_dofs")):
+                what = "an integer" if kind is numbers.Integral else "a number"
+                raise ConfigError(f"{name} must be {what}, not {value!r}")
+        if not isinstance(self.postprocess, bool):
+            raise ConfigError("postprocess must be True or False, not "
+                              f"{self.postprocess!r}")
         if not 0 <= self.p <= 3:
             raise ConfigError("polynomial order p must be in 0..3")
         if not 0.0 < self.theta < 1.0:

@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 from dpglab.adapt import mark
-from dpglab.dpg import POISSON, TrialSpace, assemble_solve, local_gram
+from dpglab.dpg import (POISSON, REACTION_DIFFUSION, TrialSpace,
+                        _local_systems, assemble_solve)
 from dpglab.mesh import Mesh, lshape_mesh, refine_marked, unit_square_mesh
-from dpglab.postprocess import postprocess_element
+from dpglab.postprocess import postprocess_fields
 from dpglab.problems import (ManufacturedProblem, error_report,
                              lshape_singular, square_smooth)
-from dpglab.spaces import (ElementMap, monomial_exponents, monomial_integral,
-                           project_l2, scalar_basis, triangle_quadrature)
+from dpglab.spaces import (monomial_exponents, monomial_integral, project_l2,
+                           scalar_basis, triangle_quadrature)
 from dpglab.study import StudyConfig, fit_slope, run_study
 
 _STUDIES = {}
@@ -133,19 +134,20 @@ def test_criterion_7_property_suite():
                 monomial_integral(a, b), rel=1e-13, abs=1e-15)
 
     # L2 projection idempotence and orthogonality to 1e-12
-    emap = ElementMap([0.1, 0.0], [1.2, 0.2], [0.3, 1.1])
-    coeffs = project_l2(1, lambda x, y: x * x - y, emap, exactness=8)
+    element = Mesh([[0.1, 0.0], [1.2, 0.2], [0.3, 1.1]], [[0, 1, 2]], [0])
+    coeffs = project_l2(1, lambda x, y: x * x - y, element, exactness=8)[0]
 
     def projected(px, py):
-        ref = emap.to_reference(np.column_stack([np.ravel(px), np.ravel(py)]))
+        pts = np.column_stack([np.ravel(px), np.ravel(py)])
+        ref = (pts - element.vertices[0]) @ element.inv[0].T
         return (coeffs @ scalar_basis(1).values(ref)).reshape(np.shape(px))
 
-    twice = project_l2(1, projected, emap, exactness=8)
+    twice = project_l2(1, projected, element, exactness=8)[0]
     assert np.abs(twice - coeffs).max() < 1e-12
     rule = triangle_quadrature(8)
-    xy = emap.to_physical(rule.points)
+    xy = element.to_physical(rule.points)[0]
     resid = (xy[:, 0] ** 2 - xy[:, 1]) - projected(xy[:, 0], xy[:, 1])
-    w = rule.weights * emap.det
+    w = rule.weights * element.det[0]
     for ell in (np.ones(len(w)), xy[:, 0], xy[:, 1]):
         assert abs(np.sum(w * resid * ell)) < 1e-12
 
@@ -157,7 +159,8 @@ def test_criterion_7_property_suite():
         if d1[0] * d2[1] - d1[1] * d2[0] < 0:
             v[[1, 2]] = v[[2, 1]]
         mesh1 = Mesh(v, np.array([[0, 1, 2]]), np.array([0]))
-        assert np.linalg.eigvalsh(local_gram(mesh1, 0, p)).min() > 0
+        G, _ = _local_systems(mesh1, TrialSpace(p), REACTION_DIFFUSION, [0])
+        assert np.linalg.eigvalsh(G[0]).min() > 0
 
     # Galerkin orthogonality on every solve here
     smooth = square_smooth()
@@ -201,7 +204,8 @@ def test_criterion_7_property_suite():
     sigma = np.linalg.solve(mass1, (phi1 * rule6.weights) @ gvals.T).T
     u_lo = np.linalg.solve(
         mass1, (phi1 * rule6.weights) @ (target @ basis2.values(rule6.points)))
-    out = postprocess_element(mesh, 0, u_lo, sigma)
+    element = Mesh(verts, [[0, 1, 2]], [0])
+    out = postprocess_fields(element, u_lo[None], sigma[None])[0]
     assert np.abs(out - target).max() < 1e-12
     mean_out = out @ basis2.values(rule6.points) @ rule6.weights
     mean_in = u_lo @ phi1 @ rule6.weights

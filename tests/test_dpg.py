@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from dpglab.dpg import (POISSON, REACTION_DIFFUSION, DofMap, TrialSpace,
-                        assemble_solve, condense, local_b, local_gram,
-                        local_load)
+                        _local_systems, assemble_solve, condense)
 from dpglab.mesh import Mesh, lshape_mesh, refine_uniform, unit_square_mesh
 from dpglab.problems import ManufacturedProblem, error_report, square_smooth
-from dpglab.spaces import ElementMap, project_l2, scalar_basis
+from dpglab.spaces import project_l2, scalar_basis
 
 
 def constant_test_vector(p, delta_p=2):
@@ -23,7 +22,7 @@ def test_local_gram_constant_tests():
     mesh = unit_square_mesh(2)
     area = mesh.areas()[0]
     for p in (0, 1):
-        G = local_gram(mesh, 0, p)
+        G = _local_systems(mesh, TrialSpace(p), REACTION_DIFFUSION, [0])[0][0]
         cv, n_t = constant_test_vector(p)
         # (v, tau) = (1, 0): norm^2 is the element area
         assert cv @ G @ cv == pytest.approx(area, rel=1e-12)
@@ -41,7 +40,8 @@ def test_local_gram_spd_on_random_triangles():
         if d1[0] * d2[1] - d1[1] * d2[0] < 0:
             v[[1, 2]] = v[[2, 1]]
         mesh = Mesh(v, np.array([[0, 1, 2]]), np.array([0]))
-        G = local_gram(mesh, 0, k % 3)
+        G = _local_systems(mesh, TrialSpace(k % 3), REACTION_DIFFUSION,
+                           [0])[0][0]
         assert np.abs(G - G.T).max() < 1e-12 * np.abs(G).max()
         assert np.linalg.eigvalsh(G).min() > 0
 
@@ -53,32 +53,27 @@ def test_local_b_constant_pairings():
     cv, n_t = constant_test_vector(0)
     cu = np.zeros(DofMap(mesh, trial).n_local)
     cu[0] = 1.0 / np.sqrt(2.0)   # u = 1 (coefficients sit on the reference basis)
-    b_rd = local_b(mesh, 0, trial, REACTION_DIFFUSION)
+    b_rd = _local_systems(mesh, trial, REACTION_DIFFUSION, [0])[1][0]
     assert cv @ b_rd @ cu == pytest.approx(area, rel=1e-12)   # (1, 0 + 1)_T
-    b_po = local_b(mesh, 0, trial, POISSON)
+    b_po = _local_systems(mesh, trial, POISSON, [0])[1][0]
     assert cv @ b_po @ cu == pytest.approx(0.0, abs=1e-14)    # no (u, v) term
 
 
-def exact_affine_local_coeffs(mesh, t, trial):
-    """Element coefficients of u* = x + y, sigma* = (1, 1), with traces."""
-    p = trial.p
-    verts = mesh.vertices[mesh.triangles[t]]
-    emap = ElementMap(*verts)
-    cu = project_l2(trial.u_degree, lambda x, y: x + y, emap)
-    ones = lambda x, y: np.ones_like(x)
-    cs = np.concatenate([project_l2(p, ones, emap), project_l2(p, ones, emap)])
-    uhat = [vx + vy for vx, vy in verts]
-    bubbles = [0.0] * (3 * p)
-    flux = []
-    for le in range(3):
-        ge = mesh.tri_edges[t, le]
-        a, b = mesh.edges[ge]
-        d = mesh.vertices[b] - mesh.vertices[a]
-        d = d / np.hypot(*d)
-        coeff = np.zeros(p + 1)
-        coeff[0] = d[1] - d[0]          # (1,1) . n_edge with n = (dy, -dx)
-        flux.extend(coeff)
-    return np.concatenate([cu, cs, uhat, bubbles, flux])
+def exact_affine_local_coeffs(mesh, trial):
+    """Element coefficients (nt, n_local) of u* = x + y, sigma* = (1, 1),
+    with traces."""
+    p, nt = trial.p, mesh.num_triangles
+    cu = project_l2(trial.u_degree, lambda x, y: x + y, mesh)
+    cs = project_l2(p, lambda x, y: np.ones_like(x), mesh)
+    uhat = mesh.vertices[mesh.triangles].sum(axis=2)
+    bubbles = np.zeros((nt, 3 * p))
+    ends = mesh.vertices[mesh.edges[mesh.tri_edges]]    # (nt, 3, 2, 2)
+    d = ends[:, :, 1] - ends[:, :, 0]
+    d = d / np.hypot(d[..., 0], d[..., 1])[..., None]
+    flux = np.zeros((nt, 3, p + 1))
+    flux[:, :, 0] = d[..., 1] - d[..., 0]   # (1,1) . n_edge with n = (dy, -dx)
+    return np.concatenate([cu, cs, cs, uhat, bubbles, flux.reshape(nt, -1)],
+                          axis=1)
 
 
 def relabelled(mesh, seed=0):
@@ -109,26 +104,26 @@ def test_local_b_exact_solution_columns(p, augmented):
         tri = m.triangles
         flips = tri[:, [1, 2, 0]] > tri[:, [2, 0, 1]]
         seen.update((le, bool(fl)) for row in flips for le, fl in enumerate(row))
-        for t in range(m.num_triangles):
-            B = local_b(m, t, trial, POISSON)
-            coeffs = exact_affine_local_coeffs(m, t, trial)
-            assert np.abs(B @ coeffs).max() < 1e-12
+        _, B = _local_systems(m, trial, POISSON, None)
+        coeffs = exact_affine_local_coeffs(m, trial)
+        assert np.abs(np.einsum("eij,ej->ei", B, coeffs)).max() < 1e-12
     assert seen == {(le, fl) for le in range(3) for fl in (False, True)}
 
 
 def test_local_load_cases():
     mesh = unit_square_mesh(2)
     area = mesh.areas()[0]
-    F0 = local_load(mesh, 0, None, 0)
+    trial = TrialSpace(0)
+    F0 = element_loads(mesh, trial, lambda x, y: np.zeros_like(x))[0]
     assert np.allclose(F0, 0.0)
     cv, n_t = constant_test_vector(0)
-    F1 = local_load(mesh, 0, lambda x, y: np.ones_like(x), 0)
+    F1 = element_loads(mesh, trial, lambda x, y: np.ones_like(x))[0]
     assert cv @ F1 == pytest.approx(area, rel=1e-12)
     assert np.allclose(F1[n_t:], 0.0)    # tau block empty
     # f = x against v = 1 on the reference triangle
     ref = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                np.array([[0, 1, 2]]), np.array([0]))
-    Fx = local_load(ref, 0, lambda x, y: x, 0)
+    Fx = element_loads(ref, trial, lambda x, y: x)[0]
     cv, _ = constant_test_vector(0)
     assert cv @ Fx == pytest.approx(1 / 6, rel=1e-12)
 
@@ -209,6 +204,21 @@ def test_condense_rejects_indefinite_gram():
     Gs[1] = G
     with pytest.raises(np.linalg.LinAlgError):
         condense_load(Gs, np.repeat(np.eye(2)[None], 3, axis=0), np.zeros((3, 2)))
+
+
+def test_mesh_without_triangles_is_refused():
+    empty = Mesh(np.zeros((3, 2)), np.zeros((0, 3), int), [])
+    with pytest.raises(ValueError, match="no triangles"):
+        assemble_solve(empty, TrialSpace(1), REACTION_DIFFUSION, None)
+
+
+def test_trial_space_order_is_a_nonnegative_integer():
+    for p in (1.5, True, "1", -1, np.float64(2.0)):
+        with pytest.raises(ValueError, match="integer >= 0"):
+            TrialSpace(p)
+    # numpy integers, as StudyConfig may hold them, pass
+    assert TrialSpace(np.int64(2)).u_degree == 2
+    assert TrialSpace(np.int32(1), augmented=True).u_degree == 2
 
 
 def test_zero_problem_gives_zero_solution():
@@ -294,7 +304,7 @@ def test_condensed_solve_matches_monolithic_saddle_point(p, monkeypatch):
     # assembled and solved densely; it shares only the local matrices and
     # the Dirichlet values with assemble_solve
     import dpglab.dpg as dpg
-    from dpglab.dpg import _dirichlet_values, _local_systems
+    from dpglab.dpg import _dirichlet_values
     from dpglab.problems import lshape_singular
 
     if p == 0:
@@ -379,7 +389,6 @@ def test_interior_block_not_spd_raises_before_factorization(monkeypatch):
 
 def test_condensed_matrix_spd():
     import scipy.sparse as sp
-    from dpglab.dpg import _local_systems
 
     mesh = unit_square_mesh(2)
     trial = TrialSpace(1)
@@ -398,7 +407,7 @@ def test_condensed_matrix_spd():
 
 
 def test_estimator_consistency_and_locality():
-    from dpglab.dpg import _local_systems, default_exactness
+    from dpglab.dpg import default_exactness
 
     problem = square_smooth()
     mesh = refine_uniform(unit_square_mesh(1))
@@ -572,7 +581,7 @@ def perturbed(mesh, seed=5, amount=0.03):
 def per_element_oracle(mesh, trial, kind, source, dirichlet):
     """condense() on every element's own local systems, no element
     classes, and a dense solve of the assembled system."""
-    from dpglab.dpg import _dirichlet_values, _local_systems
+    from dpglab.dpg import _dirichlet_values
 
     dm = DofMap(mesh, trial)
     G, B = _local_systems(mesh, trial, kind, None)

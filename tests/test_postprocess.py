@@ -5,7 +5,7 @@ import pytest
 
 from dpglab.dpg import TrialSpace, assemble_solve
 from dpglab.mesh import Mesh, refine_uniform, unit_square_mesh
-from dpglab.postprocess import postprocess_all, postprocess_element
+from dpglab.postprocess import postprocess_all, postprocess_fields
 from dpglab.problems import error_report, square_smooth
 from dpglab.spaces import scalar_basis, triangle_quadrature
 
@@ -19,7 +19,7 @@ def test_hand_solve_on_reference_triangle():
     # sigma = (1, 0), u = 0, p = 0: the local Neumann solve gives x - 1/3
     mesh = reference_mesh()
     sigma = np.array([[1.0 / np.sqrt(2.0)], [0.0]])   # (1, 0) in basis coeffs
-    out = postprocess_element(mesh, 0, np.zeros(1), sigma)
+    out = postprocess_fields(mesh, np.zeros((1, 1)), sigma[None])[0]
     pts = np.array([[0.0, 0.0], [0.5, 0.2], [0.1, 0.8]])
     vals = out @ scalar_basis(1).values(pts)
     assert np.abs(vals - (pts[:, 0] - 1 / 3)).max() < 1e-13
@@ -28,8 +28,8 @@ def test_hand_solve_on_reference_triangle():
 def test_constants_are_reproduced():
     mesh = unit_square_mesh(2)
     c = 2.75
-    u0 = np.array([c / np.sqrt(2.0)])
-    out = postprocess_element(mesh, 3, u0, np.zeros((2, 1)))
+    u0 = np.full((mesh.num_triangles, 1), c / np.sqrt(2.0))
+    out = postprocess_fields(mesh, u0, np.zeros((mesh.num_triangles, 2, 1)))
     vals = out @ scalar_basis(1).values(np.array([[0.3, 0.3], [0.1, 0.6]]))
     assert np.abs(vals - c).max() < 1e-13
 
@@ -48,19 +48,21 @@ def test_gradient_reproduction(p):
     phi_lo = basis_lo.values(rule.points)
     w = rule.weights
     mass_lo = (phi_lo * w) @ phi_lo.T
-    for t in range(mesh.num_triangles):
-        target = rng.standard_normal(basis_hi.dim)
+    targets = rng.standard_normal((mesh.num_triangles, basis_hi.dim))
+    sigmas = np.empty((mesh.num_triangles, 2, basis_lo.dim))
+    u_los = np.empty((mesh.num_triangles, basis_lo.dim))
+    for t, target in enumerate(targets):
         verts = mesh.vertices[mesh.triangles[t]]
         jac = np.column_stack([verts[1] - verts[0], verts[2] - verts[0]])
         inv_t = np.linalg.inv(jac).T
         # physical gradient components of the target, exactly in P^p
         gphys = np.einsum("ca,ika->cik", inv_t, grad_hi)
         gvals = np.einsum("j,cjk->ck", target, gphys)
-        sigma = np.linalg.solve(mass_lo, (phi_lo * w) @ gvals.T).T
+        sigmas[t] = np.linalg.solve(mass_lo, (phi_lo * w) @ gvals.T).T
         # u with the same mean: project the target onto P^p
-        u_lo = np.linalg.solve(mass_lo, (phi_lo * w) @ (target @ phi_hi))
-        out = postprocess_element(mesh, t, u_lo, sigma)
-        assert np.abs(out - target).max() < 1e-12
+        u_los[t] = np.linalg.solve(mass_lo, (phi_lo * w) @ (target @ phi_hi))
+    out = postprocess_fields(mesh, u_los, sigmas)
+    assert np.abs(out - targets).max() < 1e-12
 
 
 @pytest.mark.parametrize("augmented", [False, True])
@@ -73,8 +75,11 @@ def test_element_and_batched_entry_points_agree(p, augmented, recwarn):
     batched = postprocess_all(sol).coeffs
     scale = np.abs(batched).max()
     for t in range(mesh.num_triangles):
-        single = postprocess_element(mesh, t, sol.u_coeffs[t],
-                                     sol.sigma_coeffs[t])
+        # element t alone, as a one-element mesh
+        element = Mesh(mesh.vertices[mesh.triangles[t]], [[0, 1, 2]],
+                       mesh.refinement_edges[[t]])
+        single = postprocess_fields(element, sol.u_coeffs[[t]],
+                                    sol.sigma_coeffs[[t]])[0]
         assert np.abs(single - batched[t]).max() <= 1e-14 * scale
 
 
@@ -99,16 +104,26 @@ def test_mean_constraint_on_full_solve(recwarn):
 
 def test_element_rejects_non_polynomial_u_length():
     with pytest.raises(ValueError, match="length 4 is not a triangle"):
-        postprocess_element(unit_square_mesh(2), 0, np.zeros(4),
-                            np.zeros((2, 1)))
+        postprocess_fields(unit_square_mesh(2), np.zeros((8, 4)),
+                           np.zeros((8, 2, 1)))
 
 
 @pytest.mark.parametrize("shape", [(3,), (3, 3), (2, 3, 1), (1, 2)],
                          ids=["1-D", "3x3", "3-D", "1x2"])
 def test_element_rejects_bad_sigma_shape(shape):
     with pytest.raises(ValueError, match=r"expected \(2, dim P\^p\)"):
-        postprocess_element(unit_square_mesh(2), 0, np.zeros(1),
-                            np.zeros(shape))
+        postprocess_fields(unit_square_mesh(2), np.zeros((8, 1)),
+                           np.zeros((8,) + shape))
+
+
+def test_fields_need_one_row_per_element():
+    mesh = unit_square_mesh(2)      # 8 elements
+    with pytest.raises(ValueError, match="one row per element"):
+        postprocess_fields(mesh, np.zeros((7, 1)), np.zeros((8, 2, 1)))
+    with pytest.raises(ValueError, match="on each of the 8 elements"):
+        postprocess_fields(mesh, np.zeros((8, 1)), np.zeros((7, 2, 1)))
+    with pytest.raises(ValueError, match="one row per element"):
+        postprocess_fields(mesh, np.zeros(1), np.zeros((8, 2, 1)))
 
 
 def test_singular_system_names_the_elements(monkeypatch):

@@ -7,7 +7,7 @@ from dpglab.dpg import REACTION_DIFFUSION, TrialSpace, assemble_solve
 from dpglab.mesh import refine_uniform, unit_square_mesh
 from dpglab.postprocess import PostprocessedField
 from dpglab.problems import (error_report, lshape_singular, square_smooth)
-from dpglab.spaces import project_l2, ElementMap, scalar_basis
+from dpglab.spaces import project_l2
 
 
 def fd_pde_residual(problem, x, y, h=1e-4):
@@ -124,10 +124,7 @@ def test_error_report_exact_postprocessed_field():
     mesh = unit_square_mesh(2)
     sol = assemble_solve(mesh, TrialSpace(1), problem.kind, problem.source,
                          dirichlet=problem.dirichlet)
-    coeffs = np.empty((mesh.num_triangles, scalar_basis(2).dim))
-    for t in range(mesh.num_triangles):
-        emap = ElementMap(*mesh.vertices[mesh.triangles[t]])
-        coeffs[t] = project_l2(2, exact, emap, exactness=12)
+    coeffs = project_l2(2, exact, mesh, exactness=12)
     post = PostprocessedField(degree=2, coeffs=coeffs)
     rep = error_report(sol, post, problem)
     assert rep.err_u_post < 1e-12

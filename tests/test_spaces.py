@@ -1,9 +1,10 @@
-"""Quadrature, basis, element map, and L2 projection tests."""
+"""Quadrature, basis, and L2 projection tests."""
 
 import numpy as np
 import pytest
 
-from dpglab.spaces import (EdgeBasis, ElementMap, basis_at_quadrature,
+from dpglab.mesh import Mesh, refine_marked, refine_uniform
+from dpglab.spaces import (EdgeBasis, basis_at_quadrature,
                            edge_bubbles, edge_quadrature, monomial_exponents,
                            monomial_integral, project_l2, scalar_basis,
                            triangle_quadrature)
@@ -126,78 +127,67 @@ def test_basis_at_quadrature_is_cached_read_only_and_exact():
         gradients[0, 0, 0] = 1.0
 
 
-def test_element_map_area_and_roundtrip():
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        v = rng.uniform(-2, 2, size=(3, 2))
-        d1, d2 = v[1] - v[0], v[2] - v[0]
-        area2 = d1[0] * d2[1] - d1[1] * d2[0]
-        if area2 < 0:
-            v[[1, 2]] = v[[2, 1]]
-            area2 = -area2
-        emap = ElementMap(*v)
-        assert emap.area == pytest.approx(0.5 * area2, rel=1e-12)
-        # integral of 1 through the map equals the area
-        rule = triangle_quadrature(2)
-        assert np.sum(rule.weights) * emap.det == pytest.approx(
-            0.5 * area2, rel=1e-12)
-        pts = rng.uniform(0, 0.5, size=(7, 2))
-        back = emap.to_reference(emap.to_physical(pts))
-        assert np.abs(back - pts).max() < 1e-12
+def reference_mesh():
+    return Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]], [0])
 
 
-def test_element_map_rejects_misoriented_triangle():
-    with pytest.raises(ValueError):
-        ElementMap([0, 0], [0, 1], [1, 0])
-    with pytest.raises(ValueError):
-        ElementMap([0, 0], [1, 1], [2, 2])
+def to_reference(mesh, pts):
+    """Reference coordinates of physical points pts (nt, npts, 2), row e
+    pulled back through the map of element e."""
+    origin = mesh.vertices[mesh.triangles[:, 0]]
+    return (pts - origin[:, None, :]) @ mesh.inv.transpose(0, 2, 1)
+
+
+def basis_function(mesh, basis, coeffs):
+    """f(x, y) for project_l2: element e's polynomial coeffs[e] in the
+    reference basis, at physical points of shape (nt, npts)."""
+    def f(x, y):
+        ref = to_reference(mesh, np.stack([x, y], axis=-1))
+        phi = basis.values(ref.reshape(-1, 2)).reshape(basis.dim, *x.shape)
+        return np.einsum("ej,jek->ek", coeffs, phi)
+    return f
 
 
 @pytest.mark.parametrize("degree", [0, 1, 2, 3])
 def test_projection_reproduces_polynomials(degree):
-    emap = ElementMap([0.2, -0.1], [1.1, 0.3], [0.4, 0.9])
+    # a different random polynomial on every element of an NVB-refined
+    # mesh, all projected in one call
+    mesh = Mesh([[0.2, -0.1], [1.1, 0.3], [0.4, 0.9]], [[0, 1, 2]], [0])
+    mesh = refine_marked(refine_uniform(mesh), [0, 2])
     basis = scalar_basis(degree)
     rng = np.random.default_rng(degree)
-    coeffs = rng.standard_normal(basis.dim)
-
-    def f(x, y):
-        ref = emap.to_reference(np.column_stack([np.ravel(x), np.ravel(y)]))
-        return (coeffs @ basis.values(ref)).reshape(np.shape(x))
-
-    out = project_l2(degree, f, emap)
+    coeffs = rng.standard_normal((mesh.num_triangles, basis.dim))
+    out = project_l2(degree, basis_function(mesh, basis, coeffs), mesh)
+    assert out.shape == coeffs.shape
     assert np.abs(out - coeffs).max() < 1e-12
 
 
 def test_projection_refuses_underintegration():
     # below exactness 2*degree the basis is not orthonormal under the rule
-    emap = ElementMap([0, 0], [1, 0], [0, 1])
+    mesh = reference_mesh()
     with pytest.raises(ValueError, match="below 2\\*degree"):
-        project_l2(2, lambda x, y: x, emap, exactness=3)
-    project_l2(2, lambda x, y: x, emap, exactness=4)
+        project_l2(2, lambda x, y: x, mesh, exactness=3)
+    project_l2(2, lambda x, y: x, mesh, exactness=4)
 
 
 def test_projection_mean_of_x():
-    emap = ElementMap([0, 0], [1, 0], [0, 1])
-    c = project_l2(0, lambda x, y: x, emap)
+    c = project_l2(0, lambda x, y: x, reference_mesh())[0]
     val = c @ scalar_basis(0).values([[0.25, 0.25]])
     assert val[0] == pytest.approx(1 / 3, rel=1e-13)   # (1/6) / (1/2)
 
 
 def test_projection_orthogonality_and_idempotence():
-    emap = ElementMap([0, 0], [1, 0], [0, 1])
-    c = project_l2(1, lambda x, y: x ** 2, emap, exactness=8)
+    mesh = reference_mesh()
+    c = project_l2(1, lambda x, y: x ** 2, mesh, exactness=8)
     rule = triangle_quadrature(8)
     x, y = rule.points[:, 0], rule.points[:, 1]
-    proj = c @ scalar_basis(1).values(rule.points)
+    proj = c[0] @ scalar_basis(1).values(rule.points)
     resid = x ** 2 - proj
     for ell in (np.ones_like(x), x, y):
         assert abs(np.sum(rule.weights * resid * ell)) < 1e-12
 
-    def f_proj(px, py):
-        ref = emap.to_reference(np.column_stack([np.ravel(px), np.ravel(py)]))
-        return (c @ scalar_basis(1).values(ref)).reshape(np.shape(px))
-
-    twice = project_l2(1, f_proj, emap, exactness=8)
+    twice = project_l2(1, basis_function(mesh, scalar_basis(1), c), mesh,
+                       exactness=8)
     assert np.abs(twice - c).max() < 1e-12
 
 

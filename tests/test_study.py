@@ -130,6 +130,13 @@ def test_config_validation_errors():
         StudyConfig(mode="adaptive", max_dofs=False),
         StudyConfig(levels=3, quad_bump=0.5),
         StudyConfig(levels=3, quad_bump=False),
+        # real fields: no strings, no bools; postprocess is a bool
+        StudyConfig(levels=3, theta="0.5"),
+        StudyConfig(levels=3, theta=True),
+        StudyConfig(levels=3, solver_tol="1e-10"),
+        StudyConfig(levels=3, solver_tol=False),
+        StudyConfig(levels=3, postprocess="no"),
+        StudyConfig(levels=3, postprocess=1),
     ]
     for config in bad:
         with pytest.raises(ConfigError):
@@ -138,6 +145,8 @@ def test_config_validation_errors():
     StudyConfig(p=3, levels=3, quad_bump=4).validate()
     StudyConfig(p=np.int64(1), levels=np.int32(2), max_dofs=np.int64(10),
                 quad_bump=np.int64(0)).validate()
+    StudyConfig(levels=3, theta=np.float64(0.5), solver_tol=1e-8,
+                postprocess=True).validate()
 
 
 def test_cli_run_and_exit_codes(tmp_path, capsys):
