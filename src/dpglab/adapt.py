@@ -60,8 +60,6 @@ class AdaptiveStep:
     mesh: object
     solution: object
     postprocessed: object
-    eta: float
-    eta_local: np.ndarray
     report: object
 
 
@@ -127,7 +125,6 @@ def _steps(problem, trial, mode, theta, max_dofs, max_steps, postprocess,
         report = error_report(solution, post, problem,
                               extra_exactness=error_exactness_bump)
         yield AdaptiveStep(mesh=mesh, solution=solution, postprocessed=post,
-                           eta=solution.eta, eta_local=solution.eta_local,
                            report=report)
         solves += 1
         if max_dofs is not None and solution.num_dofs >= max_dofs:

@@ -37,19 +37,20 @@ and the fields come back element by element, x_I = S_II^{-1} (r_I -
 S_IS x_S).
 
 The element geometry comes from the mesh, which computes it once: J,
-det J and J^{-1} (Mesh.jac, det, inv), the orientation of the local edges
-(Mesh.edge_flips) and the physical quadrature points of the load moments
-(Mesh.to_physical).  G_T and B_T depend on T only through J and the edge
-flips, and newest-vertex bisection produces few distinct element shapes,
-so assemble_solve groups the elements into classes whose members share
-both bit for bit and condenses once per class; a ClassStore keeps the
-class operators for the next solve, which condenses only the classes new
-to its mesh.  condense() treats a load as one more coupling column: the
-first condensation takes [B | E], E the scalar test rows that carry the
-load, and its Schur complement holds S and, past the trial columns, R =
-B' G^{-1} E.  The second condenses S_II against [S_IS | R_I], which
-leaves S_hat and the skeleton load operator R_S - S_SI S_II^{-1} R_I side
-by side.  Every element then needs only gathers and small products with
+det J and J^{-1} (Mesh.jac, det, inv) and the orientation of the local
+edges (Mesh.edge_flips).  The scalar test basis is orthonormal on the
+reference element, so the load moments (f, v_i)_T are det J times the L2
+projection of f (spaces.project_l2).  G_T and B_T depend on T only
+through J and the edge flips, and newest-vertex bisection produces few
+distinct element shapes, so assemble_solve groups the elements into
+classes whose members share both bit for bit and condenses once per
+class; a ClassStore keeps the class operators for the next solve, which
+condenses only the classes new to its mesh.  condense() treats a load as
+one more coupling column: the first condensation takes [B | E], E the
+scalar test rows that carry the load, and its Schur complement holds S
+and, past the trial columns, R = B' G^{-1} E.  The second condenses S_II
+against [S_IS | R_I], which leaves S_hat and the skeleton load operator
+R_S - S_SI S_II^{-1} R_I side by side.  Every element then needs only gathers and small products with
 its class operators: G^{-1} F_T, its skeleton load and S_II^{-1} r_I from
 its load moments, its fields from its skeleton values, and the residual
 representer eps_T = G^{-1} F_T - (G^{-1} B) x_T, which carries the local
@@ -65,7 +66,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .spaces import (REFERENCE_VERTICES, basis_at_quadrature, edge_basis,
-                     edge_bubbles, edge_quadrature, scalar_basis,
+                     edge_bubbles, edge_quadrature, project_l2, scalar_basis,
                      triangle_quadrature)
 
 REACTION_DIFFUSION = "reaction-diffusion"
@@ -87,7 +88,8 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrialSpace:
-    """Polynomial order of the trial space, an integer p >= 0.
+    """Polynomial order of the trial space, an integer p >= 0, and
+    whether it is augmented, a bool.
 
     The scalar field u is sought at degree p, or p+1 when augmented;
     fluxes and traces stay at order p either way.
@@ -100,6 +102,9 @@ class TrialSpace:
         if isinstance(p, bool) or not isinstance(p, numbers.Integral) or p < 0:
             raise ValueError(f"polynomial order p must be an integer >= 0, "
                              f"not {p!r}")
+        if not isinstance(self.augmented, (bool, np.bool_)):
+            raise ValueError(f"augmented must be a bool, not "
+                             f"{self.augmented!r}")
 
     @property
     def u_degree(self):
@@ -187,18 +192,19 @@ class Solution:
 
 @lru_cache(maxsize=None)
 def _reference_tables(u_degree, p, r, exactness):
-    """Reference-element contraction tensors shared by all elements."""
-    tri = triangle_quadrature(exactness)
+    """Reference-element contraction tensors shared by all elements: the
+    bases of degree u_degree (U), p (S) and r (V) against each other under
+    triangle_quadrature(exactness), and the edge traces of V.  The one
+    place where bases meet quadrature weights; postprocessing reads T1
+    and GS with (U, S, V) of degrees (p, p, p + 1)."""
+    w = triangle_quadrature(exactness).weights
     edge = edge_quadrature(exactness)
-    w = tri.weights
     U = basis_at_quadrature(u_degree, exactness)[0]
     S = basis_at_quadrature(p, exactness)[0]
     V, Vg = basis_at_quadrature(r, exactness)
 
     tab = {
-        "tri_points": tri.points, "tri_weights": w,
         "n_u": U.shape[0], "n_s": S.shape[0], "n_t": V.shape[0],
-        "V": V,
         # volume contractions against the quadrature weight
         "M0": np.einsum("ik,jk,k->ij", V, V, w),
         "T1": np.einsum("ika,jkb,k->abij", Vg, Vg, w),
@@ -422,19 +428,6 @@ class ClassStore:
         return self.ops, int(missing.size)
 
 
-def _load_moments(tab, source, mesh):
-    """Moments (f, v_i)_T against the scalar test functions of every
-    element of mesh, (nt, n_t).
-
-    Raises ValueError on non-finite source values at the quadrature points,
-    before they enter any contraction."""
-    xy = mesh.to_physical(tab["tri_points"])
-    fv = np.asarray(source(xy[..., 0], xy[..., 1]), dtype=float)
-    if not np.isfinite(fv).all():
-        raise ValueError("source term has non-finite values")
-    return (mesh.det[:, None] * tab["tri_weights"] * fv) @ tab["V"].T
-
-
 def condense(gram, coupling):
     """Schur complement of local saddle-point blocks.
 
@@ -531,10 +524,10 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *,
     if not np.isfinite(prescribed).all():
         raise ValueError("Dirichlet data has non-finite values")
     nt = mesh.num_triangles
-    tab = _reference_tables(trial.u_degree, p, p + DELTA_P,
-                            default_exactness(p))
-    load = (np.zeros((nt, tab["n_t"])) if source is None else
-            _load_moments(tab, source, mesh))
+    # moments (f, v_i)_T against the scalar test functions
+    load = (np.zeros((nt, _dim(p + DELTA_P))) if source is None else
+            mesh.det[:, None] * project_l2(p + DELTA_P, source, mesh,
+                                           default_exactness(p)))
 
     # condense only the classes the store lacks (every class without a
     # store); the store then holds exactly the classes of this mesh

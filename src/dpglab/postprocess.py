@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import basis_at_quadrature, triangle_quadrature
+from .dpg import _reference_tables
 
 
 @dataclass
@@ -64,23 +64,18 @@ def postprocess_fields(mesh, u_coeffs, sigma_coeffs):
                          f"expected (2, dim P^p) on each of the {nt} elements")
     p = _dim_to_degree(sigma_coeffs.shape[2])
 
-    exactness = 2 * (p + 3)
-    w = triangle_quadrature(exactness).weights
-
-    _, grad = basis_at_quadrature(p + 1, exactness)
-    sphi, _ = basis_at_quadrature(p, exactness)
-
+    # reference contractions of the degree-(p+1) modes v_i: T1 holds
+    # (grad v_i, grad v_j), GS (grad v_i, phi_j) against the degree-p
+    # modes phi_j of sigma_h
+    tab = _reference_tables(p, p, p + 1, 2 * (p + 3))
     det = mesh.det
-    inv_t = mesh.inv.transpose(0, 2, 1)
+    inv_t = mesh.inv.transpose(0, 2, 1)     # J^{-T}, maps gradients
 
     metric = np.einsum("eca,ecb->eab", inv_t, inv_t)
-    t1 = np.einsum("ika,jkb,k->abij", grad, grad, w)
-    stiff = np.einsum("e,eab,abij->eij", det, metric, t1)
-
-    # (sigma_h, grad v)_T with the physical gradient of every test mode
-    svals = np.einsum("ecj,jk->eck", sigma_coeffs, sphi)
-    gphys = np.einsum("eca,ika->eick", inv_t, grad)
-    rhs_grad = np.einsum("e,eck,eick,k->ei", det, svals, gphys, w)
+    stiff = np.einsum("e,eab,abij->eij", det, metric, tab["T1"])
+    # (sigma_h, grad v_i)_T
+    rhs_grad = np.einsum("e,eca,aij,ecj->ei", det, inv_t, tab["GS"],
+                         sigma_coeffs)
 
     block = stiff[:, 1:, 1:]
     try:

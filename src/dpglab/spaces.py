@@ -282,7 +282,8 @@ def project_l2(degree, f, mesh, exactness=None):
         Target polynomial degree.
     f : callable
         f(x, y) accepting arrays of physical coordinates of shape
-        (nt, npts), row e on element e.
+        (nt, npts), row e on element e, and returning values of that
+        shape or a scalar (a constant, broadcast to every point).
     mesh : Mesh
     exactness : int, optional
         Quadrature exactness; defaults to 2*degree + 4.  Must be at least
@@ -293,7 +294,10 @@ def project_l2(degree, f, mesh, exactness=None):
     -------
     (nt, dim) array
         Coefficients in the orthonormal reference basis, one row per
-        element.
+        element; times det J, the moments (f, v_i)_T.
+
+    Raises ValueError on values of another shape or non-finite values,
+    before they enter the contraction.
     """
     if exactness is None:
         exactness = 2 * degree + 4
@@ -301,7 +305,16 @@ def project_l2(degree, f, mesh, exactness=None):
         raise ValueError(f"quadrature exactness {exactness} is below "
                          f"2*degree = {2 * degree}")
     rule = triangle_quadrature(exactness)
-    phi = scalar_basis(degree).values(rule.points)
+    phi = basis_at_quadrature(degree, exactness)[0]
     xy = mesh.to_physical(rule.points)
-    fvals = np.asarray(f(xy[..., 0], xy[..., 1]), dtype=float)
-    return fvals @ (phi * rule.weights).T
+    x, y = xy[..., 0], xy[..., 1]
+    fvals = np.asarray(f(x, y), dtype=float)
+    if fvals.ndim == 0:
+        fvals = np.broadcast_to(fvals, x.shape)
+    if fvals.shape != x.shape:
+        raise ValueError(f"f returned shape {fvals.shape}, expected "
+                         f"{x.shape} (one value per element and point) "
+                         "or a scalar")
+    if not np.isfinite(fvals).all():
+        raise ValueError("f has non-finite values at quadrature points")
+    return (rule.weights * fvals) @ phi.T

@@ -170,7 +170,7 @@ def test_adaptive_matches_uniform_rate_on_smooth_problem():
     problem = square_smooth()
     run = adaptive_loop(problem, TrialSpace(0), theta=0.25, max_dofs=4000)
     dofs = run.dofs().astype(float)
-    eta = np.array([s.eta for s in run.steps])
+    eta = np.array([s.solution.eta for s in run.steps])
     sel = dofs >= dofs[-1] / 16
     slope_adaptive = -np.polyfit(np.log(dofs[sel]), np.log(eta[sel]), 1)[0]
 

@@ -129,16 +129,15 @@ def test_local_load_cases():
 
 
 def element_loads(mesh, trial, source):
-    """Loads F_T (nt, m) of every element: the moments (f, v_i)_T in the
-    scalar test rows, zero tau rows."""
-    from dpglab.dpg import (DELTA_P, _load_moments, _reference_tables,
-                            default_exactness)
+    """Loads F_T (nt, m) of every element: the moments (f, v_i)_T = det J
+    times the L2 projection of f in the scalar test rows, zero tau rows."""
+    from dpglab.dpg import DELTA_P, default_exactness
 
     p = trial.p
-    tab = _reference_tables(trial.u_degree, p, p + DELTA_P,
-                            default_exactness(p))
-    F = np.zeros((mesh.num_triangles, 3 * tab["n_t"]))
-    F[:, :tab["n_t"]] = _load_moments(tab, source, mesh)
+    moments = mesh.det[:, None] * project_l2(p + DELTA_P, source, mesh,
+                                             default_exactness(p))
+    F = np.zeros((mesh.num_triangles, 3 * moments.shape[1]))
+    F[:, :moments.shape[1]] = moments
     return F
 
 
@@ -219,6 +218,25 @@ def test_trial_space_order_is_a_nonnegative_integer():
     # numpy integers, as StudyConfig may hold them, pass
     assert TrialSpace(np.int64(2)).u_degree == 2
     assert TrialSpace(np.int32(1), augmented=True).u_degree == 2
+    # the augmented flag is a bool: a truthy string must not select the
+    # augmented space
+    for flag in ("no", 1, 0, None, np.int64(1)):
+        with pytest.raises(ValueError, match="augmented must be a bool"):
+            TrialSpace(1, augmented=flag)
+    assert TrialSpace(1, augmented=np.bool_(True)).u_degree == 2
+    assert TrialSpace(1, augmented=np.bool_(False)).u_degree == 1
+
+
+def test_scalar_source_equals_array_source_bitwise():
+    mesh = refine_uniform(lshape_mesh())
+    for kind in (REACTION_DIFFUSION, POISSON):
+        scalar = assemble_solve(mesh, TrialSpace(1), kind,
+                                lambda x, y: 2.5, dirichlet=lambda x, y: x)
+        array = assemble_solve(mesh, TrialSpace(1), kind,
+                               lambda x, y: np.full_like(x, 2.5),
+                               dirichlet=lambda x, y: x)
+        for name in ("coeffs", "residual_coeffs", "eta_local"):
+            assert np.array_equal(getattr(scalar, name), getattr(array, name))
 
 
 def test_zero_problem_gives_zero_solution():

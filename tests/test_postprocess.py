@@ -127,16 +127,17 @@ def test_fields_need_one_row_per_element():
 
 
 def test_singular_system_names_the_elements(monkeypatch):
-    # zero basis gradients make every local block singular
+    # a zero stiffness table T1 makes every local block singular
     import dpglab.postprocess as post_mod
 
-    real = post_mod.basis_at_quadrature
+    real = post_mod._reference_tables
 
-    def flat(degree, exactness):
-        phi, grad = real(degree, exactness)
-        return phi, np.zeros_like(grad)
+    def flat(*args):
+        tab = dict(real(*args))
+        tab["T1"] = np.zeros_like(tab["T1"])
+        return tab
 
-    monkeypatch.setattr(post_mod, "basis_at_quadrature", flat)
+    monkeypatch.setattr(post_mod, "_reference_tables", flat)
     sol = assemble_solve(unit_square_mesh(2), TrialSpace(1),
                          "reaction-diffusion", None)
     with pytest.raises(np.linalg.LinAlgError,

@@ -1,12 +1,17 @@
 """Property tests on random inputs (hypothesis)."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
 from dpglab.adapt import mark
-from dpglab.dpg import (POISSON, REACTION_DIFFUSION, ClassStore, TrialSpace,
-                        _element_classes, _local_systems, assemble_solve)
-from dpglab.mesh import lshape_mesh, refine_marked, refine_uniform
+from dpglab.dpg import (POISSON, REACTION_DIFFUSION, ClassStore, DofMap,
+                        TrialSpace, _element_classes, _local_systems,
+                        assemble_solve)
+from dpglab.mesh import (Mesh, load_mesh, lshape_mesh, refine_marked,
+                         refine_uniform, save_mesh)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -66,6 +71,52 @@ def test_nvb_mark_sequences_keep_the_mesh_conforming_and_shape_regular(data):
         assert not survivors & {tuple(sorted(t))
                                 for t in mesh.triangles[marked]}
         mesh = refined
+
+
+@hypothesis.settings(max_examples=30, deadline=None, derandomize=True,
+                     database=None)
+@hypothesis.given(data=st.data(), p=st.integers(0, 3),
+                  augmented=st.booleans())
+def test_dofmap_counts_and_mesh_round_trip(data, p, augmented):
+    # on a random NVB mesh of the L-shape: the free dofs are the element
+    # fields, uhat at interior vertices and on interior edges and the flux
+    # on every edge; each dof sits in the local columns of every element
+    # that touches its vertex or edge, once; save_mesh/load_mesh gives the
+    # mesh back bit for bit
+    mesh = lshape_mesh()
+    for _ in range(data.draw(st.integers(1, 6), label="rounds")):
+        mesh = refine_marked(mesh, draw_marks(data, mesh))
+    dofmap = DofMap(mesh, TrialSpace(p, augmented=augmented))
+    nt, ne = mesh.num_triangles, mesh.num_edges
+    interior_vertices = int((~mesh.boundary_vertex).sum())
+    interior_edges = int((~mesh.boundary_edge).sum())
+    assert dofmap.num_free == (nt * dofmap.k_int + interior_vertices
+                               + p * interior_edges + (p + 1) * ne)
+
+    cols = dofmap.local_cols
+    assert (np.diff(np.sort(cols, axis=1), axis=1) > 0).all()
+    elements_at_vertex = np.bincount(mesh.triangles.ravel(),
+                                     minlength=mesh.num_vertices)
+    elements_at_edge = np.bincount(mesh.tri_edges.ravel(), minlength=ne)
+    expected = np.concatenate([np.ones(dofmap.interior_count, dtype=np.int64),
+                               elements_at_vertex,
+                               np.repeat(elements_at_edge, p),
+                               np.repeat(elements_at_edge, p + 1)])
+    assert np.array_equal(np.bincount(cols.ravel(), minlength=dofmap.n_total),
+                          expected)
+
+    # NVB of the L-shape gives short dyadic coordinates; scaling by pi
+    # gives full-length ones, which a lossy format would not round-trip
+    mesh = Mesh(np.pi * mesh.vertices + [0.1, -0.3], mesh.triangles,
+                mesh.refinement_edges)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mesh.txt")
+        save_mesh(mesh, path)
+        loaded = load_mesh(path)
+    for name in ("vertices", "triangles", "refinement_edges"):
+        want, got = getattr(mesh, name), getattr(loaded, name)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 @hypothesis.settings(max_examples=100, deadline=None, derandomize=True,

@@ -191,6 +191,35 @@ def test_projection_orthogonality_and_idempotence():
     assert np.abs(twice - c).max() < 1e-12
 
 
+def test_projection_broadcasts_a_scalar_bitwise():
+    mesh = refine_marked(refine_uniform(reference_mesh()), [1])
+    for degree in (0, 2, 4):
+        scalar = project_l2(degree, lambda x, y: 1.0, mesh)
+        array = project_l2(degree, lambda x, y: np.ones_like(x), mesh)
+        assert np.array_equal(scalar, array)
+
+
+def x_over_zero(x, y):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return x / 0.0      # inf, and nan at x = 0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("f,match", [
+    (lambda x, y: np.where(x > 0.3, np.nan, x), "non-finite"),
+    (x_over_zero, "non-finite"),
+    (lambda x, y: np.inf, "non-finite"),
+    (lambda x, y: x[0], r"expected \(4, "),
+    (lambda x, y: x.ravel(), r"expected \(4, "),
+    (lambda x, y: np.stack([x, y]), r"expected \(4, "),
+    (lambda x, y: [1.0, 2.0], r"expected \(4, "),
+], ids=["nan", "x/0", "scalar-inf", "one-row", "flat", "stacked", "list"])
+def test_projection_refuses_bad_values(f, match):
+    # refused before the contraction, so no RuntimeWarning on the way
+    with pytest.raises(ValueError, match=match):
+        project_l2(1, f, refine_uniform(reference_mesh()))
+
+
 def test_edge_basis_orthonormal_first_constant():
     basis = EdgeBasis(4)
     rule = edge_quadrature(10)
