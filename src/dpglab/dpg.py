@@ -45,16 +45,16 @@ through J and the edge flips, and newest-vertex bisection produces few
 distinct element shapes, so assemble_solve groups the elements into
 classes whose members share both bit for bit and condenses once per
 class; a ClassStore keeps the class operators for the next solve, which
-condenses only the classes new to its mesh.  condense() treats a load as
-one more coupling column: the first condensation takes [B | E], E the
-scalar test rows that carry the load, and its Schur complement holds S
-and, past the trial columns, R = B' G^{-1} E.  The second condenses S_II
-against [S_IS | R_I], which leaves S_hat and the skeleton load operator
-R_S - S_SI S_II^{-1} R_I side by side.  Every element then needs only gathers and small products with
-its class operators: G^{-1} F_T, its skeleton load and S_II^{-1} r_I from
-its load moments, its fields from its skeleton values, and the residual
-representer eps_T = G^{-1} F_T - (G^{-1} B) x_T, which carries the local
-estimator eta(T)^2 = eps_T' G eps_T.
+condenses only the classes new to its mesh.  condense() factors each
+Gram once, G = L L', and whitens [B | E], E the scalar test rows that
+carry the load: W = L^{-1} [B | E] gives S = W_B' W_B and R = B' G^{-1} E
+= W_B' W_E.  The second condenses S_II the same way against [S_IS | R_I],
+which leaves S_hat and the skeleton load operator R_S - S_SI S_II^{-1}
+R_I side by side.  Every element then needs only small products with its
+class operators: its skeleton load and S_II^{-1} r_I from its load
+moments, its fields from its skeleton values, and w_T = W_E load_T - W_B
+x_T = L^{-1} (F_T - B_T x_T).  |w_T| is the local estimator eta(T), the
+test norm of the residual representer, and W_B' w_T its Galerkin vector.
 """
 
 import numbers
@@ -64,10 +64,11 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import solve_triangular
 
 from .spaces import (REFERENCE_VERTICES, basis_at_quadrature, edge_basis,
-                     edge_bubbles, edge_quadrature, project_l2, scalar_basis,
-                     triangle_quadrature)
+                     edge_bubbles, edge_quadrature, point_values, project_l2,
+                     scalar_basis, triangle_quadrature)
 
 REACTION_DIFFUSION = "reaction-diffusion"
 POISSON = "poisson"
@@ -172,7 +173,7 @@ class DofMap:
 
 @dataclass
 class Solution:
-    """Discrete solution with the recovered residual representer."""
+    """Discrete solution with its local error estimator."""
     mesh: object
     trial: TrialSpace
     kind: str
@@ -180,7 +181,6 @@ class Solution:
     coeffs: np.ndarray              # all trial dofs, prescribed ones included
     u_coeffs: np.ndarray            # (nt, dim u)
     sigma_coeffs: np.ndarray        # (nt, 2, dim sigma)
-    residual_coeffs: np.ndarray     # (nt, test dim) representer eps_T
     eta_local: np.ndarray           # (nt,) local estimator eta(T)
     eta: float
     diagnostics: dict = field(default_factory=dict)
@@ -350,43 +350,53 @@ def _condense_classes(dofmap, kind, rep):
     row per class.
 
     A load is one more coupling column: E = eye(m, n_t) picks the scalar
-    test rows, so F_T = E load_T, and condensing [B | E] puts R = B' G^{-1}
-    E in the Schur complement's columns past n and G^{-1} E next to
-    G^{-1} B.  The interior block [u | sigma] comes first in the local
-    columns, and condensing S_II against [S_IS | R_I] leaves, in the
-    skeleton rows, S_hat and past it the skeleton load operator R_S - S_SI
-    S_II^{-1} R_I.
+    test rows, so F_T = E load_T, and condensing [B | E] gives W = [W_B |
+    W_E] and puts R = W_B' W_E in the Schur complement's columns past n.
+    The interior block [u | sigma] comes first in the local columns, and
+    condensing S_II against [S_IS | R_I] leaves, in the skeleton rows,
+    S_hat and past it the skeleton load operator R_S - S_SI S_II^{-1} R_I.
+    Raises SolverError if a Gram or an S_II is not SPD.
     """
     G, B = _local_systems(dofmap.mesh, dofmap.trial, kind, rep)
     nc, m, n = B.shape
     n_t = m // 3
-    schur, ginv = condense(G, np.concatenate(
-        [B, np.broadcast_to(np.eye(m, n_t), (nc, m, n_t))], axis=2))
+    try:
+        schur, w, _ = condense(G, np.concatenate(
+            [B, np.broadcast_to(np.eye(m, n_t), (nc, m, n_t))], axis=2))
+    except np.linalg.LinAlgError as exc:
+        # cond G grows like h^-2: only its mass terms scale with h^2
+        raise SolverError(
+            "linear solver failed: the test-space Gram of an element class is "
+            "not SPD in floating point; smallest element diameter of the "
+            f"classes condensed {dofmap.mesh.diameters()[rep].min():.3e}",
+            residual=np.inf) from exc
     k = dofmap.k_int
     try:
-        inner_schur, inner = condense(schur[:, :k, :k], schur[:, :k, k:])
+        inner_schur, w_i, l_i = condense(schur[:, :k, :k], schur[:, :k, k:])
     except np.linalg.LinAlgError as exc:
         raise SolverError("linear solver failed: the interior block S_II "
                           "(u and sigma) of an element class is not SPD",
                           residual=np.inf) from exc
+    inner = solve_triangular(l_i, w_i, lower=True, trans="T")  # L_I^-T W_I
     hybrid = schur[:, k:n, k:] - inner_schur[:, :n - k]
-    # [G^{-1} E ; skeleton load ; S_II^{-1} R_I] maps load moments to
-    # G^{-1} F_T, the skeleton load and the interior load
-    return {"G": G, "B": B, "ginv_b": ginv[:, :, :n],
+    # [W_E ; skeleton load ; S_II^{-1} R_I] maps load moments to W_E
+    # load_T, the skeleton load and the interior load
+    return {"w_b": w[:, :, :n],
             "s_hat": hybrid[:, :, :n - k], "inner": inner[:, :, :n - k],
-            "load_op": np.concatenate([ginv[:, :, n:], hybrid[:, :, n - k:],
+            "load_op": np.concatenate([w[:, :, n:], hybrid[:, :, n - k:],
                                        inner[:, :, n - k:]], axis=1)}
 
 
 class ClassStore:
     """Condensed element-class operators, kept from one solve to the next.
 
-    A class key (_element_classes) fixes G, B and both condensations for a
-    given trial space and problem kind; the source and the Dirichlet data
-    never enter them.  Refinement leaves most elements of an adaptive step
-    alone, and with them their classes, so a solve condenses only the
-    classes new to its mesh.  Each update keeps exactly the classes of its
-    mesh, one stacked row per class in class order, and drops the rest.
+    A class key (_element_classes) fixes G, B and so W_B and both
+    condensations for a given trial space and problem kind; the source and
+    the Dirichlet data never enter them.  Refinement leaves most elements
+    of an adaptive step alone, and with them their classes, so a solve
+    condenses only the classes new to its mesh.  Each update keeps exactly
+    the classes of its mesh, one stacked row per class in class order, and
+    drops the rest.
     """
 
     def __init__(self):
@@ -433,31 +443,34 @@ def condense(gram, coupling):
 
     Eliminates the residual representer from the mixed system of one
     element (2-D gram and coupling) or of a stack of elements (one leading
-    batch axis on both), returning the pair (S, G^{-1} C) for the coupling
-    C, with S = C' G^{-1} C.  G^{-1} C realizes the discrete trial-to-test
-    operator locally.  A load is one more coupling column: for C = [B | F]
-    the last column of G^{-1} C is G^{-1} F and the last column of S holds
-    r = B' G^{-1} F above F' G^{-1} F.  Raises LinAlgError if any Gram is
-    not SPD.
+    batch axis on both).  With one Cholesky factorization G = L L' it
+    returns (S, W, L) for the coupling C: W = L^{-1} C, which realizes the
+    trial-to-test operator G^{-1} C = L^{-T} W locally, and S = W'W = C'
+    G^{-1} C.  A load is one more coupling column: for C = [B | F] the
+    last column of S holds r = B' G^{-1} F above F' G^{-1} F.  Raises
+    LinAlgError if any Gram is not SPD.
     """
     try:
-        np.linalg.cholesky(gram)
+        factor = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             "local test-space Gram is not SPD (quadrature or basis bug)"
         ) from exc
-    solved = np.linalg.solve(gram, coupling)
-    return np.swapaxes(coupling, -1, -2) @ solved, solved
+    whitened = solve_triangular(factor, coupling, lower=True)
+    return np.swapaxes(whitened, -1, -2) @ whitened, whitened, factor
 
 
 def _dirichlet_values(mesh, dofmap, data):
     """Prescribed uhat values: vertex interpolation plus edgewise L2
-    projection of the remainder onto the edge-interior modes."""
+    projection of the remainder onto the edge-interior modes.  data
+    returns one value per point or a scalar; any other shape raises
+    ValueError."""
     p = dofmap.trial.p
     values = np.zeros(dofmap.n_total)
     bverts = np.flatnonzero(mesh.boundary_vertex)
     xy = mesh.vertices[bverts]
-    values[dofmap.vertex_offset + bverts] = data(xy[:, 0], xy[:, 1])
+    values[dofmap.vertex_offset + bverts] = point_values(
+        data(xy[:, 0], xy[:, 1]), bverts.shape, "Dirichlet data")
     if p > 0:
         rule = edge_quadrature(default_exactness(p) + 4)
         t, w = rule.points, rule.weights
@@ -467,7 +480,8 @@ def _dirichlet_values(mesh, dofmap, data):
         a = mesh.vertices[mesh.edges[bedges, 0]]
         b = mesh.vertices[mesh.edges[bedges, 1]]
         pts = a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
-        gvals = np.asarray(data(pts[..., 0], pts[..., 1]), dtype=float)
+        gvals = point_values(data(pts[..., 0], pts[..., 1]), pts.shape[:2],
+                             "Dirichlet data")
         ga = values[dofmap.vertex_offset + mesh.edges[bedges, 0]]
         gb = values[dofmap.vertex_offset + mesh.edges[bedges, 1]]
         resid = gvals - (np.outer(ga, 1.0 - t) + np.outer(gb, t))
@@ -479,7 +493,7 @@ def _dirichlet_values(mesh, dofmap, data):
 def assemble_solve(mesh, trial, kind, source, dirichlet=None, *,
                    solver_tol=1e-10, store=None):
     """Assemble the hybridized DPG system, solve it, and recover the fields
-    and the elementwise residual representer.
+    and the elementwise error estimator.
 
     The global system is the SPD block of the free skeleton dofs alone
     (uhat and shat): u and sigma are eliminated per element class by a
@@ -510,10 +524,11 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *,
     -------
     Solution
 
-    Raises ValueError on a mesh without triangles or on non-finite source
-    or Dirichlet values, and SolverError when the interior block S_II of
-    an element class or the skeleton system is not SPD, or the solve
-    misses solver_tol.
+    Raises ValueError on a mesh without triangles or on source or
+    Dirichlet values that are non-finite or of the wrong shape, and
+    SolverError when the test-space Gram or the interior block S_II of an
+    element class or the skeleton system is not SPD, or the solve misses
+    solver_tol.
     """
     if mesh.num_triangles == 0:
         raise ValueError("mesh has no triangles")
@@ -535,10 +550,10 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *,
         store = ClassStore()
     keys, rep, cls = _element_classes(mesh)
     ops, condensed = store.update(dofmap, kind, keys, rep)
-    m = ops["G"].shape[1]
+    m = ops["w_b"].shape[1]
     k = dofmap.k_int
     parts = np.einsum("eij,ej->ei", ops["load_op"][cls], load)
-    ginv_load, r_hat, x_int = parts[:, :m], parts[:, m:-k], parts[:, -k:]
+    w_load, r_hat, x_int = parts[:, :m], parts[:, m:-k], parts[:, -k:]
 
     # free skeleton block only: interior dofs come first in the global
     # order and are all free, so free_index - interior_count numbers the
@@ -567,23 +582,21 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *,
     x_int -= np.einsum("eij,ej->ei", ops["inner"][cls], x[skel])
     x[:ic] = x_int.ravel()
 
-    # residual representer eps = G^{-1} F - (G^{-1} B) x; local estimator.
-    # Taken at x = the Dirichlet lift as well, B' eps gives the condensed
-    # load of the free trial dofs, the scale of the Galerkin check below
+    # w = W_E load - W_B x = L^{-1} (F - B x); local estimator |w|.  Taken
+    # at x = the Dirichlet lift as well, W_B' w gives the condensed load of
+    # the free trial dofs, the scale of the Galerkin check below
     cols = dofmap.local_cols
-    both = ginv_load[..., None] - ops["ginv_b"][cls] @ np.stack(
-        [x[cols], prescribed[cols]], axis=-1)
-    eps = both[..., 0]
-    eta_sq = np.einsum("em,em->e", eps,
-                       np.einsum("emn,en->em", ops["G"][cls], eps))
-    eta_local = np.sqrt(np.maximum(eta_sq, 0.0))
+    w_b = ops["w_b"][cls]
+    both = w_load[..., None] - w_b @ np.stack([x[cols], prescribed[cols]],
+                                              axis=-1)
+    eta_sq = np.einsum("em,em->e", both[..., 0], both[..., 0])
 
-    # Galerkin orthogonality of the mixed system: B' eps vanishes on the
-    # free trial dofs up to solver accuracy
+    # Galerkin orthogonality of the mixed system: B' G^{-1} (F - B x) =
+    # W_B' w vanishes on the free trial dofs up to solver accuracy
     fall = dofmap.free_index[cols]
     fown = fall >= 0
     nf = dofmap.num_free
-    bt_both = np.swapaxes(ops["B"][cls], 1, 2) @ both
+    bt_both = np.swapaxes(w_b, 1, 2) @ both
     gal = np.bincount(fall[fown], bt_both[..., 0][fown], minlength=nf)
     free_load = np.bincount(fall[fown], bt_both[..., 1][fown], minlength=nf)
     diag["galerkin_residual"] = float(np.abs(gal).max()) if nf else 0.0
@@ -596,7 +609,7 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *,
 
     return Solution(mesh=mesh, trial=trial, kind=kind, dofmap=dofmap,
                     coeffs=x, u_coeffs=u_coeffs, sigma_coeffs=sigma_coeffs,
-                    residual_coeffs=eps, eta_local=eta_local,
+                    eta_local=np.sqrt(eta_sq),
                     eta=float(np.sqrt(eta_sq.sum())), diagnostics=diag)
 
 

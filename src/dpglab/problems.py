@@ -15,7 +15,7 @@ import numpy as np
 
 from .dpg import POISSON, REACTION_DIFFUSION
 from .mesh import lshape_mesh, unit_square_mesh
-from .spaces import basis_at_quadrature, triangle_quadrature
+from .spaces import basis_at_quadrature, point_values, triangle_quadrature
 
 
 @dataclass(frozen=True)
@@ -151,7 +151,8 @@ def error_report(solution, postprocessed, problem, extra_exactness=0):
     ErrorReport
 
     Raises ValueError when problem.exact or problem.exact_grad is
-    non-finite at an error-quadrature point.
+    non-finite at an error-quadrature point, or returns neither one value
+    per point nor a scalar.
     """
     mesh = solution.mesh
     p = solution.trial.p
@@ -163,8 +164,9 @@ def error_report(solution, postprocessed, problem, extra_exactness=0):
     wq = mesh.det[:, None] * w[None, :]
     x, y = xy[..., 0], xy[..., 1]
 
-    u_exact = problem.exact(x, y)
-    gx_exact, gy_exact = problem.exact_grad(x, y)
+    u_exact = point_values(problem.exact(x, y), x.shape, "problem.exact")
+    gx_exact, gy_exact = (point_values(g, x.shape, "problem.exact_grad")
+                          for g in problem.exact_grad(x, y))
     if not all(np.isfinite(v).all() for v in (u_exact, gx_exact, gy_exact)):
         raise ValueError("problem.exact or problem.exact_grad is non-finite "
                          "at an error-quadrature point")

@@ -270,6 +270,19 @@ def affine_maps(verts):
     return jac, det, inv
 
 
+def point_values(values, shape, name):
+    """values, what the callable name returned at points of the given
+    shape, as a float array of that shape: a scalar is broadcast to every
+    point, and any other shape raises ValueError."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim == 0:
+        return np.broadcast_to(values, shape)
+    if values.shape != shape:
+        raise ValueError(f"{name} returned shape {values.shape}, expected "
+                         f"{shape} (one value per point) or a scalar")
+    return values
+
+
 def project_l2(degree, f, mesh, exactness=None):
     """L2-orthogonal projection of f onto P^degree on every element of
     mesh: the element mass matrix is det J times the identity, so the
@@ -308,13 +321,7 @@ def project_l2(degree, f, mesh, exactness=None):
     phi = basis_at_quadrature(degree, exactness)[0]
     xy = mesh.to_physical(rule.points)
     x, y = xy[..., 0], xy[..., 1]
-    fvals = np.asarray(f(x, y), dtype=float)
-    if fvals.ndim == 0:
-        fvals = np.broadcast_to(fvals, x.shape)
-    if fvals.shape != x.shape:
-        raise ValueError(f"f returned shape {fvals.shape}, expected "
-                         f"{x.shape} (one value per element and point) "
-                         "or a scalar")
+    fvals = point_values(f(x, y), x.shape, "f")
     if not np.isfinite(fvals).all():
         raise ValueError("f has non-finite values at quadrature points")
     return (rule.weights * fvals) @ phi.T

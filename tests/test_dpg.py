@@ -141,25 +141,50 @@ def element_loads(mesh, trial, source):
     return F
 
 
+def condense_oracle(gram, coupling):
+    """(C' G^{-1} C, G^{-1} C) by a general dense solve, sharing no code
+    with condense()."""
+    solved = np.linalg.solve(gram, coupling)
+    return np.swapaxes(coupling, -1, -2) @ solved, solved
+
+
 def condense_load(gram, coupling, load):
-    """condense() with a 1-D load per element as the last coupling
+    """The oracle with a 1-D load per element as the last coupling
     column, split into (S, r, G^{-1} B, G^{-1} F)."""
     n = coupling.shape[-1]
-    schur, solved = condense(gram, np.concatenate([coupling, load[..., None]],
-                                                  axis=-1))
+    schur, solved = condense_oracle(
+        gram, np.concatenate([coupling, load[..., None]], axis=-1))
     return (schur[..., :n, :n], schur[..., :n, n], solved[..., :n],
             solved[..., n])
 
 
+def assert_close13(got, want):
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def assert_condense_contract(gram, coupling):
+    """condense(G, C) = (S, W, L) with L lower triangular, LL' = G, LW = C
+    and S = W'W = C' G^{-1} C, the last against the dense-solve oracle."""
+    S, W, L = condense(gram, coupling)
+    assert np.array_equal(np.tril(L), L)
+    assert_close13(L @ np.swapaxes(L, -1, -2), gram)
+    assert_close13(L @ W, coupling)
+    want = condense_oracle(gram, coupling)[0]
+    assert_close13(np.swapaxes(W, -1, -2) @ W, want)
+    assert_close13(S, want)
+    return S, W, L
+
+
 def test_condense_hand_example():
-    G = np.eye(2)
-    B = np.array([[1.0], [0.0]])
-    F = np.array([1.0, 0.0])
-    S, r, _, _ = condense_load(G, B, F)
-    assert S == pytest.approx(np.array([[1.0]]))
-    assert r == pytest.approx(np.array([1.0]))
-    S2, r2, _, _ = condense_load(G, B, np.zeros(2))
-    assert r2 == pytest.approx(np.array([0.0]))
+    G = np.diag([4.0, 1.0])
+    B = np.array([[2.0], [0.0]])
+    F = np.array([[2.0], [0.0]])
+    S, W, L = assert_condense_contract(G, np.hstack([B, F]))
+    assert L == pytest.approx(np.diag([2.0, 1.0]))
+    assert W == pytest.approx(np.array([[1.0, 1.0], [0.0, 0.0]]))
+    assert S == pytest.approx(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    S2 = condense(G, np.hstack([B, np.zeros((2, 1))]))[0]
+    assert S2[0, 1] == pytest.approx(0.0)
 
 
 def test_condense_symmetry_and_nullspace():
@@ -167,7 +192,8 @@ def test_condense_symmetry_and_nullspace():
     A = rng.standard_normal((8, 8))
     G = A @ A.T + 8 * np.eye(8)
     B = rng.standard_normal((8, 5))
-    S, r, _, _ = condense_load(G, B, rng.standard_normal(8))
+    S = assert_condense_contract(
+        G, np.column_stack([B, rng.standard_normal(8)]))[0][:5, :5]
     assert np.abs(S - S.T).max() < 1e-13 * np.abs(S).max()
     assert np.linalg.eigvalsh(S).min() > -1e-12
     assert np.allclose(S @ np.zeros(5), 0.0)
@@ -175,34 +201,53 @@ def test_condense_symmetry_and_nullspace():
     A = rng.standard_normal((4, 8, 8))
     Gs = A @ A.transpose(0, 2, 1) + 8 * np.eye(8)
     Bs = rng.standard_normal((4, 8, 5))
-    Fs = rng.standard_normal((4, 8))
-    S_all, r_all, _, _ = condense_load(Gs, Bs, Fs)
+    Cs = np.concatenate([Bs, rng.standard_normal((4, 8, 1))], axis=2)
+    S_all, W_all, L_all = assert_condense_contract(Gs, Cs)
     # without load columns S is the same block
-    S_none = condense(Gs, Bs)[0]
-    assert np.abs(S_none - S_all).max() <= 1e-13 * np.abs(S_all).max()
+    assert_close13(condense(Gs, Bs)[0], S_all[:, :5, :5])
     for k in range(4):
-        S_k, r_k, _, _ = condense_load(Gs[k], Bs[k], Fs[k])
-        assert np.abs(S_all[k] - S_k).max() <= 1e-13 * np.abs(S_k).max()
-        assert np.abs(r_all[k] - r_k).max() <= 1e-13 * np.abs(r_k).max()
+        S_k, W_k, L_k = condense(Gs[k], Cs[k])
+        assert_close13(S_all[k], S_k)
+        assert_close13(S_all[k, :5, 5], S_k[:5, 5])     # r = B' G^{-1} F
+        assert_close13(W_all[k], W_k)
+        assert_close13(L_all[k], L_k)
     # several load columns condense column by column
     Fm = rng.standard_normal((4, 8, 3))
-    many_S, many_solved = condense(Gs, np.concatenate([Bs, Fm], axis=2))
+    many_S, many_W, _ = assert_condense_contract(
+        Gs, np.concatenate([Bs, Fm], axis=2))
     for j in range(3):
-        S_j, r_j, _, ginv_f_j = condense_load(Gs, Bs, Fm[:, :, j])
-        assert np.abs(many_S[:, :5, 5 + j] - r_j).max() <= 1e-13 * np.abs(r_j).max()
-        assert np.abs(many_solved[:, :, 5 + j] - ginv_f_j).max() <= 1e-13 * np.abs(ginv_f_j).max()
-        assert np.abs(many_S[:, :5, :5] - S_j).max() <= 1e-13 * np.abs(S_j).max()
+        S_j, W_j, _ = condense(Gs, np.concatenate([Bs, Fm[:, :, j:j + 1]],
+                                                  axis=2))
+        assert_close13(many_S[:, :5, 5 + j], S_j[:, :5, 5])
+        assert_close13(many_W[:, :, 5 + j], W_j[:, :, 5])
+        assert_close13(many_S[:, :5, :5], S_j[:, :5, :5])
 
 
 def test_condense_rejects_indefinite_gram():
     G = np.diag([1.0, -1.0])
     with pytest.raises(np.linalg.LinAlgError):
-        condense_load(G, np.eye(2), np.zeros(2))
+        condense(G, np.eye(2))
     # one indefinite Gram in a stack of SPD ones
     Gs = np.repeat(np.eye(2)[None], 3, axis=0)
     Gs[1] = G
     with pytest.raises(np.linalg.LinAlgError):
-        condense_load(Gs, np.repeat(np.eye(2)[None], 3, axis=0), np.zeros((3, 2)))
+        condense(Gs, np.repeat(np.eye(2)[None], 3, axis=0))
+
+
+@pytest.mark.filterwarnings("error")
+def test_tiny_element_gram_failure_is_a_solver_error():
+    # cond G grows like h^-2, and at diameter 1e-7 the Cholesky
+    # factorization of the Gram fails in double precision: a solver
+    # failure that names the diameter, not a bare LinAlgError
+    from dpglab.dpg import SolverError
+
+    h = 1e-7
+    tiny = Mesh(np.array([[0.0, 0.0], [h, 0.0], [h / 2, h / 2]]),
+                np.array([[0, 1, 2]]), np.array([0]))
+    assert tiny.diameters()[0] == h
+    with pytest.raises(SolverError, match=r"diameter.*1\.000e-07"):
+        assemble_solve(tiny, TrialSpace(2), REACTION_DIFFUSION,
+                       lambda x, y: 1.0)
 
 
 def test_mesh_without_triangles_is_refused():
@@ -235,7 +280,7 @@ def test_scalar_source_equals_array_source_bitwise():
         array = assemble_solve(mesh, TrialSpace(1), kind,
                                lambda x, y: np.full_like(x, 2.5),
                                dirichlet=lambda x, y: x)
-        for name in ("coeffs", "residual_coeffs", "eta_local"):
+        for name in ("coeffs", "eta_local"):
             assert np.array_equal(getattr(scalar, name), getattr(array, name))
 
 
@@ -244,7 +289,7 @@ def test_zero_problem_gives_zero_solution():
     sol = assemble_solve(mesh, TrialSpace(0), REACTION_DIFFUSION, None)
     assert np.abs(sol.coeffs).max() == 0.0
     assert sol.eta == 0.0
-    assert np.abs(sol.residual_coeffs).max() == 0.0
+    assert np.abs(sol.eta_local).max() == 0.0
 
 
 @pytest.mark.filterwarnings("error")
@@ -266,6 +311,24 @@ def test_non_finite_data_fails_loudly():
     with pytest.raises(SolverError):
         _solve_spd(sp.identity(3, format="csc"), np.array([1.0, np.nan, 0.0]),
                    1e-10)
+
+
+@pytest.mark.parametrize("p,data", [
+    (0, lambda x, y: np.ones(1)),
+    (1, lambda x, y: np.ones(1)),
+    (1, lambda x, y: np.ravel(x)),     # right at vertices, flat on edges
+], ids=["p0-one", "p1-one", "p1-flat"])
+def test_dirichlet_data_of_wrong_shape_is_refused(p, data):
+    # np.ones(1) would broadcast over every boundary point; a scalar is the
+    # one broadcast allowed
+    mesh = unit_square_mesh(2)
+    with pytest.raises(ValueError, match="Dirichlet data returned shape"):
+        assemble_solve(mesh, TrialSpace(p), POISSON, None, dirichlet=data)
+    scalar = assemble_solve(mesh, TrialSpace(p), POISSON, None,
+                            dirichlet=lambda x, y: 2.0)
+    array = assemble_solve(mesh, TrialSpace(p), POISSON, None,
+                           dirichlet=lambda x, y: np.full_like(x, 2.0))
+    assert np.array_equal(scalar.coeffs, array.coeffs)
 
 
 def affine_poisson_problem():
@@ -376,7 +439,6 @@ def test_condensed_solve_matches_monolithic_saddle_point(p, monkeypatch):
     assert_close(sol.u_coeffs, interior[:, :dm.n_u])
     assert_close(sol.sigma_coeffs.reshape(nt, -1), interior[:, dm.n_u:])
     assert_close(sol.coeffs[dm.interior_count:], x[dm.interior_count:])
-    assert_close(sol.residual_coeffs, eps)
     assert_close(sol.eta_local, eta_local)
 
 
@@ -433,11 +495,15 @@ def test_estimator_consistency_and_locality():
     eta, eta_local = sol.eta, sol.eta_local
     # locality: the total is exactly the root of summed local squares
     assert eta == pytest.approx(np.sqrt(np.sum(eta_local ** 2)), rel=1e-13)
-    # norm consistency: recompute ||eps||_V^2 with elevated quadrature
-    G_hi, _ = _local_systems(mesh, TrialSpace(0), problem.kind, None,
-                             default_exactness(0) + 4)
-    direct = np.einsum("em,emn,en->e", sol.residual_coeffs, G_hi,
-                       sol.residual_coeffs)
+    # norm consistency: recompute eps = G^{-1} (F - B x) from the solution
+    # and ||eps||_V^2 with elevated quadrature
+    G_hi, B_hi = _local_systems(mesh, TrialSpace(0), problem.kind, None,
+                                default_exactness(0) + 4)
+    F = element_loads(mesh, TrialSpace(0), problem.source)
+    x = sol.coeffs[sol.dofmap.local_cols]
+    eps = np.linalg.solve(G_hi, (F - np.einsum("emn,en->em", B_hi, x))
+                          [..., None])[..., 0]
+    direct = np.einsum("em,emn,en->e", eps, G_hi, eps)
     assert np.abs(direct - eta_local ** 2).max() <= 1e-12 * eta ** 2
 
 
@@ -597,26 +663,28 @@ def perturbed(mesh, seed=5, amount=0.03):
 
 
 def per_element_oracle(mesh, trial, kind, source, dirichlet):
-    """condense() on every element's own local systems, no element
-    classes, and a dense solve of the assembled system."""
+    """G^{-1} B and G^{-1} F by dense solves on every element's own local
+    systems, no element classes and no condense(), and a dense solve of
+    the assembled system.  Returns the solution, the local estimator and
+    the largest entry of the condensed load of the free dofs."""
     from dpglab.dpg import _dirichlet_values
 
     dm = DofMap(mesh, trial)
     G, B = _local_systems(mesh, trial, kind, None)
     F = element_loads(mesh, trial, source)
     x = _dirichlet_values(mesh, dm, dirichlet)
+    S_loc, r_loc, ginv_b, ginv_f = condense_load(G, B, F)
     S = np.zeros((dm.n_total, dm.n_total))
     r = np.zeros(dm.n_total)
-    parts = [condense_load(G[t], B[t], F[t]) for t in range(mesh.num_triangles)]
-    for ix, (S_t, r_t, _, _) in zip(dm.local_cols, parts):
+    for ix, S_t, r_t in zip(dm.local_cols, S_loc, r_loc):
         S[np.ix_(ix, ix)] += S_t
         r[ix] += r_t
     free = dm.free
-    x[free] = np.linalg.solve(S[np.ix_(free, free)], (r - S @ x)[free])
-    eps = np.array([ginv_f - ginv_b @ x[ix]
-                    for ix, (_, _, ginv_b, ginv_f) in zip(dm.local_cols, parts)])
+    free_load = (r - S @ x)[free]
+    x[free] = np.linalg.solve(S[np.ix_(free, free)], free_load)
+    eps = ginv_f - np.einsum("emn,en->em", ginv_b, x[dm.local_cols])
     eta_local = np.sqrt(np.einsum("em,emn,en->e", eps, G, eps))
-    return x, eps, eta_local
+    return x, eta_local, np.abs(free_load).max()
 
 
 @pytest.mark.parametrize("case", ["corner-refined", "perturbed"])
@@ -640,15 +708,16 @@ def test_element_classes_match_per_element_oracle(case):
         assert classes < mesh.num_triangles / 4
     else:
         assert classes == mesh.num_triangles
-    x, eps, eta_local = per_element_oracle(mesh, trial, kind, source,
-                                           dirichlet)
+    x, eta_local, load_scale = per_element_oracle(mesh, trial, kind, source,
+                                                  dirichlet)
 
     def assert_close(got, want):
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
     assert_close(sol.coeffs, x)
-    assert_close(sol.residual_coeffs, eps)
     assert_close(sol.eta_local, eta_local)
+    assert_close(sol.diagnostics["load_scale"], load_scale)
+    assert sol.diagnostics["galerkin_residual"] <= 1e-8 * load_scale
 
 
 def test_element_classes_diagnostic():
@@ -670,8 +739,7 @@ def test_element_classes_diagnostic():
 
 def assert_same_solution(got, want):
     """Bitwise equal solutions; classes_condensed may differ."""
-    for name in ("coeffs", "u_coeffs", "sigma_coeffs", "residual_coeffs",
-                 "eta_local"):
+    for name in ("coeffs", "u_coeffs", "sigma_coeffs", "eta_local"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert got.eta == want.eta
     skip = {"classes_condensed"}

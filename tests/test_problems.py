@@ -152,6 +152,42 @@ def test_error_report_rejects_non_finite_exact_solution(broken):
         error_report(sol, None, bad)
 
 
+@pytest.mark.parametrize("broken", ["exact", "exact_grad"])
+def test_error_report_rejects_exact_solution_of_wrong_shape(broken):
+    # one row of values, shape (npts,), would broadcast over every
+    # element and give a wrong err_u with no error
+    import dataclasses
+
+    problem = square_smooth()
+    mesh = unit_square_mesh(2)
+    sol = assemble_solve(mesh, TrialSpace(1), problem.kind, problem.source)
+
+    def one_row_exact(x, y):
+        return problem.exact(x, y)[0]
+
+    def one_row_grad(x, y):
+        return tuple(g[0] for g in problem.exact_grad(x, y))
+
+    bad = dataclasses.replace(problem, **{
+        broken: one_row_exact if broken == "exact" else one_row_grad})
+    with pytest.raises(ValueError, match=f"problem.{broken} returned shape"):
+        error_report(sol, None, bad)
+
+
+def test_error_report_broadcasts_a_scalar_exact_solution():
+    import dataclasses
+
+    problem = square_smooth()
+    mesh = unit_square_mesh(2)
+    sol = assemble_solve(mesh, TrialSpace(1), problem.kind, problem.source)
+    zero = dataclasses.replace(problem, exact=lambda x, y: 0.0,
+                               exact_grad=lambda x, y: (0.0, 0.0))
+    arrays = dataclasses.replace(
+        problem, exact=lambda x, y: np.zeros_like(x),
+        exact_grad=lambda x, y: (np.zeros_like(x), np.zeros_like(y)))
+    assert error_report(sol, None, zero) == error_report(sol, None, arrays)
+
+
 def test_error_quadrature_stability():
     # raising the error-quadrature exactness by 4 moves the reported
     # errors by < 0.1% (smooth) and < 1% (singular)
