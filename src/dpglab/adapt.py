@@ -20,7 +20,9 @@ import numpy as np
 from .dpg import ClassStore, assemble_solve
 from .mesh import refine_marked, refine_uniform
 from .postprocess import postprocess_all
-from .problems import error_report
+from .problems import error_exactness, error_report
+
+MODES = ("uniform", "adaptive")     # the refinement strategies of _steps
 
 
 def mark(eta_local, theta):
@@ -100,12 +102,15 @@ def _steps(problem, trial, mode, theta, max_dofs, max_steps, postprocess,
     Stops once num_dofs >= max_dofs or after max_steps solves (None: no
     bound, but not both); otherwise refines uniformly (mode "uniform") or
     the Doerfler set mark(eta_local, theta) (mode "adaptive"), stopping
-    when that set is empty.  The bounds and theta follow the rules of
-    StudyConfig.validate and raise ValueError before the first solve.
+    when that set is empty.  The mode, the bounds, theta and the error
+    bump follow the rules of StudyConfig.validate and raise ValueError
+    before the first solve.
     One ClassStore carries the condensed element-class operators from
     each solve to the next.  The pipeline calls are looked up in this
     module at call time, so a tracer can wrap them here.
     """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; choose {' or '.join(MODES)}")
     if not 0.0 < theta < 1.0:
         raise ValueError("marking parameter theta must lie in (0, 1)")
     if max_dofs is None and max_steps is None:
@@ -113,6 +118,7 @@ def _steps(problem, trial, mode, theta, max_dofs, max_steps, postprocess,
     for name, bound in (("max_dofs", max_dofs), ("max_steps", max_steps)):
         if bound is not None and bound < 1:
             raise ValueError(f"{name} must be >= 1")
+    error_exactness(trial.p, error_exactness_bump)   # refuses a negative bump
     if mesh is None:
         mesh = problem.initial_mesh()
     store = ClassStore()

@@ -11,8 +11,8 @@ import argparse
 import sys
 
 from .dpg import SolverError
-from .study import (_CHOICES, _EOCS, CSV_HEADER, ConfigError, StudyConfig,
-                    fit_slope, run_study)
+from .study import (_CHOICES, _EOCS, CSV_HEADER, MAX_P, ConfigError,
+                    StudyConfig, fit_slope, run_study)
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 2
@@ -30,7 +30,7 @@ def build_parser():
     run.add_argument("--problem", choices=_CHOICES["problem"],
                      required=True, help="benchmark problem")
     run.add_argument("--p", type=int,
-                     help="polynomial order of the trial space (0..3)")
+                     help=f"polynomial order of the trial space (0..{MAX_P})")
     run.add_argument("--trial", choices=_CHOICES["trial"],
                      help="trial space variant")
     run.add_argument("--mode", choices=_CHOICES["mode"],

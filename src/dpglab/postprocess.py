@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dpg import _reference_tables
+from .dpg import _reference_tables, default_exactness
 
 
 @dataclass
@@ -44,7 +44,8 @@ def _dim_to_degree(n):
 def postprocess_fields(mesh, u_coeffs, sigma_coeffs):
     """Postprocessed coefficients (nt, dim P^{p+1}) on every element of
     mesh from the stacked fields u_coeffs (nt, dim P^p or P^{p+1}) and
-    sigma_coeffs (nt, 2, dim P^p); any other shape raises ValueError.
+    sigma_coeffs (nt, 2, dim P^p); any other shape, or a non-finite
+    coefficient, raises ValueError (naming the first such element).
 
     Mode 0 is the constant sqrt(2), L2-orthogonal to the others and with an
     exactly zero gradient: the mean constraint reads w_0 = u_0, and modes
@@ -63,11 +64,15 @@ def postprocess_fields(mesh, u_coeffs, sigma_coeffs):
         raise ValueError(f"sigma_coeffs has shape {sigma_coeffs.shape}, "
                          f"expected (2, dim P^p) on each of the {nt} elements")
     p = _dim_to_degree(sigma_coeffs.shape[2])
+    for name, c in (("u_coeffs", u_coeffs), ("sigma_coeffs", sigma_coeffs)):
+        bad = np.flatnonzero(~np.isfinite(c.reshape(nt, -1)).all(axis=1))
+        if bad.size:
+            raise ValueError(f"{name} is non-finite on element {bad[0]}")
 
     # reference contractions of the degree-(p+1) modes v_i: T1 holds
     # (grad v_i, grad v_j), GS (grad v_i, phi_j) against the degree-p
     # modes phi_j of sigma_h
-    tab = _reference_tables(p, p, p + 1, 2 * (p + 3))
+    tab = _reference_tables(p, p, p + 1, default_exactness(p))
     det = mesh.det
     inv_t = mesh.inv.transpose(0, 2, 1)     # J^{-T}, maps gradients
 

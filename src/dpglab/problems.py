@@ -20,26 +20,18 @@ from .spaces import basis_at_quadrature, point_values, triangle_quadrature
 
 @dataclass(frozen=True)
 class ManufacturedProblem:
-    """A PDE problem with known exact solution.
+    """A PDE problem with known exact solution and its initial mesh.
 
     exact, source, dirichlet map coordinate arrays (x, y) to value arrays;
     exact_grad returns a pair of arrays (du/dx, du/dy).
     """
     name: str
-    domain: str                      # "square" | "lshape"
     kind: str                        # REACTION_DIFFUSION | POISSON
     exact: Callable
     exact_grad: Callable
     source: Callable
     dirichlet: Callable
-    regularity: str                  # "smooth" | "corner-singular"
-
-    def initial_mesh(self):
-        if self.domain == "square":
-            return unit_square_mesh(1)
-        if self.domain == "lshape":
-            return lshape_mesh()
-        raise ValueError(f"unknown domain tag {self.domain!r}")
+    initial_mesh: Callable           # () -> Mesh of the problem's domain
 
 
 def square_smooth():
@@ -63,9 +55,9 @@ def square_smooth():
         return np.zeros_like(np.asarray(x, dtype=float))
 
     return ManufacturedProblem(
-        name="square-smooth", domain="square", kind=REACTION_DIFFUSION,
-        exact=exact, exact_grad=exact_grad, source=source,
-        dirichlet=dirichlet, regularity="smooth")
+        name="square-smooth", kind=REACTION_DIFFUSION, exact=exact,
+        exact_grad=exact_grad, source=source, dirichlet=dirichlet,
+        initial_mesh=lambda: unit_square_mesh(1))
 
 
 def _lshape_polar(x, y):
@@ -113,9 +105,9 @@ def lshape_singular():
         return exact(x, y)
 
     return ManufacturedProblem(
-        name="lshape-singular", domain="lshape", kind=POISSON,
-        exact=exact, exact_grad=exact_grad, source=source,
-        dirichlet=dirichlet, regularity="corner-singular")
+        name="lshape-singular", kind=POISSON, exact=exact,
+        exact_grad=exact_grad, source=source, dirichlet=dirichlet,
+        initial_mesh=lshape_mesh)
 
 
 @dataclass
@@ -128,7 +120,11 @@ class ErrorReport:
 
 
 def error_exactness(p, extra_exactness=0):
-    """Exactness of the error quadrature at trial order p."""
+    """Exactness of the error quadrature at trial order p, raised by
+    extra_exactness; a negative bump raises ValueError."""
+    if extra_exactness < 0:
+        raise ValueError("error-quadrature bump must be >= 0, not "
+                         f"{extra_exactness!r}")
     return 2 * (p + 3) + 4 + extra_exactness
 
 
@@ -141,7 +137,7 @@ def error_report(solution, postprocessed, problem, extra_exactness=0):
     postprocessed : postprocess.PostprocessedField or None
     problem : ManufacturedProblem
     extra_exactness : int
-        Bump added to the default error-quadrature exactness
+        Bump, >= 0, added to the default error-quadrature exactness
         2(p+3) + 4.  Raising it by 4 should not change reported errors
         appreciably; corner elements of the singular problem carry the
         dominant quadrature error.
@@ -150,9 +146,10 @@ def error_report(solution, postprocessed, problem, extra_exactness=0):
     -------
     ErrorReport
 
-    Raises ValueError when problem.exact or problem.exact_grad is
-    non-finite at an error-quadrature point, or returns neither one value
-    per point nor a scalar.
+    Raises ValueError on a negative extra_exactness, and when
+    problem.exact or problem.exact_grad is non-finite at an
+    error-quadrature point or returns neither one value per point nor a
+    scalar (spaces.point_values).
     """
     mesh = solution.mesh
     p = solution.trial.p
@@ -167,9 +164,6 @@ def error_report(solution, postprocessed, problem, extra_exactness=0):
     u_exact = point_values(problem.exact(x, y), x.shape, "problem.exact")
     gx_exact, gy_exact = (point_values(g, x.shape, "problem.exact_grad")
                           for g in problem.exact_grad(x, y))
-    if not all(np.isfinite(v).all() for v in (u_exact, gx_exact, gy_exact)):
-        raise ValueError("problem.exact or problem.exact_grad is non-finite "
-                         "at an error-quadrature point")
 
     u_vals = solution.u_coeffs @ basis_at_quadrature(solution.trial.u_degree,
                                                      exactness)[0]

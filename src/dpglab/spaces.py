@@ -273,14 +273,14 @@ def affine_maps(verts):
 def point_values(values, shape, name):
     """values, what the callable name returned at points of the given
     shape, as a float array of that shape: a scalar is broadcast to every
-    point, and any other shape raises ValueError."""
+    point.  Another shape or a non-finite value raises ValueError."""
     values = np.asarray(values, dtype=float)
-    if values.ndim == 0:
-        return np.broadcast_to(values, shape)
-    if values.shape != shape:
+    if values.ndim and values.shape != shape:
         raise ValueError(f"{name} returned shape {values.shape}, expected "
                          f"{shape} (one value per point) or a scalar")
-    return values
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} has non-finite values")
+    return np.broadcast_to(values, shape)
 
 
 def project_l2(degree, f, mesh, exactness=None):
@@ -309,8 +309,8 @@ def project_l2(degree, f, mesh, exactness=None):
         Coefficients in the orthonormal reference basis, one row per
         element; times det J, the moments (f, v_i)_T.
 
-    Raises ValueError on values of another shape or non-finite values,
-    before they enter the contraction.
+    Raises ValueError on values of another shape or non-finite values
+    (point_values), before they enter the contraction.
     """
     if exactness is None:
         exactness = 2 * degree + 4
@@ -322,6 +322,4 @@ def project_l2(degree, f, mesh, exactness=None):
     xy = mesh.to_physical(rule.points)
     x, y = xy[..., 0], xy[..., 1]
     fvals = point_values(f(x, y), x.shape, "f")
-    if not np.isfinite(fvals).all():
-        raise ValueError("f has non-finite values at quadrature points")
     return (rule.weights * fvals) @ phi.T

@@ -21,17 +21,18 @@ from typing import Optional
 
 import numpy as np
 
-from .adapt import _steps
+from .adapt import MODES, _steps
 from .dpg import TrialSpace
 from .problems import error_exactness, lshape_singular, square_smooth
 from .spaces import MAX_QUADRATURE_DEGREE
 
 PROBLEMS = {"square": square_smooth, "lshape": lshape_singular}
+MAX_P = 3       # a study's trial order p lies in 0..MAX_P
 
 # the values StudyConfig.validate accepts for each choice field, in the
 # order the CLI lists them
 _CHOICES = {"problem": tuple(PROBLEMS), "trial": ("standard", "augmented"),
-            "mode": ("uniform", "adaptive")}
+            "mode": MODES}
 
 # the type of each numeric field of StudyConfig; bools are refused
 _NUMBERS = {"p": numbers.Integral, "levels": numbers.Integral,
@@ -70,9 +71,9 @@ class StudyConfig:
     """Parameters of one convergence study.
 
     problem "square" runs the smooth reaction-diffusion benchmark,
-    "lshape" the singular Poisson benchmark; other pairings are not
-    meaningful and are rejected.  problem, trial and mode take the values
-    listed in _CHOICES; p, levels, max_dofs and quad_bump are integers,
+    "lshape" the singular Poisson benchmark, each on its own initial
+    mesh.  problem, trial and mode take the values listed in _CHOICES; p,
+    in 0..MAX_P, levels, max_dofs and quad_bump are integers,
     theta and solver_tol real numbers and postprocess a bool.
     """
     problem: str = "square"
@@ -101,8 +102,8 @@ class StudyConfig:
         if not isinstance(self.postprocess, bool):
             raise ConfigError("postprocess must be True or False, not "
                               f"{self.postprocess!r}")
-        if not 0 <= self.p <= 3:
-            raise ConfigError("polynomial order p must be in 0..3")
+        if not 0 <= self.p <= MAX_P:
+            raise ConfigError(f"polynomial order p must be in 0..{MAX_P}")
         if not 0.0 < self.theta < 1.0:
             raise ConfigError("theta must lie in (0, 1)")
         if self.levels is None and self.max_dofs is None:

@@ -178,11 +178,12 @@ def test_criterion_7_property_suite():
 
     # polynomial exactness: affine Poisson solution, Augmented(0)
     affine = ManufacturedProblem(
-        name="affine", domain="square", kind=POISSON,
+        name="affine", kind=POISSON,
         exact=lambda x, y: x + y,
         exact_grad=lambda x, y: (np.ones_like(x), np.ones_like(y)),
         source=lambda x, y: np.zeros_like(x),
-        dirichlet=lambda x, y: x + y, regularity="smooth")
+        dirichlet=lambda x, y: x + y,
+        initial_mesh=lambda: unit_square_mesh(1))
     sol = assemble_solve(unit_square_mesh(2), TrialSpace(0, augmented=True),
                          POISSON, affine.source, dirichlet=affine.dirichlet)
     rep = error_report(sol, None, affine)

@@ -93,6 +93,23 @@ def test_adaptive_loop_rejects_bad_bounds_before_solving(bounds,
         adaptive_loop(lshape_singular(), TrialSpace(0), **kwargs)
 
 
+
+def test_steps_refuse_an_unknown_mode_before_solving():
+    # a misspelt mode would otherwise run adaptive refinement
+    import dataclasses
+
+    from dpglab.adapt import _steps
+
+    def source(x, y):
+        raise AssertionError("solved")
+
+    problem = dataclasses.replace(square_smooth(), source=source)
+    steps = _steps(problem, TrialSpace(1), "unifrom", 0.25, None, 3, False,
+                   None, 1e-10, 0)
+    with pytest.raises(ValueError, match="unknown mode 'unifrom'"):
+        next(steps)
+
+
 def test_adaptive_loop_one_step_bounds():
     # the smallest bounds allowed still solve exactly once
     for bounds in (dict(max_steps=1, max_dofs=None), dict(max_dofs=1)):

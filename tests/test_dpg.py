@@ -110,6 +110,127 @@ def test_local_b_exact_solution_columns(p, augmented):
     assert seen == {(le, fl) for le in range(3) for fl in (False, True)}
 
 
+def gauss_01(n):
+    t, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (t + 1.0), 0.5 * w
+
+
+def edge_legendre(count, t):
+    """sqrt(2j+1) P_j(2t-1), j < count: the orthonormal Legendre
+    polynomials of [0, 1], shape (count, len(t))."""
+    rows = [np.sqrt(2 * j + 1) * np.polynomial.legendre.legval(
+        2 * t - 1, np.eye(count)[j]) for j in range(count)]
+    return np.array(rows).reshape(count, t.size)
+
+
+def physical_local_systems(X, labels, trial, kind):
+    """G and B of the counterclockwise triangle with vertices X (3, 2) and
+    global vertex numbers labels, by quadrature on the physical triangle.
+
+    Basis functions are the reference basis at the reference images
+    J^{-1} (x - X0) of physical points, gradients J^{-T} times reference
+    gradients.  Edge terms run along each edge from its lower- to its
+    higher-numbered vertex, with the outward unit normal, which points
+    away from the opposite vertex; a flux mode is the normal flux along
+    (dy, -dx)/|d|, d the edge vector in that orientation."""
+    p, r = trial.p, trial.p + 2
+    jac = np.column_stack([X[1] - X[0], X[2] - X[0]])
+    jinv = np.linalg.inv(jac)
+
+    def basis(degree, x):       # values (dim, nq), gradients (dim, nq, 2)
+        ref = (x - X[0]) @ jinv.T
+        b = scalar_basis(degree)
+        return b.values(ref), b.gradients(ref) @ jinv
+
+    # collapsed Gauss rule on the physical triangle, exact past degree 2r+1
+    s, ws = gauss_01(r + 3)
+    ss, tt = np.meshgrid(s, s, indexing="ij")
+    x = (X[0] + ss.ravel()[:, None] * (X[1] - X[0])
+         + (tt * (1 - ss)).ravel()[:, None] * (X[2] - X[0]))
+    w = abs(np.linalg.det(jac)) * np.outer(ws * (1 - s), ws).ravel()
+
+    V, DV = basis(r, x)
+    U = basis(trial.u_degree, x)[0]
+    S = basis(p, x)[0]
+    n_t, n_u, n_s = V.shape[0], U.shape[0], S.shape[0]
+
+    def ip(a, b):
+        return (a * w) @ b.T
+
+    mass = ip(V, V)
+    G = np.zeros((3 * n_t, 3 * n_t))
+    rows = [slice(0, n_t), slice(n_t, 2 * n_t), slice(2 * n_t, 3 * n_t)]
+    G[rows[0], rows[0]] = mass + ip(DV[..., 0], DV[..., 0]) \
+        + ip(DV[..., 1], DV[..., 1])
+    for c in range(2):
+        for d in range(2):
+            G[rows[1 + c], rows[1 + d]] = ip(DV[..., c], DV[..., d]) \
+                + (mass if c == d else 0.0)
+
+    vert = n_u + 2 * n_s
+    bub, flux = vert + 3, vert + 3 + 3 * p
+    B = np.zeros((3 * n_t, flux + 3 * (p + 1)))
+    sig = [slice(n_u, n_u + n_s), slice(n_u + n_s, vert)]
+    if kind == REACTION_DIFFUSION:
+        B[rows[0], :n_u] = ip(V, U)                     # (u, v)
+    for c in range(2):
+        B[rows[1 + c], :n_u] = ip(DV[..., c], U)        # (u, div tau)
+        B[rows[1 + c], sig[c]] = ip(V, S)               # (sigma, tau)
+        B[rows[0], sig[c]] = ip(DV[..., c], S)          # (sigma, grad v)
+
+    t, wt = gauss_01(r + 3)
+    for le in range(3):
+        ends = [(le + 1) % 3, (le + 2) % 3]
+        lo, hi = sorted(ends, key=lambda k: labels[k])
+        d = X[hi] - X[lo]
+        length = np.hypot(*d)
+        normal = np.array([d[1], -d[0]]) / length      # the flux direction
+        outward = normal if normal @ (X[le] - X[lo]) < 0 else -normal
+        Ve = basis(r, X[lo] + t[:, None] * d)[0]
+        ds = length * wt
+        trace = np.vstack([1 - t, t, t * (1 - t) * edge_legendre(p, t)])
+        cols = [vert + lo, vert + hi] + [bub + le * p + j for j in range(p)]
+        for c in range(2):                              # -<uhat, tau.n>
+            B[rows[1 + c], cols] -= outward[c] * (Ve * ds) @ trace.T
+        B[rows[0], flux + le * (p + 1):flux + (le + 1) * (p + 1)] -= (
+            (outward @ normal) * (Ve * ds) @ edge_legendre(p + 1, t).T)
+    return G, B
+
+
+@pytest.mark.parametrize("kind", [REACTION_DIFFUSION, POISSON])
+@pytest.mark.parametrize("augmented", [False, True])
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_local_systems_match_physical_space_quadrature(p, augmented, kind):
+    # random, well-shaped triangles whose global vertex numbers run
+    # through all six orders, so every local edge is seen both ways
+    rng = np.random.default_rng(100 + p)
+    orders = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
+    shapes, vertices, triangles = [], np.empty((18, 2)), []
+    while len(shapes) < 6:
+        X = rng.uniform(-1, 1, size=(3, 2))
+        area2 = np.linalg.det(np.column_stack([X[1] - X[0], X[2] - X[0]]))
+        sides = [np.hypot(*(X[(k + 1) % 3] - X[k])) for k in range(3)]
+        if area2 > 0.2 * max(sides) ** 2:       # counterclockwise, not thin
+            shapes.append(X * 10 ** rng.uniform(-1.5, 0.5))
+    for k, (X, order) in enumerate(zip(shapes, orders)):
+        labels = 3 * k + np.array(order)
+        vertices[labels] = X
+        triangles.append(labels)
+    mesh = Mesh(vertices, triangles, np.zeros(6, dtype=int))
+    assert np.array_equal(mesh.triangles, triangles)
+    assert {(le, bool(f)) for row in mesh.edge_flips
+            for le, f in enumerate(row)} == {(le, f) for le in range(3)
+                                             for f in (False, True)}
+
+    trial = TrialSpace(p, augmented=augmented)
+    G, B = _local_systems(mesh, trial, kind, None)
+    for e, (X, labels) in enumerate(zip(shapes, triangles)):
+        G_o, B_o = physical_local_systems(X, labels, trial, kind)
+        for got, want in ((G[e], G_o), (B[e], B_o)):
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())
+
+
 def test_local_load_cases():
     mesh = unit_square_mesh(2)
     area = mesh.areas()[0]
@@ -256,6 +377,18 @@ def test_mesh_without_triangles_is_refused():
         assemble_solve(empty, TrialSpace(1), REACTION_DIFFUSION, None)
 
 
+
+@pytest.mark.parametrize("tol", [2.0, float("nan"), 0.0, -1.0])
+def test_solver_tolerance_outside_unit_interval_is_refused(tol):
+    # refused before any assembly: the source is never evaluated
+    def source(x, y):
+        raise AssertionError("assembly started")
+
+    with pytest.raises(ValueError, match="solver_tol must lie in"):
+        assemble_solve(unit_square_mesh(2), TrialSpace(1), REACTION_DIFFUSION,
+                       source, solver_tol=tol)
+
+
 def test_trial_space_order_is_a_nonnegative_integer():
     for p in (1.5, True, "1", -1, np.float64(2.0)):
         with pytest.raises(ValueError, match="integer >= 0"):
@@ -336,10 +469,10 @@ def affine_poisson_problem():
         return x + y
 
     return ManufacturedProblem(
-        name="affine", domain="square", kind=POISSON, exact=exact,
+        name="affine", kind=POISSON, exact=exact,
         exact_grad=lambda x, y: (np.ones_like(x), np.ones_like(y)),
         source=lambda x, y: np.zeros_like(x), dirichlet=exact,
-        regularity="smooth")
+        initial_mesh=lambda: unit_square_mesh(1))
 
 
 @pytest.mark.parametrize("trial", [TrialSpace(0, augmented=True),
@@ -800,9 +933,9 @@ def polynomial_poisson_problem(p):
                     for i, j, c in terms)
 
     return ManufacturedProblem(
-        name=f"poly-{p}", domain="lshape", kind=POISSON, exact=exact,
+        name=f"poly-{p}", kind=POISSON, exact=exact,
         exact_grad=exact_grad, source=source, dirichlet=exact,
-        regularity="smooth")
+        initial_mesh=lshape_mesh)
 
 
 @pytest.mark.parametrize("p", [0, 1, 2, 3])

@@ -145,6 +145,24 @@ def test_singular_system_names_the_elements(monkeypatch):
         postprocess_all(sol)
 
 
+
+@pytest.mark.parametrize("broken", ["u_coeffs", "sigma_coeffs"])
+def test_non_finite_coefficients_are_refused(broken):
+    # a NaN in u or an inf in sigma would come back as a non-finite row
+    mesh = refine_uniform(unit_square_mesh(1))
+    u = np.ones((mesh.num_triangles, 3))
+    sigma = np.ones((mesh.num_triangles, 2, 3))
+    if broken == "u_coeffs":
+        u[5, 1] = np.nan
+    else:
+        sigma[3, 1, 2] = np.inf
+        sigma[6, 0, 0] = np.inf
+    element = 5 if broken == "u_coeffs" else 3
+    with pytest.raises(ValueError,
+                       match=f"{broken} is non-finite on element {element}"):
+        postprocess_fields(mesh, u, sigma)
+
+
 def test_locality():
     # perturbing the inputs on one element changes the output only there
     problem = square_smooth()

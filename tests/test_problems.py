@@ -45,7 +45,7 @@ def test_pde_residual_at_random_points(problem_factory):
     count = 0
     while count < 100:
         x, y = rng.uniform(-1, 1, 2)
-        if problem.domain == "square":
+        if problem_factory is square_smooth:
             x, y = (x + 1) / 2, (y + 1) / 2
             if min(x, y, 1 - x, 1 - y) < 1e-3:
                 continue
@@ -117,10 +117,10 @@ def test_error_report_exact_postprocessed_field():
         return x * x + y
 
     problem = ManufacturedProblem(
-        name="quadratic", domain="square", kind=POISSON, exact=exact,
+        name="quadratic", kind=POISSON, exact=exact,
         exact_grad=lambda x, y: (2.0 * x, np.ones_like(y)),
         source=lambda x, y: -2.0 * np.ones_like(x), dirichlet=exact,
-        regularity="smooth")
+        initial_mesh=lambda: unit_square_mesh(1))
     mesh = unit_square_mesh(2)
     sol = assemble_solve(mesh, TrialSpace(1), problem.kind, problem.source,
                          dirichlet=problem.dirichlet)
@@ -148,7 +148,7 @@ def test_error_report_rejects_non_finite_exact_solution(broken):
 
     bad = dataclasses.replace(problem, **{
         broken: nan_exact if broken == "exact" else nan_grad})
-    with pytest.raises(ValueError, match="non-finite at an error-quadrature"):
+    with pytest.raises(ValueError, match=f"problem.{broken} has non-finite"):
         error_report(sol, None, bad)
 
 
@@ -186,6 +186,31 @@ def test_error_report_broadcasts_a_scalar_exact_solution():
         problem, exact=lambda x, y: np.zeros_like(x),
         exact_grad=lambda x, y: (np.zeros_like(x), np.zeros_like(y)))
     assert error_report(sol, None, zero) == error_report(sol, None, arrays)
+
+
+
+@pytest.mark.parametrize("bump", [-6, -9])
+def test_negative_error_quadrature_bump_is_refused(bump):
+    # it would integrate below the default exactness and move err_u
+    import dataclasses
+
+    from dpglab.adapt import adaptive_loop
+    from dpglab.problems import error_exactness
+
+    problem = square_smooth()
+    mesh = unit_square_mesh(2)
+    sol = assemble_solve(mesh, TrialSpace(1), problem.kind, problem.source)
+    with pytest.raises(ValueError, match="bump must be >= 0"):
+        error_exactness(1, bump)
+    with pytest.raises(ValueError, match="bump must be >= 0"):
+        error_report(sol, None, problem, extra_exactness=bump)
+    # the loop refuses it before its first solve
+    def source(x, y):
+        raise AssertionError("solved")
+
+    with pytest.raises(ValueError, match="bump must be >= 0"):
+        adaptive_loop(dataclasses.replace(problem, source=source),
+                      TrialSpace(1), max_steps=1, error_exactness_bump=bump)
 
 
 def test_error_quadrature_stability():
