@@ -118,7 +118,7 @@ def _steps(problem, trial, mode, theta, max_dofs, max_steps, postprocess,
     for name, bound in (("max_dofs", max_dofs), ("max_steps", max_steps)):
         if bound is not None and bound < 1:
             raise ValueError(f"{name} must be >= 1")
-    error_exactness(trial.p, error_exactness_bump)   # refuses a negative bump
+    error_exactness(trial.p, error_exactness_bump)   # refuses a bad bump
     if mesh is None:
         mesh = problem.initial_mesh()
     store = ClassStore()

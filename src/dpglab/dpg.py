@@ -40,7 +40,12 @@ The element geometry comes from the mesh, which computes it once: J,
 det J and J^{-1} (Mesh.jac, det, inv) and the orientation of the local
 edges (Mesh.edge_flips).  The scalar test basis is orthonormal on the
 reference element, so the load moments (f, v_i)_T are det J times the L2
-projection of f (spaces.project_l2).  G_T and B_T depend on T only
+projection of f (spaces.project_l2), every mass block of G_T and B_T is
+det J times an identity slice, and G_T = det J I + K_T with K_T the
+stiffness terms alone.  The basis is nested too, so the bases of u and
+sigma are its leading modes, and one reference table of the test basis
+per trial order (_reference_tables) holds every other volume term;
+postprocessing reads the same table.  G_T and B_T depend on T only
 through J and the edge flips, and newest-vertex bisection produces few
 distinct element shapes, so assemble_solve groups the elements into
 classes whose members share both bit for bit and condenses once per
@@ -191,28 +196,20 @@ class Solution:
 
 
 @lru_cache(maxsize=None)
-def _reference_tables(u_degree, p, r, exactness):
-    """Reference-element contraction tensors shared by all elements: the
-    bases of degree u_degree (U), p (S) and r (V) against each other under
-    triangle_quadrature(exactness), and the edge traces of V.  The one
-    place where bases meet quadrature weights; postprocessing reads T1
-    and GS with (U, S, V) of degrees (p, p, p + 1)."""
+def _reference_tables(p, exactness):
+    """Reference-element contraction tensors of trial order p, shared by
+    all elements: the test basis V of degree p + DELTA_P against itself
+    under triangle_quadrature(exactness), and its edge traces; the one
+    place where bases meet quadrature weights.  V is orthonormal, so mass
+    blocks need no table, and nested, so the bases of u, sigma and the
+    postprocessed field are its leading modes: T1 holds
+    (d_a v_i, d_b v_j), GV (d_a v_i, v_j), and postprocessing reads their
+    first dim P^{p+1} rows."""
     w = triangle_quadrature(exactness).weights
     edge = edge_quadrature(exactness)
-    U = basis_at_quadrature(u_degree, exactness)[0]
-    S = basis_at_quadrature(p, exactness)[0]
-    V, Vg = basis_at_quadrature(r, exactness)
-
-    tab = {
-        "n_u": U.shape[0], "n_s": S.shape[0], "n_t": V.shape[0],
-        # volume contractions against the quadrature weight
-        "M0": np.einsum("ik,jk,k->ij", V, V, w),
-        "T1": np.einsum("ika,jkb,k->abij", Vg, Vg, w),
-        "MU": np.einsum("ik,jk,k->ij", V, U, w),
-        "GU": np.einsum("ika,jk,k->aij", Vg, U, w),
-        "MS": np.einsum("ik,jk,k->ij", V, S, w),
-        "GS": np.einsum("ika,jk,k->aij", Vg, S, w),
-    }
+    V, Vg = basis_at_quadrature(p + DELTA_P, exactness)
+    tab = {"T1": np.einsum("ika,jkb,k->abij", Vg, Vg, w),
+           "GV": np.einsum("ika,jk,k->aij", Vg, V, w)}
 
     # trace contractions for the six (local edge, flip) configurations.
     # t runs along each edge from its lower- to its higher-numbered
@@ -231,7 +228,7 @@ def _reference_tables(u_degree, p, r, exactness):
             order = slice(None, None, -1 if flip else 1)
             a, b = REFERENCE_VERTICES[[(le + 1) % 3, (le + 2) % 3][order]]
             pts = a + t[:, None] * (b - a)
-            EV = scalar_basis(r).values(pts)             # (n_t, nqe)
+            EV = scalar_basis(p + DELTA_P).values(pts)   # (n_t, nqe)
             trace = np.vstack([hat[order], bub])
             tab["SK"][le, flip] = np.einsum("jk,ik,k->ji", trace, EV, we)
             tab["FX"][le, flip] = np.einsum("jk,ik,k->ji", leg, EV, we)
@@ -242,6 +239,14 @@ def default_exactness(p):
     """Quadrature exactness used for assembly: products of enriched test
     functions with themselves and one extra order for the load."""
     return 2 * (p + DELTA_P + 1)
+
+
+def _stiffness(det, inv_t, T1):
+    """(grad v_i, grad v_j)_T on each element from the reference table T1
+    of (d_a v_i, d_b v_j): det J times T1 contracted with the metric
+    J^{-1} J^{-T}; inv_t holds J^{-T}, one per element."""
+    metric = np.einsum("eca,ecb->eab", inv_t, inv_t)
+    return np.einsum("e,eab,abij->eij", det, metric, T1)
 
 
 def _local_systems(mesh, trial, kind, elements, exactness=None):
@@ -257,8 +262,8 @@ def _local_systems(mesh, trial, kind, elements, exactness=None):
     p = trial.p
     if exactness is None:
         exactness = default_exactness(p)
-    tab = _reference_tables(trial.u_degree, p, p + DELTA_P, exactness)
-    n_u, n_s, n_t = tab["n_u"], tab["n_s"], tab["n_t"]
+    tab = _reference_tables(p, exactness)
+    n_u, n_s, n_t = _dim(trial.u_degree), _dim(p), _dim(p + DELTA_P)
     m = 3 * n_t
 
     elements = np.arange(mesh.num_triangles) if elements is None \
@@ -272,19 +277,16 @@ def _local_systems(mesh, trial, kind, elements, exactness=None):
     sv = slice(0, n_t)
     st = (slice(n_t, 2 * n_t), slice(2 * n_t, 3 * n_t))
 
-    # test-space Gram: (v, mu) + (grad v, grad mu) + (tau, lam) + (div tau, div lam)
+    # test-space Gram G = det J I + K: the mass terms (v, mu) + (tau, lam)
+    # are det J times the identity, and K holds the stiffness terms
+    # (grad v, grad mu) + (div tau, div lam)
     G = np.zeros((ne, m, m))
-    metric = np.einsum("eca,ecb->eab", inv_t, inv_t)
-    stiff = np.einsum("e,eab,abij->eij", det, metric, tab["T1"])
-    mass = det[:, None, None] * tab["M0"]
-    G[:, sv, sv] = mass + stiff
+    G[:, sv, sv] = _stiffness(det, inv_t, tab["T1"])
     for c in range(2):
         for d in range(2):
-            block = np.einsum("e,ea,eb,abij->eij", det,
-                              inv_t[:, c], inv_t[:, d], tab["T1"])
-            if c == d:
-                block = block + mass
-            G[:, st[c], st[d]] = block
+            G[:, st[c], st[d]] = np.einsum("e,ea,eb,abij->eij", det,
+                                           inv_t[:, c], inv_t[:, d], tab["T1"])
+    G += det[:, None, None] * np.eye(m)
 
     # trial-to-test coupling
     n_local = n_u + 2 * n_s + 3 + 3 * p + 3 * (p + 1)
@@ -295,36 +297,36 @@ def _local_systems(mesh, trial, kind, elements, exactness=None):
     bub_col = vert_col + 3
     flux_col = bub_col + 3 * p
 
-    # (u, div tau) and, for reaction-diffusion, (u, v)
+    # (u, div tau) + (sigma, grad v): grad[:, c] holds (d_c v_i, phi_j)_T
+    # for the modes phi_j of u, whose first n_s are those of sigma; the
+    # mass terms (sigma, tau) and, for reaction-diffusion, (u, v) are det J
+    # times identity slices
+    grad = np.einsum("e,eca,aij->ecij", det, inv_t, tab["GV"][:, :, :n_u])
+    mass = det[:, None, None] * np.eye(n_t, n_u)
     for c in range(2):
-        B[:, st[c], cu] = np.einsum("e,ea,aij->eij", det, inv_t[:, c],
-                                    tab["GU"])
+        B[:, st[c], cu] = grad[:, c]
+        B[:, sv, cs[c]] = grad[:, c, :, :n_s]
+        B[:, st[c], cs[c]] = mass[:, :, :n_s]
     if kind == REACTION_DIFFUSION:
-        B[:, sv, cu] = det[:, None, None] * tab["MU"]
-
-    # (sigma, tau + grad v)
-    for c in range(2):
-        B[:, st[c], cs[c]] = det[:, None, None] * tab["MS"]
-        B[:, sv, cs[c]] = np.einsum("e,ea,aij->eij", det, inv_t[:, c],
-                                    tab["GS"])
+        B[:, sv, cu] = mass
 
     # skeleton terms: -<uhat, tau.n> and -<shat, v> edge by edge; local
     # edge le runs from vertex le+1 to le+2, so its vector end - start is
-    # J_1 - J_0, -J_1, J_0 in terms of the Jacobian columns
+    # J_1 - J_0, -J_1, J_0 in terms of the Jacobian columns, and that
+    # vector turned clockwise, (d_y, -d_x), is the outward normal times
+    # the edge length
     flips = mesh.edge_flips[elements].astype(np.intp)
     edge_vectors = (jac[:, :, 1] - jac[:, :, 0], -jac[:, :, 1], jac[:, :, 0])
     for le, d in enumerate(edge_vectors):
         flip = flips[:, le]
         length = np.hypot(d[:, 0], d[:, 1])
-        normal = np.column_stack([d[:, 1], -d[:, 0]]) / length[:, None]
         # columns [start vertex | end vertex | uhat bubbles] and the flux
         trace_cols = np.r_[vert_col + (le + 1) % 3, vert_col + (le + 2) % 3,
                            bub_col + le * p:bub_col + (le + 1) * p]
         flux_cols = slice(flux_col + le * (p + 1), flux_col + (le + 1) * (p + 1))
         SK = tab["SK"][le, flip]
-        for c in range(2):
-            B[:, st[c], trace_cols] -= np.einsum(
-                "e,eji->eij", length * normal[:, c], SK)
+        for c, normal in enumerate((d[:, 1], -d[:, 0])):
+            B[:, st[c], trace_cols] -= np.einsum("e,eji->eij", normal, SK)
         B[:, sv, flux_cols] -= np.einsum(
             "e,eji->eij", np.where(flip, -length, length), tab["FX"][le, flip])
     return G, B
@@ -409,33 +411,26 @@ class ClassStore:
 
     def update(self, dofmap, kind, keys, rep):
         """Operator stacks for the classes keys of dofmap's mesh, with
-        representative elements rep.  Classes already stored are copied
-        over bit for bit, the others condensed in one batch (batched
+        representative elements rep.  The classes not stored yet are
+        condensed in one batch and appended after the stored rows (batched
         LAPACK factors each matrix on its own, so a class's operators do
-        not depend on the batch).  Returns (stacks, number of classes
-        condensed)."""
+        not depend on the batch); then each stack is taken by the class
+        rows, which copies the stored classes bit for bit.  Returns
+        (stacks, number of classes condensed)."""
         if (dofmap.trial, kind) != self.space:
             self.space, self.rows, self.ops = (dofmap.trial, kind), {}, {}
         names = [key.tobytes() for key in keys]
-        old = np.array([self.rows.get(name, -1) for name in names],
-                       dtype=np.intp)
-        hit, missing = np.flatnonzero(old >= 0), np.flatnonzero(old < 0)
-        fresh = (_condense_classes(dofmap, kind, rep[missing])
-                 if missing.size else {})
-        # one operator at a time, so that at most one old stack is alive
-        # next to the new ones
-        previous, self.ops = self.ops, {}
-        shapes = {name: a.shape[1:] for name, a in (fresh or previous).items()}
-        for name, shape in shapes.items():
-            stack = np.empty((len(names),) + shape)
-            kept = previous.pop(name, None)
-            if hit.size:
-                stack[hit] = kept[old[hit]]
-            if missing.size:
-                stack[missing] = fresh.pop(name)
-            self.ops[name] = stack
+        missing = [i for i, name in enumerate(names) if name not in self.rows]
+        if missing:
+            fresh = _condense_classes(dofmap, kind, rep[missing])
+            self.ops = {name: np.concatenate([self.ops[name], a])
+                        if self.ops else a for name, a in fresh.items()}
+            for i in missing:
+                self.rows[names[i]] = len(self.rows)
+        row = [self.rows[name] for name in names]
+        self.ops = {name: a[row] for name, a in self.ops.items()}
         self.rows = dict(zip(names, range(len(names))))
-        return self.ops, int(missing.size)
+        return self.ops, len(missing)
 
 
 def condense(gram, coupling):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dpg import _reference_tables, default_exactness
+from .dpg import _dim, _reference_tables, _stiffness, default_exactness
 
 
 @dataclass
@@ -69,18 +69,18 @@ def postprocess_fields(mesh, u_coeffs, sigma_coeffs):
         if bad.size:
             raise ValueError(f"{name} is non-finite on element {bad[0]}")
 
-    # reference contractions of the degree-(p+1) modes v_i: T1 holds
-    # (grad v_i, grad v_j), GS (grad v_i, phi_j) against the degree-p
-    # modes phi_j of sigma_h
-    tab = _reference_tables(p, p, p + 1, default_exactness(p))
+    # the assembly's reference table of trial order p, read in its first
+    # n = dim P^{p+1} test modes v_i: T1 holds (grad v_i, grad v_j), GV
+    # (grad v_i, phi_j) against the degree-p modes phi_j of sigma_h
+    tab = _reference_tables(p, default_exactness(p))
+    n, n_s = _dim(p + 1), sigma_coeffs.shape[2]
     det = mesh.det
     inv_t = mesh.inv.transpose(0, 2, 1)     # J^{-T}, maps gradients
 
-    metric = np.einsum("eca,ecb->eab", inv_t, inv_t)
-    stiff = np.einsum("e,eab,abij->eij", det, metric, tab["T1"])
+    stiff = _stiffness(det, inv_t, tab["T1"][:, :, :n, :n])
     # (sigma_h, grad v_i)_T
-    rhs_grad = np.einsum("e,eca,aij,ecj->ei", det, inv_t, tab["GS"],
-                         sigma_coeffs)
+    rhs_grad = np.einsum("e,eca,aij,ecj->ei", det, inv_t,
+                         tab["GV"][:, :n, :n_s], sigma_coeffs)
 
     block = stiff[:, 1:, 1:]
     try:

@@ -15,7 +15,8 @@ import numpy as np
 
 from .dpg import POISSON, REACTION_DIFFUSION
 from .mesh import lshape_mesh, unit_square_mesh
-from .spaces import basis_at_quadrature, point_values, triangle_quadrature
+from .spaces import (MAX_QUADRATURE_DEGREE, basis_at_quadrature, point_values,
+                     triangle_quadrature)
 
 
 @dataclass(frozen=True)
@@ -120,12 +121,18 @@ class ErrorReport:
 
 
 def error_exactness(p, extra_exactness=0):
-    """Exactness of the error quadrature at trial order p, raised by
-    extra_exactness; a negative bump raises ValueError."""
+    """Exactness of the error quadrature at trial order p, 2(p+3) + 4
+    raised by extra_exactness; a negative bump, or an exactness beyond
+    MAX_QUADRATURE_DEGREE, raises ValueError."""
     if extra_exactness < 0:
         raise ValueError("error-quadrature bump must be >= 0, not "
                          f"{extra_exactness!r}")
-    return 2 * (p + 3) + 4 + extra_exactness
+    exactness = 2 * (p + 3) + 4 + extra_exactness
+    if exactness > MAX_QUADRATURE_DEGREE:
+        raise ValueError(f"error-quadrature bump {extra_exactness!r} too "
+                         f"large at p = {p}: exactness {exactness} exceeds "
+                         f"{MAX_QUADRATURE_DEGREE}")
+    return exactness
 
 
 def error_report(solution, postprocessed, problem, extra_exactness=0):
@@ -146,7 +153,7 @@ def error_report(solution, postprocessed, problem, extra_exactness=0):
     -------
     ErrorReport
 
-    Raises ValueError on a negative extra_exactness, and when
+    Raises ValueError on an extra_exactness error_exactness refuses, and when
     problem.exact or problem.exact_grad is non-finite at an
     error-quadrature point or returns neither one value per point nor a
     scalar (spaces.point_values).

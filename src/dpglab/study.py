@@ -24,7 +24,6 @@ import numpy as np
 from .adapt import MODES, _steps
 from .dpg import TrialSpace
 from .problems import error_exactness, lshape_singular, square_smooth
-from .spaces import MAX_QUADRATURE_DEGREE
 
 PROBLEMS = {"square": square_smooth, "lshape": lshape_singular}
 MAX_P = 3       # a study's trial order p lies in 0..MAX_P
@@ -112,11 +111,10 @@ class StudyConfig:
             raise ConfigError("levels must be >= 1")
         if self.max_dofs is not None and self.max_dofs < 1:
             raise ConfigError("max-dofs must be >= 1")
-        if self.quad_bump < 0:
-            raise ConfigError("quadrature bump must be >= 0")
-        if error_exactness(self.p, self.quad_bump) > MAX_QUADRATURE_DEGREE:
-            raise ConfigError("quadrature bump too large: error quadrature "
-                              f"exceeds exactness {MAX_QUADRATURE_DEGREE}")
+        try:
+            error_exactness(self.p, self.quad_bump)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if not 0.0 < self.solver_tol < 1.0:     # also rejects NaN
             raise ConfigError("solver tolerance must lie in (0, 1)")
 

@@ -213,6 +213,28 @@ def test_negative_error_quadrature_bump_is_refused(bump):
                       TrialSpace(1), max_steps=1, error_exactness_bump=bump)
 
 
+def test_error_quadrature_beyond_the_cap_is_refused():
+    # 2(p+3) + 4 + 20 = 30 lies past the largest triangle rule: the loop
+    # must refuse the bump before its first solve, not after it
+    import dataclasses
+
+    from dpglab.adapt import adaptive_loop
+    from dpglab.problems import error_exactness
+    from dpglab.spaces import MAX_QUADRATURE_DEGREE
+
+    assert error_exactness(0, MAX_QUADRATURE_DEGREE - 10) \
+        == MAX_QUADRATURE_DEGREE
+    with pytest.raises(ValueError, match="quadrature"):
+        error_exactness(0, MAX_QUADRATURE_DEGREE - 9)
+
+    def source(x, y):
+        raise AssertionError("solved")
+
+    with pytest.raises(ValueError, match=f"exceeds {MAX_QUADRATURE_DEGREE}"):
+        adaptive_loop(dataclasses.replace(lshape_singular(), source=source),
+                      TrialSpace(0), max_dofs=100, error_exactness_bump=20)
+
+
 def test_error_quadrature_stability():
     # raising the error-quadrature exactness by 4 moves the reported
     # errors by < 0.1% (smooth) and < 1% (singular)

@@ -127,6 +127,30 @@ def test_basis_at_quadrature_is_cached_read_only_and_exact():
         gradients[0, 0, 0] = 1.0
 
 
+@pytest.mark.parametrize("exactness", [8, 12, 20])
+def test_basis_at_quadrature_is_nested_bitwise(exactness):
+    # the element tables read the trial and postprocessing bases as the
+    # leading rows of the test basis
+    for degree in range(7):
+        values, gradients = basis_at_quadrature(degree, exactness)
+        up_values, up_gradients = basis_at_quadrature(degree + 1, exactness)
+        assert np.array_equal(values, up_values[:values.shape[0]])
+        assert np.array_equal(gradients, up_gradients[:values.shape[0]])
+
+
+@pytest.mark.parametrize("p", range(4))
+def test_test_basis_mass_against_trial_bases_is_an_identity_slice(p):
+    # the element mass blocks are det J times these slices, built without
+    # quadrature
+    exactness = 2 * (p + 3)
+    w = triangle_quadrature(exactness).weights
+    test = basis_at_quadrature(p + 2, exactness)[0]
+    for degree in (p, p + 1):
+        trial = basis_at_quadrature(degree, exactness)[0]
+        mass = np.einsum("ik,jk,k->ij", test, trial, w)
+        assert np.abs(mass - np.eye(*mass.shape)).max() <= 1e-13
+
+
 def reference_mesh():
     return Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1, 2]], [0])
 
