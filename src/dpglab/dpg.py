@@ -60,6 +60,11 @@ class operators: its skeleton load and S_II^{-1} r_I from its load
 moments, its fields from its skeleton values, and w_T = W_E load_T - W_B
 x_T = L^{-1} (F_T - B_T x_T).  |w_T| is the local estimator eta(T), the
 test norm of the residual representer, and W_B' w_T its Galerkin vector.
+assemble_solve runs these products over chunks of elements whose
+gathered class operators fill at most _CHUNK_BYTES, and the store
+condenses the classes new to a mesh in chunks of the same size, so no
+operator is copied once per element of the whole mesh.  No result
+depends on the chunk size.
 """
 
 import numbers
@@ -332,6 +337,30 @@ def _local_systems(mesh, trial, kind, elements, exactness=None):
     return G, B
 
 
+# bytes of class operators that one chunk gathers: a solve runs its
+# per-element products, and ClassStore.update its condensations, over
+# chunks of elements or classes this large, so that no operator is ever
+# copied for every element at once.  Results do not depend on it
+_CHUNK_BYTES = 4 << 20
+
+
+def _class_bytes(dofmap):
+    """Bytes of one class's stored operators: w_b (m x n), s_hat and inner
+    (n x (n - k) together) and load_op ((m + n) x n_t), for m test and n
+    local trial functions, k of them interior, and n_t scalar test
+    functions."""
+    n_t = _dim(dofmap.trial.p + DELTA_P)
+    m, n = 3 * n_t, dofmap.n_local
+    return 8 * (m * n + n * (n - dofmap.k_int) + (m + n) * n_t)
+
+
+def _chunks(count, item_bytes):
+    """Consecutive slices that cover range(count), each of at most
+    _CHUNK_BYTES worth of items of item_bytes, and at least one item."""
+    step = max(1, _CHUNK_BYTES // item_bytes)
+    return [slice(start, start + step) for start in range(0, count, step)]
+
+
 def _element_classes(mesh):
     """Group the elements by the bits of their Jacobian mesh.jac and their
     mesh.edge_flips, all that G and B depend on.  Returns the class keys
@@ -411,26 +440,31 @@ class ClassStore:
 
     def update(self, dofmap, kind, keys, rep):
         """Operator stacks for the classes keys of dofmap's mesh, with
-        representative elements rep.  The classes not stored yet are
-        condensed in one batch and appended after the stored rows (batched
-        LAPACK factors each matrix on its own, so a class's operators do
-        not depend on the batch); then each stack is taken by the class
-        rows, which copies the stored classes bit for bit.  Returns
-        (stacks, number of classes condensed)."""
+        representative elements rep.  The stored classes are taken by
+        their rows, which copies them bit for bit; the classes not stored
+        yet are condensed in chunks of _CHUNK_BYTES worth of stored
+        operators and written into their rows (batched LAPACK factors each
+        matrix on its own, so a class's operators do not depend on the
+        chunk).  Returns (stacks, number of classes condensed)."""
         if (dofmap.trial, kind) != self.space:
             self.space, self.rows, self.ops = (dofmap.trial, kind), {}, {}
         names = [key.tobytes() for key in keys]
-        missing = [i for i, name in enumerate(names) if name not in self.rows]
-        if missing:
-            fresh = _condense_classes(dofmap, kind, rep[missing])
-            self.ops = {name: np.concatenate([self.ops[name], a])
-                        if self.ops else a for name, a in fresh.items()}
-            for i in missing:
-                self.rows[names[i]] = len(self.rows)
-        row = [self.rows[name] for name in names]
-        self.ops = {name: a[row] for name, a in self.ops.items()}
-        self.rows = dict(zip(names, range(len(names))))
-        return self.ops, len(missing)
+        missing = np.array([i for i, name in enumerate(names)
+                            if name not in self.rows], dtype=np.intp)
+        # row 0 holds the place of a missing class until its chunk comes
+        row = [self.rows.get(name, 0) for name in names]
+        ops = {name: a[row] for name, a in self.ops.items()}
+        for chunk in _chunks(len(missing), _class_bytes(dofmap)):
+            fresh = _condense_classes(dofmap, kind, rep[missing[chunk]])
+            for name, a in fresh.items():
+                # each stack keeps the memory layout the condensation
+                # gives it: assemble_solve's einsums sum in the order of it
+                if name not in ops:
+                    ops[name] = np.empty_like(a, shape=(len(names),)
+                                              + a.shape[1:])
+                ops[name][missing[chunk]] = a
+        self.ops, self.rows = ops, dict(zip(names, range(len(names))))
+        return ops, len(missing)
 
 
 def condense(gram, coupling):
@@ -494,8 +528,12 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *,
     The class operators come from store, a ClassStore that the solves of
     one study share (None: a new, empty one).  Only the classes it lacks
     are condensed, and afterwards it holds exactly the classes of mesh;
-    the result is bitwise the same with or without a store.
-    Solution.diagnostics reports element_classes and classes_condensed.
+    the result is bitwise the same with or without a store.  The
+    per-element products, before the solve and after it, run over
+    consecutive chunks of elements whose gathered class operators fill at
+    most _CHUNK_BYTES; every element's numbers are bitwise the same for
+    any chunk size.  Solution.diagnostics reports element_classes,
+    element_chunks and classes_condensed.
 
     Parameters
     ----------
@@ -541,58 +579,80 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *,
         store = ClassStore()
     keys, rep, cls = _element_classes(mesh)
     ops, condensed = store.update(dofmap, kind, keys, rep)
+    chunks = _chunks(nt, _class_bytes(dofmap))
     m = ops["w_b"].shape[1]
     k = dofmap.k_int
-    parts = np.einsum("eij,ej->ei", ops["load_op"][cls], load)
-    w_load, r_hat, x_int = parts[:, :m], parts[:, m:-k], parts[:, -k:]
 
     # free skeleton block only: interior dofs come first in the global
     # order and are all free, so free_index - interior_count numbers the
-    # free skeleton dofs (negative when prescribed); the Dirichlet values
-    # are lifted element by element
+    # free skeleton dofs (negative when prescribed), as int32, which
+    # scipy's sparse formats keep without a copy
     ic = dofmap.interior_count
     skel = dofmap.local_cols[:, k:]
-    s_loc = ops["s_hat"][cls]
-    r_hat = r_hat - (s_loc @ prescribed[skel][..., None])[..., 0]
-    fcols = dofmap.free_index[skel] - ic
+    fcols = (dofmap.free_index[skel] - ic).astype(np.int32)
     own = fcols >= 0
     ns = dofmap.num_free - ic
+
+    # chunk by chunk, the load moments give W_E load_T, the skeleton load
+    # and S_II^{-1} R_I load_T; the Dirichlet values are lifted element by
+    # element, and the free entries of S_hat are the COO values
+    w_load, x_int = np.empty((nt, m)), np.empty((nt, k))
+    r_hat = np.empty(skel.shape)
+    values = []
+    for c in chunks:
+        parts = np.einsum("eij,ej->ei", ops["load_op"][cls[c]], load[c])
+        s_loc = ops["s_hat"][cls[c]]
+        w_load[c], x_int[c] = parts[:, :m], parts[:, -k:]
+        r_hat[c] = parts[:, m:-k] - (
+            s_loc @ prescribed[skel[c]][..., None])[..., 0]
+        values.append(s_loc[own[c, :, None] & own[c, None, :]])
     b = np.bincount(fcols[own], r_hat[own], minlength=ns)
+    # one COO of all element cliques, so that their exact zeros stay
+    # entries of A: the finest system of the p=1 uniform L-shape study
+    # holds 8,960 of them, and pruning them (as a sum of per-chunk sparse
+    # matrices would) changes the minimum-degree order and takes nnz(L+U)
+    # from 2.62M to 4.88M
     pair = own[:, :, None] & own[:, None, :]
     A = sp.csc_matrix(
-        (s_loc[pair],
+        (np.concatenate(values),
          (np.broadcast_to(fcols[:, :, None], pair.shape)[pair],
           np.broadcast_to(fcols[:, None, :], pair.shape)[pair])),
         shape=(ns, ns))
+    del values, pair
     x_skel, diag = _solve_spd(A, b, solver_tol)
+    del A
     diag["skeleton_dofs"] = ns
 
-    # fields per element: x_I = S_II^{-1} R_I load_T - S_II^{-1} S_IS x_S
+    # chunk by chunk, the fields x_I = S_II^{-1} R_I load_T - S_II^{-1}
+    # S_IS x_S, and w = W_E load - W_B x = L^{-1} (F - B x) with the local
+    # estimator |w|.  Taken at x = the Dirichlet lift as well, W_B' w gives
+    # the condensed load of the free trial dofs, the scale of the Galerkin
+    # check below
     x = prescribed.copy()
     x[ic:][dofmap.free[ic:]] = x_skel
-    x_int -= np.einsum("eij,ej->ei", ops["inner"][cls], x[skel])
-    x[:ic] = x_int.ravel()
-
-    # w = W_E load - W_B x = L^{-1} (F - B x); local estimator |w|.  Taken
-    # at x = the Dirichlet lift as well, W_B' w gives the condensed load of
-    # the free trial dofs, the scale of the Galerkin check below
     cols = dofmap.local_cols
-    w_b = ops["w_b"][cls]
-    both = w_load[..., None] - w_b @ np.stack([x[cols], prescribed[cols]],
-                                              axis=-1)
-    eta_sq = np.einsum("em,em->e", both[..., 0], both[..., 0])
+    eta_sq = np.empty(nt)
+    bt_both = np.empty(cols.shape + (2,))
+    for c in chunks:
+        x_int[c] -= np.einsum("eij,ej->ei", ops["inner"][cls[c]], x[skel[c]])
+        x[:ic].reshape(nt, k)[c] = x_int[c]
+        w_b = ops["w_b"][cls[c]]
+        both = w_load[c, :, None] - w_b @ np.stack(
+            [x[cols[c]], prescribed[cols[c]]], axis=-1)
+        eta_sq[c] = np.einsum("em,em->e", both[..., 0], both[..., 0])
+        bt_both[c] = np.swapaxes(w_b, 1, 2) @ both
 
     # Galerkin orthogonality of the mixed system: B' G^{-1} (F - B x) =
     # W_B' w vanishes on the free trial dofs up to solver accuracy
     fall = dofmap.free_index[cols]
     fown = fall >= 0
     nf = dofmap.num_free
-    bt_both = np.swapaxes(w_b, 1, 2) @ both
     gal = np.bincount(fall[fown], bt_both[..., 0][fown], minlength=nf)
     free_load = np.bincount(fall[fown], bt_both[..., 1][fown], minlength=nf)
     diag["galerkin_residual"] = float(np.abs(gal).max()) if nf else 0.0
     diag["load_scale"] = float(np.abs(free_load).max()) if nf else 0.0
     diag["element_classes"] = len(keys)
+    diag["element_chunks"] = len(chunks)
     diag["classes_condensed"] = condensed
 
     u_coeffs = x_int[:, :dofmap.n_u].copy()

@@ -870,12 +870,11 @@ def test_element_classes_diagnostic():
     assert mesh.num_triangles == 1536
 
 
-def assert_same_solution(got, want):
-    """Bitwise equal solutions; classes_condensed may differ."""
+def assert_same_solution(got, want, skip=("classes_condensed",)):
+    """Bitwise equal solutions; the diagnostics in skip may differ."""
     for name in ("coeffs", "u_coeffs", "sigma_coeffs", "eta_local"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert got.eta == want.eta
-    skip = {"classes_condensed"}
     assert ({k: v for k, v in got.diagnostics.items() if k not in skip} ==
             {k: v for k, v in want.diagnostics.items() if k not in skip})
 
@@ -905,6 +904,94 @@ def test_class_store_reuses_operators_bitwise():
     other = solve(TrialSpace(1, augmented=True), store)
     assert other.diagnostics["classes_condensed"] == classes
     assert_same_solution(other, solve(TrialSpace(1, augmented=True), None))
+
+
+@pytest.mark.parametrize("case", ["perturbed-p2", "corner-refined-p1",
+                                  "lshape-p3"])
+def test_chunk_size_does_not_change_results(case, monkeypatch):
+    # every per-element and per-class product is independent of the batch
+    # it runs in: one element (and one class) per chunk, the default
+    # budget, and one chunk for the whole mesh give the same bits, store
+    # -backed second solves included
+    import dpglab.dpg as dpg
+    from dpglab.dpg import ClassStore
+    from dpglab.problems import lshape_singular
+
+    def source(x, y):
+        return 1.0 + x * y - np.sin(3.0 * x)
+
+    def dirichlet(x, y):
+        return np.cos(x + 2.0 * y)
+
+    if case == "perturbed-p2":      # 96 elements, 96 classes
+        mesh = perturbed(refine_uniform(refine_uniform(lshape_mesh())))
+        trial, kind = TrialSpace(2), REACTION_DIFFUSION
+    elif case == "corner-refined-p1":
+        mesh = corner_refined_lshape(2, 2)
+        trial, kind = TrialSpace(1), POISSON
+    else:
+        mesh = refine_uniform(refine_uniform(refine_uniform(lshape_mesh())))
+        singular = lshape_singular()
+        trial, kind = TrialSpace(3), singular.kind
+        source, dirichlet = singular.source, singular.dirichlet
+    nt = mesh.num_triangles
+    want = assemble_solve(mesh, trial, kind, source, dirichlet=dirichlet)
+    for budget, chunks in ((1, nt), (dpg._CHUNK_BYTES, None), (1 << 40, 1)):
+        monkeypatch.setattr(dpg, "_CHUNK_BYTES", budget)
+        store = ClassStore()
+        for _ in range(2):
+            got = assemble_solve(mesh, trial, kind, source,
+                                 dirichlet=dirichlet, store=store)
+            assert_same_solution(got, want, skip=("classes_condensed",
+                                                  "element_chunks"))
+            if chunks is not None:
+                assert got.diagnostics["element_chunks"] == chunks
+
+
+def test_solve_peak_memory_stays_below_the_class_operators_per_element():
+    # a solve streams its per-element work through bounded chunks, so its
+    # traced peak stays below half of one copy of the stored class
+    # operators per element (which a solve gathering them all would hold)
+    import tracemalloc
+
+    from dpglab.dpg import ClassStore, _class_bytes
+    from dpglab.problems import lshape_singular
+
+    problem = lshape_singular()
+    mesh = lshape_mesh()
+    for _ in range(4):
+        mesh = refine_uniform(mesh)
+
+    def solve(mesh, store=None):
+        return assemble_solve(mesh, TrialSpace(3), problem.kind,
+                              problem.source, dirichlet=problem.dirichlet,
+                              store=store)
+
+    solve(lshape_mesh())            # reference tables and quadrature cached
+    store = ClassStore()
+    tracemalloc.start()
+    try:
+        sol = solve(mesh, store)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    class_bytes = sum(a[0].nbytes for a in store.ops.values())
+    assert class_bytes == _class_bytes(sol.dofmap) == 7155 * 8
+    assert mesh.num_triangles == 1536
+    assert peak < mesh.num_triangles * class_bytes / 2     # 41.9 MiB
+
+
+def test_large_solve_runs_in_several_element_chunks():
+    from dpglab.problems import lshape_singular
+
+    problem = lshape_singular()
+    mesh = lshape_mesh()
+    for _ in range(5):
+        mesh = refine_uniform(mesh)
+    sol = assemble_solve(mesh, TrialSpace(1), problem.kind, problem.source,
+                         dirichlet=problem.dirichlet)
+    assert mesh.num_triangles == 6144
+    assert 1 < sol.diagnostics["element_chunks"] < mesh.num_triangles
 
 
 def polynomial_poisson_problem(p):
