@@ -17,7 +17,7 @@ from typing import List
 
 import numpy as np
 
-from .dpg import ClassStore, assemble_solve
+from .dpg import ClassStore, _in_unit_interval, _is_integer, assemble_solve
 from .mesh import refine_marked, refine_uniform
 from .postprocess import postprocess_all
 from .problems import error_exactness, error_report
@@ -31,7 +31,8 @@ def mark(eta_local, theta):
     Parameters
     ----------
     eta_local : (nt,) array of finite, nonnegative local estimator values.
-    theta : float in (0, 1).
+    theta : real number in (0, 1), not a bool (dpg._in_unit_interval);
+        anything else raises ValueError.
 
     Returns
     -------
@@ -39,8 +40,7 @@ def mark(eta_local, theta):
     all local contributions vanish.
     """
     eta_local = np.asarray(eta_local, dtype=float)
-    if not 0.0 < theta < 1.0:
-        raise ValueError("marking parameter theta must lie in (0, 1)")
+    _in_unit_interval(theta, "theta")
     if not (np.isfinite(eta_local) & (eta_local >= 0.0)).all():
         raise ValueError("local estimator values must be finite and "
                          "nonnegative")
@@ -82,7 +82,10 @@ def adaptive_loop(problem, trial, theta=0.25, max_dofs=10000,
     and estimator, and stops once num_dofs >= max_dofs (or after
     max_steps solves); otherwise it bulk-marks and refines by
     newest-vertex bisection.  This is _steps in "adaptive" mode, run to
-    the end, so bad bounds raise ValueError before the first solve.
+    the end, so every parameter _check_loop refuses (a bound that is not
+    an integer >= 1, theta or solver_tol outside (0, 1), a bad
+    error_exactness_bump) raises ValueError before the first solve; the
+    CLI refuses the same values through the same gate.
 
     Returns
     -------
@@ -94,6 +97,30 @@ def adaptive_loop(problem, trial, theta=0.25, max_dofs=10000,
         mesh, solver_tol, error_exactness_bump)))
 
 
+def _check_loop(trial, mode, theta, max_dofs, max_steps, solver_tol, bump):
+    """Raise ValueError unless _steps can run with these parameters.
+
+    The one gate of the solve loop, which StudyConfig.validate calls as
+    well (max_steps is the study's levels): mode is one of MODES; theta
+    and solver_tol are real numbers in (0, 1) (dpg._in_unit_interval);
+    max_dofs and max_steps are integers >= 1 or None, not both None, and
+    bools are refused; the error-quadrature bump follows
+    problems.error_exactness at order trial.p.
+    """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; choose {' or '.join(MODES)}")
+    _in_unit_interval(theta, "theta")
+    if max_dofs is None and max_steps is None:
+        raise ValueError("the loop needs max_dofs or max_steps / levels")
+    for name, bound in (("max_dofs", max_dofs),
+                        ("max_steps / levels", max_steps)):
+        if bound is not None and not (_is_integer(bound) and bound >= 1):
+            raise ValueError(f"{name} must be >= 1 and an integer, not "
+                             f"{bound!r}")
+    _in_unit_interval(solver_tol, "solver_tol")
+    error_exactness(trial.p, bump)
+
+
 def _steps(problem, trial, mode, theta, max_dofs, max_steps, postprocess,
            mesh, solver_tol, error_exactness_bump):
     """The one SOLVE -> ESTIMATE -> REFINE loop of every study: yields an
@@ -102,23 +129,14 @@ def _steps(problem, trial, mode, theta, max_dofs, max_steps, postprocess,
     Stops once num_dofs >= max_dofs or after max_steps solves (None: no
     bound, but not both); otherwise refines uniformly (mode "uniform") or
     the Doerfler set mark(eta_local, theta) (mode "adaptive"), stopping
-    when that set is empty.  The mode, the bounds, theta and the error
-    bump follow the rules of StudyConfig.validate and raise ValueError
-    before the first solve.
+    when that set is empty.  _check_loop refuses bad parameters before
+    the first solve.
     One ClassStore carries the condensed element-class operators from
     each solve to the next.  The pipeline calls are looked up in this
     module at call time, so a tracer can wrap them here.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; choose {' or '.join(MODES)}")
-    if not 0.0 < theta < 1.0:
-        raise ValueError("marking parameter theta must lie in (0, 1)")
-    if max_dofs is None and max_steps is None:
-        raise ValueError("the loop needs max_dofs or max_steps")
-    for name, bound in (("max_dofs", max_dofs), ("max_steps", max_steps)):
-        if bound is not None and bound < 1:
-            raise ValueError(f"{name} must be >= 1")
-    error_exactness(trial.p, error_exactness_bump)   # refuses a bad bump
+    _check_loop(trial, mode, theta, max_dofs, max_steps, solver_tol,
+                error_exactness_bump)
     if mesh is None:
         mesh = problem.initial_mesh()
     store = ClassStore()

@@ -97,6 +97,19 @@ class SolverError(RuntimeError):
         self.residual = residual
 
 
+def _is_integer(value):
+    """Whether value is an integer: numpy integers are, bools are not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _in_unit_interval(value, name):
+    """Raise ValueError unless value is a real number, not a bool, in the
+    open interval (0, 1); NaN is refused too."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not 0.0 < value < 1.0):
+        raise ValueError(f"{name} must lie in (0, 1), not {value!r}")
+
+
 @dataclass(frozen=True)
 class TrialSpace:
     """Polynomial order of the trial space, an integer p >= 0, and
@@ -109,10 +122,9 @@ class TrialSpace:
     augmented: bool = False
 
     def __post_init__(self):
-        p = self.p      # numpy integers pass; bools and fractions do not
-        if isinstance(p, bool) or not isinstance(p, numbers.Integral) or p < 0:
+        if not (_is_integer(self.p) and self.p >= 0):
             raise ValueError(f"polynomial order p must be an integer >= 0, "
-                             f"not {p!r}")
+                             f"not {self.p!r}")
         if not isinstance(self.augmented, (bool, np.bool_)):
             raise ValueError(f"augmented must be a bool, not "
                              f"{self.augmented!r}")
@@ -542,9 +554,9 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *,
     kind : REACTION_DIFFUSION or POISSON
     source : callable f(x, y) or None for f = 0
     dirichlet : callable g(x, y) or None for homogeneous data
-    solver_tol : float in (0, 1)
+    solver_tol : real number in (0, 1), not a bool
         Relative residual target of the direct solve of the skeleton
-        system.
+        system; _in_unit_interval holds the rule, for the solve loop too.
     store : ClassStore or None
         Condensed element-class operators of an earlier solve.
 
@@ -552,17 +564,16 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *,
     -------
     Solution
 
-    Raises ValueError on a mesh without triangles, a solver_tol outside
-    (0, 1), or source or Dirichlet values that are non-finite or of the
-    wrong shape (spaces.point_values), and
+    Raises ValueError on a mesh without triangles, a solver_tol that is
+    not a real number in (0, 1), or source or Dirichlet values that are
+    non-finite or of the wrong shape (spaces.point_values), and
     SolverError when the test-space Gram or the interior block S_II of an
     element class or the skeleton system is not SPD, or the solve misses
     solver_tol.
     """
     if mesh.num_triangles == 0:
         raise ValueError("mesh has no triangles")
-    if not 0.0 < solver_tol < 1.0:      # also rejects NaN
-        raise ValueError(f"solver_tol must lie in (0, 1), not {solver_tol!r}")
+    _in_unit_interval(solver_tol, "solver_tol")
     p = trial.p
     dofmap = DofMap(mesh, trial)
     prescribed = (np.zeros(dofmap.n_total) if dirichlet is None else
@@ -680,9 +691,6 @@ def _solve_spd(A, b, tol):
     singular factor, or a residual that refinement cannot bring to tol.
     """
     bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:        # zero source and Dirichlet data: x = 0
-        return np.zeros(A.shape[0]), {"method": "direct", "iterations": 0,
-                                      "rel_residual": 0.0}
     diagonal = A.diagonal()
     if not (np.isfinite(diagonal) & (diagonal > 0.0)).all():
         # an SPD matrix has a finite positive diagonal; refuse before any
@@ -699,7 +707,9 @@ def _solve_spd(A, b, tol):
     x = lu.solve(b)
     for it in range(4):
         res = b - A @ x
-        rel = float(np.linalg.norm(res)) / bnorm
+        # b = 0 (zero source and Dirichlet data) divides by 1: x = 0 then
+        # passes at once, and a non-finite x still fails
+        rel = float(np.linalg.norm(res)) / (bnorm or 1.0)
         if rel <= tol:
             return x, {"method": "direct", "iterations": it,
                        "rel_residual": rel, "ordering": _ORDERING,

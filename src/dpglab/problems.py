@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dpg import POISSON, REACTION_DIFFUSION
+from .dpg import POISSON, REACTION_DIFFUSION, _is_integer, default_exactness
 from .mesh import lshape_mesh, unit_square_mesh
 from .spaces import (MAX_QUADRATURE_DEGREE, basis_at_quadrature, point_values,
                      triangle_quadrature)
@@ -26,7 +26,6 @@ class ManufacturedProblem:
     exact, source, dirichlet map coordinate arrays (x, y) to value arrays;
     exact_grad returns a pair of arrays (du/dx, du/dy).
     """
-    name: str
     kind: str                        # REACTION_DIFFUSION | POISSON
     exact: Callable
     exact_grad: Callable
@@ -56,8 +55,8 @@ def square_smooth():
         return np.zeros_like(np.asarray(x, dtype=float))
 
     return ManufacturedProblem(
-        name="square-smooth", kind=REACTION_DIFFUSION, exact=exact,
-        exact_grad=exact_grad, source=source, dirichlet=dirichlet,
+        kind=REACTION_DIFFUSION, exact=exact, exact_grad=exact_grad,
+        source=source, dirichlet=dirichlet,
         initial_mesh=lambda: unit_square_mesh(1))
 
 
@@ -106,9 +105,8 @@ def lshape_singular():
         return exact(x, y)
 
     return ManufacturedProblem(
-        name="lshape-singular", kind=POISSON, exact=exact,
-        exact_grad=exact_grad, source=source, dirichlet=dirichlet,
-        initial_mesh=lshape_mesh)
+        kind=POISSON, exact=exact, exact_grad=exact_grad, source=source,
+        dirichlet=dirichlet, initial_mesh=lshape_mesh)
 
 
 @dataclass
@@ -121,13 +119,18 @@ class ErrorReport:
 
 
 def error_exactness(p, extra_exactness=0):
-    """Exactness of the error quadrature at trial order p, 2(p+3) + 4
-    raised by extra_exactness; a negative bump, or an exactness beyond
-    MAX_QUADRATURE_DEGREE, raises ValueError."""
+    """Exactness of the error quadrature at trial order p, four above the
+    assembly's (dpg.default_exactness(p) + 4 = 2(p+3) + 4), raised by
+    extra_exactness.  The bump's rules live here alone: a bump that is
+    a bool or not an integer, a negative one, or one that takes the
+    exactness beyond MAX_QUADRATURE_DEGREE raises ValueError."""
+    if not _is_integer(extra_exactness):
+        raise ValueError("error-quadrature bump must be an integer, not "
+                         f"{extra_exactness!r}")
     if extra_exactness < 0:
         raise ValueError("error-quadrature bump must be >= 0, not "
                          f"{extra_exactness!r}")
-    exactness = 2 * (p + 3) + 4 + extra_exactness
+    exactness = default_exactness(p) + 4 + extra_exactness
     if exactness > MAX_QUADRATURE_DEGREE:
         raise ValueError(f"error-quadrature bump {extra_exactness!r} too "
                          f"large at p = {p}: exactness {exactness} exceeds "
@@ -144,10 +147,10 @@ def error_report(solution, postprocessed, problem, extra_exactness=0):
     postprocessed : postprocess.PostprocessedField or None
     problem : ManufacturedProblem
     extra_exactness : int
-        Bump, >= 0, added to the default error-quadrature exactness
-        2(p+3) + 4.  Raising it by 4 should not change reported errors
-        appreciably; corner elements of the singular problem carry the
-        dominant quadrature error.
+        Bump, an integer >= 0, added to the default error-quadrature
+        exactness 2(p+3) + 4.  Raising it by 4 should not change
+        reported errors appreciably; corner elements of the singular
+        problem carry the dominant quadrature error.
 
     Returns
     -------

@@ -14,29 +14,23 @@ h^2, hence alpha = rate/2 in terms of the mesh size).
 """
 
 import math
-import numbers
 import warnings
 from dataclasses import asdict, astuple, dataclass, fields
 from typing import Optional
 
 import numpy as np
 
-from .adapt import MODES, _steps
+from .adapt import MODES, _check_loop, _steps
 from .dpg import TrialSpace
-from .problems import error_exactness, lshape_singular, square_smooth
+from .problems import lshape_singular, square_smooth
 
 PROBLEMS = {"square": square_smooth, "lshape": lshape_singular}
 MAX_P = 3       # a study's trial order p lies in 0..MAX_P
 
-# the values StudyConfig.validate accepts for each choice field, in the
-# order the CLI lists them
+# the values of each choice field, in the order the CLI lists them; the
+# mode's are adapt.MODES, which _check_loop holds
 _CHOICES = {"problem": tuple(PROBLEMS), "trial": ("standard", "augmented"),
             "mode": MODES}
-
-# the type of each numeric field of StudyConfig; bools are refused
-_NUMBERS = {"p": numbers.Integral, "levels": numbers.Integral,
-            "max_dofs": numbers.Integral, "quad_bump": numbers.Integral,
-            "theta": numbers.Real, "solver_tol": numbers.Real}
 
 
 class ConfigError(ValueError):
@@ -71,9 +65,14 @@ class StudyConfig:
 
     problem "square" runs the smooth reaction-diffusion benchmark,
     "lshape" the singular Poisson benchmark, each on its own initial
-    mesh.  problem, trial and mode take the values listed in _CHOICES; p,
-    in 0..MAX_P, levels, max_dofs and quad_bump are integers,
-    theta and solver_tol real numbers and postprocess a bool.
+    mesh.  problem, trial and mode take the values listed in _CHOICES,
+    and postprocess is a bool.  p is an integer in 0..MAX_P (TrialSpace
+    holds the type and the lower bound).  mode, theta, levels, max_dofs,
+    solver_tol and quad_bump follow adapt._check_loop, the gate of the
+    solve loop, which adaptive_loop passes through too: levels and
+    max_dofs are integers >= 1 or None, not both None, theta and
+    solver_tol real numbers in (0, 1), and quad_bump an integer >= 0
+    within the error quadrature's cap.  No number field takes a bool.
     """
     problem: str = "square"
     p: int = 0
@@ -88,35 +87,23 @@ class StudyConfig:
     quad_bump: int = 0
 
     def validate(self):
-        for name, allowed in _CHOICES.items():
-            if getattr(self, name) not in allowed:
+        """Raise ConfigError on a value this class or a lower layer
+        refuses; every rule of the solve loop is adapt._check_loop's."""
+        for name in ("problem", "trial"):
+            if getattr(self, name) not in _CHOICES[name]:
                 raise ConfigError(f"unknown {name} {getattr(self, name)!r}; "
-                                  f"choose {' or '.join(allowed)}")
-        for name, kind in _NUMBERS.items():
-            value = getattr(self, name)
-            if not (isinstance(value, kind) and not isinstance(value, bool)
-                    or value is None and name in ("levels", "max_dofs")):
-                what = "an integer" if kind is numbers.Integral else "a number"
-                raise ConfigError(f"{name} must be {what}, not {value!r}")
+                                  f"choose {' or '.join(_CHOICES[name])}")
         if not isinstance(self.postprocess, bool):
             raise ConfigError("postprocess must be True or False, not "
                               f"{self.postprocess!r}")
-        if not 0 <= self.p <= MAX_P:
-            raise ConfigError(f"polynomial order p must be in 0..{MAX_P}")
-        if not 0.0 < self.theta < 1.0:
-            raise ConfigError("theta must lie in (0, 1)")
-        if self.levels is None and self.max_dofs is None:
-            raise ConfigError(f"{self.mode} mode needs --levels or --max-dofs")
-        if self.levels is not None and self.levels < 1:
-            raise ConfigError("levels must be >= 1")
-        if self.max_dofs is not None and self.max_dofs < 1:
-            raise ConfigError("max-dofs must be >= 1")
         try:
-            error_exactness(self.p, self.quad_bump)
+            trial = self.trial_space()
+            if trial.p > MAX_P:
+                raise ValueError(f"polynomial order p must be in 0..{MAX_P}")
+            _check_loop(trial, self.mode, self.theta, self.max_dofs,
+                        self.levels, self.solver_tol, self.quad_bump)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if not 0.0 < self.solver_tol < 1.0:     # also rejects NaN
-            raise ConfigError("solver tolerance must lie in (0, 1)")
 
     def trial_space(self):
         return TrialSpace(self.p, augmented=(self.trial == "augmented"))

@@ -178,7 +178,7 @@ def test_criterion_7_property_suite():
 
     # polynomial exactness: affine Poisson solution, Augmented(0)
     affine = ManufacturedProblem(
-        name="affine", kind=POISSON,
+        kind=POISSON,
         exact=lambda x, y: x + y,
         exact_grad=lambda x, y: (np.ones_like(x), np.ones_like(y)),
         source=lambda x, y: np.zeros_like(x),

@@ -31,6 +31,8 @@ def test_mark_parameter_validation():
     with pytest.raises(ValueError):
         mark([1.0], 1.0)
     with pytest.raises(ValueError):
+        mark([1.0], "0.5")
+    with pytest.raises(ValueError):
         mark([1.0, -1.0], 0.5)
     with pytest.raises(ValueError):
         mark([1.0, np.nan, 2.0, 0.5], 0.5)
@@ -76,9 +78,14 @@ def test_adaptive_loop_max_steps():
 @pytest.mark.parametrize("bounds", [
     dict(max_steps=0), dict(max_dofs=0), dict(max_dofs=10 ** 9, max_steps=-1),
     dict(max_dofs=None, max_steps=None), dict(theta=0.0), dict(theta=1.0),
-    dict(theta=float("nan"))],
+    dict(theta=float("nan")), dict(max_steps=2.5), dict(max_steps=True),
+    dict(max_dofs=True), dict(max_dofs=1e4), dict(theta="0.3"),
+    dict(solver_tol="1e-10"), dict(solver_tol=2.0),
+    dict(error_exactness_bump=0.5), dict(error_exactness_bump=True)],
     ids=["zero-steps", "zero-dofs", "negative-steps", "unbounded",
-         "theta-0", "theta-1", "theta-nan"])
+         "theta-0", "theta-1", "theta-nan", "fractional-steps", "bool-steps",
+         "bool-dofs", "float-dofs", "string-theta", "string-tol", "tol-2",
+         "fractional-bump", "bool-bump"])
 def test_adaptive_loop_rejects_bad_bounds_before_solving(bounds,
                                                          monkeypatch):
     import dpglab.adapt as adapt_mod

@@ -423,6 +423,9 @@ def test_zero_problem_gives_zero_solution():
     assert np.abs(sol.coeffs).max() == 0.0
     assert sol.eta == 0.0
     assert np.abs(sol.eta_local).max() == 0.0
+    # zero data is solved like any other: factored, with its report
+    for key in ("ordering", "nnz_A", "nnz_factor"):
+        assert key in sol.diagnostics
 
 
 @pytest.mark.filterwarnings("error")
@@ -469,7 +472,7 @@ def affine_poisson_problem():
         return x + y
 
     return ManufacturedProblem(
-        name="affine", kind=POISSON, exact=exact,
+        kind=POISSON, exact=exact,
         exact_grad=lambda x, y: (np.ones_like(x), np.ones_like(y)),
         source=lambda x, y: np.zeros_like(x), dirichlet=exact,
         initial_mesh=lambda: unit_square_mesh(1))
@@ -1020,7 +1023,7 @@ def polynomial_poisson_problem(p):
                     for i, j, c in terms)
 
     return ManufacturedProblem(
-        name=f"poly-{p}", kind=POISSON, exact=exact,
+        kind=POISSON, exact=exact,
         exact_grad=exact_grad, source=source, dirichlet=exact,
         initial_mesh=lshape_mesh)
 

@@ -117,7 +117,7 @@ def test_error_report_exact_postprocessed_field():
         return x * x + y
 
     problem = ManufacturedProblem(
-        name="quadratic", kind=POISSON, exact=exact,
+        kind=POISSON, exact=exact,
         exact_grad=lambda x, y: (2.0 * x, np.ones_like(y)),
         source=lambda x, y: -2.0 * np.ones_like(x), dirichlet=exact,
         initial_mesh=lambda: unit_square_mesh(1))
@@ -189,9 +189,14 @@ def test_error_report_broadcasts_a_scalar_exact_solution():
 
 
 
-@pytest.mark.parametrize("bump", [-6, -9])
-def test_negative_error_quadrature_bump_is_refused(bump):
-    # it would integrate below the default exactness and move err_u
+@pytest.mark.parametrize("bump, match", [
+    (-6, "bump must be >= 0"), (-9, "bump must be >= 0"),
+    (0.5, "bump must be an integer"), (True, "bump must be an integer")],
+    ids=["-6", "-9", "0.5", "True"])
+def test_negative_error_quadrature_bump_is_refused(bump, match):
+    # a negative bump would integrate below the default exactness and
+    # move err_u; a bool would move it too, and a fraction fail after the
+    # solve
     import dataclasses
 
     from dpglab.adapt import adaptive_loop
@@ -200,15 +205,15 @@ def test_negative_error_quadrature_bump_is_refused(bump):
     problem = square_smooth()
     mesh = unit_square_mesh(2)
     sol = assemble_solve(mesh, TrialSpace(1), problem.kind, problem.source)
-    with pytest.raises(ValueError, match="bump must be >= 0"):
+    with pytest.raises(ValueError, match=match):
         error_exactness(1, bump)
-    with pytest.raises(ValueError, match="bump must be >= 0"):
+    with pytest.raises(ValueError, match=match):
         error_report(sol, None, problem, extra_exactness=bump)
     # the loop refuses it before its first solve
     def source(x, y):
         raise AssertionError("solved")
 
-    with pytest.raises(ValueError, match="bump must be >= 0"):
+    with pytest.raises(ValueError, match=match):
         adaptive_loop(dataclasses.replace(problem, source=source),
                       TrialSpace(1), max_steps=1, error_exactness_bump=bump)
 
