@@ -83,9 +83,10 @@ def adaptive_loop(problem, trial, theta=0.25, max_dofs=10000,
     max_steps solves); otherwise it bulk-marks and refines by
     newest-vertex bisection.  This is _steps in "adaptive" mode, run to
     the end, so every parameter _check_loop refuses (a bound that is not
-    an integer >= 1, theta or solver_tol outside (0, 1), a bad
-    error_exactness_bump) raises ValueError before the first solve; the
-    CLI refuses the same values through the same gate.
+    an integer >= 1, theta or solver_tol outside (0, 1), a postprocess
+    that is not a bool, a bad error_exactness_bump) raises ValueError
+    before the first solve; the CLI refuses the same values through the
+    same gate.
 
     Returns
     -------
@@ -97,15 +98,16 @@ def adaptive_loop(problem, trial, theta=0.25, max_dofs=10000,
         mesh, solver_tol, error_exactness_bump)))
 
 
-def _check_loop(trial, mode, theta, max_dofs, max_steps, solver_tol, bump):
+def _check_loop(trial, mode, theta, max_dofs, max_steps, postprocess,
+                solver_tol, bump):
     """Raise ValueError unless _steps can run with these parameters.
 
     The one gate of the solve loop, which StudyConfig.validate calls as
     well (max_steps is the study's levels): mode is one of MODES; theta
     and solver_tol are real numbers in (0, 1) (dpg._in_unit_interval);
     max_dofs and max_steps are integers >= 1 or None, not both None, and
-    bools are refused; the error-quadrature bump follows
-    problems.error_exactness at order trial.p.
+    bools are refused; postprocess is a bool; the error-quadrature bump
+    follows problems.error_exactness at order trial.p.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; choose {' or '.join(MODES)}")
@@ -117,6 +119,9 @@ def _check_loop(trial, mode, theta, max_dofs, max_steps, solver_tol, bump):
         if bound is not None and not (_is_integer(bound) and bound >= 1):
             raise ValueError(f"{name} must be >= 1 and an integer, not "
                              f"{bound!r}")
+    if not isinstance(postprocess, bool):
+        raise ValueError("postprocess must be True or False, not "
+                         f"{postprocess!r}")
     _in_unit_interval(solver_tol, "solver_tol")
     error_exactness(trial.p, bump)
 
@@ -135,8 +140,8 @@ def _steps(problem, trial, mode, theta, max_dofs, max_steps, postprocess,
     each solve to the next.  The pipeline calls are looked up in this
     module at call time, so a tracer can wrap them here.
     """
-    _check_loop(trial, mode, theta, max_dofs, max_steps, solver_tol,
-                error_exactness_bump)
+    _check_loop(trial, mode, theta, max_dofs, max_steps, postprocess,
+                solver_tol, error_exactness_bump)
     if mesh is None:
         mesh = problem.initial_mesh()
     store = ClassStore()

@@ -50,21 +50,24 @@ through J and the edge flips, and newest-vertex bisection produces few
 distinct element shapes, so assemble_solve groups the elements into
 classes whose members share both bit for bit and condenses once per
 class; a ClassStore keeps the class operators for the next solve, which
-condenses only the classes new to its mesh.  condense() factors each
-Gram once, G = L L', and whitens [B | E], E the scalar test rows that
-carry the load: W = L^{-1} [B | E] gives S = W_B' W_B and R = B' G^{-1} E
-= W_B' W_E.  The second condenses S_II the same way against [S_IS | R_I],
-which leaves S_hat and the skeleton load operator R_S - S_SI S_II^{-1}
-R_I side by side.  Every element then needs only small products with its
-class operators: its skeleton load and S_II^{-1} r_I from its load
-moments, its fields from its skeleton values, and w_T = W_E load_T - W_B
-x_T = L^{-1} (F_T - B_T x_T).  |w_T| is the local estimator eta(T), the
-test norm of the residual representer, and W_B' w_T its Galerkin vector.
-assemble_solve runs these products over chunks of elements whose
-gathered class operators fill at most _CHUNK_BYTES, and the store
-condenses the classes new to a mesh in chunks of the same size, so no
-operator is copied once per element of the whole mesh.  No result
-depends on the chunk size.
+condenses only the classes new to its mesh.  A load is one more coupling
+column: E, the scalar test rows, carries it, F_T = E load_T.  condense()
+factors each Gram once, G = L L', and whitens [B | E] into w = L^{-1}
+[B | E] = [W_B | W_E], whose Gram w' w holds S = W_B' W_B and R = B'
+G^{-1} E = W_B' W_E in its first n rows; the second
+condensation factors S_II and leaves hybrid = [S_hat | R_S - S_SI
+S_II^{-1} R_I] and inner = S_II^{-1} [S_IS | R_I].  These three stacks
+are the class operators, kept as the condensations return them.  Every
+element has one local vector z_T = [-x_T | load_T], x_T its trial dofs,
+and every operator acts on it: hybrid z_T[k:] is its skeleton right-hand
+side while x_T holds the Dirichlet lift, inner z_T[k:] its fields x_I
+once x_T holds the skeleton solution, and w z_T = L^{-1} (F_T - B_T x_T)
+= w_T.  |w_T| is the local estimator eta(T), the test norm of the
+residual representer, and W_B' w_T its Galerkin vector.  assemble_solve
+runs these products over chunks of elements whose gathered class
+operators fill at most _CHUNK_BYTES, and the store condenses the classes
+new to a mesh in chunks of the same size, so no operator is copied once
+per element of the whole mesh.  No result depends on the chunk size.
 """
 
 import numbers
@@ -266,20 +269,17 @@ def _stiffness(det, inv_t, T1):
     return np.einsum("e,eab,abij->eij", det, metric, T1)
 
 
-def _local_systems(mesh, trial, kind, elements, exactness=None):
+def _local_systems(mesh, trial, kind, elements):
     """Gram and coupling matrices for a set of elements (all of them when
-    elements is None).
+    elements is None), under the assembly quadrature default_exactness(p).
 
     Returns (G, B) with shapes (ne, m, m) and (ne, m, n_local), where m =
-    3 * dim P^{p+DELTA_P} and columns follow DofMap layout.  exactness
-    overrides the assembly quadrature, default_exactness(p).
+    3 * dim P^{p+DELTA_P} and columns follow DofMap layout.
     """
     if kind not in PROBLEM_KINDS:
         raise ValueError(f"unknown problem kind {kind!r}")
     p = trial.p
-    if exactness is None:
-        exactness = default_exactness(p)
-    tab = _reference_tables(p, exactness)
+    tab = _reference_tables(p, default_exactness(p))
     n_u, n_s, n_t = _dim(trial.u_degree), _dim(p), _dim(p + DELTA_P)
     m = 3 * n_t
 
@@ -357,13 +357,12 @@ _CHUNK_BYTES = 4 << 20
 
 
 def _class_bytes(dofmap):
-    """Bytes of one class's stored operators: w_b (m x n), s_hat and inner
-    (n x (n - k) together) and load_op ((m + n) x n_t), for m test and n
-    local trial functions, k of them interior, and n_t scalar test
-    functions."""
+    """Bytes of one class's stored operators: w (m x (n + n_t)), and
+    hybrid and inner (n x (n - k + n_t) together), for m test and n local
+    trial functions, k of them interior, and n_t scalar test functions."""
     n_t = _dim(dofmap.trial.p + DELTA_P)
     m, n = 3 * n_t, dofmap.n_local
-    return 8 * (m * n + n * (n - dofmap.k_int) + (m + n) * n_t)
+    return 8 * ((m + n) * (n + n_t) - n * dofmap.k_int)
 
 
 def _chunks(count, item_bytes):
@@ -389,15 +388,16 @@ def _element_classes(mesh):
 
 def _condense_classes(dofmap, kind, rep):
     """Both condensations for the classes with representative elements
-    rep of dofmap's mesh: the stacked operators assemble_solve reads, one
-    row per class.
+    rep of dofmap's mesh: the three operators assemble_solve reads, one
+    row per class, each as its condensation returns it.
 
     A load is one more coupling column: E = eye(m, n_t) picks the scalar
-    test rows, so F_T = E load_T, and condensing [B | E] gives W = [W_B |
-    W_E] and puts R = W_B' W_E in the Schur complement's columns past n.
-    The interior block [u | sigma] comes first in the local columns, and
-    condensing S_II against [S_IS | R_I] leaves, in the skeleton rows,
-    S_hat and past it the skeleton load operator R_S - S_SI S_II^{-1} R_I.
+    test rows, so F_T = E load_T, and condensing [B | E] gives w = L^{-1}
+    [B | E] = [W_B | W_E] and puts R = W_B' W_E in the Schur complement's
+    columns past n.  The interior block [u | sigma] comes first in the
+    local columns, and condensing S_II against [S_IS | R_I] gives inner =
+    S_II^{-1} [S_IS | R_I] and leaves, in the skeleton rows, hybrid =
+    [S_hat | R_S - S_SI S_II^{-1} R_I], the Schur complement of S_II.
     Raises SolverError if a Gram or an S_II is not SPD.
     """
     G, B = _local_systems(dofmap.mesh, dofmap.trial, kind, rep)
@@ -420,26 +420,22 @@ def _condense_classes(dofmap, kind, rep):
         raise SolverError("linear solver failed: the interior block S_II "
                           "(u and sigma) of an element class is not SPD",
                           residual=np.inf) from exc
-    inner = solve_triangular(l_i, w_i, lower=True, trans="T")  # L_I^-T W_I
-    hybrid = schur[:, k:n, k:] - inner_schur[:, :n - k]
-    # [W_E ; skeleton load ; S_II^{-1} R_I] maps load moments to W_E
-    # load_T, the skeleton load and the interior load
-    return {"w_b": w[:, :, :n],
-            "s_hat": hybrid[:, :, :n - k], "inner": inner[:, :, :n - k],
-            "load_op": np.concatenate([w[:, :, n:], hybrid[:, :, n - k:],
-                                       inner[:, :, n - k:]], axis=1)}
+    return {"w": w, "hybrid": schur[:, k:n, k:] - inner_schur[:, :n - k],
+            # L_I^-T W_I = S_II^{-1} [S_IS | R_I]
+            "inner": solve_triangular(l_i, w_i, lower=True, trans="T")}
 
 
 class ClassStore:
     """Condensed element-class operators, kept from one solve to the next.
 
-    A class key (_element_classes) fixes G, B and so W_B and both
-    condensations for a given trial space and problem kind; the source and
-    the Dirichlet data never enter them.  Refinement leaves most elements
-    of an adaptive step alone, and with them their classes, so a solve
-    condenses only the classes new to its mesh.  Each update keeps exactly
-    the classes of its mesh, one stacked row per class in class order, and
-    drops the rest.
+    A class key (_element_classes) fixes G, B and so the three stacks of
+    _condense_classes, w, hybrid and inner, for a given trial space and
+    problem kind.  They act on an element's local vector [-x | load], so
+    the source and the Dirichlet data never enter them.  Refinement
+    leaves most elements of an adaptive step alone, and with them their
+    classes, so a solve condenses only the classes new to its mesh.  Each
+    update keeps exactly the classes of its mesh, one stacked row per
+    class in class order, and drops the rest.
     """
 
     def __init__(self):
@@ -470,7 +466,7 @@ class ClassStore:
             fresh = _condense_classes(dofmap, kind, rep[missing[chunk]])
             for name, a in fresh.items():
                 # each stack keeps the memory layout the condensation
-                # gives it: assemble_solve's einsums sum in the order of it
+                # gives it: assemble_solve's products sum in the order of it
                 if name not in ops:
                     ops[name] = np.empty_like(a, shape=(len(names),)
                                               + a.shape[1:])
@@ -591,32 +587,30 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *,
     keys, rep, cls = _element_classes(mesh)
     ops, condensed = store.update(dofmap, kind, keys, rep)
     chunks = _chunks(nt, _class_bytes(dofmap))
-    m = ops["w_b"].shape[1]
-    k = dofmap.k_int
+    k, n = dofmap.k_int, dofmap.n_local
 
     # free skeleton block only: interior dofs come first in the global
     # order and are all free, so free_index - interior_count numbers the
     # free skeleton dofs (negative when prescribed), as int32, which
     # scipy's sparse formats keep without a copy
     ic = dofmap.interior_count
-    skel = dofmap.local_cols[:, k:]
+    cols = dofmap.local_cols
+    skel = cols[:, k:]
     fcols = (dofmap.free_index[skel] - ic).astype(np.int32)
     own = fcols >= 0
     ns = dofmap.num_free - ic
 
-    # chunk by chunk, the load moments give W_E load_T, the skeleton load
-    # and S_II^{-1} R_I load_T; the Dirichlet values are lifted element by
-    # element, and the free entries of S_hat are the COO values
-    w_load, x_int = np.empty((nt, m)), np.empty((nt, k))
+    # every element's local vector z = [-x | load], x its trial dofs, here
+    # at the Dirichlet lift x = prescribed; chunk by chunk, hybrid z[k:]
+    # is the skeleton right-hand side, and the free entries of S_hat are
+    # the COO values
+    z = np.concatenate([-prescribed[cols], load], axis=1)
     r_hat = np.empty(skel.shape)
     values = []
     for c in chunks:
-        parts = np.einsum("eij,ej->ei", ops["load_op"][cls[c]], load[c])
-        s_loc = ops["s_hat"][cls[c]]
-        w_load[c], x_int[c] = parts[:, :m], parts[:, -k:]
-        r_hat[c] = parts[:, m:-k] - (
-            s_loc @ prescribed[skel[c]][..., None])[..., 0]
-        values.append(s_loc[own[c, :, None] & own[c, None, :]])
+        hybrid = ops["hybrid"][cls[c]]
+        r_hat[c] = (hybrid @ z[c, k:, None])[..., 0]
+        values.append(hybrid[:, :, :n - k][own[c, :, None] & own[c, None, :]])
     b = np.bincount(fcols[own], r_hat[own], minlength=ns)
     # one COO of all element cliques, so that their exact zeros stay
     # entries of A: the finest system of the p=1 uniform L-shape study
@@ -634,24 +628,25 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *,
     del A
     diag["skeleton_dofs"] = ns
 
-    # chunk by chunk, the fields x_I = S_II^{-1} R_I load_T - S_II^{-1}
-    # S_IS x_S, and w = W_E load - W_B x = L^{-1} (F - B x) with the local
-    # estimator |w|.  Taken at x = the Dirichlet lift as well, W_B' w gives
-    # the condensed load of the free trial dofs, the scale of the Galerkin
-    # check below
+    # chunk by chunk, with the skeleton solution in z, the fields x_I =
+    # inner z[k:] complete it, and w z = L^{-1} (F - B x) gives the local
+    # estimator |w z|.  Taken at the Dirichlet lift as well, W_B' w z
+    # gives the condensed load of the free trial dofs, the scale of the
+    # Galerkin check below
     x = prescribed.copy()
     x[ic:][dofmap.free[ic:]] = x_skel
-    cols = dofmap.local_cols
+    interior = x[:ic].reshape(nt, k)
     eta_sq = np.empty(nt)
     bt_both = np.empty(cols.shape + (2,))
     for c in chunks:
-        x_int[c] -= np.einsum("eij,ej->ei", ops["inner"][cls[c]], x[skel[c]])
-        x[:ic].reshape(nt, k)[c] = x_int[c]
-        w_b = ops["w_b"][cls[c]]
-        both = w_load[c, :, None] - w_b @ np.stack(
-            [x[cols[c]], prescribed[cols[c]]], axis=-1)
-        eta_sq[c] = np.einsum("em,em->e", both[..., 0], both[..., 0])
-        bt_both[c] = np.swapaxes(w_b, 1, 2) @ both
+        both = np.stack([z[c], z[c]], axis=-1)   # at the solution, the lift
+        both[:, k:n, 0] = -x[skel[c]]
+        interior[c] = (ops["inner"][cls[c]] @ both[:, k:, :1])[..., 0]
+        both[:, :k, 0] = -interior[c]
+        w = ops["w"][cls[c]]
+        res = w @ both
+        eta_sq[c] = np.einsum("em,em->e", res[..., 0], res[..., 0])
+        bt_both[c] = np.swapaxes(w[:, :, :n], 1, 2) @ res
 
     # Galerkin orthogonality of the mixed system: B' G^{-1} (F - B x) =
     # W_B' w vanishes on the free trial dofs up to solver accuracy
@@ -666,8 +661,8 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *,
     diag["element_chunks"] = len(chunks)
     diag["classes_condensed"] = condensed
 
-    u_coeffs = x_int[:, :dofmap.n_u].copy()
-    sigma_coeffs = x_int[:, dofmap.n_u:].reshape(nt, 2, dofmap.n_s).copy()
+    u_coeffs = interior[:, :dofmap.n_u].copy()
+    sigma_coeffs = interior[:, dofmap.n_u:].reshape(nt, 2, dofmap.n_s).copy()
 
     return Solution(mesh=mesh, trial=trial, kind=kind, dofmap=dofmap,
                     coeffs=x, u_coeffs=u_coeffs, sigma_coeffs=sigma_coeffs,

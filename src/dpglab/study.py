@@ -65,14 +65,14 @@ class StudyConfig:
 
     problem "square" runs the smooth reaction-diffusion benchmark,
     "lshape" the singular Poisson benchmark, each on its own initial
-    mesh.  problem, trial and mode take the values listed in _CHOICES,
-    and postprocess is a bool.  p is an integer in 0..MAX_P (TrialSpace
-    holds the type and the lower bound).  mode, theta, levels, max_dofs,
-    solver_tol and quad_bump follow adapt._check_loop, the gate of the
-    solve loop, which adaptive_loop passes through too: levels and
-    max_dofs are integers >= 1 or None, not both None, theta and
-    solver_tol real numbers in (0, 1), and quad_bump an integer >= 0
-    within the error quadrature's cap.  No number field takes a bool.
+    mesh.  problem, trial and mode take the values listed in _CHOICES.
+    p is an integer in 0..MAX_P (TrialSpace holds the type and the lower
+    bound).  mode, theta, levels, max_dofs, postprocess, solver_tol and
+    quad_bump follow adapt._check_loop, the gate of the solve loop, which
+    adaptive_loop passes through too: levels and max_dofs are integers
+    >= 1 or None, not both None, theta and solver_tol real numbers in
+    (0, 1), postprocess a bool, and quad_bump an integer >= 0 within the
+    error quadrature's cap.  No number field takes a bool.
     """
     problem: str = "square"
     p: int = 0
@@ -93,15 +93,13 @@ class StudyConfig:
             if getattr(self, name) not in _CHOICES[name]:
                 raise ConfigError(f"unknown {name} {getattr(self, name)!r}; "
                                   f"choose {' or '.join(_CHOICES[name])}")
-        if not isinstance(self.postprocess, bool):
-            raise ConfigError("postprocess must be True or False, not "
-                              f"{self.postprocess!r}")
         try:
             trial = self.trial_space()
             if trial.p > MAX_P:
                 raise ValueError(f"polynomial order p must be in 0..{MAX_P}")
             _check_loop(trial, self.mode, self.theta, self.max_dofs,
-                        self.levels, self.solver_tol, self.quad_bump)
+                        self.levels, self.postprocess, self.solver_tol,
+                        self.quad_bump)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 

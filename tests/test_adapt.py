@@ -81,11 +81,13 @@ def test_adaptive_loop_max_steps():
     dict(theta=float("nan")), dict(max_steps=2.5), dict(max_steps=True),
     dict(max_dofs=True), dict(max_dofs=1e4), dict(theta="0.3"),
     dict(solver_tol="1e-10"), dict(solver_tol=2.0),
-    dict(error_exactness_bump=0.5), dict(error_exactness_bump=True)],
+    dict(error_exactness_bump=0.5), dict(error_exactness_bump=True),
+    dict(postprocess="no"), dict(postprocess=1)],
     ids=["zero-steps", "zero-dofs", "negative-steps", "unbounded",
          "theta-0", "theta-1", "theta-nan", "fractional-steps", "bool-steps",
          "bool-dofs", "float-dofs", "string-theta", "string-tol", "tol-2",
-         "fractional-bump", "bool-bump"])
+         "fractional-bump", "bool-bump", "string-postprocess",
+         "int-postprocess"])
 def test_adaptive_loop_rejects_bad_bounds_before_solving(bounds,
                                                          monkeypatch):
     import dpglab.adapt as adapt_mod

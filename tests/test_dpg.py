@@ -623,19 +623,20 @@ def test_condensed_matrix_spd():
 
 
 def test_estimator_consistency_and_locality():
-    from dpglab.dpg import default_exactness
-
     problem = square_smooth()
     mesh = refine_uniform(unit_square_mesh(1))
-    sol = assemble_solve(mesh, TrialSpace(0), problem.kind, problem.source)
+    trial = TrialSpace(0)
+    sol = assemble_solve(mesh, trial, problem.kind, problem.source)
     eta, eta_local = sol.eta, sol.eta_local
     # locality: the total is exactly the root of summed local squares
     assert eta == pytest.approx(np.sqrt(np.sum(eta_local ** 2)), rel=1e-13)
     # norm consistency: recompute eps = G^{-1} (F - B x) from the solution
-    # and ||eps||_V^2 with elevated quadrature
-    G_hi, B_hi = _local_systems(mesh, TrialSpace(0), problem.kind, None,
-                                default_exactness(0) + 4)
-    F = element_loads(mesh, TrialSpace(0), problem.source)
+    # and ||eps||_V^2, with G and B by the elevated physical-space
+    # quadrature of physical_local_systems
+    G_hi, B_hi = map(np.array, zip(*(
+        physical_local_systems(mesh.vertices[labels], labels, trial,
+                               problem.kind) for labels in mesh.triangles)))
+    F = element_loads(mesh, trial, problem.source)
     x = sol.coeffs[sol.dofmap.local_cols]
     eps = np.linalg.solve(G_hi, (F - np.einsum("emn,en->em", B_hi, x))
                           [..., None])[..., 0]
@@ -854,6 +855,39 @@ def test_element_classes_match_per_element_oracle(case):
     assert_close(sol.eta_local, eta_local)
     assert_close(sol.diagnostics["load_scale"], load_scale)
     assert sol.diagnostics["galerkin_residual"] <= 1e-8 * load_scale
+
+
+@pytest.mark.parametrize("kind", [REACTION_DIFFUSION, POISSON])
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_condense_classes_match_dense_oracle(p, kind):
+    # the three stacks of both condensations against dense solves with G
+    # and S_II: w'w = [B | E]' G^{-1} [B | E], hybrid the Schur complement
+    # of S_II in it, and S_II inner = [S_IS | R_I]; on a perturbed mesh
+    # every element is a class of its own
+    from dpglab.dpg import _class_bytes, _condense_classes
+
+    mesh = perturbed(refine_uniform(lshape_mesh()))
+    trial = TrialSpace(p)
+    dm = DofMap(mesh, trial)
+    rep = np.arange(mesh.num_triangles)
+    ops = _condense_classes(dm, kind, rep)
+    G, B = _local_systems(mesh, trial, kind, rep)
+    nc, m, n = B.shape
+    n_t, k = m // 3, dm.k_int
+    load_rows = np.broadcast_to(np.eye(m, n_t), (nc, m, n_t))
+    S = condense_oracle(G, np.concatenate([B, load_rows], axis=2))[0]
+    S_II, S_I = S[:, :k, :k], S[:, :k, k:]
+
+    assert sorted(ops) == ["hybrid", "inner", "w"]
+    assert ops["w"].shape == (nc, m, n + n_t)
+    assert ops["hybrid"].shape == (nc, n - k, n - k + n_t)
+    assert ops["inner"].shape == (nc, k, n - k + n_t)
+    w = ops["w"]
+    assert_close13(np.swapaxes(w, 1, 2) @ w, S)
+    hybrid = S[:, k:n, k:] - S[:, k:n, :k] @ np.linalg.solve(S_II, S_I)
+    assert_close13(ops["hybrid"], hybrid)
+    assert np.abs(S_II @ ops["inner"] - S_I).max() <= 1e-12 * np.abs(S_I).max()
+    assert sum(a[0].nbytes for a in ops.values()) == _class_bytes(dm)
 
 
 def test_element_classes_diagnostic():

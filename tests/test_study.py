@@ -101,6 +101,15 @@ def test_run_study_deterministic(tmp_path):
         (tmp_path / "r2.csv").read_bytes()
 
 
+def test_postprocess_flag_is_refused_by_the_loop_gate():
+    # StudyConfig.validate keeps no rule of its own for postprocess: the
+    # ConfigError is adapt._check_loop's ValueError, translated
+    with pytest.raises(ConfigError, match="postprocess must be True or "
+                                          "False, not 'no'") as info:
+        StudyConfig(levels=3, postprocess="no").validate()
+    assert isinstance(info.value.__cause__, ValueError)
+
+
 def test_config_validation_errors():
     bad = [
         StudyConfig(problem="disc"),
