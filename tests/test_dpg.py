@@ -713,6 +713,7 @@ def test_factorization_fill_stays_small():
     assert sol.num_dofs == 7169
     assert diag["method"] == "direct"
     assert diag["ordering"] == "MMD_AT_PLUS_A"
+    assert (diag["relax"], diag["panel_size"]) == (1, 4)
     assert diag["nnz_factor"] / diag["nnz_A"] <= 3.0
 
 
@@ -888,6 +889,54 @@ def test_condense_classes_match_dense_oracle(p, kind):
     assert_close13(ops["hybrid"], hybrid)
     assert np.abs(S_II @ ops["inner"] - S_I).max() <= 1e-12 * np.abs(S_I).max()
     assert sum(a[0].nbytes for a in ops.values()) == _class_bytes(dm)
+
+
+def row_unique_classes(mesh):
+    """The oracle for _element_classes' lexsort: class keys,
+    representatives and classes by a row-wise np.unique of the key rows."""
+    nt = mesh.num_triangles
+    key = np.column_stack([mesh.jac.reshape(nt, 4).view(np.int64),
+                           mesh.edge_flips])
+    keys, rep, cls = np.unique(key, axis=0, return_index=True,
+                               return_inverse=True)
+    return keys, rep, cls.ravel()
+
+
+@pytest.mark.parametrize("case", ["uniform", "perturbed", "signed-bits"])
+def test_element_classes_match_row_wise_unique(case):
+    from types import SimpleNamespace
+
+    from dpglab.dpg import _element_classes
+
+    if case == "uniform":            # 1,536 elements in 8 classes
+        mesh = lshape_mesh()
+        for _ in range(4):
+            mesh = refine_uniform(mesh)
+        classes = 8
+    elif case == "perturbed":        # 96 elements, 96 classes
+        mesh = perturbed(refine_uniform(refine_uniform(lshape_mesh())))
+        classes = mesh.num_triangles
+    else:
+        # Jacobian entries +0.0 and -0.0 (bits 0 and -2^63) and negative
+        # values, whose bits are negative int64s, with many repeated rows
+        rng = np.random.default_rng(2)
+        mesh = SimpleNamespace(
+            num_triangles=2000,
+            jac=rng.choice([0.0, -0.0, -1.0], (2000, 2, 2)),
+            edge_flips=rng.random((2000, 3)) < 0.5)
+        classes = None
+    got = _element_classes(mesh)
+    want = row_unique_classes(mesh)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+    if classes is None:
+        # both zeros, as distinct bit patterns, and a negative value
+        # lead some class key
+        assert {0, -2 ** 63, np.float64(-1.0).view(np.int64)} <= \
+            set(got[0][:, 0].tolist())
+        assert len(got[0]) < mesh.num_triangles / 2
+    else:
+        assert len(got[0]) == classes
 
 
 def test_element_classes_diagnostic():

@@ -194,6 +194,38 @@ def test_element_geometry_matches_independent_formulas():
         assert not arr.flags.writeable
 
 
+def row_unique_edges(triangles):
+    """The oracle for Mesh's integer edge key: edges and tri_edges by a
+    row-wise np.unique of the sorted vertex pairs."""
+    raw = np.concatenate([triangles[:, [1, 2]], triangles[:, [2, 0]],
+                          triangles[:, [0, 1]]])
+    edges, inverse = np.unique(np.sort(raw, axis=1), axis=0,
+                               return_inverse=True)
+    return edges, inverse.reshape(3, -1).T
+
+
+def test_edges_match_row_wise_unique():
+    # the key lo nv + hi gives the row-wise grouping bit for bit: on a
+    # relabelled mesh (other orientations, no order between labels and
+    # positions), on an NVB refinement of it, and on no triangles at all
+    rng = np.random.default_rng(11)
+    mesh = refine_uniform(refine_uniform(lshape_mesh()))
+    label = rng.permutation(mesh.num_vertices)
+    vertices = np.empty_like(mesh.vertices)
+    vertices[label] = mesh.vertices
+    relabelled = Mesh(vertices, label[mesh.triangles], mesh.refinement_edges)
+    refined = refine_marked(relabelled, rng.choice(mesh.num_triangles, 20))
+    empty = Mesh(np.zeros((3, 2)), np.zeros((0, 3), dtype=np.int64),
+                 np.zeros(0, dtype=np.int64))
+    for m in (mesh, relabelled, refined, empty):
+        edges, tri_edges = row_unique_edges(m.triangles)
+        assert m.edges.dtype == edges.dtype == np.int64
+        assert np.array_equal(m.edges, edges)
+        assert np.array_equal(m.tri_edges, tri_edges)
+    assert empty.edges.shape == (0, 2)
+    assert empty.tri_edges.shape == (0, 3)
+
+
 def test_degenerate_triangle_rejected():
     verts = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
     with pytest.raises(ValueError):

@@ -38,6 +38,33 @@ def test_element_class_members_share_local_systems_bitwise(data, p, kind):
     assert np.array_equal(B, B[owner])
 
 
+@hypothesis.settings(max_examples=25, deadline=None, derandomize=True,
+                     database=None)
+@hypothesis.given(data=st.data())
+def test_integer_key_groupings_match_row_wise_unique(data):
+    # Mesh's edges and _element_classes group by one-dimensional integer
+    # sorts; on random NVB meshes they must give what a row-wise
+    # np.unique of the same rows gives, bit for bit
+    mesh = lshape_mesh()
+    for _ in range(data.draw(st.integers(1, 5), label="rounds")):
+        nt = mesh.num_triangles
+        marked = data.draw(st.sets(st.integers(0, nt - 1), min_size=1,
+                                   max_size=nt), label="marked")
+        mesh = refine_marked(mesh, sorted(marked))
+        t, nt = mesh.triangles, mesh.num_triangles
+        raw = np.sort(np.concatenate([t[:, [1, 2]], t[:, [2, 0]],
+                                      t[:, [0, 1]]]), axis=1)
+        edges, inverse = np.unique(raw, axis=0, return_inverse=True)
+        assert np.array_equal(mesh.edges, edges)
+        assert np.array_equal(mesh.tri_edges, inverse.reshape(3, nt).T)
+        key = np.column_stack([mesh.jac.reshape(nt, 4).view(np.int64),
+                               mesh.edge_flips])
+        keys, rep, cls = np.unique(key, axis=0, return_index=True,
+                                   return_inverse=True)
+        for got, want in zip(_element_classes(mesh), (keys, rep, cls.ravel())):
+            assert np.array_equal(got, want)
+
+
 def draw_marks(data, mesh):
     """A few element indices of mesh, repeats allowed."""
     return data.draw(st.lists(st.integers(0, mesh.num_triangles - 1),
