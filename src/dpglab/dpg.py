@@ -216,15 +216,16 @@ class Solution:
 
 
 @lru_cache(maxsize=None)
-def _reference_tables(p, exactness):
+def _reference_tables(p):
     """Reference-element contraction tensors of trial order p, shared by
     all elements: the test basis V of degree p + DELTA_P against itself
-    under triangle_quadrature(exactness), and its edge traces; the one
-    place where bases meet quadrature weights.  V is orthonormal, so mass
-    blocks need no table, and nested, so the bases of u, sigma and the
-    postprocessed field are its leading modes: T1 holds
-    (d_a v_i, d_b v_j), GV (d_a v_i, v_j), and postprocessing reads their
-    first dim P^{p+1} rows."""
+    under the assembly quadrature default_exactness(p), and its edge
+    traces; the one place where bases meet quadrature weights.  V is
+    orthonormal, so mass blocks need no table, and nested, so the bases
+    of u, sigma and the postprocessed field are its leading modes: T1
+    holds (d_a v_i, d_b v_j), GV (d_a v_i, v_j), and postprocessing reads
+    their first dim P^{p+1} rows."""
+    exactness = default_exactness(p)
     w = triangle_quadrature(exactness).weights
     edge = edge_quadrature(exactness)
     V, Vg = basis_at_quadrature(p + DELTA_P, exactness)
@@ -279,7 +280,7 @@ def _local_systems(mesh, trial, kind, elements):
     if kind not in PROBLEM_KINDS:
         raise ValueError(f"unknown problem kind {kind!r}")
     p = trial.p
-    tab = _reference_tables(p, default_exactness(p))
+    tab = _reference_tables(p)
     n_u, n_s, n_t = _dim(trial.u_degree), _dim(p), _dim(p + DELTA_P)
     m = 3 * n_t
 
@@ -666,8 +667,8 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *,
     nf = dofmap.num_free
     gal = np.bincount(fall[fown], bt_both[..., 0][fown], minlength=nf)
     free_load = np.bincount(fall[fown], bt_both[..., 1][fown], minlength=nf)
-    diag["galerkin_residual"] = float(np.abs(gal).max()) if nf else 0.0
-    diag["load_scale"] = float(np.abs(free_load).max()) if nf else 0.0
+    diag["galerkin_residual"] = float(np.abs(gal).max())
+    diag["load_scale"] = float(np.abs(free_load).max())
     diag["element_classes"] = len(keys)
     diag["element_chunks"] = len(chunks)
     diag["classes_condensed"] = condensed

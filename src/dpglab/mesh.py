@@ -42,6 +42,10 @@ class Mesh:
         opposite the newest vertex).
 
     A boolean or non-integer index array raises ValueError (no truncation).
+    After orientation is normalized, the two triangles of an interior edge
+    must run along it in opposite directions, one on each side: a folded
+    mesh (two triangles on the same side of an edge), a triangle listed
+    twice, or an edge of more than two triangles raises ValueError.
 
     Derived attributes
     ------------------
@@ -115,7 +119,8 @@ class Mesh:
         t = self.triangles
         # local edge k is opposite vertex k and runs from vertex k+1 to k+2
         raw = np.concatenate([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]])
-        self.edge_flips = (raw[:, 0] > raw[:, 1]).reshape(3, t.shape[0]).T.copy()
+        flips = raw[:, 0] > raw[:, 1]
+        self.edge_flips = flips.reshape(3, t.shape[0]).T.copy()
         # the key lo nv + hi orders the rows (lo, hi) lexicographically
         # and is exact in int64 for nv < 3e9.  return_index makes
         # np.unique argsort stably, as np.lexsort does: with its default
@@ -128,11 +133,15 @@ class Mesh:
         self.edges = edges
         self.tri_edges = inverse.reshape(3, t.shape[0]).T.copy()
 
-        counts = np.bincount(self.tri_edges.ravel(), minlength=edges.shape[0])
-        if counts.size and counts.max() > 2:
-            raise ValueError("an edge has more than two adjacent triangles "
-                             "(nonmanifold mesh)")
-        self.boundary_edge = counts == 1
+        # counterclockwise neighbours run along their shared edge in
+        # opposite directions, so no edge is run along twice in one
+        # direction; this also bounds an edge to two triangles
+        uses = np.bincount(2 * inverse + flips, minlength=2 * len(codes))
+        if uses.size and uses.max() > 1:
+            raise ValueError("two triangles run along an edge in the same "
+                             "direction (a folded or nonmanifold mesh, or a "
+                             "repeated triangle)")
+        self.boundary_edge = uses[::2] + uses[1::2] == 1
         self.boundary_vertex = np.zeros(self.vertices.shape[0], dtype=bool)
         self.boundary_vertex[edges[self.boundary_edge].ravel()] = True
 
@@ -201,18 +210,11 @@ def unit_square_mesh(n):
     coords = np.linspace(0.0, 1.0, n + 1)
     xx, yy = np.meshgrid(coords, coords, indexing="xy")
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
-
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    tris = []
-    for j in range(n):
-        for i in range(n):
-            ll, lr = vid(i, j), vid(i + 1, j)
-            ur, ul = vid(i + 1, j + 1), vid(i, j + 1)
-            tris.append((ll, lr, ur))
-            tris.append((ll, ur, ul))
-    triangles = np.array(tris, dtype=np.int64)
+    # cell (i, j) has lower-left corner ll = j (n+1) + i and the triangles
+    # (ll, lr, ur) and (ll, ur, ul), cells in row-major order
+    ll = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    corners = np.array([[0, 1, n + 2], [0, n + 2, n + 1]])
+    triangles = (ll[:, None, None] + corners).reshape(-1, 3)
     ref = _longest_edge_indices(vertices, triangles)
     return Mesh(vertices, triangles, ref)
 
@@ -235,14 +237,8 @@ def lshape_mesh():
         [-1.0, -1.0],
         [0.0, -1.0],
     ])
-    triangles = np.array([
-        [0, 1, 2],
-        [0, 2, 3],
-        [0, 3, 4],
-        [0, 4, 5],
-        [0, 5, 6],
-        [0, 6, 7],
-    ], dtype=np.int64)
+    # the fan (0, k, k + 1) around the reentrant corner
+    triangles = np.array([[0, k, k + 1] for k in range(1, 7)], dtype=np.int64)
     ref = _longest_edge_indices(vertices, triangles)
     return Mesh(vertices, triangles, ref)
 
@@ -291,49 +287,38 @@ def refine_marked(mesh, marked):
                   mesh.vertices[mesh.edges[edge_marked, 1]])
     vertices = np.vstack([mesh.vertices, mids])
 
-    # normalized frame per triangle: (a, b, c) with refinement edge (a, b)
-    # and peak c; the other two edges are (b, c) opposite a and (c, a)
-    # opposite b
-    r = mesh.refinement_edges
-    idx = np.arange(nt)
-    a = mesh.triangles[idx, (r + 1) % 3]
-    b = mesh.triangles[idx, (r + 2) % 3]
-    c = mesh.triangles[idx, r]
-    m_ab = midpoint_vertex[t2e[idx, r]]
-    m_bc = midpoint_vertex[t2e[idx, (r + 1) % 3]]
-    m_ca = midpoint_vertex[t2e[idx, (r + 2) % 3]]
-    split_ab = m_ab >= 0
-    split_bc = m_bc >= 0
-    split_ca = m_ca >= 0
-
-    n_children = np.where(split_ab, 2 + split_bc + split_ca, 1)
-    offsets = np.concatenate([[0], np.cumsum(n_children)])
-    total = int(offsets[-1])
-    new_tris = np.empty((total, 3), dtype=np.int64)
-    new_ref = np.full(total, 2, dtype=np.int64)
-
-    # untouched triangles keep their frame and refinement edge
-    keep = ~split_ab
-    pos = offsets[:-1][keep]
-    new_tris[pos] = mesh.triangles[keep]
-    new_ref[pos] = mesh.refinement_edges[keep]
-
-    # first bisection: (a, b, c) -> (c, a, m_ab) and (b, c, m_ab); the new
-    # vertex is newest, so both children refine through their (v0, v1) edge.
-    # Each child (x, y, m_ab) is bisected once more through (x, y) when that
-    # edge is marked, into (m_ab, x, m_xy) and (y, m_ab, m_xy)
-    cursor = offsets[:-1][split_ab]
-    for child, split, mid in ((np.column_stack([c, a, m_ab]), split_ca, m_ca),
-                              (np.column_stack([b, c, m_ab]), split_bc, m_bc)):
-        child, split, mid = child[split_ab], split[split_ab], mid[split_ab]
-        new_tris[cursor[~split]] = child[~split]
-        new_tris[cursor[split]] = np.column_stack(
-            [child[split, 2], child[split, 0], mid[split]])
-        new_tris[cursor[split] + 1] = np.column_stack(
-            [child[split, 1], child[split, 2], mid[split]])
-        cursor = cursor + 1 + split
-
-    return Mesh(vertices, new_tris, new_ref)
+    # four child slots per triangle, kept in row-major order.  A triangle
+    # left alone keeps slot 0 and its refinement edge.  A split one, in
+    # its frame (a, b, c) with refinement edge (a, b) and peak c, is
+    # bisected into (c, a, m_ab) and (b, c, m_ab), and each child once
+    # more through its (v0, v1) edge (c, a) or (b, c) when that is marked:
+    #   slot 0  (m_ab, c, m_ca) or (c, a, m_ab),  slot 1  (a, m_ab, m_ca),
+    #   slot 2  (m_ab, b, m_bc) or (b, c, m_ab),  slot 3  (c, m_ab, m_bc);
+    # slot 1 exists when (c, a) is marked, slot 3 when (b, c) is, and
+    # every child refines through edge 2, its (v0, v1)
+    kids = np.empty((nt, 4, 3), dtype=np.int64)
+    kids[:, 0] = mesh.triangles
+    ref = np.full((nt, 4), 2, dtype=np.int64)
+    ref[:, 0] = mesh.refinement_edges
+    keep = np.tile([True, False, False, False], (nt, 1))
+    split = np.flatnonzero(edge_marked[ref_edge_of])
+    # flat indices of the local vertices and edges r+1, r+2, r of the
+    # split triangles: the frame (a, b, c) and the midpoints of (b, c),
+    # (c, a), (a, b)
+    at = 3 * split + (mesh.refinement_edges[split] + [[1], [2], [0]]) % 3
+    a, b, c = mesh.triangles.ravel()[at]
+    m_bc, m_ca, m_ab = midpoint_vertex[t2e.ravel()[at]]
+    ca, bc = m_ca >= 0, m_bc >= 0
+    kids[split] = np.stack([
+        np.where(ca[:, None], np.column_stack([m_ab, c, m_ca]),
+                 np.column_stack([c, a, m_ab])),
+        np.column_stack([a, m_ab, m_ca]),
+        np.where(bc[:, None], np.column_stack([m_ab, b, m_bc]),
+                 np.column_stack([b, c, m_ab])),
+        np.column_stack([c, m_ab, m_bc])], axis=1)
+    ref[split, 0] = 2
+    keep[split, 1], keep[split, 2], keep[split, 3] = ca, True, bc
+    return Mesh(vertices, kids[keep], ref[keep])
 
 
 def refine_uniform(mesh):

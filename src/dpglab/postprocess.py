@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dpg import _dim, _reference_tables, _stiffness, default_exactness
+from .dpg import _dim, _reference_tables, _stiffness
 
 
 @dataclass
@@ -72,7 +72,7 @@ def postprocess_fields(mesh, u_coeffs, sigma_coeffs):
     # the assembly's reference table of trial order p, read in its first
     # n = dim P^{p+1} test modes v_i: T1 holds (grad v_i, grad v_j), GV
     # (grad v_i, phi_j) against the degree-p modes phi_j of sigma_h
-    tab = _reference_tables(p, default_exactness(p))
+    tab = _reference_tables(p)
     n, n_s = _dim(p + 1), sigma_coeffs.shape[2]
     det = mesh.det
     inv_t = mesh.inv.transpose(0, 2, 1)     # J^{-T}, maps gradients

@@ -14,6 +14,7 @@ h^2, hence alpha = rate/2 in terms of the mesh size).
 """
 
 import math
+import os
 import warnings
 from dataclasses import asdict, astuple, dataclass, fields
 from typing import Optional
@@ -72,7 +73,9 @@ class StudyConfig:
     adaptive_loop passes through too: levels and max_dofs are integers
     >= 1 or None, not both None, theta and solver_tol real numbers in
     (0, 1), postprocess a bool, and quad_bump an integer >= 0 within the
-    error quadrature's cap.  No number field takes a bool.
+    error quadrature's cap.  No number field takes a bool.  out, when
+    given, names a file in an existing directory, so that a wrong path
+    fails before the first solve.
     """
     problem: str = "square"
     p: int = 0
@@ -102,6 +105,12 @@ class StudyConfig:
                         self.quad_bump)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if self.out is not None:
+            folder = os.path.dirname(os.path.abspath(self.out))
+            if (not os.path.basename(self.out) or os.path.isdir(self.out)
+                    or not os.path.isdir(folder)):
+                raise ConfigError(f"out {self.out!r} is not a file path in "
+                                  "an existing directory")
 
     def trial_space(self):
         return TrialSpace(self.p, augmented=(self.trial == "augmented"))

@@ -38,6 +38,19 @@ def test_unit_square_two_by_two():
     assert_conforming(m)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_unit_square_numbering_matches_a_cell_loop(n):
+    # cells row by row, each split into (ll, lr, ur) and (ll, ur, ul)
+    tris = []
+    for j in range(n):
+        for i in range(n):
+            ll, ul = j * (n + 1) + i, (j + 1) * (n + 1) + i
+            tris += [(ll, ll + 1, ul + 1), (ll, ul + 1, ul)]
+    m = unit_square_mesh(n)
+    assert m.triangles.tobytes() == np.array(tris, dtype=np.int64).tobytes()
+    assert m.vertices[tris[0][2]].tolist() == [1.0 / n, 1.0 / n]
+
+
 def test_unit_square_rejects_zero():
     with pytest.raises(ValueError):
         unit_square_mesh(0)
@@ -239,6 +252,30 @@ def test_nonmanifold_rejected():
     tris = np.vstack([tris, [[0, 1, 2]]])      # edge (0,1) x3 via duplicate
     with pytest.raises(ValueError):
         Mesh(verts, tris, np.zeros(4, dtype=int))
+
+
+FOLDED = [
+    # triangle (0, 1, 3) lies inside (0, 1, 2): both on one side of (0, 1)
+    ([[0, 0], [1, 0], [0, 1], [0.2, 0.2]], [[0, 1, 2], [0, 1, 3]], [0, 0]),
+    # a triangle listed twice, once with the other orientation
+    ([[0, 0], [1, 0], [0, 1]], [[0, 1, 2], [0, 2, 1]], [0, 0]),
+]
+
+
+@pytest.mark.parametrize("verts, tris, ref", FOLDED,
+                         ids=["folded", "repeated-triangle"])
+def test_folded_mesh_rejected(tmp_path, verts, tris, ref):
+    # both used to be accepted, and a solve on them returned an estimator
+    # with no error
+    with pytest.raises(ValueError, match="same direction"):
+        Mesh(verts, tris, ref)
+    path = tmp_path / "mesh.txt"
+    path.write_text(f"vertices {len(verts)} triangles {len(tris)}\n"
+                    + "".join(f"v {x} {y}\n" for x, y in verts)
+                    + "".join(f"t {i} {j} {k} {r}\n"
+                              for (i, j, k), r in zip(tris, ref)))
+    with pytest.raises(ValueError, match="same direction"):
+        load_mesh(path)
 
 
 def test_mesh_dump_roundtrip(tmp_path):

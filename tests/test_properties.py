@@ -11,7 +11,7 @@ from dpglab.dpg import (POISSON, REACTION_DIFFUSION, ClassStore, DofMap,
                         TrialSpace, _element_classes, _local_systems,
                         assemble_solve)
 from dpglab.mesh import (Mesh, load_mesh, lshape_mesh, refine_marked,
-                         refine_uniform, save_mesh)
+                         refine_uniform, save_mesh, unit_square_mesh)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -98,6 +98,66 @@ def test_nvb_mark_sequences_keep_the_mesh_conforming_and_shape_regular(data):
         assert not survivors & {tuple(sorted(t))
                                 for t in mesh.triangles[marked]}
         mesh = refined
+
+
+def nvb_oracle(mesh, marked):
+    """Newest-vertex bisection of mesh's marked triangles in plain Python,
+    one triangle at a time: (vertices, triangles, refinement_edges)."""
+    tris = [tuple(int(v) for v in t) for t in mesh.triangles]
+    refs = [int(r) for r in mesh.refinement_edges]
+
+    def edge(t, k):     # local edge k, opposite vertex k, as a sorted pair
+        return tuple(sorted((t[(k + 1) % 3], t[(k + 2) % 3])))
+
+    split = {edge(tris[i], refs[i]) for i in marked}
+    # closure: sweep until no triangle has a marked edge but an unmarked
+    # refinement edge
+    changed = True
+    while changed:
+        changed = False
+        for t, r in zip(tris, refs):
+            if edge(t, r) not in split and any(edge(t, k) in split
+                                               for k in range(3)):
+                split.add(edge(t, r))
+                changed = True
+    nv = mesh.num_vertices
+    mid = {e: nv + n for n, e in enumerate(sorted(split))}
+    vertices = [tuple(float(x) for x in v) for v in mesh.vertices]
+    vertices += [tuple(0.5 * (vertices[lo][d] + vertices[hi][d])
+                       for d in range(2)) for lo, hi in sorted(split)]
+
+    def bisect(t, r):
+        # frame (a, b, c): refinement edge (a, b), peak c; the children
+        # refine through their edge 2, (c, a) and (b, c)
+        if edge(t, r) not in split:
+            return [(t, r)]
+        a, b, c = t[(r + 1) % 3], t[(r + 2) % 3], t[r]
+        m = mid[edge(t, r)]
+        return bisect((c, a, m), 2) + bisect((b, c, m), 2)
+
+    children = [kid for t, r in zip(tris, refs) for kid in bisect(t, r)]
+    return (np.array(vertices), np.array([t for t, _ in children]),
+            np.array([r for _, r in children]))
+
+
+@hypothesis.settings(max_examples=30, deadline=None, derandomize=True,
+                     database=None)
+@hypothesis.given(data=st.data(),
+                  start=st.sampled_from(["lshape", "square1", "square3"]))
+def test_refine_marked_matches_a_recursive_bisection_oracle(data, start):
+    # refine_marked's four-slot table against per-triangle recursive
+    # bisection that shares no code with dpglab.mesh: the same vertices,
+    # triangles and refinement edges, bit for bit
+    mesh = {"lshape": lshape_mesh, "square1": lambda: unit_square_mesh(1),
+            "square3": lambda: unit_square_mesh(3)}[start]()
+    for _ in range(data.draw(st.integers(1, 6), label="rounds")):
+        marked = draw_marks(data, mesh)
+        want = nvb_oracle(mesh, marked)
+        mesh = refine_marked(mesh, marked)
+        got = (mesh.vertices, mesh.triangles, mesh.refinement_edges)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
 
 
 @hypothesis.settings(max_examples=30, deadline=None, derandomize=True,

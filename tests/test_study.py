@@ -209,6 +209,28 @@ def test_cli_entry_point_subprocess(tmp_path):
     assert header == CSV_HEADER
 
 
+def test_unwritable_out_is_refused_before_any_solve(tmp_path, monkeypatch,
+                                                    capsys):
+    # an --out in a missing directory, or naming a directory, used to
+    # fail in write_csv after the whole study had run
+    import dpglab.adapt as adapt_mod
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the out path was checked")
+
+    monkeypatch.setattr(adapt_mod, "assemble_solve", no_solve)
+    missing = tmp_path / "missing" / "x.csv"
+    for out in (str(missing), str(tmp_path), f"{tmp_path}/x.csv/", ""):
+        with pytest.raises(ConfigError, match="not a file path in an "
+                                              "existing directory"):
+            run_study(StudyConfig(levels=2, out=out))
+    code = main(["run", "--problem", "square", "--levels", "1",
+                 "--out", str(missing)])
+    assert code == 2
+    assert str(missing) in capsys.readouterr().err
+    assert not missing.parent.exists()
+
+
 @pytest.mark.parametrize("mode", ["uniform", "adaptive"])
 def test_partial_table_flushed_on_failure(tmp_path, monkeypatch, mode):
     # the CSV holds the completed levels when a later solve blows up
