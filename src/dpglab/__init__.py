@@ -17,8 +17,8 @@ from .problems import (ErrorReport, ManufacturedProblem, error_report,
 from .spaces import (EdgeBasis, QuadratureRule, ScalarBasis, edge_basis,
                      edge_bubbles, edge_quadrature, project_l2, scalar_basis,
                      triangle_quadrature)
-from .study import (ConvergenceRecord, StudyConfig, fit_slope, read_csv,
-                    run_study, write_csv)
+from .study import (ConvergenceRecord, StudyConfig, fit_slope, run_study,
+                    write_csv)
 
 __version__ = "0.1.0"
 
@@ -34,6 +34,5 @@ __all__ = [
     "EdgeBasis", "QuadratureRule", "ScalarBasis", "edge_basis",
     "edge_bubbles", "edge_quadrature", "project_l2", "scalar_basis",
     "triangle_quadrature",
-    "ConvergenceRecord", "StudyConfig", "fit_slope", "read_csv", "run_study",
-    "write_csv",
+    "ConvergenceRecord", "StudyConfig", "fit_slope", "run_study", "write_csv",
 ]

@@ -69,9 +69,6 @@ class AdaptiveStep:
 class AdaptiveRun:
     steps: List[AdaptiveStep]
 
-    def dofs(self):
-        return np.array([s.solution.num_dofs for s in self.steps])
-
 
 def adaptive_loop(problem, trial, theta=0.25, max_dofs=10000,
                   max_steps=None, postprocess=False, mesh=None,

@@ -187,9 +187,6 @@ class DofMap:
             self.bubble_dofs(ge).reshape(nt, 3 * p),
             flux.reshape(nt, 3 * (p + 1))], axis=1)
 
-    def vertex_dof(self, v):
-        return self.vertex_offset + v
-
     def bubble_dofs(self, e):
         """uhat edge-interior dofs of edge(s) e: shape e.shape + (p,)."""
         p = self.trial.p
@@ -271,8 +268,8 @@ def _stiffness(det, inv_t, T1):
 
 
 def _local_systems(mesh, trial, kind, elements):
-    """Gram and coupling matrices for a set of elements (all of them when
-    elements is None), under the assembly quadrature default_exactness(p).
+    """Gram and coupling matrices for a set of elements, under the
+    assembly quadrature default_exactness(p).
 
     Returns (G, B) with shapes (ne, m, m) and (ne, m, n_local), where m =
     3 * dim P^{p+DELTA_P} and columns follow DofMap layout.
@@ -284,8 +281,7 @@ def _local_systems(mesh, trial, kind, elements):
     n_u, n_s, n_t = _dim(trial.u_degree), _dim(p), _dim(p + DELTA_P)
     m = 3 * n_t
 
-    elements = np.arange(mesh.num_triangles) if elements is None \
-        else np.asarray(elements, dtype=np.int64)
+    elements = np.asarray(elements, dtype=np.int64)
     ne = elements.shape[0]
     # G and B below depend only on the Jacobian and the edge flips, so
     # elements that share both get bitwise equal matrices
@@ -572,15 +568,21 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *,
     -------
     Solution
 
-    Raises ValueError on a mesh without triangles, a solver_tol that is
-    not a real number in (0, 1), or source or Dirichlet values that are
-    non-finite or of the wrong shape (spaces.point_values), and
+    Raises ValueError on a mesh without triangles or with a vertex that
+    no triangle uses, a solver_tol that is not a real number in (0, 1),
+    or source or Dirichlet values that are non-finite or of the wrong
+    shape (spaces.point_values), and
     SolverError when the test-space Gram or the interior block S_II of an
     element class or the skeleton system is not SPD, or the solve misses
     solver_tol.
     """
     if mesh.num_triangles == 0:
         raise ValueError("mesh has no triangles")
+    # a vertex outside every triangle carries a uhat dof without an equation
+    used = np.zeros(mesh.num_vertices, dtype=bool)
+    used[mesh.triangles] = True
+    if not used.all():
+        raise ValueError(f"vertex {np.argmin(used)} belongs to no triangle")
     _in_unit_interval(solver_tol, "solver_tol")
     p = trial.p
     dofmap = DofMap(mesh, trial)

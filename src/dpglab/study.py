@@ -190,34 +190,3 @@ def write_csv(records, path):
         for r in records:
             fh.write(",".join("" if v is None else f"{v:.17g}"
                               for v in astuple(r)) + "\n")
-
-
-def read_csv(path):
-    """Parse a CSV written by write_csv back into records.
-
-    Raises ValueError on a foreign header, and naming the file and the
-    line on a row without one cell per column, or also the column on a
-    cell that is not a number.
-    """
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header in {path}")
-        records = []
-        names = [f.name for f in fields(ConvergenceRecord)]
-        for n, line in enumerate(fh, start=2):
-            cells = line.rstrip("\n").split(",")
-            if len(cells) != len(names):
-                raise ValueError(f"{path}, line {n}: expected {len(names)} "
-                                 f"cells, got {len(cells)}")
-            kwargs = {}
-            for col, (name, cell) in enumerate(zip(names, cells), start=1):
-                kind = int if name in ("level", "dofs") else float
-                try:
-                    kwargs[name] = None if cell == "" else kind(cell)
-                except ValueError:
-                    raise ValueError(f"{path}, line {n}, column {col} "
-                                     f"({name}): expected {kind.__name__}, "
-                                     f"got {cell!r}") from None
-            records.append(ConvergenceRecord(**kwargs))
-    return records

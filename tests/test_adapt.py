@@ -63,7 +63,7 @@ def test_mark_minimal_cardinality(seed):
 def test_adaptive_loop_dofs_strictly_increase():
     run = adaptive_loop(lshape_singular(), TrialSpace(0), theta=0.25,
                         max_dofs=600)
-    dofs = run.dofs()
+    dofs = np.array([s.solution.num_dofs for s in run.steps])
     assert len(dofs) > 3
     assert np.all(np.diff(dofs) > 0)
     assert dofs[-1] >= 600
@@ -195,7 +195,7 @@ def test_adaptive_matches_uniform_rate_on_smooth_problem():
     # rate; the fitted slopes agree within ten percent
     problem = square_smooth()
     run = adaptive_loop(problem, TrialSpace(0), theta=0.25, max_dofs=4000)
-    dofs = run.dofs().astype(float)
+    dofs = np.array([s.solution.num_dofs for s in run.steps], dtype=float)
     eta = np.array([s.solution.eta for s in run.steps])
     sel = dofs >= dofs[-1] / 16
     slope_adaptive = -np.polyfit(np.log(dofs[sel]), np.log(eta[sel]), 1)[0]

@@ -5,7 +5,8 @@ import pytest
 
 from dpglab.dpg import (POISSON, REACTION_DIFFUSION, DofMap, TrialSpace,
                         _local_systems, assemble_solve, condense)
-from dpglab.mesh import Mesh, lshape_mesh, refine_uniform, unit_square_mesh
+from dpglab.mesh import (Mesh, load_mesh, lshape_mesh, refine_uniform,
+                         save_mesh, unit_square_mesh)
 from dpglab.problems import ManufacturedProblem, error_report, square_smooth
 from dpglab.spaces import project_l2, scalar_basis
 
@@ -104,7 +105,7 @@ def test_local_b_exact_solution_columns(p, augmented):
         tri = m.triangles
         flips = tri[:, [1, 2, 0]] > tri[:, [2, 0, 1]]
         seen.update((le, bool(fl)) for row in flips for le, fl in enumerate(row))
-        _, B = _local_systems(m, trial, POISSON, None)
+        _, B = _local_systems(m, trial, POISSON, np.arange(m.num_triangles))
         coeffs = exact_affine_local_coeffs(m, trial)
         assert np.abs(np.einsum("eij,ej->ei", B, coeffs)).max() < 1e-12
     assert seen == {(le, fl) for le in range(3) for fl in (False, True)}
@@ -223,7 +224,7 @@ def test_local_systems_match_physical_space_quadrature(p, augmented, kind):
                                              for f in (False, True)}
 
     trial = TrialSpace(p, augmented=augmented)
-    G, B = _local_systems(mesh, trial, kind, None)
+    G, B = _local_systems(mesh, trial, kind, np.arange(mesh.num_triangles))
     for e, (X, labels) in enumerate(zip(shapes, triangles)):
         G_o, B_o = physical_local_systems(X, labels, trial, kind)
         for got, want in ((G[e], G_o), (B[e], B_o)):
@@ -377,6 +378,23 @@ def test_mesh_without_triangles_is_refused():
         assemble_solve(empty, TrialSpace(1), REACTION_DIFFUSION, None)
 
 
+def test_vertex_outside_every_triangle_is_refused(tmp_path):
+    # its uhat dof has no equation; refused before any data is evaluated,
+    # also when the mesh comes back from a file
+    def never(x, y):
+        raise AssertionError("data evaluated")
+
+    square = unit_square_mesh(2)
+    orphan = Mesh(np.vstack([square.vertices, [[5.0, 5.0]]]),
+                  square.triangles, square.refinement_edges)
+    save_mesh(orphan, tmp_path / "orphan.mesh")
+    for mesh in (orphan, load_mesh(tmp_path / "orphan.mesh")):
+        with pytest.raises(ValueError, match="^vertex 9 belongs to no "
+                                             "triangle$"):
+            assemble_solve(mesh, TrialSpace(1), square_smooth().kind, never,
+                           never)
+
+
 
 @pytest.mark.parametrize("tol", [2.0, float("nan"), 0.0, -1.0])
 def test_solver_tolerance_outside_unit_interval_is_refused(tol):
@@ -495,7 +513,7 @@ def test_polynomial_exactness_affine_poisson(trial, recwarn):
         dm = sol.dofmap
         for v in np.flatnonzero(mesh.boundary_vertex):
             x, y = mesh.vertices[v]
-            assert sol.coeffs[dm.vertex_dof(v)] == pytest.approx(x + y)
+            assert sol.coeffs[dm.vertex_offset + v] == pytest.approx(x + y)
 
 
 def test_galerkin_orthogonality_on_solves():
@@ -530,7 +548,8 @@ def test_condensed_solve_matches_monolithic_saddle_point(p, monkeypatch):
         mesh, problem = refine_uniform(lshape_mesh()), lshape_singular()
     trial = TrialSpace(p)
     dm = DofMap(mesh, trial)
-    G, B = _local_systems(mesh, trial, problem.kind, None)
+    G, B = _local_systems(mesh, trial, problem.kind,
+                          np.arange(mesh.num_triangles))
     F = element_loads(mesh, trial, problem.source)
     x_d = _dirichlet_values(mesh, dm, problem.dirichlet)
     nt, m, _ = B.shape
@@ -609,7 +628,8 @@ def test_condensed_matrix_spd():
     mesh = unit_square_mesh(2)
     trial = TrialSpace(1)
     dm = DofMap(mesh, trial)
-    G, B = _local_systems(mesh, trial, REACTION_DIFFUSION, None)
+    G, B = _local_systems(mesh, trial, REACTION_DIFFUSION,
+                          np.arange(mesh.num_triangles))
     schur = np.linalg.solve(G, B)
     S_loc = np.einsum("emi,emj->eij", B, schur)
     S = np.zeros((dm.n_total, dm.n_total))
@@ -808,7 +828,7 @@ def per_element_oracle(mesh, trial, kind, source, dirichlet):
     from dpglab.dpg import _dirichlet_values
 
     dm = DofMap(mesh, trial)
-    G, B = _local_systems(mesh, trial, kind, None)
+    G, B = _local_systems(mesh, trial, kind, np.arange(mesh.num_triangles))
     F = element_loads(mesh, trial, source)
     x = _dirichlet_values(mesh, dm, dirichlet)
     S_loc, r_loc, ginv_b, ginv_f = condense_load(G, B, F)

@@ -2,14 +2,14 @@
 
 import subprocess
 import sys
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from dpglab.cli import main
 from dpglab.study import (CSV_HEADER, ConfigError, ConvergenceRecord,
-                          StudyConfig, fit_slope, read_csv, run_study,
-                          write_csv)
+                          StudyConfig, fit_slope, run_study)
 
 
 def synthetic_records(dofs, errs):
@@ -69,14 +69,15 @@ def test_csv_round_trip_bitwise(tmp_path):
                          mode="uniform", levels=3, postprocess=True,
                          out=str(tmp_path / "a.csv"))
     records = run_study(config)
-    first = (tmp_path / "a.csv").read_bytes()
-    assert first.startswith(CSV_HEADER.encode() + b"\n")
-    back = read_csv(tmp_path / "a.csv")
-    write_csv(back, tmp_path / "b.csv")
-    assert (tmp_path / "b.csv").read_bytes() == first
-    assert len(back) == len(records) == 3
-    assert back[-1].err_u_post == pytest.approx(records[-1].err_u_post,
-                                                rel=1e-16)
+    header, *rows = (tmp_path / "a.csv").read_text().splitlines()
+    assert header == CSV_HEADER
+    assert len(rows) == len(records) == 3
+    # 17 significant digits give every float back exactly; None is empty
+    for row, rec in zip(rows, records):
+        cells = row.split(",")
+        assert len(cells) == len(astuple(rec))
+        for cell, value in zip(cells, astuple(rec)):
+            assert (cell == "" if value is None else float(cell) == value)
 
 
 def test_csv_uses_lf_and_empty_cells(tmp_path):
@@ -252,25 +253,8 @@ def test_partial_table_flushed_on_failure(tmp_path, monkeypatch, mode):
                          mode=mode, levels=5, out=str(out))
     with pytest.raises(SolverError):
         run_study(config)
-    assert len(read_csv(out)) == 2
-
-
-@pytest.mark.parametrize("cells", [4, 13])
-def test_read_csv_rejects_wrong_cell_count(tmp_path, cells):
-    path = tmp_path / "t.csv"
-    row = ",".join(["1", "10"] + ["0.5"] * (cells - 2))
-    path.write_text(f"{CSV_HEADER}\n0,4,1,,,,,,,,\n{row}\n")
-    with pytest.raises(ValueError, match=f"t.csv, line 3: expected 11 "
-                                         f"cells, got {cells}"):
-        read_csv(path)
-
-
-def test_read_csv_names_non_numeric_cell(tmp_path):
-    path = tmp_path / "t.csv"
-    path.write_text(f"{CSV_HEADER}\n0,4,abc,,,,,,,,\n")
-    with pytest.raises(ValueError, match="t.csv, line 2, column 3 "
-                                         r"\(h_max\): expected float, got 'abc'"):
-        read_csv(path)
+    # the header and the two completed levels
+    assert len(out.read_text().splitlines()) == 3
 
 
 def test_csv_header_is_the_documented_format():
