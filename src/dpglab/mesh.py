@@ -182,9 +182,6 @@ class Mesh:
         dot = np.einsum("ekd,ekd->ek", a, b)
         return float(np.arctan2(self.det[:, None], dot).min())
 
-    def copy(self):
-        return Mesh(self.vertices, self.triangles, self.refinement_edges)
-
     def __repr__(self):
         return (f"Mesh({self.num_vertices} vertices, "
                 f"{self.num_triangles} triangles, {self.num_edges} edges, "
@@ -248,7 +245,9 @@ def refine_marked(mesh, marked):
 
     Every marked triangle is bisected at least once through its refinement
     edge; the recursive closure bisects further triangles as needed so that
-    no hanging vertices remain.  Returns a new mesh; the input is unchanged.
+    no hanging vertices remain.  Returns a new mesh, or the input mesh
+    itself when nothing is marked (a Mesh is immutable, so sharing it is
+    safe); the input is never changed.
 
     marked is an iterable of integer triangle indices, repeats allowed.  A
     boolean mask or any non-integer value raises ValueError.
@@ -260,7 +259,7 @@ def refine_marked(mesh, marked):
                          f"boolean mask or {marked.dtype} values")
     marked = np.unique(marked.astype(np.int64))
     if marked.size == 0:
-        return mesh.copy()
+        return mesh
     nt = mesh.num_triangles
     if marked[0] < 0 or marked[-1] >= nt:
         raise ValueError("marked triangle index out of range")

@@ -4,8 +4,8 @@ Manufactured model problems and error-quantity evaluation.
 Two benchmark problems are provided: a smooth reaction-diffusion problem on
 the unit square and a corner-singular Poisson problem on the L-shaped
 domain.  Both carry the exact solution, its gradient, the source term, and
-Dirichlet boundary data, so that discretization errors can be measured in
-L2 by elementwise quadrature.
+Dirichlet boundary data, the trace of the exact solution, so that
+discretization errors can be measured in L2 by elementwise quadrature.
 """
 
 from dataclasses import dataclass
@@ -24,7 +24,9 @@ class ManufacturedProblem:
     """A PDE problem with known exact solution and its initial mesh.
 
     exact, source, dirichlet map coordinate arrays (x, y) to value arrays;
-    exact_grad returns a pair of arrays (du/dx, du/dy).
+    exact_grad returns a pair of arrays (du/dx, du/dy).  The Dirichlet
+    data of both problems here is the trace of the exact solution, so
+    they pass exact itself as dirichlet.
     """
     kind: str                        # REACTION_DIFFUSION | POISSON
     exact: Callable
@@ -38,7 +40,9 @@ def square_smooth():
     """Reaction-diffusion problem -Lap(u) + u = f on (0,1)^2.
 
     Exact solution u = x(1-x)y(1-y), vanishing on the boundary, with
-    f = 2x(1-x) + 2y(1-y) + x(1-x)y(1-y).
+    f = 2x(1-x) + 2y(1-y) + x(1-x)y(1-y).  exact is the Dirichlet data:
+    the boundary edges are axis-aligned, so every boundary point keeps an
+    exact 0 or 1 coordinate and exact returns exactly 0.0 there.
     """
 
     def exact(x, y):
@@ -51,12 +55,9 @@ def square_smooth():
     def source(x, y):
         return 2.0 * x * (1.0 - x) + 2.0 * y * (1.0 - y) + exact(x, y)
 
-    def dirichlet(x, y):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
     return ManufacturedProblem(
         kind=REACTION_DIFFUSION, exact=exact, exact_grad=exact_grad,
-        source=source, dirichlet=dirichlet,
+        source=source, dirichlet=exact,
         initial_mesh=lambda: unit_square_mesh(1))
 
 
@@ -101,12 +102,9 @@ def lshape_singular():
     def source(x, y):
         return np.zeros_like(np.asarray(x, dtype=float))
 
-    def dirichlet(x, y):
-        return exact(x, y)
-
     return ManufacturedProblem(
         kind=POISSON, exact=exact, exact_grad=exact_grad, source=source,
-        dirichlet=dirichlet, initial_mesh=lshape_mesh)
+        dirichlet=exact, initial_mesh=lshape_mesh)
 
 
 @dataclass

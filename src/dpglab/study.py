@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .adapt import MODES, _check_loop, _steps
-from .dpg import TrialSpace
+from .dpg import TrialSpace, _is_integer
 from .problems import lshape_singular, square_smooth
 
 PROBLEMS = {"square": square_smooth, "lshape": lshape_singular}
@@ -163,9 +163,14 @@ def fit_slope(records, column, window=3):
 
     Fits over the last `window` records; records with missing,
     nonpositive or non-finite values are excluded with a warning.
+
+    Raises ValueError unless window is an integer >= 2 (not a bool), and
+    when the records kept do not hold two distinct dof counts, through
+    which no line can be fitted.
     """
-    if window < 2:
-        raise ValueError("slope fit needs a window of at least 2 records")
+    if not (_is_integer(window) and window >= 2):
+        raise ValueError("slope fit needs an integer window of at least 2 "
+                         f"records, not {window!r}")
     tail = records[-window:]
     pts = []
     for rec in tail:
@@ -175,8 +180,9 @@ def fit_slope(records, column, window=3):
                           "positive and finite", stacklevel=2)
             continue
         pts.append((rec.dofs, val))
-    if len(pts) < 2:
-        raise ValueError(f"not enough positive {column} values to fit")
+    if len({dofs for dofs, _ in pts}) < 2:
+        raise ValueError(f"not enough positive {column} values at distinct "
+                         "dof counts to fit")
     dofs, vals = np.array(pts).T
     slope = np.polyfit(np.log(dofs), np.log(vals), 1)[0]
     return -float(slope)

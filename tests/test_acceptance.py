@@ -122,6 +122,31 @@ def test_criterion_6_lshape_adaptive():
     report(6, checks)
 
 
+def test_estimator_reliability():
+    # the DPG estimator is reliable: the field errors are at most a
+    # constant times eta (Carstensen, Demkowicz, Gopalakrishnan, SIAM J.
+    # Numer. Anal. 52, 2014), here on every level of the studies of
+    # criteria 1-6, taken from the cache
+    runs = [dict(problem="square", p=p, trial="augmented", mode="uniform",
+                 levels=6) for p in (0, 1)]
+    runs += [dict(problem="square", p=p, trial="standard", mode="uniform",
+                  levels=levels, postprocess=True)
+             for p, levels in ((0, 6), (1, 6), (2, 5))]
+    runs += [dict(problem="lshape", p=p, trial="standard", mode="uniform",
+                  levels=6, postprocess=True) for p in (0, 1)]
+    runs += [dict(problem="lshape", p=p, trial="standard", mode="adaptive",
+                  theta=0.25, max_dofs=max_dofs, postprocess=True)
+             for p, max_dofs in ((0, 12000), (1, 25000))]
+    checks = []
+    for kwargs in runs:
+        records, _ = study(**kwargs)
+        ratios = [np.hypot(r.err_u, r.err_sigma) / r.eta for r in records]
+        label = (f"{kwargs['problem']}_p{kwargs['p']}_{kwargs['trial']}_"
+                 f"{kwargs['mode']}_max_ratio")
+        checks.append((label, max(ratios), 0.0, 1.2))
+    report("reliability", checks)
+
+
 def test_criterion_7_property_suite():
     t0 = time.time()
 

@@ -878,6 +878,14 @@ def test_element_classes_match_per_element_oracle(case):
     assert sol.diagnostics["galerkin_residual"] <= 1e-8 * load_scale
 
 
+def test_diagnostics_report_the_smallest_element_diameter():
+    # cond G grows like h^-2, so a solve reports how small its elements get
+    mesh = corner_refined_lshape(2, 2)
+    sol = assemble_solve(mesh, TrialSpace(0), POISSON, None)
+    assert sol.diagnostics["min_diameter"] == mesh.diameters().min()
+    assert sol.diagnostics["min_diameter"] < mesh.h_max
+
+
 @pytest.mark.parametrize("kind", [REACTION_DIFFUSION, POISSON])
 @pytest.mark.parametrize("p", [0, 1, 2, 3])
 def test_condense_classes_match_dense_oracle(p, kind):

@@ -53,6 +53,28 @@ def test_fit_slope_needs_two_points():
         fit_slope(recs, "err_u", window=1)
 
 
+def test_fit_slope_refuses_a_single_dof_count():
+    # no line fits through one abscissa: polyfit returns a meaningless
+    # slope with only a RankWarning
+    recs = synthetic_records([10, 10], [1.0, 0.5])
+    with pytest.raises(ValueError, match="distinct dof counts"):
+        fit_slope(recs, "err_u", window=2)
+    # the excluded record does not count towards the two
+    recs = synthetic_records([10, 10, 100], [1.0, 0.5, 0.0])
+    with pytest.raises(ValueError, match="distinct dof counts"), \
+            pytest.warns(UserWarning, match="not positive"):
+        fit_slope(recs, "err_u", window=3)
+
+
+def test_fit_slope_window_is_an_integer_of_at_least_two():
+    recs = synthetic_records([10, 100, 1000], [1.0, 0.1, 0.01])
+    for window in (2.5, 3.0, "3", None, True, 1, 0, -3):
+        with pytest.raises(ValueError, match="integer window"):
+            fit_slope(recs, "err_u", window=window)
+    assert fit_slope(recs, "err_u", window=np.int64(3)) == pytest.approx(
+        1.0, rel=1e-12)
+
+
 def test_eoc_definition():
     config = StudyConfig(problem="square", p=0, trial="augmented",
                          mode="uniform", levels=3)
