@@ -30,7 +30,8 @@ def mark(eta_local, theta):
 
     Parameters
     ----------
-    eta_local : (nt,) array of finite, nonnegative local estimator values.
+    eta_local : (nt,) array of finite, nonnegative local estimator values;
+        another shape raises ValueError.
     theta : real number in (0, 1), not a bool (dpg._in_unit_interval);
         anything else raises ValueError.
 
@@ -41,6 +42,9 @@ def mark(eta_local, theta):
     """
     eta_local = np.asarray(eta_local, dtype=float)
     _in_unit_interval(theta, "theta")
+    if eta_local.ndim != 1:
+        raise ValueError("local estimator values must be a 1-D array, got "
+                         f"shape {eta_local.shape}")
     if not (np.isfinite(eta_local) & (eta_local >= 0.0)).all():
         raise ValueError("local estimator values must be finite and "
                          "nonnegative")

@@ -38,6 +38,14 @@ def test_mark_parameter_validation():
         mark([1.0, np.nan, 2.0, 0.5], 0.5)
 
 
+def test_mark_refuses_eta_that_is_not_1d():
+    # one value per element: a matrix or a scalar names no elements
+    with pytest.raises(ValueError, match=r"1-D array, got shape \(2, 2\)"):
+        mark(np.ones((2, 2)), 0.5)
+    with pytest.raises(ValueError, match=r"1-D array, got shape \(\)"):
+        mark(3.0, 0.5)
+
+
 def test_mark_tie_break_is_deterministic():
     # equal values are taken in ascending index order
     assert list(mark([2, 1, 2, 1, 2], 0.5)) == [0, 2]

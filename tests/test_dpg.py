@@ -343,6 +343,17 @@ def test_condense_symmetry_and_nullspace():
         assert_close13(many_S[:, :5, 5 + j], S_j[:, :5, 5])
         assert_close13(many_W[:, :, 5 + j], W_j[:, :, 5])
         assert_close13(many_S[:, :5, :5], S_j[:, :5, :5])
+    # an element Gram whose Cholesky factor has sub-diagonal entries up to
+    # twice its diagonal, so the LU that whitens with it swaps rows
+    h = 1e-5
+    tiny = Mesh(np.array([[0.0, 0.0], [h, 0.0], [0.0, h]]),
+                np.array([[0, 1, 2]]), np.array([0]))
+    G1, B1 = _local_systems(tiny, TrialSpace(3), REACTION_DIFFUSION, [0])
+    L1 = np.linalg.cholesky(G1[0])
+    assert (np.abs(np.tril(L1, -1)) > 2 * np.diag(L1)).any()
+    C1 = np.concatenate([B1, np.eye(G1.shape[1], 3)[None]], axis=2)
+    S_one = assert_condense_contract(G1, C1)[0]
+    assert_close13(assert_condense_contract(G1[0], C1[0])[0], S_one[0])
 
 
 def test_condense_rejects_indefinite_gram():
