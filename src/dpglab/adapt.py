@@ -17,10 +17,11 @@ from typing import List
 
 import numpy as np
 
-from .dpg import ClassStore, _in_unit_interval, _is_integer, assemble_solve
+from .dpg import ClassStore, _in_unit_interval, assemble_solve
 from .mesh import refine_marked, refine_uniform
 from .postprocess import postprocess_all
 from .problems import error_exactness, error_report
+from .spaces import _is_integer
 
 MODES = ("uniform", "adaptive")     # the refinement strategies of _steps
 

@@ -57,17 +57,20 @@ factors each Gram once, G = L L', and whitens [B | E] into w = L^{-1}
 G^{-1} E = W_B' W_E in its first n rows; the second
 condensation factors S_II and leaves hybrid = [S_hat | R_S - S_SI
 S_II^{-1} R_I] and inner = S_II^{-1} [S_IS | R_I].  These three stacks
-are the class operators, kept as the condensations return them.  Every
-element has one local vector z_T = [-x_T | load_T], x_T its trial dofs,
-and every operator acts on it: hybrid z_T[k:] is its skeleton right-hand
-side while x_T holds the Dirichlet lift, inner z_T[k:] its fields x_I
-once x_T holds the skeleton solution, and w z_T = L^{-1} (F_T - B_T x_T)
-= w_T.  |w_T| is the local estimator eta(T), the test norm of the
-residual representer, and W_B' w_T its Galerkin vector.  assemble_solve
-runs these products over chunks of elements whose gathered class
-operators fill at most _CHUNK_BYTES, and the store condenses the classes
-new to a mesh in chunks of the same size, so no operator is copied once
-per element of the whole mesh.  No result depends on the chunk size.
+are the class operators, kept as the condensations return them.  The
+fields never enter the global system, so DofMap numbers the skeleton
+alone and assemble_solve keeps the fields in an array of their own, one
+row per element.  Every element has one local vector z_T = [-x_T |
+load_T], x_T = [x_I | x_S] its trial dofs, and every operator acts on
+it: hybrid z_T[k:] is its skeleton right-hand side while x_T holds the
+Dirichlet lift (x_I = 0), inner z_T[k:] its fields x_I once x_S holds
+the skeleton solution, and w z_T = L^{-1} (F_T - B_T x_T) = w_T.  |w_T|
+is the local estimator eta(T), the test norm of the residual
+representer, and W_B' w_T its Galerkin vector.  assemble_solve runs
+these products over chunks of elements whose gathered class operators
+fill at most _CHUNK_BYTES, and the store condenses the classes new to a
+mesh in chunks of the same size, so no operator is copied once per
+element of the whole mesh.  No result depends on the chunk size.
 The dense algebra is numpy's alone: np.linalg.cholesky and
 np.linalg.solve take a whole stack of class matrices in one call each,
 and scipy holds the sparse assembly and factorization.
@@ -81,9 +84,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .spaces import (REFERENCE_VERTICES, basis_at_quadrature, edge_basis,
-                     edge_bubbles, edge_quadrature, point_values, project_l2,
-                     scalar_basis, triangle_quadrature)
+from .spaces import (REFERENCE_VERTICES, _is_integer, basis_at_quadrature,
+                     edge_basis, edge_bubbles, edge_quadrature, point_values,
+                     project_l2, scalar_basis, triangle_quadrature)
 
 REACTION_DIFFUSION = "reaction-diffusion"
 POISSON = "poisson"
@@ -100,11 +103,6 @@ class SolverError(RuntimeError):
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
-
-
-def _is_integer(value):
-    """Whether value is an integer: numpy integers are, bools are not."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _in_unit_interval(value, name):
@@ -144,16 +142,22 @@ def _dim(degree):
 
 
 class DofMap:
-    """Global numbering of trial unknowns on a mesh.
+    """Numbering of the trial unknowns on a mesh.
 
-    Layout: element-interior blocks [u | sigma_x | sigma_y] for every
-    element first, then one uhat dof per mesh vertex, then p uhat
-    edge-interior dofs per edge, then p+1 flux dofs per edge.  Boundary
+    An element's local trial columns are [u | sigma_x | sigma_y | uhat
+    vertices | uhat bubbles | flux], n_local of them, the first k_int its
+    fields.  Hybridization eliminates the fields element by element, so
+    they get no global number: only the skeleton is numbered, from 0, one
+    uhat dof per mesh vertex (its vertex number), then p uhat
+    edge-interior dofs per edge, then p+1 flux dofs per edge, n_skeleton
+    in all.  skeleton_cols (nt, n_local - k_int) holds each element's
+    skeleton dofs in the order of its local skeleton columns.  Boundary
     vertex and boundary edge-interior uhat dofs are constrained by the
-    Dirichlet data (zero in the homogeneous case); everything else is
-    free.  num_free is the reported dof count D_h.  free_index numbers
-    the free dofs 0..num_free-1 in global order and maps the prescribed
-    ones to -1.
+    Dirichlet data (zero in the homogeneous case); the rest of the
+    skeleton is free.  free_index numbers the free skeleton dofs from 0
+    in skeleton order, the numbering of the global solve, and maps the
+    prescribed ones to -1.  num_free is the reported dof count D_h: the
+    fields of every element and the free skeleton dofs.
     """
 
     def __init__(self, mesh, trial):
@@ -163,30 +167,24 @@ class DofMap:
         self.n_u = _dim(trial.u_degree)
         self.n_s = _dim(p)
         self.k_int = self.n_u + 2 * self.n_s
+        self.n_local = self.k_int + 3 + 3 * p + 3 * (p + 1)
         nt, nv, ne = mesh.num_triangles, mesh.num_vertices, mesh.num_edges
 
-        self.interior_count = nt * self.k_int
-        self.vertex_offset = self.interior_count
-        self.bubble_offset = self.vertex_offset + nv
-        self.flux_offset = self.bubble_offset + ne * p
-        self.n_total = self.flux_offset + ne * (p + 1)
+        self.bubble_offset = nv
+        flux_offset = nv + ne * p
+        self.n_skeleton = flux_offset + ne * (p + 1)
 
-        free = np.ones(self.n_total, dtype=bool)
-        free[self.vertex_offset + np.flatnonzero(mesh.boundary_vertex)] = False
+        free = np.ones(self.n_skeleton, dtype=bool)
+        free[:nv] = ~mesh.boundary_vertex
         free[self.bubble_dofs(np.flatnonzero(mesh.boundary_edge))] = False
         self.free = free
-        self.num_free = int(free.sum())
+        self.num_free = nt * self.k_int + int(free.sum())
         self.free_index = np.where(free, np.cumsum(free) - 1, -1)
 
-        # local trial columns per element:
-        #   [u | sigma_x | sigma_y | uhat vertices | uhat bubbles | flux]
-        self.n_local = self.k_int + 3 + 3 * p + 3 * (p + 1)
         ge = mesh.tri_edges
-        flux = self.flux_offset + ge[..., None] * (p + 1) + np.arange(p + 1)
-        self.local_cols = np.concatenate([
-            np.arange(self.interior_count).reshape(nt, self.k_int),
-            self.vertex_offset + mesh.triangles,
-            self.bubble_dofs(ge).reshape(nt, 3 * p),
+        flux = flux_offset + ge[..., None] * (p + 1) + np.arange(p + 1)
+        self.skeleton_cols = np.concatenate([
+            mesh.triangles, self.bubble_dofs(ge).reshape(nt, 3 * p),
             flux.reshape(nt, 3 * (p + 1))], axis=1)
 
     def bubble_dofs(self, e):
@@ -197,11 +195,16 @@ class DofMap:
 
 @dataclass
 class Solution:
-    """Discrete solution with its local error estimator."""
+    """Discrete solution with its local error estimator.
+
+    The fields are held per element, u_coeffs and sigma_coeffs on the
+    reference basis; the traces and fluxes in skeleton_coeffs, one entry
+    per skeleton dof of dofmap, the prescribed ones included.
+    """
     mesh: object
     trial: TrialSpace
     dofmap: DofMap
-    coeffs: np.ndarray              # all trial dofs, prescribed ones included
+    skeleton_coeffs: np.ndarray     # (n_skeleton,) in dofmap's numbering
     u_coeffs: np.ndarray            # (nt, dim u)
     sigma_coeffs: np.ndarray        # (nt, 2, dim sigma)
     eta_local: np.ndarray           # (nt,) local estimator eta(T)
@@ -273,7 +276,7 @@ def _local_systems(mesh, trial, kind, elements):
     assembly quadrature default_exactness(p).
 
     Returns (G, B) with shapes (ne, m, m) and (ne, m, n_local), where m =
-    3 * dim P^{p+DELTA_P} and columns follow DofMap layout.
+    3 * dim P^{p+DELTA_P} and columns follow DofMap's local trial columns.
     """
     if kind not in PROBLEM_KINDS:
         raise ValueError(f"unknown problem kind {kind!r}")
@@ -509,15 +512,15 @@ def condense(gram, coupling):
 
 
 def _dirichlet_values(mesh, dofmap, data):
-    """Prescribed uhat values: vertex interpolation plus edgewise L2
-    projection of the remainder onto the edge-interior modes.  data
-    returns one value per point or a scalar; any other shape or a
-    non-finite value raises ValueError."""
+    """Prescribed uhat values, one per skeleton dof: vertex interpolation
+    plus edgewise L2 projection of the remainder onto the edge-interior
+    modes, zero off the boundary.  data returns one value per point or a
+    scalar; any other shape or a non-finite value raises ValueError."""
     p = dofmap.trial.p
-    values = np.zeros(dofmap.n_total)
+    values = np.zeros(dofmap.n_skeleton)
     bverts = np.flatnonzero(mesh.boundary_vertex)
     xy = mesh.vertices[bverts]
-    values[dofmap.vertex_offset + bverts] = point_values(
+    values[bverts] = point_values(
         data(xy[:, 0], xy[:, 1]), bverts.shape, "Dirichlet data")
     if p > 0:
         rule = edge_quadrature(default_exactness(p) + 4)
@@ -530,8 +533,8 @@ def _dirichlet_values(mesh, dofmap, data):
         pts = a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]
         gvals = point_values(data(pts[..., 0], pts[..., 1]), pts.shape[:2],
                              "Dirichlet data")
-        ga = values[dofmap.vertex_offset + mesh.edges[bedges, 0]]
-        gb = values[dofmap.vertex_offset + mesh.edges[bedges, 1]]
+        ga = values[mesh.edges[bedges, 0]]
+        gb = values[mesh.edges[bedges, 1]]
         resid = gvals - (np.outer(ga, 1.0 - t) + np.outer(gb, t))
         rhs = np.einsum("ek,jk,k->ej", resid, bub, w)
         values[dofmap.bubble_dofs(bedges)] = np.linalg.solve(gram, rhs.T).T
@@ -546,8 +549,10 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *,
     The global system is the SPD block of the free skeleton dofs alone
     (uhat and shat): u and sigma are eliminated per element class by a
     second Schur complement, and the system is assembled as one CSC matrix
-    and factored directly by _solve_spd.  The fields come back element by
-    element, and Solution.coeffs holds every trial dof.
+    in the numbering of DofMap.free_index and factored directly by
+    _solve_spd.  The fields come back element by element into u_coeffs
+    and sigma_coeffs, and Solution.skeleton_coeffs holds every skeleton
+    dof in DofMap's numbering, the prescribed ones included.
 
     The class operators come from store, a ClassStore that the solves of
     one study share (None: a new, empty one).  Only the classes it lacks
@@ -600,7 +605,7 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *,
     _in_unit_interval(solver_tol, "solver_tol")
     p = trial.p
     dofmap = DofMap(mesh, trial)
-    prescribed = (np.zeros(dofmap.n_total) if dirichlet is None else
+    prescribed = (np.zeros(dofmap.n_skeleton) if dirichlet is None else
                   _dirichlet_values(mesh, dofmap, dirichlet))
     nt = mesh.num_triangles
     # moments (f, v_i)_T against the scalar test functions
@@ -617,22 +622,19 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *,
     chunks = _chunks(nt, _class_bytes(dofmap))
     k, n = dofmap.k_int, dofmap.n_local
 
-    # free skeleton block only: interior dofs come first in the global
-    # order and are all free, so free_index - interior_count numbers the
-    # free skeleton dofs (negative when prescribed), as int32, which
-    # scipy's sparse formats keep without a copy
-    ic = dofmap.interior_count
-    cols = dofmap.local_cols
-    skel = cols[:, k:]
-    fcols = (dofmap.free_index[skel] - ic).astype(np.int32)
+    # the free skeleton dofs in the numbering of the solve (negative when
+    # prescribed), as int32, which scipy's sparse formats keep without a
+    # copy
+    skel = dofmap.skeleton_cols
+    fcols = dofmap.free_index[skel].astype(np.int32)
     own = fcols >= 0
-    ns = dofmap.num_free - ic
+    ns = int(dofmap.free.sum())
 
     # every element's local vector z = [-x | load], x its trial dofs, here
-    # at the Dirichlet lift x = prescribed; chunk by chunk, hybrid z[k:]
-    # is the skeleton right-hand side, and the free entries of S_hat are
-    # the COO values
-    z = np.concatenate([-prescribed[cols], load], axis=1)
+    # at the Dirichlet lift: zero fields and the prescribed skeleton
+    # values; chunk by chunk, hybrid z[k:] is the skeleton right-hand
+    # side, and the free entries of S_hat are the COO values
+    z = np.concatenate([np.zeros((nt, k)), -prescribed[skel], load], axis=1)
     r_hat = np.empty(skel.shape)
     pair = own[:, :, None] & own[:, None, :]
     values = []
@@ -662,10 +664,10 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *,
     # gives the condensed load of the free trial dofs, the scale of the
     # Galerkin check below
     x = prescribed.copy()
-    x[ic:][dofmap.free[ic:]] = x_skel
-    interior = x[:ic].reshape(nt, k)
+    x[dofmap.free] = x_skel
+    interior = np.empty((nt, k))
     eta_sq = np.empty(nt)
-    bt_both = np.empty(cols.shape + (2,))
+    bt_both = np.empty((nt, n, 2))
     for c in chunks:
         both = np.stack([z[c], z[c]], axis=-1)   # at the solution, the lift
         both[:, k:n, 0] = -x[skel[c]]
@@ -693,7 +695,8 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *,
     sigma_coeffs = interior[:, dofmap.n_u:].reshape(nt, 2, dofmap.n_s).copy()
 
     return Solution(mesh=mesh, trial=trial, dofmap=dofmap,
-                    coeffs=x, u_coeffs=u_coeffs, sigma_coeffs=sigma_coeffs,
+                    skeleton_coeffs=x, u_coeffs=u_coeffs,
+                    sigma_coeffs=sigma_coeffs,
                     eta_local=np.sqrt(eta_sq),
                     eta=float(np.sqrt(eta_sq.sum())), diagnostics=diag)
 
@@ -745,6 +748,9 @@ def _solve_spd(A, b, tol):
                           residual=np.inf) from exc
     x = lu.solve(b)
     for it in range(4):
+        # the last iterate is the last one checked: no solve after it
+        if it:
+            x = x + lu.solve(res)
         res = b - A @ x
         # b = 0 (zero source and Dirichlet data) divides by 1: x = 0 then
         # passes at once, and a non-finite x still fails
@@ -754,7 +760,6 @@ def _solve_spd(A, b, tol):
                        "rel_residual": rel, "ordering": _ORDERING,
                        "relax": _RELAX, "panel_size": _PANEL_SIZE,
                        "nnz_A": int(A.nnz), "nnz_factor": int(lu.nnz)}
-        x = x + lu.solve(res)
     raise SolverError(
         f"linear solver failed: residual {rel:.3e} after {it} refinement "
         f"steps (target {tol:.1e})", residual=rel)

@@ -13,10 +13,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dpg import POISSON, REACTION_DIFFUSION, _is_integer, default_exactness
+from .dpg import POISSON, REACTION_DIFFUSION, default_exactness
 from .mesh import lshape_mesh, unit_square_mesh
-from .spaces import (MAX_QUADRATURE_DEGREE, basis_at_quadrature, point_values,
-                     triangle_quadrature)
+from .spaces import (MAX_QUADRATURE_DEGREE, _is_integer, basis_at_quadrature,
+                     point_values, triangle_quadrature)
 
 
 @dataclass(frozen=True)

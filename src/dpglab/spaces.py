@@ -22,6 +22,7 @@ Element-level functions take a whole Mesh and return one row per element;
 a single triangle is the one-element mesh Mesh(verts, [[0, 1, 2]], [0]).
 """
 
+import numbers
 from functools import lru_cache
 from math import factorial
 
@@ -30,6 +31,11 @@ import numpy as np
 MAX_QUADRATURE_DEGREE = 20
 
 REFERENCE_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+def _is_integer(value):
+    """Whether value is an integer: numpy integers are, bools are not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def monomial_exponents(degree):
@@ -71,7 +77,9 @@ def _gauss_legendre_01(n):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-@lru_cache(maxsize=None)
+# typed caches: 4.0 or True must not find the rule of 4 or 1 and skip the
+# integer check
+@lru_cache(maxsize=None, typed=True)
 def triangle_quadrature(degree):
     """Quadrature on the reference triangle, exact to the given total degree.
 
@@ -83,15 +91,16 @@ def triangle_quadrature(degree):
     Parameters
     ----------
     degree : int
-        Required exactness degree, 0 <= degree <= 20.
+        Required exactness degree, an integer (not a bool) in 0..20;
+        anything else raises ValueError.
 
     Returns
     -------
     QuadratureRule
     """
-    if not 0 <= degree <= MAX_QUADRATURE_DEGREE:
-        raise ValueError(f"quadrature degree {degree} outside supported "
-                         f"range [0, {MAX_QUADRATURE_DEGREE}]")
+    if not (_is_integer(degree) and 0 <= degree <= MAX_QUADRATURE_DEGREE):
+        raise ValueError(f"quadrature degree {degree!r} is not an integer in "
+                         f"the supported range [0, {MAX_QUADRATURE_DEGREE}]")
     n = (degree + 3) // 2
     u, wu = _gauss_legendre_01(n)
     v, wv = _gauss_legendre_01(n)
@@ -102,11 +111,13 @@ def triangle_quadrature(degree):
     return QuadratureRule(np.column_stack([x, y]), w, degree)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def edge_quadrature(degree):
-    """Gauss-Legendre rule on [0, 1], exact to the given degree."""
-    if not 0 <= degree <= 2 * MAX_QUADRATURE_DEGREE:
-        raise ValueError(f"edge quadrature degree {degree} out of range")
+    """Gauss-Legendre rule on [0, 1], exact to the given degree, an
+    integer (not a bool) in 0..40; anything else raises ValueError."""
+    if not (_is_integer(degree) and 0 <= degree <= 2 * MAX_QUADRATURE_DEGREE):
+        raise ValueError(f"edge quadrature degree {degree!r} is not an "
+                         f"integer in [0, {2 * MAX_QUADRATURE_DEGREE}]")
     t, w = _gauss_legendre_01(degree // 2 + 1)
     return QuadratureRule(t, w, degree)
 

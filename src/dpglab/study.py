@@ -22,8 +22,9 @@ from typing import Optional
 import numpy as np
 
 from .adapt import MODES, _check_loop, _steps
-from .dpg import TrialSpace, _is_integer
+from .dpg import TrialSpace
 from .problems import lshape_singular, square_smooth
+from .spaces import _is_integer
 
 PROBLEMS = {"square": square_smooth, "lshape": lshape_singular}
 MAX_P = 3       # a study's trial order p lies in 0..MAX_P

@@ -434,6 +434,10 @@ def test_trial_space_order_is_a_nonnegative_integer():
     assert TrialSpace(1, augmented=np.bool_(False)).u_degree == 1
 
 
+# every array a Solution holds: the skeleton dofs, the fields and eta(T)
+SOLUTION_ARRAYS = ("skeleton_coeffs", "u_coeffs", "sigma_coeffs", "eta_local")
+
+
 def test_scalar_source_equals_array_source_bitwise():
     mesh = refine_uniform(lshape_mesh())
     for kind in (REACTION_DIFFUSION, POISSON):
@@ -442,16 +446,16 @@ def test_scalar_source_equals_array_source_bitwise():
         array = assemble_solve(mesh, TrialSpace(1), kind,
                                lambda x, y: np.full_like(x, 2.5),
                                dirichlet=lambda x, y: x)
-        for name in ("coeffs", "eta_local"):
+        for name in SOLUTION_ARRAYS:
             assert np.array_equal(getattr(scalar, name), getattr(array, name))
 
 
 def test_zero_problem_gives_zero_solution():
     mesh = unit_square_mesh(2)
     sol = assemble_solve(mesh, TrialSpace(0), REACTION_DIFFUSION, None)
-    assert np.abs(sol.coeffs).max() == 0.0
+    for name in SOLUTION_ARRAYS:
+        assert np.abs(getattr(sol, name)).max() == 0.0
     assert sol.eta == 0.0
-    assert np.abs(sol.eta_local).max() == 0.0
     # zero data is solved like any other: factored, with its report
     for key in ("ordering", "nnz_A", "nnz_factor"):
         assert key in sol.diagnostics
@@ -493,7 +497,8 @@ def test_dirichlet_data_of_wrong_shape_is_refused(p, data):
                             dirichlet=lambda x, y: 2.0)
     array = assemble_solve(mesh, TrialSpace(p), POISSON, None,
                            dirichlet=lambda x, y: np.full_like(x, 2.0))
-    assert np.array_equal(scalar.coeffs, array.coeffs)
+    for name in SOLUTION_ARRAYS[:3]:
+        assert np.array_equal(getattr(scalar, name), getattr(array, name))
 
 
 def affine_poisson_problem():
@@ -521,10 +526,9 @@ def test_polynomial_exactness_affine_poisson(trial, recwarn):
         assert rep.err_sigma < 1e-8
         assert sol.eta < 1e-8
         # boundary trace dofs carry the prescribed data
-        dm = sol.dofmap
         for v in np.flatnonzero(mesh.boundary_vertex):
             x, y = mesh.vertices[v]
-            assert sol.coeffs[dm.vertex_offset + v] == pytest.approx(x + y)
+            assert sol.skeleton_coeffs[v] == pytest.approx(x + y)
 
 
 def test_galerkin_orthogonality_on_solves():
@@ -543,14 +547,40 @@ def test_galerkin_orthogonality_on_solves():
         assert sol.diagnostics["galerkin_residual"] <= 1e-8 * scale
 
 
+def trial_numbering(dm, dirichlet=None):
+    """A global numbering of every trial dof, for the dense oracles that
+    assemble the fields too: the fields of each element, k_int at a time,
+    then the skeleton of dm.  Returns the local columns (nt, n_local), the
+    free mask and the Dirichlet lift, the prescribed skeleton values
+    after zero fields (all zero without data)."""
+    from dpglab.dpg import _dirichlet_values
+
+    nt, k = dm.mesh.num_triangles, dm.k_int
+    cols = np.concatenate([np.arange(nt * k).reshape(nt, k),
+                           nt * k + dm.skeleton_cols], axis=1)
+    free = np.concatenate([np.ones(nt * k, dtype=bool), dm.free])
+    lift = np.zeros(free.size)
+    if dirichlet is not None:
+        lift[nt * k:] = _dirichlet_values(dm.mesh, dm, dirichlet)
+    return cols, free, lift
+
+
+def all_coeffs(sol):
+    """Every trial dof of a solution in the numbering of trial_numbering."""
+    nt = sol.mesh.num_triangles
+    fields = np.concatenate([sol.u_coeffs, sol.sigma_coeffs.reshape(nt, -1)],
+                            axis=1)
+    return np.concatenate([fields.ravel(), sol.skeleton_coeffs])
+
+
 @pytest.mark.parametrize("p", [0, 1, 2])
 def test_condensed_solve_matches_monolithic_saddle_point(p, monkeypatch):
     # oracle: the uncondensed mixed system
     #   [[G, B_free], [B_free', 0]] [eps; x_free] = [F - B_D x_D; 0]
-    # assembled and solved densely; it shares only the local matrices and
-    # the Dirichlet values with assemble_solve
+    # assembled and solved densely in a numbering of its own; it shares
+    # only the local matrices, the skeleton numbering and the Dirichlet
+    # values with assemble_solve
     import dpglab.dpg as dpg
-    from dpglab.dpg import _dirichlet_values
     from dpglab.problems import lshape_singular
 
     if p == 0:
@@ -562,24 +592,25 @@ def test_condensed_solve_matches_monolithic_saddle_point(p, monkeypatch):
     G, B = _local_systems(mesh, trial, problem.kind,
                           np.arange(mesh.num_triangles))
     F = element_loads(mesh, trial, problem.source)
-    x_d = _dirichlet_values(mesh, dm, problem.dirichlet)
+    cols, free, x_d = trial_numbering(dm, problem.dirichlet)
     nt, m, _ = B.shape
     G_glob = np.zeros((nt * m, nt * m))
-    B_glob = np.zeros((nt * m, dm.n_total))
+    B_glob = np.zeros((nt * m, free.size))
     for t in range(nt):
         rows = slice(t * m, (t + 1) * m)
         G_glob[rows, rows] = G[t]
-        B_glob[rows, dm.local_cols[t]] = B[t]
-    B_free = B_glob[:, dm.free]
+        B_glob[rows, cols[t]] = B[t]
+    B_free = B_glob[:, free]
     nf = B_free.shape[1]
     K = np.block([[G_glob, B_free], [B_free.T, np.zeros((nf, nf))]])
-    rhs = np.concatenate([F.ravel() - B_glob[:, ~dm.free] @ x_d[~dm.free],
+    rhs = np.concatenate([F.ravel() - B_glob[:, ~free] @ x_d[~free],
                           np.zeros(nf)])
     z = np.linalg.solve(K, rhs)
     eps = z[:nt * m].reshape(nt, m)
     x = x_d.copy()
-    x[dm.free] = z[nt * m:]
-    interior = x[:dm.interior_count].reshape(nt, dm.k_int)
+    x[free] = z[nt * m:]
+    fields = nt * dm.k_int
+    interior = x[:fields].reshape(nt, dm.k_int)
     eta_local = np.sqrt(np.einsum("em,emn,en->e", eps, G, eps))
 
     # the factored system holds the free skeleton dofs alone: u and sigma
@@ -594,7 +625,7 @@ def test_condensed_solve_matches_monolithic_saddle_point(p, monkeypatch):
     monkeypatch.setattr(dpg, "_solve_spd", recording_solve)
     sol = assemble_solve(mesh, trial, problem.kind, problem.source,
                          dirichlet=problem.dirichlet)
-    skeleton = dm.num_free - dm.interior_count
+    skeleton = dm.num_free - fields
     assert sol.diagnostics["skeleton_dofs"] == skeleton
     assert factored == [(skeleton, skeleton)]
     assert sol.num_dofs == dm.num_free
@@ -604,7 +635,7 @@ def test_condensed_solve_matches_monolithic_saddle_point(p, monkeypatch):
 
     assert_close(sol.u_coeffs, interior[:, :dm.n_u])
     assert_close(sol.sigma_coeffs.reshape(nt, -1), interior[:, dm.n_u:])
-    assert_close(sol.coeffs[dm.interior_count:], x[dm.interior_count:])
+    assert_close(sol.skeleton_coeffs, x[fields:])
     assert_close(sol.eta_local, eta_local)
 
 
@@ -643,11 +674,12 @@ def test_condensed_matrix_spd():
                           np.arange(mesh.num_triangles))
     schur = np.linalg.solve(G, B)
     S_loc = np.einsum("emi,emj->eij", B, schur)
-    S = np.zeros((dm.n_total, dm.n_total))
+    cols, free, _ = trial_numbering(dm)
+    S = np.zeros((free.size, free.size))
     for e in range(mesh.num_triangles):
-        ix = dm.local_cols[e]
+        ix = cols[e]
         S[np.ix_(ix, ix)] += S_loc[e]
-    free = np.flatnonzero(dm.free)
+    free = np.flatnonzero(free)
     A = S[np.ix_(free, free)]
     np.linalg.cholesky(A)       # SPD check: factorization must succeed
     assert np.linalg.eigvalsh(A).min() > 0
@@ -668,7 +700,7 @@ def test_estimator_consistency_and_locality():
         physical_local_systems(mesh.vertices[labels], labels, trial,
                                problem.kind) for labels in mesh.triangles)))
     F = element_loads(mesh, trial, problem.source)
-    x = sol.coeffs[sol.dofmap.local_cols]
+    x = all_coeffs(sol)[trial_numbering(sol.dofmap)[0]]
     eps = np.linalg.solve(G_hi, (F - np.einsum("emn,en->em", B_hi, x))
                           [..., None])[..., 0]
     direct = np.einsum("em,emn,en->e", eps, G_hi, eps)
@@ -689,29 +721,31 @@ def test_eta_decreases_under_uniform_refinement():
 
 def test_dirichlet_edge_modes_are_projected():
     # with p >= 1 the boundary edge modes carry the L2 projection of the
-    # residual data; quadratic data on a straight edge is matched exactly
-    problem = affine_poisson_problem()
+    # residual data; quadratic data on a straight edge is matched exactly,
+    # read through the bubble numbering of the skeleton, one to p bubbles
+    # per edge
+    from dpglab.spaces import edge_bubbles, edge_quadrature
 
     def quadratic(x, y):
         return x * x + y
 
     mesh = unit_square_mesh(2)
-    sol = assemble_solve(mesh, TrialSpace(1), POISSON,
-                         lambda x, y: -2.0 * np.ones_like(x),
-                         dirichlet=quadratic)
-    dm = sol.dofmap
-    from dpglab.spaces import edge_bubbles, edge_quadrature
     rule = edge_quadrature(10)
-    t, w = rule.points, rule.weights
-    bub = edge_bubbles(1, t)
-    for e in np.flatnonzero(mesh.boundary_edge):
-        a, b = mesh.edges[e]
-        pa, pb = mesh.vertices[a], mesh.vertices[b]
-        pts = pa[None, :] + t[:, None] * (pb - pa)[None, :]
-        gvals = quadratic(pts[:, 0], pts[:, 1])
-        lin = (1 - t) * quadratic(*pa) + t * quadratic(*pb)
-        trace = lin + sol.coeffs[dm.bubble_dofs(e)] @ bub
-        assert np.abs(trace - gvals).max() < 1e-10
+    t = rule.points
+    for p in (1, 2, 3):
+        sol = assemble_solve(mesh, TrialSpace(p), POISSON,
+                             lambda x, y: -2.0 * np.ones_like(x),
+                             dirichlet=quadratic)
+        dm = sol.dofmap
+        bub = edge_bubbles(p, t)
+        for e in np.flatnonzero(mesh.boundary_edge):
+            a, b = mesh.edges[e]
+            pa, pb = mesh.vertices[a], mesh.vertices[b]
+            pts = pa[None, :] + t[:, None] * (pb - pa)[None, :]
+            gvals = quadratic(pts[:, 0], pts[:, 1])
+            lin = (1 - t) * quadratic(*pa) + t * quadratic(*pb)
+            trace = lin + sol.skeleton_coeffs[dm.bubble_dofs(e)] @ bub
+            assert np.abs(trace - gvals).max() < 1e-10
 
 
 def test_dof_counts():
@@ -807,6 +841,46 @@ def test_solve_spd_zero_diagonal_raises_at_once():
         _solve_spd(A, np.ones(3), 1e-10)
 
 
+def test_failed_refinement_stops_at_its_last_checked_iterate(monkeypatch):
+    # a target no solve reaches: four iterates, one LU solve each, four
+    # residual checks, and the error reports the residual of the last
+    # iterate, the one after three refinement steps
+    import dpglab.dpg as dpg
+    from dpglab.dpg import SolverError
+    from dpglab.problems import lshape_singular
+
+    real_splu = dpg.spla.splu
+    matrices, solves = [], []
+
+    class CountingLU:
+        def __init__(self, lu):
+            self.lu, self.nnz = lu, lu.nnz
+
+        def solve(self, rhs):
+            solves.append((rhs, self.lu.solve(rhs)))
+            return solves[-1][1]
+
+    def counting_splu(A, **options):
+        matrices.append(A)
+        return CountingLU(real_splu(A, **options))
+
+    monkeypatch.setattr(dpg.spla, "splu", counting_splu)
+    problem = lshape_singular()
+    with pytest.raises(SolverError) as failure:
+        assemble_solve(lshape_mesh(), TrialSpace(1), problem.kind,
+                       problem.source, dirichlet=problem.dirichlet,
+                       solver_tol=1e-300)
+    assert len(matrices) == 1
+    assert len(solves) == 4
+    (A,), b = matrices, solves[0][0]
+    x = solves[0][1]
+    for _, correction in solves[1:]:
+        x = x + correction
+    rel = float(np.linalg.norm(b - A @ x)) / float(np.linalg.norm(b))
+    assert failure.value.residual == rel
+    assert f"residual {rel:.3e} after 3 refinement steps" in str(failure.value)
+
+
 def corner_refined_lshape(uniform, corner):
     """NVB mesh of the L-shape: uniform sweeps, then bisection of every
     element at the reentrant corner, repeated."""
@@ -835,23 +909,21 @@ def per_element_oracle(mesh, trial, kind, source, dirichlet):
     """G^{-1} B and G^{-1} F by dense solves on every element's own local
     systems, no element classes and no condense(), and a dense solve of
     the assembled system.  Returns the solution, the local estimator and
-    the largest entry of the condensed load of the free dofs."""
-    from dpglab.dpg import _dirichlet_values
-
+    the largest entry of the condensed load of the free dofs; the
+    solution in the numbering of trial_numbering."""
     dm = DofMap(mesh, trial)
     G, B = _local_systems(mesh, trial, kind, np.arange(mesh.num_triangles))
     F = element_loads(mesh, trial, source)
-    x = _dirichlet_values(mesh, dm, dirichlet)
+    cols, free, x = trial_numbering(dm, dirichlet)
     S_loc, r_loc, ginv_b, ginv_f = condense_load(G, B, F)
-    S = np.zeros((dm.n_total, dm.n_total))
-    r = np.zeros(dm.n_total)
-    for ix, S_t, r_t in zip(dm.local_cols, S_loc, r_loc):
+    S = np.zeros((free.size, free.size))
+    r = np.zeros(free.size)
+    for ix, S_t, r_t in zip(cols, S_loc, r_loc):
         S[np.ix_(ix, ix)] += S_t
         r[ix] += r_t
-    free = dm.free
     free_load = (r - S @ x)[free]
     x[free] = np.linalg.solve(S[np.ix_(free, free)], free_load)
-    eps = ginv_f - np.einsum("emn,en->em", ginv_b, x[dm.local_cols])
+    eps = ginv_f - np.einsum("emn,en->em", ginv_b, x[cols])
     eta_local = np.sqrt(np.einsum("em,emn,en->e", eps, G, eps))
     return x, eta_local, np.abs(free_load).max()
 
@@ -883,7 +955,7 @@ def test_element_classes_match_per_element_oracle(case):
     def assert_close(got, want):
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
-    assert_close(sol.coeffs, x)
+    assert_close(all_coeffs(sol), x)
     assert_close(sol.eta_local, eta_local)
     assert_close(sol.diagnostics["load_scale"], load_scale)
     assert sol.diagnostics["galerkin_residual"] <= 1e-8 * load_scale
@@ -997,7 +1069,7 @@ def test_element_classes_diagnostic():
 
 def assert_same_solution(got, want, skip=("classes_condensed",)):
     """Bitwise equal solutions; the diagnostics in skip may differ."""
-    for name in ("coeffs", "u_coeffs", "sigma_coeffs", "eta_local"):
+    for name in SOLUTION_ARRAYS:
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert got.eta == want.eta
     assert ({k: v for k, v in got.diagnostics.items() if k not in skip} ==

@@ -52,8 +52,13 @@ def test_unit_square_numbering_matches_a_cell_loop(n):
 
 
 def test_unit_square_rejects_zero():
-    with pytest.raises(ValueError):
-        unit_square_mesh(0)
+    # and a count that is not an integer: a float, whole or not, a bool
+    # or a string
+    for n in (0, -1, 2.5, 2.0, True, "2"):
+        with pytest.raises(ValueError, match="subdivision count must be an "
+                                             "integer >= 1"):
+            unit_square_mesh(n)
+    assert unit_square_mesh(np.int64(2)).num_triangles == 8
 
 
 def test_lshape_initial_mesh():

@@ -168,30 +168,39 @@ def test_refine_marked_matches_a_recursive_bisection_oracle(data, start):
 def test_dofmap_counts_and_mesh_round_trip(data, p, augmented):
     # on a random NVB mesh of the L-shape: the free dofs are the element
     # fields, uhat at interior vertices and on interior edges and the flux
-    # on every edge; each dof sits in the local columns of every element
-    # that touches its vertex or edge, once; save_mesh/load_mesh gives the
-    # mesh back bit for bit
+    # on every edge; the skeleton is numbered uhat at the vertices, then p
+    # bubbles and then p+1 fluxes per edge, and each skeleton dof sits in
+    # the skeleton columns of every element that touches its vertex or
+    # edge, once; save_mesh/load_mesh gives the mesh back bit for bit
     mesh = lshape_mesh()
     for _ in range(data.draw(st.integers(1, 6), label="rounds")):
         mesh = refine_marked(mesh, draw_marks(data, mesh))
     dofmap = DofMap(mesh, TrialSpace(p, augmented=augmented))
-    nt, ne = mesh.num_triangles, mesh.num_edges
+    nt, nv, ne = mesh.num_triangles, mesh.num_vertices, mesh.num_edges
     interior_vertices = int((~mesh.boundary_vertex).sum())
     interior_edges = int((~mesh.boundary_edge).sum())
-    assert dofmap.num_free == (nt * dofmap.k_int + interior_vertices
-                               + p * interior_edges + (p + 1) * ne)
+    free_skeleton = interior_vertices + p * interior_edges + (p + 1) * ne
+    assert dofmap.free.sum() == free_skeleton
+    assert dofmap.num_free == nt * dofmap.k_int + free_skeleton
 
-    cols = dofmap.local_cols
+    cols = dofmap.skeleton_cols
+    assert cols.shape == (nt, dofmap.n_local - dofmap.k_int)
     assert (np.diff(np.sort(cols, axis=1), axis=1) > 0).all()
-    elements_at_vertex = np.bincount(mesh.triangles.ravel(),
-                                     minlength=mesh.num_vertices)
+    elements_at_vertex = np.bincount(mesh.triangles.ravel(), minlength=nv)
     elements_at_edge = np.bincount(mesh.tri_edges.ravel(), minlength=ne)
-    expected = np.concatenate([np.ones(dofmap.interior_count, dtype=np.int64),
-                               elements_at_vertex,
+    expected = np.concatenate([elements_at_vertex,
                                np.repeat(elements_at_edge, p),
                                np.repeat(elements_at_edge, p + 1)])
-    assert np.array_equal(np.bincount(cols.ravel(), minlength=dofmap.n_total),
-                          expected)
+    assert np.array_equal(
+        np.bincount(cols.ravel(), minlength=dofmap.n_skeleton), expected)
+    # each element's skeleton columns [uhat vertices | bubbles | fluxes]
+    # hold the dofs of its own vertices and edges
+    edge_of = np.concatenate([np.repeat(np.arange(ne), p),
+                              np.repeat(np.arange(ne), p + 1)])
+    assert np.array_equal(cols[:, :3], mesh.triangles)
+    assert np.array_equal(edge_of[cols[:, 3:] - nv], np.concatenate(
+        [np.repeat(mesh.tri_edges, p, axis=1),
+         np.repeat(mesh.tri_edges, p + 1, axis=1)], axis=1))
 
     # NVB of the L-shape gives short dyadic coordinates; scaling by pi
     # gives full-length ones, which a lossy format would not round-trip
@@ -256,7 +265,8 @@ def test_store_backed_solves_equal_fresh_solves_bitwise(data):
         kept = assemble_solve(mesh, trial, kind, source, dirichlet,
                               store=store)
         fresh = assemble_solve(mesh, trial, kind, source, dirichlet)
-        for name in ("coeffs", "eta_local"):
+        for name in ("skeleton_coeffs", "u_coeffs", "sigma_coeffs",
+                     "eta_local"):
             assert np.array_equal(getattr(kept, name), getattr(fresh, name))
         diag = dict(kept.diagnostics)
         assert diag.pop("classes_condensed") <= diag["element_classes"]

@@ -34,10 +34,17 @@ def test_triangle_quadrature_specific_values():
 
 
 def test_triangle_quadrature_rejects_bad_degree():
-    with pytest.raises(ValueError):
-        triangle_quadrature(-1)
-    with pytest.raises(ValueError):
-        triangle_quadrature(21)
+    # out of range, or not an integer: a float, whole or not, and a bool
+    # are refused, also once the rule of the equal integer is cached
+    for rule, bad in ((triangle_quadrature, (-1, 21, 5.5, 4.0, True)),
+                      (edge_quadrature, (-1, 41, 3.5, 4.0, True))):
+        rule(4)
+        rule(1)
+        for degree in bad:
+            with pytest.raises(ValueError, match="degree .* not an integer"):
+                rule(degree)
+        # numpy integers pass
+        assert rule(np.int64(4)).degree == 4
 
 
 def test_edge_quadrature_exactness():
