@@ -47,9 +47,9 @@ sigma are its leading modes, and one reference table of the test basis
 per trial order (_reference_tables) holds every other volume term;
 postprocessing reads the same table.  G_T and B_T depend on T only
 through J and the edge flips, and newest-vertex bisection produces few
-distinct element shapes, so assemble_solve groups the elements into
+distinct element shapes, so a ClassStore groups the elements into
 classes whose members share both bit for bit and condenses once per
-class; a ClassStore keeps the class operators for the next solve, which
+class; it keeps the class operators for the next solve, which
 condenses only the classes new to its mesh.  A load is one more coupling
 column: E, the scalar test rows, carries it, F_T = E load_T.  condense()
 factors each Gram once, G = L L', and whitens [B | E] into w = L^{-1}
@@ -59,18 +59,21 @@ condensation factors S_II and leaves hybrid = [S_hat | R_S - S_SI
 S_II^{-1} R_I] and inner = S_II^{-1} [S_IS | R_I].  These three stacks
 are the class operators, kept as the condensations return them.  The
 fields never enter the global system, so DofMap numbers the skeleton
-alone and assemble_solve keeps the fields in an array of their own, one
-row per element.  Every element has one local vector z_T = [-x_T |
+alone, and its free_cols give each element's skeleton columns in the
+numbering of the solve.  Every element has one local vector z_T = [-x_T |
 load_T], x_T = [x_I | x_S] its trial dofs, and every operator acts on
 it: hybrid z_T[k:] is its skeleton right-hand side while x_T holds the
 Dirichlet lift (x_I = 0), inner z_T[k:] its fields x_I once x_S holds
 the skeleton solution, and w z_T = L^{-1} (F_T - B_T x_T) = w_T.  |w_T|
 is the local estimator eta(T), the test norm of the residual
-representer, and W_B' w_T its Galerkin vector.  assemble_solve runs
-these products over chunks of elements whose gathered class operators
-fill at most _CHUNK_BYTES, and the store condenses the classes new to a
-mesh in chunks of the same size, so no operator is copied once per
-element of the whole mesh.  No result depends on the chunk size.
+representer, and W_B' w_T its Galerkin vector.  assemble_solve runs in
+three stages: _skeleton_system takes hybrid z_T[k:] into the sparse
+system, _solve_spd solves it, and _recover applies inner and w.  Both
+element stages run their products over chunks of elements whose
+gathered class operators fill at most _CHUNK_BYTES, and the store
+condenses the classes new to a mesh in chunks of the same size, so no
+operator is copied once per element of the whole mesh.  No result
+depends on the chunk size.
 The dense algebra is numpy's alone: np.linalg.cholesky and
 np.linalg.solve take a whole stack of class matrices in one call each,
 and scipy holds the sparse assembly and factorization.
@@ -154,10 +157,12 @@ class DofMap:
     skeleton dofs in the order of its local skeleton columns.  Boundary
     vertex and boundary edge-interior uhat dofs are constrained by the
     Dirichlet data (zero in the homogeneous case); the rest of the
-    skeleton is free.  free_index numbers the free skeleton dofs from 0
-    in skeleton order, the numbering of the global solve, and maps the
-    prescribed ones to -1.  num_free is the reported dof count D_h: the
-    fields of every element and the free skeleton dofs.
+    skeleton is free, num_free_skeleton dofs, the size of the global
+    solve.  free_cols (nt, n_local - k_int), int32, holds skeleton_cols
+    in the numbering of that solve: the free skeleton dofs numbered from
+    0 in skeleton order, and -1 for a prescribed one.  num_free is the
+    reported dof count D_h: the fields of every element and the free
+    skeleton dofs.
     """
 
     def __init__(self, mesh, trial):
@@ -178,14 +183,17 @@ class DofMap:
         free[:nv] = ~mesh.boundary_vertex
         free[self.bubble_dofs(np.flatnonzero(mesh.boundary_edge))] = False
         self.free = free
-        self.num_free = nt * self.k_int + int(free.sum())
-        self.free_index = np.where(free, np.cumsum(free) - 1, -1)
+        self.num_free_skeleton = int(free.sum())
+        self.num_free = nt * self.k_int + self.num_free_skeleton
 
         ge = mesh.tri_edges
         flux = flux_offset + ge[..., None] * (p + 1) + np.arange(p + 1)
         self.skeleton_cols = np.concatenate([
             mesh.triangles, self.bubble_dofs(ge).reshape(nt, 3 * p),
             flux.reshape(nt, 3 * (p + 1))], axis=1)
+        # int32, which scipy's sparse formats keep without a copy
+        self.free_cols = np.where(free, np.cumsum(free) - 1, -1)[
+            self.skeleton_cols].astype(np.int32)
 
     def bubble_dofs(self, e):
         """uhat edge-interior dofs of edge(s) e: shape e.shape + (p,)."""
@@ -400,7 +408,7 @@ def _element_classes(mesh):
 
 def _condense_classes(dofmap, kind, rep):
     """Both condensations for the classes with representative elements
-    rep of dofmap's mesh: the three operators assemble_solve reads, one
+    rep of dofmap's mesh: the three operators a solve reads, one
     row per class, each as its condensation returns it.
 
     A load is one more coupling column: E = eye(m, n_t) picks the scalar
@@ -458,16 +466,18 @@ class ClassStore:
     def __len__(self):
         return len(self.rows)
 
-    def update(self, dofmap, kind, keys, rep):
-        """Operator stacks for the classes keys of dofmap's mesh, with
-        representative elements rep.  The stored classes are taken by
-        their rows, which copies them bit for bit; the classes not stored
-        yet are condensed in chunks of _CHUNK_BYTES worth of stored
-        operators and written into their rows (numpy's stacked cholesky and
-        solve factor each matrix on its own, so a class's operators do not
-        depend on the chunk).  Returns (stacks, number of classes condensed)."""
+    def update(self, dofmap, kind):
+        """Operator stacks for the element classes of dofmap's mesh
+        (_element_classes).  The stored classes are taken by their rows,
+        which copies them bit for bit; the classes not stored yet are
+        condensed in chunks of _CHUNK_BYTES worth of stored operators and
+        written into their rows (numpy's stacked cholesky and solve factor
+        each matrix on its own, so a class's operators do not depend on
+        the chunk).  Returns (stacks, the class of every element, number
+        of classes condensed)."""
         if (dofmap.trial, kind) != self.space:
             self.space, self.rows, self.ops = (dofmap.trial, kind), {}, {}
+        keys, rep, cls = _element_classes(dofmap.mesh)
         names = [key.tobytes() for key in keys]
         missing = np.array([i for i, name in enumerate(names)
                             if name not in self.rows], dtype=np.intp)
@@ -478,13 +488,13 @@ class ClassStore:
             fresh = _condense_classes(dofmap, kind, rep[missing[chunk]])
             for name, a in fresh.items():
                 # each stack keeps the memory layout the condensation
-                # gives it: assemble_solve's products sum in the order of it
+                # gives it: the products of a solve sum in the order of it
                 if name not in ops:
                     ops[name] = np.empty_like(a, shape=(len(names),)
                                               + a.shape[1:])
                 ops[name][missing[chunk]] = a
         self.ops, self.rows = ops, dict(zip(names, range(len(names))))
-        return ops, len(missing)
+        return ops, cls, len(missing)
 
 
 def condense(gram, coupling):
@@ -546,29 +556,25 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *,
     """Assemble the hybridized DPG system, solve it, and recover the fields
     and the elementwise error estimator.
 
-    The global system is the SPD block of the free skeleton dofs alone
-    (uhat and shat): u and sigma are eliminated per element class by a
-    second Schur complement, and the system is assembled as one CSC matrix
-    in the numbering of DofMap.free_index and factored directly by
-    _solve_spd.  The fields come back element by element into u_coeffs
-    and sigma_coeffs, and Solution.skeleton_coeffs holds every skeleton
-    dof in DofMap's numbering, the prescribed ones included.
+    After the input checks, the Dirichlet lift, the load and every
+    element's local vector z = [-x | load] at the lift, a solve runs in
+    three stages: _skeleton_system assembles the SPD system of the free
+    skeleton dofs (uhat and shat), _solve_spd factors and solves it, and
+    _recover brings back the fields into u_coeffs and sigma_coeffs, the
+    local estimator and the Galerkin check.  Solution.skeleton_coeffs
+    holds every skeleton dof in DofMap's numbering, the prescribed ones
+    included.  The class operators come from store, a ClassStore that the
+    solves of one study share (None: a new, empty one); the result is
+    bitwise the same with or without a store.
 
-    The class operators come from store, a ClassStore that the solves of
-    one study share (None: a new, empty one).  Only the classes it lacks
-    are condensed, and afterwards it holds exactly the classes of mesh;
-    the result is bitwise the same with or without a store.  The
-    per-element products, before the solve and after it, run over
-    consecutive chunks of elements whose gathered class operators fill at
-    most _CHUNK_BYTES; every element's numbers are bitwise the same for
-    any chunk size.
-
-    Solution.diagnostics holds the solve's record (_solve_spd) and
-    skeleton_dofs, the size of the skeleton system; galerkin_residual,
-    the largest |B' G^{-1} (F - B x)| over the free trial dofs, and
-    load_scale, its scale, the same at the Dirichlet lift; min_diameter,
-    the smallest element diameter, against which cond G grows like h^-2;
-    and element_classes, element_chunks and classes_condensed.
+    Solution.diagnostics holds the solve's record from _solve_spd: method,
+    iterations, rel_residual, ordering, relax, panel_size, nnz_A and
+    nnz_factor; then skeleton_dofs, the size of the skeleton system;
+    galerkin_residual, the largest |B' G^{-1} (F - B x)| over the free
+    trial dofs, and load_scale, its scale, the same at the Dirichlet lift;
+    min_diameter, the smallest element diameter, against which cond G
+    grows like h^-2; and element_classes, element_chunks and
+    classes_condensed.
 
     Parameters
     ----------
@@ -598,107 +604,103 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *,
     if mesh.num_triangles == 0:
         raise ValueError("mesh has no triangles")
     # a vertex outside every triangle carries a uhat dof without an equation
-    used = np.zeros(mesh.num_vertices, dtype=bool)
-    used[mesh.triangles] = True
+    used = np.bincount(mesh.triangles.ravel(), minlength=mesh.num_vertices)
     if not used.all():
         raise ValueError(f"vertex {np.argmin(used)} belongs to no triangle")
     _in_unit_interval(solver_tol, "solver_tol")
-    p = trial.p
+    p, nt = trial.p, mesh.num_triangles
     dofmap = DofMap(mesh, trial)
     prescribed = (np.zeros(dofmap.n_skeleton) if dirichlet is None else
                   _dirichlet_values(mesh, dofmap, dirichlet))
-    nt = mesh.num_triangles
     # moments (f, v_i)_T against the scalar test functions
     load = (np.zeros((nt, _dim(p + DELTA_P))) if source is None else
             mesh.det[:, None] * project_l2(p + DELTA_P, source, mesh,
                                            default_exactness(p)))
-
-    # condense only the classes the store lacks (every class without a
-    # store); the store then holds exactly the classes of this mesh
-    if store is None:
-        store = ClassStore()
-    keys, rep, cls = _element_classes(mesh)
-    ops, condensed = store.update(dofmap, kind, keys, rep)
+    store = ClassStore() if store is None else store
+    ops, cls, condensed = store.update(dofmap, kind)
     chunks = _chunks(nt, _class_bytes(dofmap))
-    k, n = dofmap.k_int, dofmap.n_local
+    # at the Dirichlet lift: zero fields and the prescribed skeleton values
+    z = np.concatenate([np.zeros((nt, dofmap.k_int)),
+                        -prescribed[dofmap.skeleton_cols], load], axis=1)
+    x_free, diag = _solve_spd(*_skeleton_system(dofmap, ops, cls, chunks, z),
+                              solver_tol)
+    x = prescribed.copy()
+    x[dofmap.free] = x_free
+    u, sigma, eta_sq, galerkin = _recover(dofmap, ops, cls, chunks, z, x)
+    diag.update(skeleton_dofs=dofmap.num_free_skeleton, **galerkin,
+                min_diameter=float(mesh.diameters().min()),
+                element_classes=len(store), element_chunks=len(chunks),
+                classes_condensed=condensed)
+    return Solution(mesh=mesh, trial=trial, dofmap=dofmap,
+                    skeleton_coeffs=x, u_coeffs=u, sigma_coeffs=sigma,
+                    eta_local=np.sqrt(eta_sq),
+                    eta=float(np.sqrt(eta_sq.sum())), diagnostics=diag)
 
-    # the free skeleton dofs in the numbering of the solve (negative when
-    # prescribed), as int32, which scipy's sparse formats keep without a
-    # copy
-    skel = dofmap.skeleton_cols
-    fcols = dofmap.free_index[skel].astype(np.int32)
+
+def _skeleton_system(dofmap, ops, cls, chunks, z):
+    """The skeleton system (A, b) in the numbering of the solve
+    (DofMap.free_cols), A = S_hat and b = r_hat on the free skeleton dofs.
+
+    z holds every element's local vector at the Dirichlet lift.  Chunk by
+    chunk, hybrid z[k:] is an element's skeleton right-hand side, and the
+    skeleton columns of hybrid are its clique of S_hat.  All cliques go into one COO, converted to CSC
+    once, so that their exact zeros stay entries of A: the finest system
+    of the p=1 uniform L-shape study holds 8,960 of them, and pruning them
+    (as a sum of per-chunk sparse matrices would) changes the
+    minimum-degree order and takes nnz(L+U) from 2.62M to 4.88M.
+    """
+    k, n, ns = dofmap.k_int, dofmap.n_local, dofmap.num_free_skeleton
+    fcols = dofmap.free_cols
     own = fcols >= 0
-    ns = int(dofmap.free.sum())
-
-    # every element's local vector z = [-x | load], x its trial dofs, here
-    # at the Dirichlet lift: zero fields and the prescribed skeleton
-    # values; chunk by chunk, hybrid z[k:] is the skeleton right-hand
-    # side, and the free entries of S_hat are the COO values
-    z = np.concatenate([np.zeros((nt, k)), -prescribed[skel], load], axis=1)
-    r_hat = np.empty(skel.shape)
     pair = own[:, :, None] & own[:, None, :]
-    values = []
+    r_hat, values = np.empty(fcols.shape), []
     for c in chunks:
         hybrid = ops["hybrid"][cls[c]]
         r_hat[c] = (hybrid @ z[c, k:, None])[..., 0]
         values.append(hybrid[:, :, :n - k][pair[c]])
-    b = np.bincount(fcols[own], r_hat[own], minlength=ns)
-    # one COO of all element cliques, so that their exact zeros stay
-    # entries of A: the finest system of the p=1 uniform L-shape study
-    # holds 8,960 of them, and pruning them (as a sum of per-chunk sparse
-    # matrices would) changes the minimum-degree order and takes nnz(L+U)
-    # from 2.62M to 4.88M
-    A = sp.csc_matrix(
-        (np.concatenate(values),
-         (np.broadcast_to(fcols[:, :, None], pair.shape)[pair],
-          np.broadcast_to(fcols[:, None, :], pair.shape)[pair])),
-        shape=(ns, ns))
-    del values, pair
-    x_skel, diag = _solve_spd(A, b, solver_tol)
-    del A
-    diag["skeleton_dofs"] = ns
+    rows = np.broadcast_to(fcols[:, :, None], pair.shape)
+    A = sp.csc_matrix((np.concatenate(values),
+                       (rows[pair], rows.transpose(0, 2, 1)[pair])),
+                      shape=(ns, ns))
+    return A, np.bincount(fcols[own], r_hat[own], minlength=ns)
 
-    # chunk by chunk, with the skeleton solution in z, the fields x_I =
-    # inner z[k:] complete it, and w z = L^{-1} (F - B x) gives the local
-    # estimator |w z|.  Taken at the Dirichlet lift as well, W_B' w z
-    # gives the condensed load of the free trial dofs, the scale of the
-    # Galerkin check below
-    x = prescribed.copy()
-    x[dofmap.free] = x_skel
-    interior = np.empty((nt, k))
-    eta_sq = np.empty(nt)
-    bt_both = np.empty((nt, n, 2))
+
+def _recover(dofmap, ops, cls, chunks, z, x):
+    """Fields, squared local estimator and Galerkin check of a solve with
+    the skeleton dofs x; returns (u_coeffs, sigma_coeffs, eta^2 per
+    element, {"galerkin_residual": ..., "load_scale": ...}).
+
+    Chunk by chunk, with the skeleton solution in z, the fields x_I =
+    inner z[k:] complete it, and w z = L^{-1} (F - B x) gives the local
+    estimator |w z|.  Taken at the Dirichlet lift as well, W_B' w z gives
+    the condensed load of the free trial dofs, the scale of the Galerkin
+    check: B' G^{-1} (F - B x) = W_B' w z vanishes on the free trial dofs
+    up to solver accuracy.  An interior dof belongs to one element, and
+    the skeleton dofs sum in the numbering of the solve; np.max keeps a
+    NaN of either part.
+    """
+    nt, k, n, n_u = len(z), dofmap.k_int, dofmap.n_local, dofmap.n_u
+    fcols = dofmap.free_cols
+    own = fcols >= 0
+    u, sigma = np.empty((nt, n_u)), np.empty((nt, k - n_u))
+    eta_sq, bt_both = np.empty(nt), np.empty((nt, n, 2))
     for c in chunks:
         both = np.stack([z[c], z[c]], axis=-1)   # at the solution, the lift
-        both[:, k:n, 0] = -x[skel[c]]
-        interior[c] = (ops["inner"][cls[c]] @ both[:, k:, :1])[..., 0]
-        both[:, :k, 0] = -interior[c]
+        both[:, k:n, 0] = -x[dofmap.skeleton_cols[c]]
+        interior = (ops["inner"][cls[c]] @ both[:, k:, :1])[..., 0]
+        u[c], sigma[c] = interior[:, :n_u], interior[:, n_u:]
+        both[:, :k, 0] = -interior
         w = ops["w"][cls[c]]
         res = w @ both
         eta_sq[c] = np.einsum("em,em->e", res[..., 0], res[..., 0])
         bt_both[c] = np.swapaxes(w[:, :, :n], 1, 2) @ res
-
-    # Galerkin orthogonality of the mixed system: B' G^{-1} (F - B x) =
-    # W_B' w vanishes on the free trial dofs up to solver accuracy.  An
-    # interior dof belongs to one element, and the skeleton dofs sum in
-    # the numbering of the solve; np.max keeps a NaN of either part
+    galerkin = {}
     for i, name in enumerate(("galerkin_residual", "load_scale")):
-        sums = np.bincount(fcols[own], bt_both[:, k:, i][own], minlength=ns)
-        diag[name] = float(np.max([np.abs(bt_both[:, :k, i]).max(),
-                                   np.abs(sums).max()]))
-    diag["min_diameter"] = float(mesh.diameters().min())
-    diag["element_classes"] = len(keys)
-    diag["element_chunks"] = len(chunks)
-    diag["classes_condensed"] = condensed
-
-    u_coeffs = interior[:, :dofmap.n_u].copy()
-    sigma_coeffs = interior[:, dofmap.n_u:].reshape(nt, 2, dofmap.n_s).copy()
-
-    return Solution(mesh=mesh, trial=trial, dofmap=dofmap,
-                    skeleton_coeffs=x, u_coeffs=u_coeffs,
-                    sigma_coeffs=sigma_coeffs,
-                    eta_local=np.sqrt(eta_sq),
-                    eta=float(np.sqrt(eta_sq.sum())), diagnostics=diag)
+        sums = np.bincount(fcols[own], bt_both[:, k:, i][own],
+                           minlength=dofmap.num_free_skeleton)
+        galerkin[name] = float(np.max([np.abs(bt_both[:, :k, i]).max(),
+                                       np.abs(sums).max()]))
+    return u, sigma.reshape(nt, 2, dofmap.n_s), eta_sq, galerkin
 
 
 # fill-reducing ordering of the symmetric graph, recorded in diagnostics

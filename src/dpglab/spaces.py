@@ -77,8 +77,8 @@ def _gauss_legendre_01(n):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-# typed caches: 4.0 or True must not find the rule of 4 or 1 and skip the
-# integer check
+# typed caches, here and for the bases: 4.0 or True must not find the rule
+# or basis of 4 or 1 and skip the integer check
 @lru_cache(maxsize=None, typed=True)
 def triangle_quadrature(degree):
     """Quadrature on the reference triangle, exact to the given total degree.
@@ -145,12 +145,13 @@ class ScalarBasis:
     finite at the collapsed vertex (0, 1).  Functions are ordered by total
     degree i + j, then descending i, as listed in ``indices``: the first is
     the constant sqrt(2), and the basis of degree d is the leading block of
-    the basis of degree d + 1.
+    the basis of degree d + 1.  degree is an integer >= 0, not a bool;
+    anything else raises ValueError.
     """
 
     def __init__(self, degree):
-        if degree < 0:
-            raise ValueError("polynomial degree must be nonnegative")
+        if not (_is_integer(degree) and degree >= 0):
+            raise ValueError(f"degree {degree!r} is not an integer >= 0")
         self.degree = int(degree)
         self.indices = monomial_exponents(degree)
 
@@ -195,17 +196,18 @@ class ScalarBasis:
         return np.moveaxis(self._jets(pts)[1:], 0, 2)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def scalar_basis(degree):
     """Cached ScalarBasis instance for the given degree."""
     return ScalarBasis(degree)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def basis_at_quadrature(degree, exactness):
     """Cached, read-only values (dim, npts) and reference gradients
     (dim, npts, 2) of scalar_basis(degree) at the points of
-    triangle_quadrature(exactness)."""
+    triangle_quadrature(exactness); both arguments are checked as there,
+    since the cache is typed."""
     basis = scalar_basis(degree)
     pts = triangle_quadrature(exactness).points
     values, gradients = basis.values(pts), basis.gradients(pts)
@@ -217,12 +219,13 @@ def basis_at_quadrature(degree, exactness):
 class EdgeBasis:
     """Orthonormal shifted Legendre basis on the reference edge [0, 1].
 
-    dim = degree + 1; the first function is the constant 1.
+    dim = degree + 1; the first function is the constant 1.  degree is an
+    integer >= 0, not a bool; anything else raises ValueError.
     """
 
     def __init__(self, degree):
-        if degree < 0:
-            raise ValueError("polynomial degree must be nonnegative")
+        if not (_is_integer(degree) and degree >= 0):
+            raise ValueError(f"degree {degree!r} is not an integer >= 0")
         self.degree = int(degree)
 
     @property
@@ -242,7 +245,7 @@ class EdgeBasis:
         return scale[:, None] * vals
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def edge_basis(degree):
     return EdgeBasis(degree)
 

@@ -180,8 +180,15 @@ def test_dofmap_counts_and_mesh_round_trip(data, p, augmented):
     interior_vertices = int((~mesh.boundary_vertex).sum())
     interior_edges = int((~mesh.boundary_edge).sum())
     free_skeleton = interior_vertices + p * interior_edges + (p + 1) * ne
-    assert dofmap.free.sum() == free_skeleton
+    assert dofmap.free.sum() == dofmap.num_free_skeleton == free_skeleton
     assert dofmap.num_free == nt * dofmap.k_int + free_skeleton
+    # free_cols numbers the free skeleton dofs from 0 in skeleton order,
+    # the numbering of the solve, and marks the prescribed ones -1
+    solve_index = np.full(dofmap.n_skeleton, -1)
+    solve_index[dofmap.free] = np.arange(free_skeleton)
+    assert dofmap.free_cols.dtype == np.int32
+    assert np.array_equal(dofmap.free_cols,
+                          solve_index[dofmap.skeleton_cols])
 
     cols = dofmap.skeleton_cols
     assert cols.shape == (nt, dofmap.n_local - dofmap.k_int)

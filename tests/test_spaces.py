@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from dpglab.mesh import Mesh, refine_marked, refine_uniform
-from dpglab.spaces import (EdgeBasis, basis_at_quadrature,
-                           edge_bubbles, edge_quadrature, monomial_exponents,
+from dpglab.spaces import (EdgeBasis, ScalarBasis, basis_at_quadrature,
+                           edge_basis, edge_bubbles, edge_quadrature, monomial_exponents,
                            monomial_integral, project_l2, scalar_basis,
                            triangle_quadrature)
 
@@ -34,12 +34,19 @@ def test_triangle_quadrature_specific_values():
 
 
 def test_triangle_quadrature_rejects_bad_degree():
-    # out of range, or not an integer: a float, whole or not, and a bool
-    # are refused, also once the rule of the equal integer is cached
+    # out of range, or not an integer: a float, whole or not, a bool and
+    # any other type are refused, also once the rule or basis of the
+    # equal integer is cached.  The bases too: 2.5 used to raise
+    # TypeError (scalar) or truncate to degree 2 (edge), and True to hand
+    # out the cached degree-1 basis
+    basis_bad = (2.5, 4.0, True, False, "2", None, -1)
     for rule, bad in ((triangle_quadrature, (-1, 21, 5.5, 4.0, True)),
-                      (edge_quadrature, (-1, 41, 3.5, 4.0, True))):
+                      (edge_quadrature, (-1, 41, 3.5, 4.0, True)),
+                      (ScalarBasis, basis_bad), (scalar_basis, basis_bad),
+                      (EdgeBasis, basis_bad), (edge_basis, basis_bad)):
         rule(4)
         rule(1)
+        rule(0)
         for degree in bad:
             with pytest.raises(ValueError, match="degree .* not an integer"):
                 rule(degree)
@@ -249,6 +256,18 @@ def test_projection_refuses_bad_values(f, match):
     # refused before the contraction, so no RuntimeWarning on the way
     with pytest.raises(ValueError, match=match):
         project_l2(1, f, refine_uniform(reference_mesh()))
+
+
+def test_basis_at_quadrature_refuses_a_float_exactness_after_the_int():
+    # the cache is typed: the tables of exactness 10 must not answer 10.0,
+    # which triangle_quadrature refuses, nor those of degree 1 answer True
+    basis_at_quadrature(3, 10)
+    basis_at_quadrature(1, 10)
+    with pytest.raises(ValueError, match="10.0"):
+        basis_at_quadrature(3, 10.0)
+    with pytest.raises(ValueError, match="True"):
+        basis_at_quadrature(True, 10)
+    assert basis_at_quadrature(np.int64(3), np.int64(10))[0].shape == (10, 36)
 
 
 def test_edge_basis_orthonormal_first_constant():
