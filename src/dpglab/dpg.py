@@ -68,7 +68,8 @@ the skeleton solution, and w z_T = L^{-1} (F_T - B_T x_T) = w_T.  |w_T|
 is the local estimator eta(T), the test norm of the residual
 representer, and W_B' w_T its Galerkin vector.  assemble_solve runs in
 three stages: _skeleton_system takes hybrid z_T[k:] into the sparse
-system, _solve_spd solves it, and _recover applies inner and w.  Both
+system, writing the element cliques straight into its CSC arrays,
+_solve_spd solves it, and _recover applies inner and w.  Both
 element stages run their products over chunks of elements whose
 gathered class operators fill at most _CHUNK_BYTES, and the store
 condenses the classes new to a mesh in chunks of the same size, so no
@@ -643,26 +644,50 @@ def _skeleton_system(dofmap, ops, cls, chunks, z):
 
     z holds every element's local vector at the Dirichlet lift.  Chunk by
     chunk, hybrid z[k:] is an element's skeleton right-hand side, and the
-    skeleton columns of hybrid are its clique of S_hat.  All cliques go into one COO, converted to CSC
-    once, so that their exact zeros stay entries of A: the finest system
-    of the p=1 uniform L-shape study holds 8,960 of them, and pruning them
-    (as a sum of per-chunk sparse matrices would) changes the
-    minimum-degree order and takes nnz(L+U) from 2.62M to 4.88M.
+    skeleton columns of hybrid are its clique of S_hat.  The cliques go
+    straight into the CSC arrays of A, duplicates kept, grouped by column:
+    the free local columns (e, b) are sorted stably by their solve column
+    free_cols[e, b], and each brings the free rows of hybrid[cls[e], :, b]
+    in ascending order.  Every column of A then holds its entries element
+    by element, in the order in which scipy's COO -> CSC counting sort
+    leaves a COO of the cliques listed element by element, and
+    sum_duplicates sorts and sums each column as that conversion does: A
+    is the COO route's bit for bit.  It sums and never prunes, so the
+    exact zeros stay entries of A: the finest system of the p=1 uniform
+    L-shape study holds 8,960 of them, and pruning them (as a sum of
+    per-chunk sparse matrices would) changes the minimum-degree order and
+    takes nnz(L+U) from 2.62M to 4.88M.  The transient is the uncompressed
+    data and indices, 12 bytes per clique entry, a few integers per local
+    column, and one chunk of runs, whose gathers and their copies without
+    the prescribed rows take about 32 bytes per entry: 2.0 times the bytes
+    of A on the p=1 L-shape with 6,144 elements, where the COO, with its
+    row and column arrays and the conversion's copies, took 4.2 times.
     """
     k, n, ns = dofmap.k_int, dofmap.n_local, dofmap.num_free_skeleton
-    fcols = dofmap.free_cols
+    fcols, hybrid = dofmap.free_cols, ops["hybrid"]
     own = fcols >= 0
-    pair = own[:, :, None] & own[:, None, :]
-    r_hat, values = np.empty(fcols.shape), []
+    cols = fcols[own]
+    r_hat = np.empty(fcols.shape)
     for c in chunks:
-        hybrid = ops["hybrid"][cls[c]]
-        r_hat[c] = (hybrid @ z[c, k:, None])[..., 0]
-        values.append(hybrid[:, :, :n - k][pair[c]])
-    rows = np.broadcast_to(fcols[:, :, None], pair.shape)
-    A = sp.csc_matrix((np.concatenate(values),
-                       (rows[pair], rows.transpose(0, 2, 1)[pair])),
-                      shape=(ns, ns))
-    return A, np.bincount(fcols[own], r_hat[own], minlength=ns)
+        r_hat[c] = (hybrid[cls[c]] @ z[c, k:, None])[..., 0]
+    elem, col = np.nonzero(own)
+    order = np.argsort(cols, kind="stable")
+    elem, col = elem[order], col[order]
+    # run r of the sorted local columns fills data[runs[r]:runs[r + 1]]
+    runs = np.concatenate([[0], np.cumsum(own.sum(axis=1)[elem])])
+    data, indices = np.empty(runs[-1]), np.empty(runs[-1], fcols.dtype)
+    columns = np.swapaxes(hybrid, 1, 2)
+    for c in _chunks(len(elem), 32 * (n - k)):
+        e, rows = elem[c], own[elem[c]]
+        lo, hi = runs[c.start:c.stop + 1][[0, -1]]
+        data[lo:hi] = columns[cls[e], col[c], :n - k][rows]
+        indices[lo:hi] = fcols[e][rows]
+    # column j takes the runs of its per_column[j] local columns
+    per_column = np.bincount(cols, minlength=ns)
+    indptr = runs[np.concatenate([[0], np.cumsum(per_column)])]
+    A = sp.csc_matrix((data, indices, indptr), shape=(ns, ns))
+    A.sum_duplicates()
+    return A, np.bincount(cols, r_hat[own], minlength=ns)
 
 
 def _recover(dofmap, ops, cls, chunks, z, x):

@@ -255,8 +255,11 @@ def edge_bubbles(count, t):
 
     They vanish at both endpoints and, together with the endpoint hats,
     span all polynomials of degree <= count + 1 on [0, 1].  Shape
-    (count, len(t)).
+    (count, len(t)).  count is an integer >= 0, not a bool; anything else
+    raises ValueError.
     """
+    if not (_is_integer(count) and count >= 0):
+        raise ValueError(f"bubble count {count!r} is not an integer >= 0")
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if count == 0:
         return np.zeros((0, t.shape[0]))

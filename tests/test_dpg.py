@@ -1200,6 +1200,109 @@ def test_solve_peak_memory_stays_below_the_class_operators_per_element():
     assert peak < mesh.num_triangles * class_bytes / 2     # 41.9 MiB
 
 
+def skeleton_system_args(mesh, trial, kind, source, dirichlet=None):
+    """The arguments with which assemble_solve calls _skeleton_system."""
+    import dpglab.dpg as dpg
+
+    calls = []
+    build = dpg._skeleton_system
+
+    def spy(*args):
+        calls.append(args)
+        return build(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dpg, "_skeleton_system", spy)
+        assemble_solve(mesh, trial, kind, source, dirichlet=dirichlet)
+    return calls[0]
+
+
+def coo_skeleton_system(dofmap, ops, cls, chunks, z):
+    """The skeleton system by the COO route: the cliques of all elements
+    listed element by element, row a before column b, and converted to
+    CSC by one sp.csc_matrix((v, (i, j))), which sums duplicates and keeps
+    exact zeros."""
+    import scipy.sparse as sp
+
+    k, n, ns = dofmap.k_int, dofmap.n_local, dofmap.num_free_skeleton
+    fcols = dofmap.free_cols
+    own = fcols >= 0
+    pair = own[:, :, None] & own[:, None, :]
+    hybrid = ops["hybrid"][cls]
+    r_hat = (hybrid @ z[:, k:, None])[..., 0]
+    rows = np.broadcast_to(fcols[:, :, None], pair.shape)
+    A = sp.csc_matrix((hybrid[:, :, :n - k][pair],
+                       (rows[pair], rows.transpose(0, 2, 1)[pair])),
+                      shape=(ns, ns))
+    return A, np.bincount(fcols[own], r_hat[own], minlength=ns)
+
+
+@pytest.mark.parametrize("budget", [1, None, 1 << 40],
+                         ids=["one-element", "default", "one-chunk"])
+@pytest.mark.parametrize("case", ["lshape-p0", "lshape-p1", "lshape-p2",
+                                  "lshape-p3", "square-augmented-p2",
+                                  "perturbed-p1"])
+def test_skeleton_system_is_the_coo_route_bit_for_bit(case, budget,
+                                                      monkeypatch):
+    # the column-grouped build against the COO route: the same pattern,
+    # exact zeros included, the same bits in every entry and the same
+    # right-hand side, at any chunk size.  Run against the scipy floor
+    # too, this pins the summation order of its COO -> CSC
+    import dpglab.dpg as dpg
+    from dpglab.problems import lshape_singular
+
+    if budget is not None:
+        monkeypatch.setattr(dpg, "_CHUNK_BYTES", budget)
+    if case.startswith("lshape"):    # 108 elements in 22 classes
+        problem = lshape_singular()
+        args = (corner_refined_lshape(2, 2), TrialSpace(int(case[-1])),
+                problem.kind, problem.source, problem.dirichlet)
+    elif case == "square-augmented-p2":
+        args = (unit_square_mesh(4), TrialSpace(2, augmented=True),
+                REACTION_DIFFUSION, square_smooth().source,
+                lambda x, y: np.cos(x + 2.0 * y))
+    else:                            # 96 elements, 96 classes
+        args = (perturbed(refine_uniform(refine_uniform(lshape_mesh()))),
+                TrialSpace(1), POISSON, lambda x, y: 1.0 + x * y, None)
+    built = skeleton_system_args(*args)
+    A, b = dpg._skeleton_system(*built)
+    want, want_b = coo_skeleton_system(*built)
+    assert A.indptr.dtype == want.indptr.dtype
+    assert A.indices.dtype == want.indices.dtype
+    assert np.array_equal(A.indptr, want.indptr)
+    assert np.array_equal(A.indices, want.indices)
+    assert A.data.tobytes() == want.data.tobytes()
+    assert b.tobytes() == want_b.tobytes()
+    if case in ("lshape-p0", "lshape-p2", "lshape-p3"):
+        assert (want.data == 0.0).any()     # exact zeros kept as entries
+
+
+def test_skeleton_system_peak_memory_stays_near_its_matrix():
+    # the cliques go straight into the CSC arrays of A, so one build's
+    # traced peak stays below 2.5 times the bytes of A; a COO of the
+    # cliques, its values gathered chunk by chunk and converted once,
+    # takes 4.2 times, 31.5 MiB for 7.5 MiB
+    import tracemalloc
+
+    from dpglab.dpg import _skeleton_system
+    from dpglab.problems import lshape_singular
+
+    problem = lshape_singular()
+    mesh = lshape_mesh()
+    for _ in range(5):
+        mesh = refine_uniform(mesh)
+    args = skeleton_system_args(mesh, TrialSpace(1), problem.kind,
+                                problem.source, problem.dirichlet)
+    tracemalloc.start()
+    try:
+        A, _ = _skeleton_system(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mesh.num_triangles == 6144
+    assert peak < 2.5 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
+
+
 def test_large_solve_runs_in_several_element_chunks():
     from dpglab.problems import lshape_singular
 

@@ -286,3 +286,11 @@ def test_edge_bubbles_vanish_at_endpoints():
     assert np.allclose(bub[:, 0], 0.0)
     assert np.allclose(bub[:, -1], 0.0)
     assert np.all(np.abs(bub[:, 1]) > 0)
+
+
+@pytest.mark.parametrize("count", [True, 0.0, 2.0, -1])
+def test_edge_bubbles_refuse_a_count_that_is_not_an_integer_from_0(count):
+    # unchecked, True would give one bubble and 0.0 none, and 2.0 and -1
+    # would fail in edge_basis with a message about its degree
+    with pytest.raises(ValueError, match=f"bubble count {count!r} "):
+        edge_bubbles(count, np.array([0.0, 0.5, 1.0]))
