@@ -10,8 +10,7 @@ from .dpg import (POISSON, REACTION_DIFFUSION, DofMap, Solution, SolverError,
                   TrialSpace, assemble_solve, condense)
 from .mesh import (Mesh, load_mesh, lshape_mesh, refine_marked,
                    refine_uniform, save_mesh, unit_square_mesh)
-from .postprocess import (PostprocessedField, postprocess_all,
-                          postprocess_fields)
+from .postprocess import postprocess_all, postprocess_fields
 from .problems import (ErrorReport, ManufacturedProblem, error_report,
                        lshape_singular, square_smooth)
 from .spaces import (EdgeBasis, QuadratureRule, ScalarBasis, edge_basis,
@@ -28,7 +27,7 @@ __all__ = [
     "TrialSpace", "assemble_solve", "condense",
     "Mesh", "load_mesh", "lshape_mesh", "refine_marked", "refine_uniform",
     "save_mesh", "unit_square_mesh",
-    "PostprocessedField", "postprocess_all", "postprocess_fields",
+    "postprocess_all", "postprocess_fields",
     "ErrorReport", "ManufacturedProblem", "error_report", "lshape_singular",
     "square_smooth",
     "EdgeBasis", "QuadratureRule", "ScalarBasis", "edge_basis",

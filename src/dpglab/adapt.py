@@ -66,7 +66,7 @@ class AdaptiveStep:
     """One SOLVE/ESTIMATE pass of the adaptive loop."""
     mesh: object
     solution: object
-    postprocessed: object
+    postprocessed: object       # postprocess_all's array, or None
     report: object
 
 

@@ -146,24 +146,31 @@ def _dim(degree):
 
 
 class DofMap:
-    """Numbering of the trial unknowns on a mesh.
+    """Numbering of the trial unknowns on a mesh, and the element-local
+    layout that every element kernel reads.
 
     An element's local trial columns are [u | sigma_x | sigma_y | uhat
     vertices | uhat bubbles | flux], n_local of them, the first k_int its
-    fields.  Hybridization eliminates the fields element by element, so
-    they get no global number: only the skeleton is numbered, from 0, one
-    uhat dof per mesh vertex (its vertex number), then p uhat
-    edge-interior dofs per edge, then p+1 flux dofs per edge, n_skeleton
-    in all.  skeleton_cols (nt, n_local - k_int) holds each element's
-    skeleton dofs in the order of its local skeleton columns.  Boundary
-    vertex and boundary edge-interior uhat dofs are constrained by the
-    Dirichlet data (zero in the homogeneous case); the rest of the
-    skeleton is free, num_free_skeleton dofs, the size of the global
-    solve.  free_cols (nt, n_local - k_int), int32, holds skeleton_cols
-    in the numbering of that solve: the free skeleton dofs numbered from
-    0 in skeleton order, and -1 for a prescribed one.  num_free is the
-    reported dof count D_h: the fields of every element and the free
-    skeleton dofs.
+    fields: n_u of u, n_s of each sigma component.  n_t is the dimension
+    of the scalar test space P^{p+DELTA_P}, and so the width of an
+    element's load; the test space has 3 n_t functions (v, tau_x, tau_y).
+    Local edge le runs from local vertex le+1 to le+2; trace_cols[le]
+    holds the local columns of its start vertex, its end vertex and its p
+    uhat bubbles, flux_cols[le] those of its p+1 fluxes.
+
+    Hybridization eliminates the fields element by element, so they get
+    no global number: only the skeleton is numbered, from 0, one uhat dof
+    per mesh vertex (its vertex number), then p uhat edge-interior dofs
+    per edge, then p+1 flux dofs per edge, n_skeleton in all.
+    skeleton_cols (nt, n_local - k_int) holds each element's skeleton dofs
+    in the order of its local skeleton columns.  Boundary vertex and
+    boundary edge-interior uhat dofs are constrained by the Dirichlet data
+    (zero in the homogeneous case); the rest of the skeleton is free,
+    num_free_skeleton dofs, the size of the global solve.  free_cols (nt,
+    n_local - k_int), int32, holds skeleton_cols in the numbering of that
+    solve: the free skeleton dofs numbered from 0 in skeleton order, and
+    -1 for a prescribed one.  num_free is the reported dof count D_h: the
+    fields of every element and the free skeleton dofs.
     """
 
     def __init__(self, mesh, trial):
@@ -172,8 +179,15 @@ class DofMap:
         self.trial = trial
         self.n_u = _dim(trial.u_degree)
         self.n_s = _dim(p)
+        self.n_t = _dim(p + DELTA_P)
         self.k_int = self.n_u + 2 * self.n_s
         self.n_local = self.k_int + 3 + 3 * p + 3 * (p + 1)
+        # one row per local edge le, from local vertex le+1 to le+2; the
+        # fluxes are the last 3 (p+1) local columns
+        le = np.arange(3)[:, None]
+        self.trace_cols = np.hstack([self.k_int + (le + [1, 2]) % 3,
+                                     self.k_int + 3 + le * p + np.arange(p)])
+        self.flux_cols = self.n_local - (3 - le) * (p + 1) + np.arange(p + 1)
         nt, nv, ne = mesh.num_triangles, mesh.num_vertices, mesh.num_edges
 
         self.bubble_offset = nv
@@ -227,14 +241,15 @@ class Solution:
 
 @lru_cache(maxsize=None)
 def _reference_tables(p):
-    """Reference-element contraction tensors of trial order p, shared by
-    all elements: the test basis V of degree p + DELTA_P against itself
-    under the assembly quadrature default_exactness(p), and its edge
-    traces; the one place where bases meet quadrature weights.  V is
-    orthonormal, so mass blocks need no table, and nested, so the bases
-    of u, sigma and the postprocessed field are its leading modes: T1
-    holds (d_a v_i, d_b v_j), GV (d_a v_i, v_j), and postprocessing reads
-    their first dim P^{p+1} rows."""
+    """Reference-element contraction tensors of trial order p, shared by all
+    elements: the test basis V of degree p + DELTA_P against itself under
+    the assembly quadrature default_exactness(p), and its edge traces; the
+    one place for the volume and trace contractions of assembly and
+    postprocessing (project_l2, _dirichlet_values and error_report weight
+    their own rules).  V is orthonormal, so mass blocks need no table, and
+    nested, so the bases of u, sigma and the postprocessed field are its
+    leading modes: T1 holds (d_a v_i, d_b v_j), GV (d_a v_i, v_j), and
+    postprocessing reads their first dim P^{p+1} rows."""
     exactness = default_exactness(p)
     w = triangle_quadrature(exactness).weights
     edge = edge_quadrature(exactness)
@@ -280,18 +295,16 @@ def _stiffness(det, inv_t, T1):
     return np.einsum("e,eab,abij->eij", det, metric, T1)
 
 
-def _local_systems(mesh, trial, kind, elements):
-    """Gram and coupling matrices for a set of elements, under the
-    assembly quadrature default_exactness(p).
+def _local_systems(dofmap, kind, elements):
+    """Gram and coupling matrices for a set of elements of dofmap's mesh,
+    under the assembly quadrature default_exactness(p); kind is one of
+    PROBLEM_KINDS, which assemble_solve checks.
 
     Returns (G, B) with shapes (ne, m, m) and (ne, m, n_local), where m =
-    3 * dim P^{p+DELTA_P} and columns follow DofMap's local trial columns.
+    3 n_t and columns follow DofMap's local trial columns.
     """
-    if kind not in PROBLEM_KINDS:
-        raise ValueError(f"unknown problem kind {kind!r}")
-    p = trial.p
-    tab = _reference_tables(p)
-    n_u, n_s, n_t = _dim(trial.u_degree), _dim(p), _dim(p + DELTA_P)
+    mesh, n_u, n_s, n_t = dofmap.mesh, dofmap.n_u, dofmap.n_s, dofmap.n_t
+    tab = _reference_tables(dofmap.trial.p)
     m = 3 * n_t
 
     elements = np.asarray(elements, dtype=np.int64)
@@ -316,13 +329,9 @@ def _local_systems(mesh, trial, kind, elements):
     G += det[:, None, None] * np.eye(m)
 
     # trial-to-test coupling
-    n_local = n_u + 2 * n_s + 3 + 3 * p + 3 * (p + 1)
-    B = np.zeros((ne, m, n_local))
+    B = np.zeros((ne, m, dofmap.n_local))
     cu = slice(0, n_u)
     cs = (slice(n_u, n_u + n_s), slice(n_u + n_s, n_u + 2 * n_s))
-    vert_col = n_u + 2 * n_s
-    bub_col = vert_col + 3
-    flux_col = bub_col + 3 * p
 
     # (u, div tau) + (sigma, grad v): grad[:, c] holds (d_c v_i, phi_j)_T
     # for the modes phi_j of u, whose first n_s are those of sigma; the
@@ -341,20 +350,16 @@ def _local_systems(mesh, trial, kind, elements):
     # edge le runs from vertex le+1 to le+2, so its vector end - start is
     # J_1 - J_0, -J_1, J_0 in terms of the Jacobian columns, and that
     # vector turned clockwise, (d_y, -d_x), is the outward normal times
-    # the edge length
+    # the edge length; DofMap holds the edge's local trial columns
     flips = mesh.edge_flips[elements].astype(np.intp)
     edge_vectors = (jac[:, :, 1] - jac[:, :, 0], -jac[:, :, 1], jac[:, :, 0])
     for le, d in enumerate(edge_vectors):
         flip = flips[:, le]
         length = np.hypot(d[:, 0], d[:, 1])
-        # columns [start vertex | end vertex | uhat bubbles] and the flux
-        trace_cols = np.r_[vert_col + (le + 1) % 3, vert_col + (le + 2) % 3,
-                           bub_col + le * p:bub_col + (le + 1) * p]
-        flux_cols = slice(flux_col + le * (p + 1), flux_col + (le + 1) * (p + 1))
-        SK = tab["SK"][le, flip]
+        SK, trace = tab["SK"][le, flip], dofmap.trace_cols[le]
         for c, normal in enumerate((d[:, 1], -d[:, 0])):
-            B[:, st[c], trace_cols] -= np.einsum("e,eji->eij", normal, SK)
-        B[:, sv, flux_cols] -= np.einsum(
+            B[:, st[c], trace] -= np.einsum("e,eji->eij", normal, SK)
+        B[:, sv, dofmap.flux_cols[le]] -= np.einsum(
             "e,eji->eij", np.where(flip, -length, length), tab["FX"][le, flip])
     return G, B
 
@@ -370,9 +375,8 @@ def _class_bytes(dofmap):
     """Bytes of one class's stored operators: w (m x (n + n_t)), and
     hybrid and inner (n x (n - k + n_t) together), for m test and n local
     trial functions, k of them interior, and n_t scalar test functions."""
-    n_t = _dim(dofmap.trial.p + DELTA_P)
-    m, n = 3 * n_t, dofmap.n_local
-    return 8 * ((m + n) * (n + n_t) - n * dofmap.k_int)
+    n_t, n = dofmap.n_t, dofmap.n_local
+    return 8 * ((3 * n_t + n) * (n + n_t) - n * dofmap.k_int)
 
 
 def _chunks(count, item_bytes):
@@ -421,12 +425,12 @@ def _condense_classes(dofmap, kind, rep):
     [S_hat | R_S - S_SI S_II^{-1} R_I], the Schur complement of S_II.
     Raises SolverError if a Gram or an S_II is not SPD.
     """
-    G, B = _local_systems(dofmap.mesh, dofmap.trial, kind, rep)
+    G, B = _local_systems(dofmap, kind, rep)
     nc, m, n = B.shape
-    n_t = m // 3
+    E = np.eye(m, dofmap.n_t)
     try:
         schur, w, _ = condense(G, np.concatenate(
-            [B, np.broadcast_to(np.eye(m, n_t), (nc, m, n_t))], axis=2))
+            [B, np.broadcast_to(E, (nc,) + E.shape)], axis=2))
     except np.linalg.LinAlgError as exc:
         # cond G grows like h^-2: only its mass terms scale with h^2
         raise SolverError(
@@ -522,12 +526,12 @@ def condense(gram, coupling):
     return np.swapaxes(whitened, -1, -2) @ whitened, whitened, factor
 
 
-def _dirichlet_values(mesh, dofmap, data):
+def _dirichlet_values(dofmap, data):
     """Prescribed uhat values, one per skeleton dof: vertex interpolation
     plus edgewise L2 projection of the remainder onto the edge-interior
     modes, zero off the boundary.  data returns one value per point or a
     scalar; any other shape or a non-finite value raises ValueError."""
-    p = dofmap.trial.p
+    mesh, p = dofmap.mesh, dofmap.trial.p
     values = np.zeros(dofmap.n_skeleton)
     bverts = np.flatnonzero(mesh.boundary_vertex)
     xy = mesh.vertices[bverts]
@@ -594,14 +598,17 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *,
     -------
     Solution
 
-    Raises ValueError on a mesh without triangles or with a vertex that
-    no triangle uses, a solver_tol that is not a real number in (0, 1),
-    or source or Dirichlet values that are non-finite or of the wrong
-    shape (spaces.point_values), and
+    Raises ValueError, before any work, on a kind not in PROBLEM_KINDS, a
+    mesh without triangles or with a vertex that no triangle uses, or a
+    solver_tol that is not a real number in (0, 1); then on source or
+    Dirichlet values that are non-finite or of the wrong shape
+    (spaces.point_values); and
     SolverError when the test-space Gram or the interior block S_II of an
     element class or the skeleton system is not SPD, or the solve misses
     solver_tol.
     """
+    if kind not in PROBLEM_KINDS:
+        raise ValueError(f"unknown problem kind {kind!r}")
     if mesh.num_triangles == 0:
         raise ValueError("mesh has no triangles")
     # a vertex outside every triangle carries a uhat dof without an equation
@@ -612,9 +619,9 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *,
     p, nt = trial.p, mesh.num_triangles
     dofmap = DofMap(mesh, trial)
     prescribed = (np.zeros(dofmap.n_skeleton) if dirichlet is None else
-                  _dirichlet_values(mesh, dofmap, dirichlet))
+                  _dirichlet_values(dofmap, dirichlet))
     # moments (f, v_i)_T against the scalar test functions
-    load = (np.zeros((nt, _dim(p + DELTA_P))) if source is None else
+    load = (np.zeros((nt, dofmap.n_t)) if source is None else
             mesh.det[:, None] * project_l2(p + DELTA_P, source, mesh,
                                            default_exactness(p)))
     store = ClassStore() if store is None else store
@@ -746,14 +753,15 @@ _PANEL_SIZE = 4
 def _solve_spd(A, b, tol):
     """Direct sparse solve with iterative refinement.
 
-    A is symmetric positive definite, so SuperLU runs in symmetric mode:
-    a minimum-degree ordering of the graph of A + A' applied to rows and
+    A is symmetric positive definite, so SuperLU runs in symmetric mode: a
+    minimum-degree ordering of the graph of A + A' applied to rows and
     columns alike, and diagonal pivots, with small relaxed supernodes
     (_RELAX, _PANEL_SIZE) that hold few explicit zeros.  Without row
     pivoting the residual check of the refinement loop is what catches a
-    bad factorization.  The diagnostics record the ordering and the
-    supernode pair next to the method, the refinement steps, the residual
-    and nnz of A and of its factor.
+    bad factorization.  Refinement is there for badly scaled systems; no
+    supported study has needed a step of it.  The diagnostics record the
+    ordering and the supernode pair next to the method, the refinement
+    steps, the residual and nnz of A and of its factor.
 
     Raises SolverError on a non-finite or non-positive diagonal entry, a
     singular factor, or a residual that refinement cannot bring to tol.

@@ -15,22 +15,15 @@ On smooth problems the postprocessed field converges one order faster in
 L2 than u_h itself.
 
 postprocess_fields solves all elements of a mesh in one batch, one row of
-coefficients per element; postprocess_all applies it to a Solution.
+coefficients per element; postprocess_all applies it to a Solution and
+returns the same (nt, dim P^{p+1}) array.
 """
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .dpg import _dim, _reference_tables, _stiffness
-
-
-@dataclass
-class PostprocessedField:
-    """Per-element coefficients of the recovered degree-(p+1) field."""
-    degree: int
-    coeffs: np.ndarray      # (nt, dim P^{degree})
 
 
 def _dim_to_degree(n):
@@ -94,7 +87,8 @@ def postprocess_fields(mesh, u_coeffs, sigma_coeffs):
 
 
 def postprocess_all(solution):
-    """Postprocess every element of a solution independently.
+    """Postprocess every element of a solution independently: the
+    coefficients (nt, dim P^{p+1}) of postprocess_fields.
 
     The superconvergence statement targets the standard trial space; an
     augmented solution is accepted, with a warning, and is postprocessed by
@@ -104,6 +98,5 @@ def postprocess_all(solution):
         warnings.warn("postprocessing an augmented-trial solution; the "
                       "superconvergence theory covers the standard space",
                       stacklevel=2)
-    coeffs = postprocess_fields(solution.mesh, solution.u_coeffs,
-                                solution.sigma_coeffs)
-    return PostprocessedField(degree=solution.trial.p + 1, coeffs=coeffs)
+    return postprocess_fields(solution.mesh, solution.u_coeffs,
+                              solution.sigma_coeffs)

@@ -142,7 +142,9 @@ def error_report(solution, postprocessed, problem, extra_exactness=0):
     Parameters
     ----------
     solution : dpg.Solution
-    postprocessed : postprocess.PostprocessedField or None
+    postprocessed : ndarray (nt, dim P^{p+1}) or None
+        Coefficients of the postprocessed field (postprocess_all), read
+        at degree p + 1.
     problem : ManufacturedProblem
     extra_exactness : int
         Bump, an integer >= 0, added to the default error-quadrature
@@ -190,8 +192,7 @@ def error_report(solution, postprocessed, problem, extra_exactness=0):
 
     err_post = None
     if postprocessed is not None:
-        post_vals = postprocessed.coeffs @ basis_at_quadrature(
-            postprocessed.degree, exactness)[0]
+        post_vals = postprocessed @ basis_at_quadrature(p + 1, exactness)[0]
         err_post = float(np.sqrt(np.sum(wq * (u_exact - post_vals) ** 2)))
 
     return ErrorReport(err_u=float(err_u), err_sigma=float(err_sigma),

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dpglab.adapt import mark
-from dpglab.dpg import (POISSON, REACTION_DIFFUSION, TrialSpace,
+from dpglab.dpg import (POISSON, REACTION_DIFFUSION, DofMap, TrialSpace,
                         _local_systems, assemble_solve)
 from dpglab.mesh import Mesh, lshape_mesh, refine_marked, unit_square_mesh
 from dpglab.postprocess import postprocess_fields
@@ -184,7 +184,8 @@ def test_criterion_7_property_suite():
         if d1[0] * d2[1] - d1[1] * d2[0] < 0:
             v[[1, 2]] = v[[2, 1]]
         mesh1 = Mesh(v, np.array([[0, 1, 2]]), np.array([0]))
-        G, _ = _local_systems(mesh1, TrialSpace(p), REACTION_DIFFUSION, [0])
+        G, _ = _local_systems(DofMap(mesh1, TrialSpace(p)),
+                              REACTION_DIFFUSION, [0])
         assert np.linalg.eigvalsh(G[0]).min() > 0
 
     # Galerkin orthogonality on every solve here

@@ -5,7 +5,6 @@ import pytest
 
 from dpglab.dpg import REACTION_DIFFUSION, TrialSpace, assemble_solve
 from dpglab.mesh import lshape_mesh, refine_uniform, unit_square_mesh
-from dpglab.postprocess import PostprocessedField
 from dpglab.problems import (error_report, lshape_singular, square_smooth)
 from dpglab.spaces import project_l2, scalar_basis, triangle_quadrature
 
@@ -124,8 +123,7 @@ def test_error_report_exact_postprocessed_field():
     mesh = unit_square_mesh(2)
     sol = assemble_solve(mesh, TrialSpace(1), problem.kind, problem.source,
                          dirichlet=problem.dirichlet)
-    coeffs = project_l2(2, exact, mesh, exactness=12)
-    post = PostprocessedField(degree=2, coeffs=coeffs)
+    post = project_l2(2, exact, mesh, exactness=12)
     rep = error_report(sol, post, problem)
     assert rep.err_u_post < 1e-12
 

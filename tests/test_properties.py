@@ -32,7 +32,7 @@ def test_element_class_members_share_local_systems_bitwise(data, p, kind):
                                    max_size=nt), label="marked")
         mesh = refine_marked(mesh, sorted(marked))
     _, rep, cls = _element_classes(mesh)
-    G, B = _local_systems(mesh, TrialSpace(p), kind,
+    G, B = _local_systems(DofMap(mesh, TrialSpace(p)), kind,
                           np.arange(mesh.num_triangles))
     owner = rep[cls]
     assert np.array_equal(G, G[owner])
