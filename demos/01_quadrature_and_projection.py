@@ -10,8 +10,8 @@ residual.
 import numpy as np
 
 from dpglab.mesh import Mesh
-from dpglab.spaces import (monomial_exponents, monomial_integral, project_l2,
-                           scalar_basis, triangle_quadrature)
+from dpglab.spaces import (ScalarBasis, monomial_exponents, monomial_integral,
+                           project_l2, triangle_quadrature)
 
 print("=== quadrature exactness on the reference triangle ===")
 degree = 6
@@ -34,7 +34,7 @@ coeffs = project_l2(2, f, element, exactness=12)[0]
 rule = triangle_quadrature(12)
 xy = element.to_physical(rule.points)[0]
 w = rule.weights * element.det[0]
-vals = coeffs @ scalar_basis(2).values(rule.points)
+vals = coeffs @ ScalarBasis(2).values(rule.points)
 resid = f(xy[:, 0], xy[:, 1]) - vals
 print(f"projection coefficients: {np.array2string(coeffs, precision=4)}")
 print(f"L2 norm of residual: {np.sqrt(np.sum(w * resid**2)):.3e}")

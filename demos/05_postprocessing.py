@@ -16,7 +16,7 @@ from dpglab.dpg import TrialSpace, assemble_solve
 from dpglab.mesh import Mesh, refine_uniform, unit_square_mesh
 from dpglab.postprocess import postprocess_all, postprocess_fields
 from dpglab.problems import error_report, square_smooth
-from dpglab.spaces import scalar_basis
+from dpglab.spaces import ScalarBasis
 
 print("=== one-element mesh: sigma = (1, 0), u_h = 0, p = 0 ===")
 ref = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
@@ -25,7 +25,7 @@ sigma = np.array([[1.0 / np.sqrt(2.0)], [0.0]])   # the constant field (1, 0)
 # postprocess_fields takes one row of coefficients per element of the mesh
 coeffs = postprocess_fields(ref, np.zeros((1, 1)), sigma[None])[0]
 pts = np.array([[0.0, 0.0], [1.0, 0.0], [1 / 3, 1 / 3]])
-vals = coeffs @ scalar_basis(1).values(pts)
+vals = coeffs @ ScalarBasis(1).values(pts)
 print("recovered field at (0,0), (1,0), centroid:", np.round(vals, 12))
 print("expected x - 1/3 (gradient (1,0), zero mean):",
       np.round(pts[:, 0] - 1 / 3, 12))

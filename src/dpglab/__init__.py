@@ -13,9 +13,8 @@ from .mesh import (Mesh, load_mesh, lshape_mesh, refine_marked,
 from .postprocess import postprocess_all, postprocess_fields
 from .problems import (ErrorReport, ManufacturedProblem, error_report,
                        lshape_singular, square_smooth)
-from .spaces import (EdgeBasis, QuadratureRule, ScalarBasis, edge_basis,
-                     edge_bubbles, edge_quadrature, project_l2, scalar_basis,
-                     triangle_quadrature)
+from .spaces import (EdgeBasis, QuadratureRule, ScalarBasis, edge_bubbles,
+                     edge_quadrature, project_l2, triangle_quadrature)
 from .study import (ConvergenceRecord, StudyConfig, fit_slope, run_study,
                     write_csv)
 
@@ -30,8 +29,7 @@ __all__ = [
     "postprocess_all", "postprocess_fields",
     "ErrorReport", "ManufacturedProblem", "error_report", "lshape_singular",
     "square_smooth",
-    "EdgeBasis", "QuadratureRule", "ScalarBasis", "edge_basis",
-    "edge_bubbles", "edge_quadrature", "project_l2", "scalar_basis",
-    "triangle_quadrature",
+    "EdgeBasis", "QuadratureRule", "ScalarBasis", "edge_bubbles",
+    "edge_quadrature", "project_l2", "triangle_quadrature",
     "ConvergenceRecord", "StudyConfig", "fit_slope", "run_study", "write_csv",
 ]

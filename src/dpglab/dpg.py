@@ -88,9 +88,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .spaces import (REFERENCE_VERTICES, _is_integer, basis_at_quadrature,
-                     edge_basis, edge_bubbles, edge_quadrature, point_values,
-                     project_l2, scalar_basis, triangle_quadrature)
+from .spaces import (REFERENCE_VERTICES, EdgeBasis, ScalarBasis, _is_integer,
+                     basis_at_quadrature, edge_bubbles, edge_quadrature,
+                     point_values, project_l2, triangle_quadrature)
 
 REACTION_DIFFUSION = "reaction-diffusion"
 POISSON = "poisson"
@@ -222,21 +222,19 @@ class Solution:
 
     The fields are held per element, u_coeffs and sigma_coeffs on the
     reference basis; the traces and fluxes in skeleton_coeffs, one entry
-    per skeleton dof of dofmap, the prescribed ones included.
+    per skeleton dof, the prescribed ones included, in the numbering of
+    DofMap(mesh, trial), which rebuilds it bit for bit.  num_dofs is that
+    DofMap's num_free, the reported dof count D_h.
     """
     mesh: object
     trial: TrialSpace
-    dofmap: DofMap
-    skeleton_coeffs: np.ndarray     # (n_skeleton,) in dofmap's numbering
+    num_dofs: int
+    skeleton_coeffs: np.ndarray     # (n_skeleton,) in DofMap's numbering
     u_coeffs: np.ndarray            # (nt, dim u)
     sigma_coeffs: np.ndarray        # (nt, 2, dim sigma)
     eta_local: np.ndarray           # (nt,) local estimator eta(T)
     eta: float
     diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def num_dofs(self):
-        return self.dofmap.num_free
 
 
 @lru_cache(maxsize=None)
@@ -266,7 +264,7 @@ def _reference_tables(p):
     t, we = edge.points, edge.weights
     hat = np.vstack([1.0 - t, t])
     bub = edge_bubbles(p, t)
-    leg = edge_basis(p).values(t)
+    leg = EdgeBasis(p).values(t)
     tab["SK"] = np.empty((3, 2, 2 + p, V.shape[0]))
     tab["FX"] = np.empty((3, 2, p + 1, V.shape[0]))
     for le in range(3):
@@ -274,7 +272,7 @@ def _reference_tables(p):
             order = slice(None, None, -1 if flip else 1)
             a, b = REFERENCE_VERTICES[[(le + 1) % 3, (le + 2) % 3][order]]
             pts = a + t[:, None] * (b - a)
-            EV = scalar_basis(p + DELTA_P).values(pts)   # (n_t, nqe)
+            EV = ScalarBasis(p + DELTA_P).values(pts)   # (n_t, nqe)
             trace = np.vstack([hat[order], bub])
             tab["SK"][le, flip] = np.einsum("jk,ik,k->ji", trace, EV, we)
             tab["FX"][le, flip] = np.einsum("jk,ik,k->ji", leg, EV, we)
@@ -567,10 +565,11 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *,
     skeleton dofs (uhat and shat), _solve_spd factors and solves it, and
     _recover brings back the fields into u_coeffs and sigma_coeffs, the
     local estimator and the Galerkin check.  Solution.skeleton_coeffs
-    holds every skeleton dof in DofMap's numbering, the prescribed ones
-    included.  The class operators come from store, a ClassStore that the
-    solves of one study share (None: a new, empty one); the result is
-    bitwise the same with or without a store.
+    holds every skeleton dof, the prescribed ones included, in the
+    numbering of DofMap(mesh, trial), which the Solution does not keep:
+    it holds the count num_dofs alone.  The class operators come from
+    store, a ClassStore that the solves of one study share (None: a new,
+    empty one); the result is bitwise the same with or without a store.
 
     Solution.diagnostics holds the solve's record from _solve_spd: method,
     iterations, rel_residual, ordering, relax, panel_size, nnz_A and
@@ -639,7 +638,7 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *,
                 min_diameter=float(mesh.diameters().min()),
                 element_classes=len(store), element_chunks=len(chunks),
                 classes_condensed=condensed)
-    return Solution(mesh=mesh, trial=trial, dofmap=dofmap,
+    return Solution(mesh=mesh, trial=trial, num_dofs=dofmap.num_free,
                     skeleton_coeffs=x, u_coeffs=u, sigma_coeffs=sigma,
                     eta_local=np.sqrt(eta_sq),
                     eta=float(np.sqrt(eta_sq.sum())), diagnostics=diag)

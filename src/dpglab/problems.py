@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .dpg import POISSON, REACTION_DIFFUSION, default_exactness
+from .dpg import POISSON, REACTION_DIFFUSION, _dim, default_exactness
 from .mesh import lshape_mesh, unit_square_mesh
 from .spaces import (MAX_QUADRATURE_DEGREE, _is_integer, basis_at_quadrature,
                      point_values, triangle_quadrature)
@@ -23,17 +23,20 @@ from .spaces import (MAX_QUADRATURE_DEGREE, _is_integer, basis_at_quadrature,
 class ManufacturedProblem:
     """A PDE problem with known exact solution and its initial mesh.
 
-    exact, source, dirichlet map coordinate arrays (x, y) to value arrays;
+    exact and source map coordinate arrays (x, y) to value arrays;
     exact_grad returns a pair of arrays (du/dx, du/dy).  The Dirichlet
-    data of both problems here is the trace of the exact solution, so
-    they pass exact itself as dirichlet.
+    data is the trace of the exact solution, so dirichlet is a read-only
+    property that returns exact itself: no field can disagree with it.
     """
     kind: str                        # REACTION_DIFFUSION | POISSON
     exact: Callable
     exact_grad: Callable
     source: Callable
-    dirichlet: Callable
     initial_mesh: Callable           # () -> Mesh of the problem's domain
+
+    @property
+    def dirichlet(self):
+        return self.exact
 
 
 def square_smooth():
@@ -57,8 +60,7 @@ def square_smooth():
 
     return ManufacturedProblem(
         kind=REACTION_DIFFUSION, exact=exact, exact_grad=exact_grad,
-        source=source, dirichlet=exact,
-        initial_mesh=lambda: unit_square_mesh(1))
+        source=source, initial_mesh=lambda: unit_square_mesh(1))
 
 
 def _lshape_polar(x, y):
@@ -104,7 +106,7 @@ def lshape_singular():
 
     return ManufacturedProblem(
         kind=POISSON, exact=exact, exact_grad=exact_grad, source=source,
-        dirichlet=exact, initial_mesh=lshape_mesh)
+        initial_mesh=lshape_mesh)
 
 
 @dataclass
@@ -144,7 +146,8 @@ def error_report(solution, postprocessed, problem, extra_exactness=0):
     solution : dpg.Solution
     postprocessed : ndarray (nt, dim P^{p+1}) or None
         Coefficients of the postprocessed field (postprocess_all), read
-        at degree p + 1.
+        at degree p + 1; any other shape raises ValueError before any
+        evaluation.
     problem : ManufacturedProblem
     extra_exactness : int
         Bump, an integer >= 0, added to the default error-quadrature
@@ -161,14 +164,22 @@ def error_report(solution, postprocessed, problem, extra_exactness=0):
     -------
     ErrorReport
 
-    Raises ValueError on an extra_exactness error_exactness refuses, and when
-    problem.exact or problem.exact_grad is non-finite at an
-    error-quadrature point or returns neither one value per point nor a
-    scalar (spaces.point_values).
+    Raises ValueError on an extra_exactness error_exactness refuses or a
+    postprocessed of another shape, and when problem.exact or
+    problem.exact_grad is non-finite at an error-quadrature point or
+    returns neither one value per point nor a scalar
+    (spaces.point_values).
     """
     mesh = solution.mesh
     p = solution.trial.p
     exactness = error_exactness(p, extra_exactness)
+    # the basis is nested: u (degree p or p+1) and sigma (degree p) are
+    # the leading rows of the degree-(p+1) table
+    V = basis_at_quadrature(p + 1, exactness)[0]
+    expected = (mesh.num_triangles, V.shape[0])
+    if postprocessed is not None and np.shape(postprocessed) != expected:
+        raise ValueError(f"postprocessed has shape {np.shape(postprocessed)}"
+                         f", expected {expected}: dim P^{p + 1} per element")
     rule = triangle_quadrature(exactness)
     pts, w = rule.points, rule.weights
 
@@ -180,11 +191,9 @@ def error_report(solution, postprocessed, problem, extra_exactness=0):
     gx_exact, gy_exact = (point_values(g, x.shape, "problem.exact_grad")
                           for g in problem.exact_grad(x, y))
 
-    u_vals = solution.u_coeffs @ basis_at_quadrature(solution.trial.u_degree,
-                                                     exactness)[0]
-    sig_basis = basis_at_quadrature(p, exactness)[0]
-    sx_vals = solution.sigma_coeffs[:, 0, :] @ sig_basis
-    sy_vals = solution.sigma_coeffs[:, 1, :] @ sig_basis
+    u_vals = solution.u_coeffs @ V[:_dim(solution.trial.u_degree)]
+    sx_vals = solution.sigma_coeffs[:, 0, :] @ V[:_dim(p)]
+    sy_vals = solution.sigma_coeffs[:, 1, :] @ V[:_dim(p)]
 
     err_u = np.sqrt(np.sum(wq * (u_exact - u_vals) ** 2))
     err_sigma = np.sqrt(np.sum(wq * ((gx_exact - sx_vals) ** 2 +
@@ -192,7 +201,7 @@ def error_report(solution, postprocessed, problem, extra_exactness=0):
 
     err_post = None
     if postprocessed is not None:
-        post_vals = postprocessed @ basis_at_quadrature(p + 1, exactness)[0]
+        post_vals = postprocessed @ V
         err_post = float(np.sqrt(np.sum(wq * (u_exact - post_vals) ** 2)))
 
     return ErrorReport(err_u=float(err_u), err_sigma=float(err_sigma),

@@ -77,8 +77,10 @@ def _gauss_legendre_01(n):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-# typed caches, here and for the bases: 4.0 or True must not find the rule
-# or basis of 4 or 1 and skip the integer check
+# only the quadrature rules and basis_at_quadrature are cached: a basis
+# object holds its degree alone and is built where it is used.  The
+# caches are typed: 4.0 or True must not find the rule or table of 4 or 1
+# and skip the integer check
 @lru_cache(maxsize=None, typed=True)
 def triangle_quadrature(degree):
     """Quadrature on the reference triangle, exact to the given total degree.
@@ -197,18 +199,12 @@ class ScalarBasis:
 
 
 @lru_cache(maxsize=None, typed=True)
-def scalar_basis(degree):
-    """Cached ScalarBasis instance for the given degree."""
-    return ScalarBasis(degree)
-
-
-@lru_cache(maxsize=None, typed=True)
 def basis_at_quadrature(degree, exactness):
     """Cached, read-only values (dim, npts) and reference gradients
-    (dim, npts, 2) of scalar_basis(degree) at the points of
+    (dim, npts, 2) of ScalarBasis(degree) at the points of
     triangle_quadrature(exactness); both arguments are checked as there,
     since the cache is typed."""
-    basis = scalar_basis(degree)
+    basis = ScalarBasis(degree)
     pts = triangle_quadrature(exactness).points
     values, gradients = basis.values(pts), basis.gradients(pts)
     values.flags.writeable = False
@@ -245,11 +241,6 @@ class EdgeBasis:
         return scale[:, None] * vals
 
 
-@lru_cache(maxsize=None, typed=True)
-def edge_basis(degree):
-    return EdgeBasis(degree)
-
-
 def edge_bubbles(count, t):
     """Edge-interior shape functions t(1-t)P_j(2t-1), j = 0..count-1.
 
@@ -263,7 +254,7 @@ def edge_bubbles(count, t):
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if count == 0:
         return np.zeros((0, t.shape[0]))
-    leg = edge_basis(count - 1).values(t)
+    leg = EdgeBasis(count - 1).values(t)
     return (t * (1.0 - t)) * leg
 
 

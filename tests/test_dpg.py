@@ -8,12 +8,12 @@ from dpglab.dpg import (POISSON, REACTION_DIFFUSION, DofMap, TrialSpace,
 from dpglab.mesh import (Mesh, load_mesh, lshape_mesh, refine_uniform,
                          save_mesh, unit_square_mesh)
 from dpglab.problems import ManufacturedProblem, error_report, square_smooth
-from dpglab.spaces import project_l2, scalar_basis
+from dpglab.spaces import ScalarBasis, project_l2
 
 
 def constant_test_vector(p, delta_p=2):
     """Coefficients representing the test pair (v, tau) = (1, 0)."""
-    n_t = scalar_basis(p + delta_p).dim
+    n_t = ScalarBasis(p + delta_p).dim
     vec = np.zeros(3 * n_t)
     vec[0] = 1.0 / np.sqrt(2.0)      # constant 1 in the orthonormal basis
     return vec, n_t
@@ -142,7 +142,7 @@ def physical_local_systems(X, labels, trial, kind):
 
     def basis(degree, x):       # values (dim, nq), gradients (dim, nq, 2)
         ref = (x - X[0]) @ jinv.T
-        b = scalar_basis(degree)
+        b = ScalarBasis(degree)
         return b.values(ref), b.gradients(ref) @ jinv
 
     # collapsed Gauss rule on the physical triangle, exact past degree 2r+1
@@ -512,7 +512,7 @@ def affine_poisson_problem():
     return ManufacturedProblem(
         kind=POISSON, exact=exact,
         exact_grad=lambda x, y: (np.ones_like(x), np.ones_like(y)),
-        source=lambda x, y: np.zeros_like(x), dirichlet=exact,
+        source=lambda x, y: np.zeros_like(x),
         initial_mesh=lambda: unit_square_mesh(1))
 
 
@@ -703,7 +703,7 @@ def test_estimator_consistency_and_locality():
         physical_local_systems(mesh.vertices[labels], labels, trial,
                                problem.kind) for labels in mesh.triangles)))
     F = element_loads(mesh, trial, problem.source)
-    x = all_coeffs(sol)[trial_numbering(sol.dofmap)[0]]
+    x = all_coeffs(sol)[trial_numbering(DofMap(sol.mesh, sol.trial))[0]]
     eps = np.linalg.solve(G_hi, (F - np.einsum("emn,en->em", B_hi, x))
                           [..., None])[..., 0]
     direct = np.einsum("em,emn,en->e", eps, G_hi, eps)
@@ -739,7 +739,7 @@ def test_dirichlet_edge_modes_are_projected():
         sol = assemble_solve(mesh, TrialSpace(p), POISSON,
                              lambda x, y: -2.0 * np.ones_like(x),
                              dirichlet=quadratic)
-        dm = sol.dofmap
+        dm = DofMap(sol.mesh, sol.trial)
         bub = edge_bubbles(p, t)
         for e in np.flatnonzero(mesh.boundary_edge):
             a, b = mesh.edges[e]
@@ -765,6 +765,28 @@ def test_dof_counts():
     # interior edge, flux 2 per edge
     dm1 = DofMap(mesh, TrialSpace(1))
     assert dm1.num_free == 8 * 9 + 1 + 8 + 2 * 16
+
+
+@pytest.mark.parametrize("augmented", [False, True])
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_solution_numbering_is_rebuilt_from_its_mesh_and_trial(p, augmented):
+    # a Solution keeps no DofMap: DofMap(sol.mesh, sol.trial) rebuilds the
+    # numbering of skeleton_coeffs, whose prescribed entries sit where
+    # that numbering puts the Dirichlet values
+    import dataclasses
+    from dpglab.dpg import Solution, _dirichlet_values
+    from dpglab.problems import lshape_singular
+
+    problem = lshape_singular()
+    sol = assemble_solve(refine_uniform(lshape_mesh()),
+                         TrialSpace(p, augmented=augmented), problem.kind,
+                         problem.source, dirichlet=problem.dirichlet)
+    assert "dofmap" not in {f.name for f in dataclasses.fields(Solution)}
+    dm = DofMap(sol.mesh, sol.trial)
+    assert type(sol.num_dofs) is int and dm.num_free == sol.num_dofs
+    assert dm.n_skeleton == sol.skeleton_coeffs.size
+    prescribed = _dirichlet_values(dm, problem.dirichlet)[~dm.free]
+    assert np.array_equal(sol.skeleton_coeffs[~dm.free], prescribed)
 
 
 def test_factorization_fill_stays_small():
@@ -1174,7 +1196,8 @@ def test_class_store_reuses_operators_bitwise():
     assert first.diagnostics["classes_condensed"] == classes == len(store)
     # update classifies the mesh itself: the classes of _element_classes,
     # and nothing left to condense
-    ops, cls, condensed = store.update(first.dofmap, problem.kind)
+    ops, cls, condensed = store.update(DofMap(first.mesh, first.trial),
+                                       problem.kind)
     assert np.array_equal(cls, _element_classes(mesh)[2])
     assert condensed == 0 and len(ops["w"]) == classes
     assert classes < mesh.num_triangles
@@ -1257,7 +1280,7 @@ def test_solve_peak_memory_stays_below_the_class_operators_per_element():
     finally:
         tracemalloc.stop()
     class_bytes = sum(a[0].nbytes for a in store.ops.values())
-    assert class_bytes == _class_bytes(sol.dofmap) == 7155 * 8
+    assert class_bytes == _class_bytes(DofMap(sol.mesh, sol.trial)) == 7155 * 8
     assert mesh.num_triangles == 1536
     assert peak < mesh.num_triangles * class_bytes / 2     # 41.9 MiB
 
@@ -1405,7 +1428,7 @@ def polynomial_poisson_problem(p):
 
     return ManufacturedProblem(
         kind=POISSON, exact=exact,
-        exact_grad=exact_grad, source=source, dirichlet=exact,
+        exact_grad=exact_grad, source=source,
         initial_mesh=lshape_mesh)
 
 

@@ -7,7 +7,7 @@ from dpglab.dpg import TrialSpace, assemble_solve
 from dpglab.mesh import Mesh, refine_uniform, unit_square_mesh
 from dpglab.postprocess import postprocess_all, postprocess_fields
 from dpglab.problems import error_report, square_smooth
-from dpglab.spaces import scalar_basis, triangle_quadrature
+from dpglab.spaces import ScalarBasis, triangle_quadrature
 
 
 def reference_mesh():
@@ -21,7 +21,7 @@ def test_hand_solve_on_reference_triangle():
     sigma = np.array([[1.0 / np.sqrt(2.0)], [0.0]])   # (1, 0) in basis coeffs
     out = postprocess_fields(mesh, np.zeros((1, 1)), sigma[None])[0]
     pts = np.array([[0.0, 0.0], [0.5, 0.2], [0.1, 0.8]])
-    vals = out @ scalar_basis(1).values(pts)
+    vals = out @ ScalarBasis(1).values(pts)
     assert np.abs(vals - (pts[:, 0] - 1 / 3)).max() < 1e-13
 
 
@@ -30,7 +30,7 @@ def test_constants_are_reproduced():
     c = 2.75
     u0 = np.full((mesh.num_triangles, 1), c / np.sqrt(2.0))
     out = postprocess_fields(mesh, u0, np.zeros((mesh.num_triangles, 2, 1)))
-    vals = out @ scalar_basis(1).values(np.array([[0.3, 0.3], [0.1, 0.6]]))
+    vals = out @ ScalarBasis(1).values(np.array([[0.3, 0.3], [0.1, 0.6]]))
     assert np.abs(vals - c).max() < 1e-13
 
 
@@ -40,8 +40,8 @@ def test_gradient_reproduction(p):
     # matching means: postprocessing returns that polynomial exactly
     mesh = refine_uniform(unit_square_mesh(1))
     rng = np.random.default_rng(p + 1)
-    basis_hi = scalar_basis(p + 1)
-    basis_lo = scalar_basis(p)
+    basis_hi = ScalarBasis(p + 1)
+    basis_lo = ScalarBasis(p)
     rule = triangle_quadrature(2 * (p + 3))
     phi_hi = basis_hi.values(rule.points)
     grad_hi = basis_hi.gradients(rule.points)
@@ -93,10 +93,10 @@ def test_mean_constraint_on_full_solve(recwarn):
             # the constant Dubiner mode carries the whole mean
             assert np.array_equal(post[:, 0], sol.u_coeffs[:, 0])
             rule = triangle_quadrature(2 * (p + 3))
-            mean_post = (post @ scalar_basis(p + 1).values(rule.points)
+            mean_post = (post @ ScalarBasis(p + 1).values(rule.points)
                          @ rule.weights)
             mean_u = (sol.u_coeffs
-                      @ scalar_basis(trial.u_degree).values(rule.points)
+                      @ ScalarBasis(trial.u_degree).values(rule.points)
                       @ rule.weights)
             scale = np.abs(mean_u).max()
             assert np.abs(mean_post - mean_u).max() <= 1e-12 * scale

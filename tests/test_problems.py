@@ -5,8 +5,9 @@ import pytest
 
 from dpglab.dpg import REACTION_DIFFUSION, TrialSpace, assemble_solve
 from dpglab.mesh import lshape_mesh, refine_uniform, unit_square_mesh
+from dpglab.postprocess import postprocess_all
 from dpglab.problems import (error_report, lshape_singular, square_smooth)
-from dpglab.spaces import project_l2, scalar_basis, triangle_quadrature
+from dpglab.spaces import ScalarBasis, project_l2, triangle_quadrature
 
 
 def fd_pde_residual(problem, x, y, h=1e-4):
@@ -118,7 +119,7 @@ def test_error_report_exact_postprocessed_field():
     problem = ManufacturedProblem(
         kind=POISSON, exact=exact,
         exact_grad=lambda x, y: (2.0 * x, np.ones_like(y)),
-        source=lambda x, y: -2.0 * np.ones_like(x), dirichlet=exact,
+        source=lambda x, y: -2.0 * np.ones_like(x),
         initial_mesh=lambda: unit_square_mesh(1))
     mesh = unit_square_mesh(2)
     sol = assemble_solve(mesh, TrialSpace(1), problem.kind, problem.source,
@@ -126,6 +127,45 @@ def test_error_report_exact_postprocessed_field():
     post = project_l2(2, exact, mesh, exactness=12)
     rep = error_report(sol, post, problem)
     assert rep.err_u_post < 1e-12
+
+
+@pytest.mark.parametrize("bad", ["one row", "wrong width", "wrong rows"])
+def test_error_report_refuses_a_postprocessed_field_of_another_shape(bad):
+    # one element's row would broadcast over every element and report
+    # err_u_post 0.0256 for 0.00125; the other shapes would fail inside
+    # numpy with a message that does not name the argument
+    import dataclasses
+
+    problem = square_smooth()
+    mesh = unit_square_mesh(2)
+    sol = assemble_solve(mesh, TrialSpace(1), problem.kind, problem.source)
+    post = postprocess_all(sol)
+    assert post.shape == (8, 6)
+    post = {"one row": post[0], "wrong width": post[:, :3],
+            "wrong rows": post[:-1]}[bad]
+    calls = []
+
+    def recording_exact(x, y):
+        calls.append(x.shape)
+        return problem.exact(x, y)
+
+    recording = dataclasses.replace(problem, exact=recording_exact)
+    with pytest.raises(ValueError, match=r"postprocessed has shape .*"
+                                         r"expected \(8, 6\)"):
+        error_report(sol, post, recording)
+    assert calls == []
+
+
+def test_dirichlet_data_is_the_exact_solution():
+    # dirichlet is exact itself, not a field that could disagree with it
+    from dpglab.problems import ManufacturedProblem
+
+    for problem in (square_smooth(), lshape_singular()):
+        assert problem.dirichlet is problem.exact
+    with pytest.raises(TypeError):
+        ManufacturedProblem(kind=REACTION_DIFFUSION, exact=np.add,
+                            exact_grad=np.add, source=np.add,
+                            dirichlet=np.add, initial_mesh=unit_square_mesh)
 
 
 @pytest.mark.parametrize("broken", ["exact", "exact_grad"])
@@ -290,9 +330,9 @@ def oracle_errors(sol, problem, n=80):
         wq = np.abs(np.linalg.det(J))[:, None] * w
         xy = v[:, None, 0] + np.einsum("eij,qj->eqi", J, pts)
         x, y = xy[..., 0], xy[..., 1]
-        uh = sol.u_coeffs[elements] @ scalar_basis(
+        uh = sol.u_coeffs[elements] @ ScalarBasis(
             sol.trial.u_degree).values(pts)
-        gh = sol.sigma_coeffs[elements] @ scalar_basis(sol.trial.p).values(pts)
+        gh = sol.sigma_coeffs[elements] @ ScalarBasis(sol.trial.p).values(pts)
         gx, gy = problem.exact_grad(x, y)
         err_u += np.sum(wq * (problem.exact(x, y) - uh) ** 2)
         err_sigma += np.sum(wq * ((gx - gh[:, 0]) ** 2 + (gy - gh[:, 1]) ** 2))

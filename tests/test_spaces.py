@@ -5,9 +5,8 @@ import pytest
 
 from dpglab.mesh import Mesh, refine_marked, refine_uniform
 from dpglab.spaces import (EdgeBasis, ScalarBasis, basis_at_quadrature,
-                           edge_basis, edge_bubbles, edge_quadrature, monomial_exponents,
-                           monomial_integral, project_l2, scalar_basis,
-                           triangle_quadrature)
+                           edge_bubbles, edge_quadrature, monomial_exponents,
+                           monomial_integral, project_l2, triangle_quadrature)
 
 
 @pytest.mark.parametrize("degree", [0, 1, 2, 3, 5, 8, 12, 20])
@@ -35,15 +34,13 @@ def test_triangle_quadrature_specific_values():
 
 def test_triangle_quadrature_rejects_bad_degree():
     # out of range, or not an integer: a float, whole or not, a bool and
-    # any other type are refused, also once the rule or basis of the
-    # equal integer is cached.  The bases too: 2.5 used to raise
-    # TypeError (scalar) or truncate to degree 2 (edge), and True to hand
-    # out the cached degree-1 basis
+    # any other type are refused, also once the rule of the equal integer
+    # is cached.  The bases too: 2.5 used to raise TypeError (scalar) or
+    # truncate to degree 2 (edge)
     basis_bad = (2.5, 4.0, True, False, "2", None, -1)
     for rule, bad in ((triangle_quadrature, (-1, 21, 5.5, 4.0, True)),
                       (edge_quadrature, (-1, 41, 3.5, 4.0, True)),
-                      (ScalarBasis, basis_bad), (scalar_basis, basis_bad),
-                      (EdgeBasis, basis_bad), (edge_basis, basis_bad)):
+                      (ScalarBasis, basis_bad), (EdgeBasis, basis_bad)):
         rule(4)
         rule(1)
         rule(0)
@@ -64,7 +61,7 @@ def test_edge_quadrature_exactness():
 
 @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4, 5, 6])
 def test_scalar_basis_dimension_and_orthonormality(degree):
-    basis = scalar_basis(degree)
+    basis = ScalarBasis(degree)
     assert basis.dim == (degree + 1) * (degree + 2) // 2
     rule = triangle_quadrature(2 * degree)
     phi = basis.values(rule.points)
@@ -75,7 +72,7 @@ def test_scalar_basis_dimension_and_orthonormality(degree):
 def test_scalar_basis_conditioning():
     # reference mass matrix condition stays far below 1e8 up to degree 6
     for degree in range(7):
-        basis = scalar_basis(degree)
+        basis = ScalarBasis(degree)
         rule = triangle_quadrature(2 * degree + 2)
         phi = basis.values(rule.points)
         gram = (phi * rule.weights) @ phi.T
@@ -83,19 +80,19 @@ def test_scalar_basis_conditioning():
 
 
 def test_scalar_basis_degree_zero():
-    basis = scalar_basis(0)
+    basis = ScalarBasis(0)
     pts = np.array([[0.1, 0.2], [0.3, 0.3], [0.6, 0.2]])
     vals = basis.values(pts)
     assert vals.shape == (1, 3)
     # normalized constant: value^2 * |T_ref| = 1
     assert np.allclose(vals, np.sqrt(2.0))
     assert np.allclose(basis.gradients(pts), 0.0)
-    assert scalar_basis(1).dim == 3
+    assert ScalarBasis(1).dim == 3
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
 def test_scalar_basis_gradients_match_finite_differences(degree):
-    basis = scalar_basis(degree)
+    basis = ScalarBasis(degree)
     rng = np.random.default_rng(42)
     pts = rng.uniform(0.05, 0.4, size=(20, 2))
     grad = basis.gradients(pts)
@@ -109,7 +106,7 @@ def test_scalar_basis_gradients_match_finite_differences(degree):
 def test_scalar_basis_high_degree_orthonormal_and_smooth_at_collapsed_vertex(
         degree):
     # exactly orthonormal well past the degrees a study uses
-    basis = scalar_basis(degree)
+    basis = ScalarBasis(degree)
     rule = triangle_quadrature(2 * degree)
     phi = basis.values(rule.points)
     gram = (phi * rule.weights) @ phi.T
@@ -132,8 +129,8 @@ def test_basis_at_quadrature_is_cached_read_only_and_exact():
     values, gradients = basis_at_quadrature(3, 10)
     pts = triangle_quadrature(10).points
     # the same arithmetic as evaluating the basis, bit for bit
-    assert np.array_equal(values, scalar_basis(3).values(pts))
-    assert np.array_equal(gradients, scalar_basis(3).gradients(pts))
+    assert np.array_equal(values, ScalarBasis(3).values(pts))
+    assert np.array_equal(gradients, ScalarBasis(3).gradients(pts))
     assert basis_at_quadrature(3, 10)[0] is values
     with pytest.raises(ValueError):
         values[0, 0] = 1.0
@@ -141,10 +138,12 @@ def test_basis_at_quadrature_is_cached_read_only_and_exact():
         gradients[0, 0, 0] = 1.0
 
 
-@pytest.mark.parametrize("exactness", [8, 12, 20])
+@pytest.mark.parametrize("exactness", range(8, 21))
 def test_basis_at_quadrature_is_nested_bitwise(exactness):
     # the element tables read the trial and postprocessing bases as the
-    # leading rows of the test basis
+    # leading rows of the test basis, and error_report reads u and sigma
+    # as the leading rows of the postprocessing basis at every error
+    # exactness 2(p+3)+4+bump, 10 to 20
     for degree in range(7):
         values, gradients = basis_at_quadrature(degree, exactness)
         up_values, up_gradients = basis_at_quadrature(degree + 1, exactness)
@@ -192,7 +191,7 @@ def test_projection_reproduces_polynomials(degree):
     # mesh, all projected in one call
     mesh = Mesh([[0.2, -0.1], [1.1, 0.3], [0.4, 0.9]], [[0, 1, 2]], [0])
     mesh = refine_marked(refine_uniform(mesh), [0, 2])
-    basis = scalar_basis(degree)
+    basis = ScalarBasis(degree)
     rng = np.random.default_rng(degree)
     coeffs = rng.standard_normal((mesh.num_triangles, basis.dim))
     out = project_l2(degree, basis_function(mesh, basis, coeffs), mesh)
@@ -210,7 +209,7 @@ def test_projection_refuses_underintegration():
 
 def test_projection_mean_of_x():
     c = project_l2(0, lambda x, y: x, reference_mesh())[0]
-    val = c @ scalar_basis(0).values([[0.25, 0.25]])
+    val = c @ ScalarBasis(0).values([[0.25, 0.25]])
     assert val[0] == pytest.approx(1 / 3, rel=1e-13)   # (1/6) / (1/2)
 
 
@@ -219,12 +218,12 @@ def test_projection_orthogonality_and_idempotence():
     c = project_l2(1, lambda x, y: x ** 2, mesh, exactness=8)
     rule = triangle_quadrature(8)
     x, y = rule.points[:, 0], rule.points[:, 1]
-    proj = c[0] @ scalar_basis(1).values(rule.points)
+    proj = c[0] @ ScalarBasis(1).values(rule.points)
     resid = x ** 2 - proj
     for ell in (np.ones_like(x), x, y):
         assert abs(np.sum(rule.weights * resid * ell)) < 1e-12
 
-    twice = project_l2(1, basis_function(mesh, scalar_basis(1), c), mesh,
+    twice = project_l2(1, basis_function(mesh, ScalarBasis(1), c), mesh,
                        exactness=8)
     assert np.abs(twice - c).max() < 1e-12
 
@@ -291,6 +290,6 @@ def test_edge_bubbles_vanish_at_endpoints():
 @pytest.mark.parametrize("count", [True, 0.0, 2.0, -1])
 def test_edge_bubbles_refuse_a_count_that_is_not_an_integer_from_0(count):
     # unchecked, True would give one bubble and 0.0 none, and 2.0 and -1
-    # would fail in edge_basis with a message about its degree
+    # would fail in EdgeBasis with a message about its degree
     with pytest.raises(ValueError, match=f"bubble count {count!r} "):
         edge_bubbles(count, np.array([0.0, 0.5, 1.0]))
