@@ -17,11 +17,11 @@ from typing import List
 
 import numpy as np
 
-from .dpg import ClassStore, _in_unit_interval, assemble_solve
+from .dpg import ClassStore, assemble_solve
 from .mesh import refine_marked, refine_uniform
 from .postprocess import postprocess_all
 from .problems import error_exactness, error_report
-from .spaces import _is_integer
+from .spaces import _check_flag, _check_integer, _check_unit_interval
 
 MODES = ("uniform", "adaptive")     # the refinement strategies of _steps
 
@@ -33,8 +33,8 @@ def mark(eta_local, theta):
     ----------
     eta_local : (nt,) array of finite, nonnegative local estimator values;
         another shape raises ValueError.
-    theta : real number in (0, 1), not a bool (dpg._in_unit_interval);
-        anything else raises ValueError.
+    theta : real number in (0, 1), not a bool
+        (spaces._check_unit_interval); anything else raises ValueError.
 
     Returns
     -------
@@ -42,7 +42,7 @@ def mark(eta_local, theta):
     all local contributions vanish.
     """
     eta_local = np.asarray(eta_local, dtype=float)
-    _in_unit_interval(theta, "theta")
+    _check_unit_interval(theta, "theta")
     if eta_local.ndim != 1:
         raise ValueError("local estimator values must be a 1-D array, got "
                          f"shape {eta_local.shape}")
@@ -86,9 +86,9 @@ def adaptive_loop(problem, trial, theta=0.25, max_dofs=10000,
     newest-vertex bisection.  This is _steps in "adaptive" mode, run to
     the end, so every parameter _check_loop refuses (a bound that is not
     an integer >= 1, theta or solver_tol outside (0, 1), a postprocess
-    that is not a bool, a bad error_exactness_bump) raises ValueError
-    before the first solve; the CLI refuses the same values through the
-    same gate.
+    that is neither a bool nor a numpy bool, a bad error_exactness_bump)
+    raises ValueError before the first solve; the CLI refuses the same
+    values through the same gate.
 
     Returns
     -------
@@ -106,25 +106,24 @@ def _check_loop(trial, mode, theta, max_dofs, max_steps, postprocess,
 
     The one gate of the solve loop, which StudyConfig.validate calls as
     well (max_steps is the study's levels): mode is one of MODES; theta
-    and solver_tol are real numbers in (0, 1) (dpg._in_unit_interval);
-    max_dofs and max_steps are integers >= 1 or None, not both None, and
-    bools are refused; postprocess is a bool; the error-quadrature bump
-    follows problems.error_exactness at order trial.p.
+    and solver_tol are real numbers in (0, 1); max_dofs and max_steps are
+    integers >= 1 or None, not both None, and bools are refused;
+    postprocess is a bool or a numpy bool; the error-quadrature bump
+    follows problems.error_exactness at order trial.p.  The type and
+    range rules are the gates of spaces (_check_unit_interval,
+    _check_integer and _check_flag).
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; choose {' or '.join(MODES)}")
-    _in_unit_interval(theta, "theta")
+    _check_unit_interval(theta, "theta")
     if max_dofs is None and max_steps is None:
         raise ValueError("the loop needs max_dofs or max_steps / levels")
     for name, bound in (("max_dofs", max_dofs),
                         ("max_steps / levels", max_steps)):
-        if bound is not None and not (_is_integer(bound) and bound >= 1):
-            raise ValueError(f"{name} must be >= 1 and an integer, not "
-                             f"{bound!r}")
-    if not isinstance(postprocess, bool):
-        raise ValueError("postprocess must be True or False, not "
-                         f"{postprocess!r}")
-    _in_unit_interval(solver_tol, "solver_tol")
+        if bound is not None:
+            _check_integer(bound, name, 1)
+    _check_flag(postprocess, "postprocess")
+    _check_unit_interval(solver_tol, "solver_tol")
     error_exactness(trial.p, bump)
 
 

@@ -80,7 +80,6 @@ np.linalg.solve take a whole stack of class matrices in one call each,
 and scipy holds the sparse assembly and factorization.
 """
 
-import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -88,9 +87,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .spaces import (REFERENCE_VERTICES, EdgeBasis, ScalarBasis, _is_integer,
-                     basis_at_quadrature, edge_bubbles, edge_quadrature,
-                     point_values, project_l2, triangle_quadrature)
+from .spaces import (MAX_QUADRATURE_DEGREE, REFERENCE_VERTICES, EdgeBasis,
+                     ScalarBasis, _check_flag, _check_integer,
+                     _check_unit_interval, basis_at_quadrature, edge_bubbles,
+                     edge_quadrature, point_values, project_l2,
+                     triangle_quadrature)
 
 REACTION_DIFFUSION = "reaction-diffusion"
 POISSON = "poisson"
@@ -109,14 +110,6 @@ class SolverError(RuntimeError):
         self.residual = residual
 
 
-def _in_unit_interval(value, name):
-    """Raise ValueError unless value is a real number, not a bool, in the
-    open interval (0, 1); NaN is refused too."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not 0.0 < value < 1.0):
-        raise ValueError(f"{name} must lie in (0, 1), not {value!r}")
-
-
 @dataclass(frozen=True)
 class TrialSpace:
     """Polynomial order of the trial space, an integer p >= 0, and
@@ -129,12 +122,8 @@ class TrialSpace:
     augmented: bool = False
 
     def __post_init__(self):
-        if not (_is_integer(self.p) and self.p >= 0):
-            raise ValueError(f"polynomial order p must be an integer >= 0, "
-                             f"not {self.p!r}")
-        if not isinstance(self.augmented, (bool, np.bool_)):
-            raise ValueError(f"augmented must be a bool, not "
-                             f"{self.augmented!r}")
+        _check_integer(self.p, "polynomial order p", 0)
+        _check_flag(self.augmented, "augmented")
 
     @property
     def u_degree(self):
@@ -589,7 +578,8 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *,
     dirichlet : callable g(x, y) or None for homogeneous data
     solver_tol : real number in (0, 1), not a bool
         Relative residual target of the direct solve of the skeleton
-        system; _in_unit_interval holds the rule, for the solve loop too.
+        system; spaces._check_unit_interval holds the rule, for the solve
+        loop too.
     store : ClassStore or None
         Condensed element-class operators of an earlier solve.
 
@@ -598,10 +588,11 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *,
     Solution
 
     Raises ValueError, before any work, on a kind not in PROBLEM_KINDS, a
-    mesh without triangles or with a vertex that no triangle uses, or a
-    solver_tol that is not a real number in (0, 1); then on source or
-    Dirichlet values that are non-finite or of the wrong shape
-    (spaces.point_values); and
+    mesh without triangles or with a vertex that no triangle uses, a
+    solver_tol that is not a real number in (0, 1), or a trial order p
+    whose assembly quadrature default_exactness(p) passes
+    MAX_QUADRATURE_DEGREE (p >= 8); then on source or Dirichlet values
+    that are non-finite or of the wrong shape (spaces.point_values); and
     SolverError when the test-space Gram or the interior block S_II of an
     element class or the skeleton system is not SPD, or the solve misses
     solver_tol.
@@ -614,15 +605,20 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *,
     used = np.bincount(mesh.triangles.ravel(), minlength=mesh.num_vertices)
     if not used.all():
         raise ValueError(f"vertex {np.argmin(used)} belongs to no triangle")
-    _in_unit_interval(solver_tol, "solver_tol")
+    _check_unit_interval(solver_tol, "solver_tol")
     p, nt = trial.p, mesh.num_triangles
+    exactness = default_exactness(p)
+    if exactness > MAX_QUADRATURE_DEGREE:
+        raise ValueError(f"trial order p = {p}: assembly quadrature "
+                         f"exactness {exactness} exceeds "
+                         f"{MAX_QUADRATURE_DEGREE}")
     dofmap = DofMap(mesh, trial)
     prescribed = (np.zeros(dofmap.n_skeleton) if dirichlet is None else
                   _dirichlet_values(dofmap, dirichlet))
     # moments (f, v_i)_T against the scalar test functions
     load = (np.zeros((nt, dofmap.n_t)) if source is None else
             mesh.det[:, None] * project_l2(p + DELTA_P, source, mesh,
-                                           default_exactness(p)))
+                                           exactness))
     store = ClassStore() if store is None else store
     ops, cls, condensed = store.update(dofmap, kind)
     chunks = _chunks(nt, _class_bytes(dofmap))

@@ -23,7 +23,7 @@ property, midpoints match across neighbours and the result is conforming.
 
 import numpy as np
 
-from .spaces import _is_integer, affine_maps
+from .spaces import _check_integer, affine_maps
 
 # child refinement edges under vertex permutations used below
 _FLIP_REFEDGE = np.array([0, 2, 1])
@@ -203,9 +203,7 @@ def unit_square_mesh(n):
     edge (the diagonal).  n is an integer >= 1, not a bool; anything else
     raises ValueError.
     """
-    if not (_is_integer(n) and n >= 1):
-        raise ValueError(f"subdivision count must be an integer >= 1, not "
-                         f"{n!r}")
+    _check_integer(n, "subdivision count", 1)
     coords = np.linspace(0.0, 1.0, n + 1)
     xx, yy = np.meshgrid(coords, coords, indexing="xy")
     vertices = np.column_stack([xx.ravel(), yy.ravel()])

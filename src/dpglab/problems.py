@@ -3,9 +3,10 @@ Manufactured model problems and error-quantity evaluation.
 
 Two benchmark problems are provided: a smooth reaction-diffusion problem on
 the unit square and a corner-singular Poisson problem on the L-shaped
-domain.  Both carry the exact solution, its gradient, the source term, and
-Dirichlet boundary data, the trace of the exact solution, so that
-discretization errors can be measured in L2 by elementwise quadrature.
+domain.  Both carry the exact solution, its gradient, the source term
+(None on the L-shape, where f = 0), and Dirichlet boundary data, the trace
+of the exact solution, so that discretization errors can be measured in
+L2 by elementwise quadrature.
 """
 
 from dataclasses import dataclass
@@ -15,23 +16,24 @@ import numpy as np
 
 from .dpg import POISSON, REACTION_DIFFUSION, _dim, default_exactness
 from .mesh import lshape_mesh, unit_square_mesh
-from .spaces import (MAX_QUADRATURE_DEGREE, _is_integer, basis_at_quadrature,
-                     point_values, triangle_quadrature)
+from .spaces import (MAX_QUADRATURE_DEGREE, _check_integer,
+                     basis_at_quadrature, point_values, triangle_quadrature)
 
 
 @dataclass(frozen=True)
 class ManufacturedProblem:
     """A PDE problem with known exact solution and its initial mesh.
 
-    exact and source map coordinate arrays (x, y) to value arrays;
-    exact_grad returns a pair of arrays (du/dx, du/dy).  The Dirichlet
-    data is the trace of the exact solution, so dirichlet is a read-only
-    property that returns exact itself: no field can disagree with it.
+    exact and source map coordinate arrays (x, y) to value arrays, and
+    source is None for f = 0; exact_grad returns a pair of arrays
+    (du/dx, du/dy).  The Dirichlet data is the trace of the exact
+    solution, so dirichlet is a read-only property that returns exact
+    itself: no field can disagree with it.
     """
     kind: str                        # REACTION_DIFFUSION | POISSON
     exact: Callable
     exact_grad: Callable
-    source: Callable
+    source: Optional[Callable]      # None for f = 0
     initial_mesh: Callable           # () -> Mesh of the problem's domain
 
     @property
@@ -81,7 +83,8 @@ def lshape_singular():
     the classic corner singularity r^(2/3) sin(2 phi / 3), vanishing on
     both slit edges.  u lies in H^(1+2/3-eps) only, so uniform refinement
     converges at the reduced corner rate.  Dirichlet data is the trace of
-    the exact solution (inhomogeneous on the outer boundary).
+    the exact solution (inhomogeneous on the outer boundary).  f = 0, so
+    the problem has no source (source is None).
 
     At the corner itself u = 0 and the gradient components are infinite
     (the evaluation never places a quadrature point there).
@@ -101,11 +104,8 @@ def lshape_singular():
             c = (2.0 / 3.0) * r ** (-1.0 / 3.0)
             return -c * np.sin(phi / 3.0), c * np.cos(phi / 3.0)
 
-    def source(x, y):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
     return ManufacturedProblem(
-        kind=POISSON, exact=exact, exact_grad=exact_grad, source=source,
+        kind=POISSON, exact=exact, exact_grad=exact_grad, source=None,
         initial_mesh=lshape_mesh)
 
 
@@ -121,21 +121,18 @@ class ErrorReport:
 def error_exactness(p, extra_exactness=0):
     """Exactness of the error quadrature at trial order p, four above the
     assembly's (dpg.default_exactness(p) + 4 = 2(p+3) + 4), raised by
-    extra_exactness.  The bump's rules live here alone: a bump that is
-    a bool or not an integer, a negative one, or one that takes the
-    exactness beyond MAX_QUADRATURE_DEGREE raises ValueError."""
-    if not _is_integer(extra_exactness):
-        raise ValueError("error-quadrature bump must be an integer, not "
-                         f"{extra_exactness!r}")
-    if extra_exactness < 0:
-        raise ValueError("error-quadrature bump must be >= 0, not "
-                         f"{extra_exactness!r}")
-    exactness = default_exactness(p) + 4 + extra_exactness
+    extra_exactness.  The bump's rules live here alone.  A p at which
+    2(p+3) + 4 alone passes MAX_QUADRATURE_DEGREE (p >= 6) raises
+    ValueError naming p; then a bump that is a bool or not an integer, a
+    negative one, or one that takes the exactness beyond the cap raises
+    ValueError naming the bump and its bound at this p."""
+    exactness = default_exactness(p) + 4
     if exactness > MAX_QUADRATURE_DEGREE:
-        raise ValueError(f"error-quadrature bump {extra_exactness!r} too "
-                         f"large at p = {p}: exactness {exactness} exceeds "
-                         f"{MAX_QUADRATURE_DEGREE}")
-    return exactness
+        raise ValueError(f"trial order p = {p}: error-quadrature exactness "
+                         f"{exactness} exceeds {MAX_QUADRATURE_DEGREE}")
+    _check_integer(extra_exactness, f"error-quadrature bump at p = {p}", 0,
+                   MAX_QUADRATURE_DEGREE - exactness)
+    return exactness + extra_exactness
 
 
 def error_report(solution, postprocessed, problem, extra_exactness=0):

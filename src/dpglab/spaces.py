@@ -33,9 +33,29 @@ MAX_QUADRATURE_DEGREE = 20
 REFERENCE_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
-def _is_integer(value):
-    """Whether value is an integer: numpy integers are, bools are not."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+# the argument rules of every module: each gate raises one ValueError that
+# names the argument, its bound and the value
+def _check_integer(value, name, low, high=None):
+    """Raise ValueError unless value is an integer in [low, high], or
+    >= low when high is None: numpy integers are, bools are not."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < low or (high is not None and value > high)):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be an integer {bound}, not {value!r}")
+
+
+def _check_unit_interval(value, name):
+    """Raise ValueError unless value is a real number, not a bool, in the
+    open interval (0, 1); NaN is refused too."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not 0.0 < value < 1.0):
+        raise ValueError(f"{name} must lie in (0, 1), not {value!r}")
+
+
+def _check_flag(value, name):
+    """Raise ValueError unless value is a bool or a numpy bool."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, not {value!r}")
 
 
 def monomial_exponents(degree):
@@ -100,9 +120,7 @@ def triangle_quadrature(degree):
     -------
     QuadratureRule
     """
-    if not (_is_integer(degree) and 0 <= degree <= MAX_QUADRATURE_DEGREE):
-        raise ValueError(f"quadrature degree {degree!r} is not an integer in "
-                         f"the supported range [0, {MAX_QUADRATURE_DEGREE}]")
+    _check_integer(degree, "quadrature degree", 0, MAX_QUADRATURE_DEGREE)
     n = (degree + 3) // 2
     u, wu = _gauss_legendre_01(n)
     v, wv = _gauss_legendre_01(n)
@@ -117,9 +135,8 @@ def triangle_quadrature(degree):
 def edge_quadrature(degree):
     """Gauss-Legendre rule on [0, 1], exact to the given degree, an
     integer (not a bool) in 0..40; anything else raises ValueError."""
-    if not (_is_integer(degree) and 0 <= degree <= 2 * MAX_QUADRATURE_DEGREE):
-        raise ValueError(f"edge quadrature degree {degree!r} is not an "
-                         f"integer in [0, {2 * MAX_QUADRATURE_DEGREE}]")
+    _check_integer(degree, "edge quadrature degree", 0,
+                   2 * MAX_QUADRATURE_DEGREE)
     t, w = _gauss_legendre_01(degree // 2 + 1)
     return QuadratureRule(t, w, degree)
 
@@ -152,8 +169,7 @@ class ScalarBasis:
     """
 
     def __init__(self, degree):
-        if not (_is_integer(degree) and degree >= 0):
-            raise ValueError(f"degree {degree!r} is not an integer >= 0")
+        _check_integer(degree, "ScalarBasis degree", 0)
         self.degree = int(degree)
         self.indices = monomial_exponents(degree)
 
@@ -220,8 +236,7 @@ class EdgeBasis:
     """
 
     def __init__(self, degree):
-        if not (_is_integer(degree) and degree >= 0):
-            raise ValueError(f"degree {degree!r} is not an integer >= 0")
+        _check_integer(degree, "EdgeBasis degree", 0)
         self.degree = int(degree)
 
     @property
@@ -249,8 +264,7 @@ def edge_bubbles(count, t):
     (count, len(t)).  count is an integer >= 0, not a bool; anything else
     raises ValueError.
     """
-    if not (_is_integer(count) and count >= 0):
-        raise ValueError(f"bubble count {count!r} is not an integer >= 0")
+    _check_integer(count, "bubble count", 0)
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if count == 0:
         return np.zeros((0, t.shape[0]))

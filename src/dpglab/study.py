@@ -24,7 +24,7 @@ import numpy as np
 from .adapt import MODES, _check_loop, _steps
 from .dpg import TrialSpace
 from .problems import lshape_singular, square_smooth
-from .spaces import _is_integer
+from .spaces import _check_integer
 
 PROBLEMS = {"square": square_smooth, "lshape": lshape_singular}
 MAX_P = 3       # a study's trial order p lies in 0..MAX_P
@@ -68,13 +68,13 @@ class StudyConfig:
     problem "square" runs the smooth reaction-diffusion benchmark,
     "lshape" the singular Poisson benchmark, each on its own initial
     mesh.  problem, trial and mode take the values listed in _CHOICES.
-    p is an integer in 0..MAX_P (TrialSpace holds the type and the lower
-    bound).  mode, theta, levels, max_dofs, postprocess, solver_tol and
-    quad_bump follow adapt._check_loop, the gate of the solve loop, which
-    adaptive_loop passes through too: levels and max_dofs are integers
-    >= 1 or None, not both None, theta and solver_tol real numbers in
-    (0, 1), postprocess a bool, and quad_bump an integer >= 0 within the
-    error quadrature's cap.  No number field takes a bool.  out, when
+    p is an integer in 0..MAX_P.  mode, theta, levels, max_dofs,
+    postprocess, solver_tol and quad_bump follow adapt._check_loop, the
+    gate of the solve loop, which adaptive_loop passes through too:
+    levels and max_dofs are integers >= 1 or None, not both None, theta
+    and solver_tol real numbers in (0, 1), postprocess a bool or a numpy
+    bool, and quad_bump an integer >= 0 within the error quadrature's
+    cap.  The type and range rules are the gates of spaces.  No number field takes a bool.  out, when
     given, names a file in an existing directory, so that a wrong path
     fails before the first solve.
     """
@@ -98,12 +98,10 @@ class StudyConfig:
                 raise ConfigError(f"unknown {name} {getattr(self, name)!r}; "
                                   f"choose {' or '.join(_CHOICES[name])}")
         try:
-            trial = self.trial_space()
-            if trial.p > MAX_P:
-                raise ValueError(f"polynomial order p must be in 0..{MAX_P}")
-            _check_loop(trial, self.mode, self.theta, self.max_dofs,
-                        self.levels, self.postprocess, self.solver_tol,
-                        self.quad_bump)
+            _check_integer(self.p, "polynomial order p", 0, MAX_P)
+            _check_loop(self.trial_space(), self.mode, self.theta,
+                        self.max_dofs, self.levels, self.postprocess,
+                        self.solver_tol, self.quad_bump)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.out is not None:
@@ -169,9 +167,7 @@ def fit_slope(records, column, window=3):
     when the records kept do not hold two distinct dof counts, through
     which no line can be fitted.
     """
-    if not (_is_integer(window) and window >= 2):
-        raise ValueError("slope fit needs an integer window of at least 2 "
-                         f"records, not {window!r}")
+    _check_integer(window, "slope-fit window", 2)
     tail = records[-window:]
     pts = []
     for rec in tail:

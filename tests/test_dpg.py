@@ -255,11 +255,13 @@ def test_local_load_cases():
 
 def element_loads(mesh, trial, source):
     """Loads F_T (nt, m) of every element: the moments (f, v_i)_T = det J
-    times the L2 projection of f in the scalar test rows, zero tau rows."""
+    times the L2 projection of f in the scalar test rows, zero tau rows;
+    source None is f = 0."""
     from dpglab.dpg import DELTA_P, default_exactness
 
     p = trial.p
-    moments = mesh.det[:, None] * project_l2(p + DELTA_P, source, mesh,
+    f = (lambda x, y: 0.0) if source is None else source
+    moments = mesh.det[:, None] * project_l2(p + DELTA_P, f, mesh,
                                              default_exactness(p))
     F = np.zeros((mesh.num_triangles, 3 * moments.shape[1]))
     F[:, :moments.shape[1]] = moments
@@ -420,6 +422,36 @@ def test_solver_tolerance_outside_unit_interval_is_refused(tol):
     with pytest.raises(ValueError, match="solver_tol must lie in"):
         assemble_solve(unit_square_mesh(2), TrialSpace(1), REACTION_DIFFUSION,
                        source, solver_tol=tol)
+
+
+def test_order_past_the_assembly_quadrature_is_refused_before_any_work():
+    # p = 8 needs exactness 2(p+3) = 22 > 20: refused with the other input
+    # checks, naming p, before the Dirichlet data or the source is read.
+    # p = 7 passes the check and reaches the Dirichlet data
+    calls = []
+
+    class Reached(Exception):
+        pass
+
+    def source(x, y):
+        calls.append("source")
+        return np.zeros_like(x)
+
+    def dirichlet(x, y):
+        calls.append("dirichlet")
+        raise Reached
+
+    mesh = unit_square_mesh(1)
+    with pytest.raises(ValueError, match=r"^trial order p = 8: assembly "
+                                         r"quadrature exactness 22 exceeds "
+                                         r"20$"):
+        assemble_solve(mesh, TrialSpace(8), POISSON, source,
+                       dirichlet=dirichlet)
+    assert calls == []
+    with pytest.raises(Reached):
+        assemble_solve(mesh, TrialSpace(7), POISSON, source,
+                       dirichlet=dirichlet)
+    assert calls == ["dirichlet"]
 
 
 def test_trial_space_order_is_a_nonnegative_integer():
@@ -966,7 +998,7 @@ def test_unknown_kind_is_refused_before_any_work():
 
     def source(x, y):
         calls.append(x.shape)
-        return problem.source(x, y)
+        return np.zeros_like(x)
 
     assemble_solve(mesh, trial, problem.kind, source,
                    dirichlet=problem.dirichlet, store=store)

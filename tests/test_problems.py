@@ -14,7 +14,8 @@ def fd_pde_residual(problem, x, y, h=1e-4):
     u = problem.exact
     lap = (u(x + h, y) + u(x - h, y) + u(x, y + h) + u(x, y - h)
            - 4.0 * u(x, y)) / h ** 2
-    resid = -lap - problem.source(x, y)
+    f = 0.0 if problem.source is None else problem.source(x, y)
+    resid = -lap - f
     if problem.kind == REACTION_DIFFUSION:
         resid += u(x, y)
     return resid
@@ -66,11 +67,13 @@ def test_lshape_solution_values():
     # r = 1 on the corner bisector: the angular factor is 1 there
     b = np.sqrt(0.5)
     assert p.exact(-b, b) == pytest.approx(1.0, rel=1e-14)
-    # harmonic away from the corner
+    # harmonic away from the corner, so f = 0 and the problem declares no
+    # source: a solve takes no load moments
     lap = (p.exact(0.5 + 1e-4, 0.5) + p.exact(0.5 - 1e-4, 0.5)
            + p.exact(0.5, 0.5 + 1e-4) + p.exact(0.5, 0.5 - 1e-4)
            - 4 * p.exact(0.5, 0.5)) / 1e-8
     assert abs(lap) < 1e-6
+    assert p.source is None
 
 
 def test_lshape_gradient_closed_form():
@@ -227,19 +230,20 @@ def test_error_report_broadcasts_a_scalar_exact_solution():
 
 
 
-@pytest.mark.parametrize("bump, match", [
-    (-6, "bump must be >= 0"), (-9, "bump must be >= 0"),
-    (0.5, "bump must be an integer"), (True, "bump must be an integer")],
-    ids=["-6", "-9", "0.5", "True"])
-def test_negative_error_quadrature_bump_is_refused(bump, match):
+@pytest.mark.parametrize("bump", [-6, -9, 0.5, True],
+                         ids=["-6", "-9", "0.5", "True"])
+def test_negative_error_quadrature_bump_is_refused(bump):
     # a negative bump would integrate below the default exactness and
     # move err_u; a bool would move it too, and a fraction fail after the
-    # solve
+    # solve.  At p = 1 the cap 20 leaves room for a bump of 8
     import dataclasses
+    import re
 
     from dpglab.adapt import adaptive_loop
     from dpglab.problems import error_exactness
 
+    match = (r"^error-quadrature bump at p = 1 must be an integer in "
+             rf"\[0, 8\], not {re.escape(repr(bump))}$")
     problem = square_smooth()
     mesh = unit_square_mesh(2)
     sol = assemble_solve(mesh, TrialSpace(1), problem.kind, problem.source)
@@ -265,17 +269,47 @@ def test_error_quadrature_beyond_the_cap_is_refused():
     from dpglab.problems import error_exactness
     from dpglab.spaces import MAX_QUADRATURE_DEGREE
 
+    bound = rf"must be an integer in \[0, {MAX_QUADRATURE_DEGREE - 10}\]"
     assert error_exactness(0, MAX_QUADRATURE_DEGREE - 10) \
         == MAX_QUADRATURE_DEGREE
-    with pytest.raises(ValueError, match="quadrature"):
+    with pytest.raises(ValueError, match=rf"^error-quadrature bump at p = 0 "
+                                         rf"{bound}, not 11$"):
         error_exactness(0, MAX_QUADRATURE_DEGREE - 9)
 
     def source(x, y):
         raise AssertionError("solved")
 
-    with pytest.raises(ValueError, match=f"exceeds {MAX_QUADRATURE_DEGREE}"):
+    with pytest.raises(ValueError, match=rf"^error-quadrature bump at p = 0 "
+                                         rf"{bound}, not 20$"):
         adaptive_loop(dataclasses.replace(lshape_singular(), source=source),
                       TrialSpace(0), max_dofs=100, error_exactness_bump=20)
+
+
+def test_error_quadrature_names_the_order_that_passes_the_cap():
+    # at p = 6 the default error quadrature 2(p+3) + 4 = 22 alone passes
+    # the cap: the order is at fault, not the bump, and the loop refuses
+    # it before its first solve
+    import dataclasses
+
+    from dpglab.adapt import adaptive_loop
+    from dpglab.problems import error_exactness
+    from dpglab.spaces import MAX_QUADRATURE_DEGREE
+
+    assert error_exactness(5) == MAX_QUADRATURE_DEGREE
+    match = (r"^trial order p = 6: error-quadrature exactness 22 exceeds "
+             rf"{MAX_QUADRATURE_DEGREE}$")
+    with pytest.raises(ValueError, match=match):
+        error_exactness(6)
+    calls = []
+
+    def source(x, y):
+        calls.append("source")
+        return np.zeros_like(x)
+
+    with pytest.raises(ValueError, match=match):
+        adaptive_loop(dataclasses.replace(square_smooth(), source=source),
+                      TrialSpace(6), max_steps=1)
+    assert calls == []
 
 
 def test_error_quadrature_stability():

@@ -1,5 +1,7 @@
 """Quadrature, basis, and L2 projection tests."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -38,17 +40,107 @@ def test_triangle_quadrature_rejects_bad_degree():
     # is cached.  The bases too: 2.5 used to raise TypeError (scalar) or
     # truncate to degree 2 (edge)
     basis_bad = (2.5, 4.0, True, False, "2", None, -1)
-    for rule, bad in ((triangle_quadrature, (-1, 21, 5.5, 4.0, True)),
-                      (edge_quadrature, (-1, 41, 3.5, 4.0, True)),
-                      (ScalarBasis, basis_bad), (EdgeBasis, basis_bad)):
+    for rule, name, bound, bad in (
+            (triangle_quadrature, "quadrature degree", r"in \[0, 20\]",
+             (-1, 21, 5.5, 4.0, True)),
+            (edge_quadrature, "edge quadrature degree", r"in \[0, 40\]",
+             (-1, 41, 3.5, 4.0, True)),
+            (ScalarBasis, "ScalarBasis degree", ">= 0", basis_bad),
+            (EdgeBasis, "EdgeBasis degree", ">= 0", basis_bad)):
         rule(4)
         rule(1)
         rule(0)
         for degree in bad:
-            with pytest.raises(ValueError, match="degree .* not an integer"):
+            with pytest.raises(ValueError, match=(
+                    rf"^{name} must be an integer {bound}, not "
+                    rf"{re.escape(repr(degree))}$")):
                 rule(degree)
         # numpy integers pass
         assert rule(np.int64(4)).degree == 4
+
+
+def _loop(**kwargs):
+    # the solve loop's gate runs before the loop makes its first mesh
+    import dataclasses
+
+    from dpglab.adapt import adaptive_loop
+    from dpglab.dpg import TrialSpace
+    from dpglab.problems import square_smooth
+
+    def no_mesh():
+        raise AssertionError("the loop started")
+
+    adaptive_loop(dataclasses.replace(square_smooth(), initial_mesh=no_mesh),
+                  TrialSpace(1), **kwargs)
+
+
+def _integer_sites():
+    from dpglab.dpg import TrialSpace
+    from dpglab.mesh import unit_square_mesh
+    from dpglab.problems import error_exactness
+    from dpglab.spaces import MAX_QUADRATURE_DEGREE as cap
+    from dpglab.study import (MAX_P, ConvergenceRecord, StudyConfig,
+                              fit_slope)
+
+    records = [ConvergenceRecord(level=i, dofs=10 ** (i + 1), h_max=1.0,
+                                 err_u=10.0 ** -i) for i in range(3)]
+    # name: (call, argument name in the message, low, high or None)
+    return {
+        "triangle_quadrature": (triangle_quadrature, "quadrature degree",
+                                0, cap),
+        "edge_quadrature": (edge_quadrature, "edge quadrature degree", 0,
+                            2 * cap),
+        "ScalarBasis": (ScalarBasis, "ScalarBasis degree", 0, None),
+        "EdgeBasis": (EdgeBasis, "EdgeBasis degree", 0, None),
+        "edge_bubbles": (lambda v: edge_bubbles(v, np.array([0.5])),
+                         "bubble count", 0, None),
+        "TrialSpace.p": (TrialSpace, "polynomial order p", 0, None),
+        "unit_square_mesh": (unit_square_mesh, "subdivision count", 1, None),
+        "adaptive_loop.max_dofs": (lambda v: _loop(max_dofs=v), "max_dofs",
+                                   1, None),
+        "adaptive_loop.max_steps": (lambda v: _loop(max_steps=v),
+                                    "max_steps / levels", 1, None),
+        # at p = 1 the error quadrature 2(p+3) + 4 = 12 leaves 8 to the cap
+        "error_exactness": (lambda v: error_exactness(1, v),
+                            "error-quadrature bump at p = 1", 0, cap - 12),
+        "fit_slope": (lambda v: fit_slope(records, "err_u", window=v),
+                      "slope-fit window", 2, None),
+        "StudyConfig.p": (lambda v: StudyConfig(p=v, levels=1).validate(),
+                          "polynomial order p", 0, MAX_P),
+    }
+
+
+def _flag_sites():
+    from dpglab.dpg import TrialSpace
+
+    return {
+        "TrialSpace.augmented": (lambda v: TrialSpace(1, augmented=v),
+                                 "augmented"),
+        "adaptive_loop.postprocess": (lambda v: _loop(postprocess=v),
+                                      "postprocess"),
+    }
+
+
+@pytest.mark.parametrize("site", [*_integer_sites(), *_flag_sites()])
+def test_argument_rules_are_the_gates_of_spaces(site):
+    # every integer and flag argument of the library is checked by one of
+    # the gates of spaces, with one message form naming the argument, its
+    # bound and the value; StudyConfig's ConfigError is a ValueError
+    if site in _flag_sites():
+        call, name = _flag_sites()[site]
+        bad, bound = (1, 0, 1.0, "yes", None, np.int64(1)), "a bool"
+    else:
+        call, name, low, high = _integer_sites()[site]
+        # a bool, a non-integer float and the first integers out of range
+        bad = (True, low + 0.5, low - 1) + (() if high is None else
+                                            (high + 1,))
+        bound = (f"an integer >= {low}" if high is None else
+                 f"an integer in [{low}, {high}]")
+    for value in bad:
+        with pytest.raises(ValueError, match=(
+                rf"^{re.escape(name)} must be {re.escape(bound)}, not "
+                rf"{re.escape(repr(value))}$")):
+            call(value)
 
 
 def test_edge_quadrature_exactness():
@@ -291,5 +383,7 @@ def test_edge_bubbles_vanish_at_endpoints():
 def test_edge_bubbles_refuse_a_count_that_is_not_an_integer_from_0(count):
     # unchecked, True would give one bubble and 0.0 none, and 2.0 and -1
     # would fail in EdgeBasis with a message about its degree
-    with pytest.raises(ValueError, match=f"bubble count {count!r} "):
+    with pytest.raises(ValueError, match=(
+            rf"^bubble count must be an integer >= 0, not "
+            rf"{re.escape(repr(count))}$")):
         edge_bubbles(count, np.array([0.0, 0.5, 1.0]))

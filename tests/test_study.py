@@ -1,5 +1,6 @@
 """Study driver, slope fitting, CSV format, and CLI tests."""
 
+import re
 import subprocess
 import sys
 from dataclasses import astuple
@@ -69,7 +70,9 @@ def test_fit_slope_refuses_a_single_dof_count():
 def test_fit_slope_window_is_an_integer_of_at_least_two():
     recs = synthetic_records([10, 100, 1000], [1.0, 0.1, 0.01])
     for window in (2.5, 3.0, "3", None, True, 1, 0, -3):
-        with pytest.raises(ValueError, match="integer window"):
+        with pytest.raises(ValueError, match=(
+                rf"^slope-fit window must be an integer >= 2, not "
+                rf"{re.escape(repr(window))}$")):
             fit_slope(recs, "err_u", window=window)
     assert fit_slope(recs, "err_u", window=np.int64(3)) == pytest.approx(
         1.0, rel=1e-12)
@@ -127,10 +130,25 @@ def test_run_study_deterministic(tmp_path):
 def test_postprocess_flag_is_refused_by_the_loop_gate():
     # StudyConfig.validate keeps no rule of its own for postprocess: the
     # ConfigError is adapt._check_loop's ValueError, translated
-    with pytest.raises(ConfigError, match="postprocess must be True or "
-                                          "False, not 'no'") as info:
+    with pytest.raises(ConfigError, match="^postprocess must be a bool, "
+                                          "not 'no'$") as info:
         StudyConfig(levels=3, postprocess="no").validate()
     assert isinstance(info.value.__cause__, ValueError)
+
+
+def test_postprocess_takes_a_numpy_bool():
+    # the flag rule is TrialSpace's for augmented too: a numpy bool, as a
+    # flag read from an array would be, selects the same as the bool
+    from dpglab.adapt import adaptive_loop
+    from dpglab.dpg import TrialSpace
+    from dpglab.problems import lshape_singular
+
+    for flag in (np.True_, np.False_):
+        StudyConfig(levels=1, postprocess=flag).validate()
+        step, = adaptive_loop(lshape_singular(), TrialSpace(0), max_steps=1,
+                              postprocess=flag).steps
+        assert (step.postprocessed is not None) == bool(flag)
+        assert (step.report.err_u_post is not None) == bool(flag)
 
 
 def test_config_validation_errors():
@@ -204,7 +222,8 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
         code = main(["run", "--problem", "lshape", "--mode", "adaptive",
                      "--levels", levels])
         assert code == 2
-        assert "levels must be >= 1" in capsys.readouterr().err
+        assert (f"max_steps / levels must be an integer >= 1, not {levels}"
+                in capsys.readouterr().err)
 
 
 def test_cli_solver_failure_exit_code(monkeypatch, capsys):
