@@ -21,7 +21,8 @@ from .dpg import ClassStore, assemble_solve
 from .mesh import refine_marked, refine_uniform
 from .postprocess import postprocess_all
 from .problems import error_exactness, error_report
-from .spaces import _check_flag, _check_integer, _check_unit_interval
+from .spaces import (_check_array, _check_flag, _check_integer,
+                     _check_unit_interval)
 
 MODES = ("uniform", "adaptive")     # the refinement strategies of _steps
 
@@ -32,7 +33,7 @@ def mark(eta_local, theta):
     Parameters
     ----------
     eta_local : (nt,) array of finite, nonnegative local estimator values;
-        another shape raises ValueError.
+        another shape raises ValueError (spaces._check_array).
     theta : real number in (0, 1), not a bool
         (spaces._check_unit_interval); anything else raises ValueError.
 
@@ -41,11 +42,8 @@ def mark(eta_local, theta):
     (k,) int array of marked element indices in ascending order; empty when
     all local contributions vanish.
     """
-    eta_local = np.asarray(eta_local, dtype=float)
+    eta_local = _check_array(eta_local, "eta_local", (None,))
     _check_unit_interval(theta, "theta")
-    if eta_local.ndim != 1:
-        raise ValueError("local estimator values must be a 1-D array, got "
-                         f"shape {eta_local.shape}")
     if not (np.isfinite(eta_local) & (eta_local >= 0.0)).all():
         raise ValueError("local estimator values must be finite and "
                          "nonnegative")

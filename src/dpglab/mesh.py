@@ -23,7 +23,7 @@ property, midpoints match across neighbours and the result is conforming.
 
 import numpy as np
 
-from .spaces import _check_integer, affine_maps
+from .spaces import _check_array, _check_integer, affine_maps
 
 # child refinement edges under vertex permutations used below
 _FLIP_REFEDGE = np.array([0, 2, 1])
@@ -41,11 +41,14 @@ class Mesh:
         Index in {0, 1, 2} of each triangle's refinement edge (the edge
         opposite the newest vertex).
 
-    A boolean or non-integer index array raises ValueError (no truncation).
-    After orientation is normalized, the two triangles of an interior edge
-    must run along it in opposite directions, one on each side: a folded
-    mesh (two triangles on the same side of an edge), a triangle listed
-    twice, or an edge of more than two triangles raises ValueError.
+    Each array passes spaces._check_array, which copies it: another shape,
+    or a boolean or non-integer index array (no truncation), raises
+    ValueError, as do a non-finite vertex coordinate and an index out of
+    range.  After orientation is normalized, the two triangles of an
+    interior edge must run along it in opposite directions, one on each
+    side: a folded mesh (two triangles on the same side of an edge), a
+    triangle listed twice, or an edge of more than two triangles raises
+    ValueError.
 
     Derived attributes
     ------------------
@@ -62,26 +65,16 @@ class Mesh:
     """
 
     def __init__(self, vertices, triangles, refinement_edges):
-        for name, idx in (("triangles", triangles),
-                          ("refinement_edges", refinement_edges)):
-            idx = np.asarray(idx)
-            if idx.size and not np.issubdtype(idx.dtype, np.integer):
-                raise ValueError(f"{name} must hold integers, not "
-                                 f"{idx.dtype} values")
-        vertices = np.array(vertices, dtype=float)
-        triangles = np.array(triangles, dtype=np.int64)
-        refinement_edges = np.array(refinement_edges, dtype=np.int64)
-        if vertices.ndim != 2 or vertices.shape[1] != 2:
-            raise ValueError("vertices must be an (nv, 2) array")
+        vertices = _check_array(vertices, "vertices", (None, 2))
+        triangles = _check_array(triangles, "triangles", (None, 3),
+                                 integer=True)
+        refinement_edges = _check_array(refinement_edges, "refinement_edges",
+                                        (len(triangles),), integer=True)
         if not np.all(np.isfinite(vertices)):
             raise ValueError("vertex coordinates must be finite")
-        if triangles.ndim != 2 or triangles.shape[1] != 3:
-            raise ValueError("triangles must be an (nt, 3) array")
         if not ((triangles >= 0) & (triangles < vertices.shape[0])).all():
             raise ValueError("triangle vertex indices must lie in "
                              f"[0, {vertices.shape[0]})")
-        if refinement_edges.shape != (triangles.shape[0],):
-            raise ValueError("need one refinement edge index per triangle")
         if refinement_edges.size and not (
                 (refinement_edges >= 0) & (refinement_edges <= 2)).all():
             raise ValueError("refinement edge indices must be in {0, 1, 2}")
@@ -250,14 +243,13 @@ def refine_marked(mesh, marked):
     safe); the input is never changed.
 
     marked is an iterable of integer triangle indices, repeats allowed.  A
-    boolean mask or any non-integer value raises ValueError.
+    boolean mask, any non-integer value, an index out of range, and an
+    index array that is not 1-D (0-d or 2-D) raise ValueError
+    (spaces._check_array).
     """
-    marked = np.asarray(marked if isinstance(marked, np.ndarray)
-                        else list(marked))
-    if marked.size and not np.issubdtype(marked.dtype, np.integer):
-        raise ValueError("marked must hold integer triangle indices, not a "
-                         f"boolean mask or {marked.dtype} values")
-    marked = np.unique(marked.astype(np.int64))
+    marked = np.unique(_check_array(
+        marked if isinstance(marked, np.ndarray) else list(marked), "marked",
+        (None,), integer=True))
     if marked.size == 0:
         return mesh
     nt = mesh.num_triangles

@@ -24,6 +24,7 @@ import warnings
 import numpy as np
 
 from .dpg import _dim, _reference_tables, _stiffness
+from .spaces import _check_array
 
 
 def _dim_to_degree(n):
@@ -37,8 +38,10 @@ def _dim_to_degree(n):
 def postprocess_fields(mesh, u_coeffs, sigma_coeffs):
     """Postprocessed coefficients (nt, dim P^{p+1}) on every element of
     mesh from the stacked fields u_coeffs (nt, dim P^p or P^{p+1}) and
-    sigma_coeffs (nt, 2, dim P^p); any other shape, or a non-finite
-    coefficient, raises ValueError (naming the first such element).
+    sigma_coeffs (nt, 2, dim P^p); any other shape (spaces._check_array,
+    naming the argument, the expected shape and the actual one), a length
+    that is no polynomial dimension, or a non-finite coefficient (naming
+    the first such element) raises ValueError.
 
     Mode 0 is the constant sqrt(2), L2-orthogonal to the others and with an
     exactly zero gradient: the mean constraint reads w_0 = u_0, and modes
@@ -47,15 +50,9 @@ def postprocess_fields(mesh, u_coeffs, sigma_coeffs):
     elements whose block is singular.
     """
     nt = mesh.num_triangles
-    u_coeffs = np.asarray(u_coeffs, dtype=float)
-    sigma_coeffs = np.asarray(sigma_coeffs, dtype=float)
-    if u_coeffs.ndim != 2 or u_coeffs.shape[0] != nt:
-        raise ValueError(f"u_coeffs has shape {u_coeffs.shape}, expected "
-                         f"({nt}, dim), one row per element")
+    u_coeffs = _check_array(u_coeffs, "u_coeffs", (nt, None))
     _dim_to_degree(u_coeffs.shape[1])   # checked only: w_0 = u_0 at any degree
-    if sigma_coeffs.ndim != 3 or sigma_coeffs.shape[:2] != (nt, 2):
-        raise ValueError(f"sigma_coeffs has shape {sigma_coeffs.shape}, "
-                         f"expected (2, dim P^p) on each of the {nt} elements")
+    sigma_coeffs = _check_array(sigma_coeffs, "sigma_coeffs", (nt, 2, None))
     p = _dim_to_degree(sigma_coeffs.shape[2])
     for name, c in (("u_coeffs", u_coeffs), ("sigma_coeffs", sigma_coeffs)):
         bad = np.flatnonzero(~np.isfinite(c.reshape(nt, -1)).all(axis=1))

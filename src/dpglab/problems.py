@@ -16,7 +16,7 @@ import numpy as np
 
 from .dpg import POISSON, REACTION_DIFFUSION, _dim, default_exactness
 from .mesh import lshape_mesh, unit_square_mesh
-from .spaces import (MAX_QUADRATURE_DEGREE, _check_integer,
+from .spaces import (MAX_QUADRATURE_DEGREE, _check_array, _check_integer,
                      basis_at_quadrature, point_values, triangle_quadrature)
 
 
@@ -144,7 +144,7 @@ def error_report(solution, postprocessed, problem, extra_exactness=0):
     postprocessed : ndarray (nt, dim P^{p+1}) or None
         Coefficients of the postprocessed field (postprocess_all), read
         at degree p + 1; any other shape raises ValueError before any
-        evaluation.
+        evaluation (spaces._check_array).
     problem : ManufacturedProblem
     extra_exactness : int
         Bump, an integer >= 0, added to the default error-quadrature
@@ -173,10 +173,9 @@ def error_report(solution, postprocessed, problem, extra_exactness=0):
     # the basis is nested: u (degree p or p+1) and sigma (degree p) are
     # the leading rows of the degree-(p+1) table
     V = basis_at_quadrature(p + 1, exactness)[0]
-    expected = (mesh.num_triangles, V.shape[0])
-    if postprocessed is not None and np.shape(postprocessed) != expected:
-        raise ValueError(f"postprocessed has shape {np.shape(postprocessed)}"
-                         f", expected {expected}: dim P^{p + 1} per element")
+    if postprocessed is not None:
+        postprocessed = _check_array(postprocessed, "postprocessed",
+                                     (mesh.num_triangles, V.shape[0]))
     rule = triangle_quadrature(exactness)
     pts, w = rule.points, rule.weights
 

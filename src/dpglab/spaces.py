@@ -34,7 +34,8 @@ REFERENCE_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
 # the argument rules of every module: each gate raises one ValueError that
-# names the argument, its bound and the value
+# names the argument, its bound and the value (for an array, the expected
+# shape and the actual one)
 def _check_integer(value, name, low, high=None):
     """Raise ValueError unless value is an integer in [low, high], or
     >= low when high is None: numpy integers are, bools are not."""
@@ -56,6 +57,23 @@ def _check_flag(value, name):
     """Raise ValueError unless value is a bool or a numpy bool."""
     if not isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must be a bool, not {value!r}")
+
+
+def _check_array(value, name, shape, integer=False):
+    """Return value as a new float64 array, or int64 when integer, and
+    raise ValueError unless its shape matches shape, a tuple in which None
+    stands for any length.  With integer, a non-empty array of a dtype
+    that is not an integer dtype (bools included) is refused too."""
+    arr = np.asarray(value)
+    if (arr.ndim != len(shape)
+            or any(n not in (None, m) for n, m in zip(shape, arr.shape))
+            or integer and arr.size
+            and not np.issubdtype(arr.dtype, np.integer)):
+        raise ValueError(
+            f"{name} has shape {arr.shape} and dtype {arr.dtype}, expected "
+            f"{str(shape).replace('None', '*')}"
+            + ("; it must hold integers" if integer else ""))
+    return np.array(arr, dtype=np.int64 if integer else float)
 
 
 def monomial_exponents(degree):
@@ -231,17 +249,13 @@ def basis_at_quadrature(degree, exactness):
 class EdgeBasis:
     """Orthonormal shifted Legendre basis on the reference edge [0, 1].
 
-    dim = degree + 1; the first function is the constant 1.  degree is an
+    degree + 1 functions; the first is the constant 1.  degree is an
     integer >= 0, not a bool; anything else raises ValueError.
     """
 
     def __init__(self, degree):
         _check_integer(degree, "EdgeBasis degree", 0)
         self.degree = int(degree)
-
-    @property
-    def dim(self):
-        return self.degree + 1
 
     def values(self, t):
         t = np.atleast_1d(np.asarray(t, dtype=float))

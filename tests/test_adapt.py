@@ -40,9 +40,11 @@ def test_mark_parameter_validation():
 
 def test_mark_refuses_eta_that_is_not_1d():
     # one value per element: a matrix or a scalar names no elements
-    with pytest.raises(ValueError, match=r"1-D array, got shape \(2, 2\)"):
+    with pytest.raises(ValueError, match=r"^eta_local has shape \(2, 2\) "
+                       r"and dtype float64, expected \(\*,\)$"):
         mark(np.ones((2, 2)), 0.5)
-    with pytest.raises(ValueError, match=r"1-D array, got shape \(\)"):
+    with pytest.raises(ValueError, match=r"^eta_local has shape \(\) and "
+                       r"dtype float64, expected \(\*,\)$"):
         mark(3.0, 0.5)
 
 
@@ -125,6 +127,26 @@ def test_steps_refuse_an_unknown_mode_before_solving():
                    None, 1e-10, 0)
     with pytest.raises(ValueError, match="unknown mode 'unifrom'"):
         next(steps)
+
+
+def test_adaptive_loop_stops_when_the_estimator_vanishes():
+    # a zero solution is in every trial space: eta is exactly 0, nothing is
+    # marked, and the loop ends after one solve, far below max_dofs
+    import dataclasses
+
+    from dpglab.mesh import unit_square_mesh
+
+    def zero(x, y):
+        return 0.0 * x
+
+    problem = dataclasses.replace(
+        square_smooth(), source=None, exact=zero,
+        exact_grad=lambda x, y: (0.0 * x, 0.0 * y),
+        initial_mesh=lambda: unit_square_mesh(2))
+    run = adaptive_loop(problem, TrialSpace(1), max_dofs=10 ** 6)
+    assert len(run.steps) == 1
+    assert run.steps[0].solution.eta == 0.0
+    assert run.steps[0].solution.num_dofs < 10 ** 6
 
 
 def test_adaptive_loop_one_step_bounds():

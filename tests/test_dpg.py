@@ -518,6 +518,18 @@ def test_non_finite_data_fails_loudly():
                    1e-10)
 
 
+def test_singular_factor_is_a_solver_failure():
+    # a positive diagonal passes the SPD screen, and SuperLU's own refusal
+    # of the exactly singular factor becomes a SolverError
+    import scipy.sparse as sp
+    from dpglab.dpg import SolverError, _solve_spd
+
+    with pytest.raises(SolverError, match=r"^linear solver failed: Factor "
+                                          r"is exactly singular$") as info:
+        _solve_spd(sp.csc_matrix(np.ones((2, 2))), np.ones(2), 1e-10)
+    assert info.value.residual == np.inf
+
+
 @pytest.mark.parametrize("p,data", [
     (0, lambda x, y: np.ones(1)),
     (1, lambda x, y: np.ones(1)),

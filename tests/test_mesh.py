@@ -1,5 +1,7 @@
 """Mesh construction, newest-vertex bisection, and dump format tests."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -104,16 +106,21 @@ def test_refine_marked_rejects_boolean_mask():
     # refine elements 0 and 1 here instead of element 5
     mask = np.zeros(lshape_mesh().num_triangles, dtype=bool)
     mask[5] = True
-    with pytest.raises(ValueError, match="boolean mask"):
-        refine_marked(lshape_mesh(), mask)
-    with pytest.raises(ValueError, match="boolean mask"):
-        refine_marked(lshape_mesh(), [False, True])
+    for marked, shape in ((mask, r"\(6,\)"), ([False, True], r"\(2,\)")):
+        with pytest.raises(ValueError, match=(
+                rf"^marked has shape {shape} and dtype bool, expected "
+                r"\(\*,\); it must hold integers$")):
+            refine_marked(lshape_mesh(), marked)
 
 
 @pytest.mark.parametrize("marked", [[0.7], np.array([1.0, 2.0]), ["1"]],
                          ids=["fraction", "float-array", "string"])
 def test_refine_marked_rejects_non_integer_index(marked):
-    with pytest.raises(ValueError, match="integer triangle indices"):
+    got = np.asarray(marked)
+    with pytest.raises(ValueError, match=(
+            rf"^marked has shape {re.escape(str(got.shape))} and dtype "
+            rf"{re.escape(str(got.dtype))}, expected \(\*,\); it must hold "
+            r"integers$")):
         refine_marked(lshape_mesh(), marked)
 
 
@@ -331,6 +338,27 @@ def test_mesh_rejects_non_integer_indices(tris, ref):
     # these used to be truncated silently: 1.9 -> 1, 0.7 -> 0, True -> 1
     with pytest.raises(ValueError, match="must hold integers"):
         Mesh([[0, 0], [1, 0], [0, 1], [1, 1]], tris, ref)
+
+
+@pytest.mark.parametrize("verts, tris, ref, message", [
+    ([[0, 0], [1, np.nan], [0, 1]], [[0, 1, 2]], [0],
+     "vertex coordinates must be finite"),
+    ([[0, 0], [1, 0], [0, 1]], [[0, 1, 3]], [0],
+     r"triangle vertex indices must lie in \[0, 3\)"),
+    ([[0, 0], [1, 0], [0, 1]], [[0, 1, 2]], [3],
+     r"refinement edge indices must be in \{0, 1, 2\}"),
+], ids=["nan-vertex", "vertex-index", "refinement-edge"])
+def test_mesh_refuses_values_out_of_range(verts, tris, ref, message):
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        Mesh(verts, tris, ref)
+
+
+def test_load_mesh_refuses_a_file_without_a_mesh_header(tmp_path):
+    path = tmp_path / "hello.txt"
+    path.write_text("hello\n")
+    with pytest.raises(ValueError,
+                       match=rf"^not a mesh file: {re.escape(str(path))}$"):
+        load_mesh(path)
 
 
 def test_load_mesh_rejects_out_of_range_vertex_index(tmp_path):

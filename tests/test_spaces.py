@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from dpglab.mesh import Mesh, refine_marked, refine_uniform
-from dpglab.spaces import (EdgeBasis, ScalarBasis, basis_at_quadrature,
-                           edge_bubbles, edge_quadrature, monomial_exponents,
-                           monomial_integral, project_l2, triangle_quadrature)
+from dpglab.spaces import (EdgeBasis, ScalarBasis, _check_array,
+                           basis_at_quadrature, edge_bubbles, edge_quadrature,
+                           monomial_exponents, monomial_integral, project_l2,
+                           triangle_quadrature)
 
 
 @pytest.mark.parametrize("degree", [0, 1, 2, 3, 5, 8, 12, 20])
@@ -141,6 +142,89 @@ def test_argument_rules_are_the_gates_of_spaces(site):
                 rf"^{re.escape(name)} must be {re.escape(bound)}, not "
                 rf"{re.escape(repr(value))}$")):
             call(value)
+
+
+def _array_sites():
+    from dpglab.adapt import mark
+    from dpglab.dpg import TrialSpace, assemble_solve
+    from dpglab.mesh import lshape_mesh, unit_square_mesh
+    from dpglab.postprocess import postprocess_fields
+    from dpglab.problems import error_report, square_smooth
+
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    tris, ref = np.array([[0, 1, 2], [1, 3, 2]]), np.array([0, 0])
+    mesh = unit_square_mesh(2)      # 8 elements
+    u, sigma = np.zeros((8, 1)), np.zeros((8, 2, 1))
+
+    def report(post):
+        problem = square_smooth()
+        error_report(assemble_solve(mesh, TrialSpace(1), problem.kind,
+                                    problem.source), post, problem)
+
+    # name: (call, argument name in the message, an accepted value, the
+    # expected shape, integer)
+    return {
+        "Mesh.vertices": (lambda v: Mesh(v, tris, ref), "vertices", verts,
+                          (None, 2), False),
+        "Mesh.triangles": (lambda v: Mesh(verts, v, ref), "triangles", tris,
+                           (None, 3), True),
+        "Mesh.refinement_edges": (lambda v: Mesh(verts, tris, v),
+                                  "refinement_edges", ref, (2,), True),
+        "refine_marked": (lambda v: refine_marked(lshape_mesh(), v),
+                          "marked", np.array([1, 4]), (None,), True),
+        "mark": (lambda v: mark(v, 0.5), "eta_local", np.ones(4), (None,),
+                 False),
+        "postprocess_fields.u_coeffs": (
+            lambda v: postprocess_fields(mesh, v, sigma), "u_coeffs", u,
+            (8, None), False),
+        "postprocess_fields.sigma_coeffs": (
+            lambda v: postprocess_fields(mesh, u, v), "sigma_coeffs", sigma,
+            (8, 2, None), False),
+        "error_report": (report, "postprocessed", np.zeros((8, 6)), (8, 6),
+                         False),
+    }
+
+
+@pytest.mark.parametrize("site", _array_sites())
+def test_array_rules_are_the_gate_of_spaces(site):
+    # every array argument of the library is checked by _check_array, with
+    # one message form naming the argument, the expected shape and the
+    # actual one
+    call, name, good, shape, integer = _array_sites()[site]
+    call(good)
+    # one axis too many, one too few, and a wrong length on each fixed axis
+    bad = [good[..., None], good[0, ...]] + [
+        np.concatenate([good, np.take(good, [0], axis=i)], axis=i)
+        for i, n in enumerate(shape) if n is not None]
+    if integer:
+        # a float array and a boolean mask of the right shape
+        bad += [good.astype(float), good != 0]
+    want = str(shape).replace("None", "*")
+    rule = "; it must hold integers" if integer else ""
+    for value in bad:
+        with pytest.raises(ValueError, match=(
+                rf"^{name} has shape {re.escape(str(value.shape))} and dtype "
+                rf"{value.dtype}, expected {re.escape(want + rule)}$")):
+            call(value)
+
+
+def test_check_array_returns_a_new_array_of_the_asked_dtype():
+    # Mesh flips its triangles in place and freezes its arrays, so the
+    # gate never hands back its argument, even of the right dtype
+    for value, integer, dtype in ((np.arange(3.0), False, np.float64),
+                                  (np.arange(3), True, np.int64),
+                                  ([1, 2, 3], False, np.float64),
+                                  (np.arange(3, dtype=np.uint8), True,
+                                   np.int64)):
+        got = _check_array(value, "x", (None,), integer=integer)
+        assert got is not value and got.dtype == dtype
+        assert np.array_equal(got, value)
+        assert not np.shares_memory(got, np.asarray(value))
+    frozen = np.arange(3)
+    frozen.setflags(write=False)
+    assert _check_array(frozen, "x", (3,), integer=True).flags.writeable
+    # an empty index array has no dtype to refuse
+    assert _check_array([], "x", (None,), integer=True).dtype == np.int64
 
 
 def test_edge_quadrature_exactness():

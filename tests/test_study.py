@@ -78,6 +78,18 @@ def test_fit_slope_window_is_an_integer_of_at_least_two():
         1.0, rel=1e-12)
 
 
+def test_eoc_is_none_without_a_positive_error_or_new_dofs():
+    from dpglab.study import _attach_eocs
+
+    # equal dofs, then a zero error, then a zero previous error, then a
+    # tenfold drop over ten times the dofs
+    records = synthetic_records([10, 10, 100, 1000, 10000],
+                                [1.0, 0.5, 0.0, 0.1, 0.01])
+    _attach_eocs(records)
+    assert [r.eoc_u for r in records[:4]] == [None] * 4
+    assert records[4].eoc_u == pytest.approx(1.0, rel=1e-12)
+
+
 def test_eoc_definition():
     config = StudyConfig(problem="square", p=0, trial="augmented",
                          mode="uniform", levels=3)
