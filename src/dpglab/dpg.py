@@ -69,12 +69,13 @@ is the local estimator eta(T), the test norm of the residual
 representer, and W_B' w_T its Galerkin vector.  assemble_solve runs in
 three stages: _skeleton_system takes hybrid z_T[k:] into the sparse
 system, writing the element cliques straight into its CSC arrays,
-_solve_spd solves it, and _recover applies inner and w.  Both
-element stages run their products over chunks of elements whose
-gathered class operators fill at most _CHUNK_BYTES, and the store
-condenses the classes new to a mesh in chunks of the same size, so no
-operator is copied once per element of the whole mesh.  No result
-depends on the chunk size.
+_solve_spd solves it, and _recover applies inner and w.  Each element
+stage gets its own z at the lift, so that under the sparse factor only
+A, b and what recovery reads are alive.  Both element stages run their
+products over chunks of elements whose gathered class operators fill at
+most _CHUNK_BYTES, and the store condenses the classes new to a mesh
+in chunks of the same size, so no operator is copied once per element
+of the whole mesh.  No result depends on the chunk size.
 The dense algebra is numpy's alone: np.linalg.cholesky and
 np.linalg.solve take a whole stack of class matrices in one call each,
 and scipy holds the sparse assembly and factorization.
@@ -151,15 +152,16 @@ class DofMap:
     no global number: only the skeleton is numbered, from 0, one uhat dof
     per mesh vertex (its vertex number), then p uhat edge-interior dofs
     per edge, then p+1 flux dofs per edge, n_skeleton in all.
-    skeleton_cols (nt, n_local - k_int) holds each element's skeleton dofs
-    in the order of its local skeleton columns.  Boundary vertex and
-    boundary edge-interior uhat dofs are constrained by the Dirichlet data
-    (zero in the homogeneous case); the rest of the skeleton is free,
-    num_free_skeleton dofs, the size of the global solve.  free_cols (nt,
-    n_local - k_int), int32, holds skeleton_cols in the numbering of that
-    solve: the free skeleton dofs numbered from 0 in skeleton order, and
-    -1 for a prescribed one.  num_free is the reported dof count D_h: the
-    fields of every element and the free skeleton dofs.
+    skeleton_cols (nt, n_local - k_int), int32, holds each element's
+    skeleton dofs in the order of its local skeleton columns.  Boundary
+    vertex and boundary edge-interior uhat dofs are constrained by the
+    Dirichlet data (zero in the homogeneous case); the rest of the
+    skeleton is free, num_free_skeleton dofs, the size of the global
+    solve.  free_cols (nt, n_local - k_int), int32 too, holds
+    skeleton_cols in the numbering of that solve: the free skeleton dofs
+    numbered from 0 in skeleton order, and -1 for a prescribed one.
+    num_free is the reported dof count D_h: the fields of every element
+    and the free skeleton dofs.
     """
 
     def __init__(self, mesh, trial):
@@ -192,10 +194,11 @@ class DofMap:
 
         ge = mesh.tri_edges
         flux = flux_offset + ge[..., None] * (p + 1) + np.arange(p + 1)
+        # int32, half the bytes of int64 in every solve, and for free_cols
+        # the index type that scipy's sparse formats keep without a copy
         self.skeleton_cols = np.concatenate([
             mesh.triangles, self.bubble_dofs(ge).reshape(nt, 3 * p),
-            flux.reshape(nt, 3 * (p + 1))], axis=1)
-        # int32, which scipy's sparse formats keep without a copy
+            flux.reshape(nt, 3 * (p + 1))], axis=1).astype(np.int32)
         self.free_cols = np.where(free, np.cumsum(free) - 1, -1)[
             self.skeleton_cols].astype(np.int32)
 
@@ -622,14 +625,21 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *,
     store = ClassStore() if store is None else store
     ops, cls, condensed = store.update(dofmap, kind)
     chunks = _chunks(nt, _class_bytes(dofmap))
-    # at the Dirichlet lift: zero fields and the prescribed skeleton values
-    z = np.concatenate([np.zeros((nt, dofmap.k_int)),
-                        -prescribed[dofmap.skeleton_cols], load], axis=1)
-    x_free, diag = _solve_spd(*_skeleton_system(dofmap, ops, cls, chunks, z),
-                              solver_tol)
+
+    def lift():
+        # at the Dirichlet lift: zero fields and the prescribed skeleton
+        # values; built for each stage, so that no copy of it is alive
+        # under the sparse factor
+        return np.concatenate([np.zeros((nt, dofmap.k_int)),
+                               -prescribed[dofmap.skeleton_cols], load],
+                              axis=1)
+
+    x_free, diag = _solve_spd(
+        *_skeleton_system(dofmap, ops, cls, chunks, lift()), solver_tol)
     x = prescribed.copy()
     x[dofmap.free] = x_free
-    u, sigma, eta_sq, galerkin = _recover(dofmap, ops, cls, chunks, z, x)
+    u, sigma, eta_sq, galerkin = _recover(dofmap, ops, cls, chunks, lift(),
+                                          x)
     diag.update(skeleton_dofs=dofmap.num_free_skeleton, **galerkin,
                 min_diameter=float(mesh.diameters().min()),
                 element_classes=len(store), element_chunks=len(chunks),
@@ -645,25 +655,31 @@ def _skeleton_system(dofmap, ops, cls, chunks, z):
     (DofMap.free_cols), A = S_hat and b = r_hat on the free skeleton dofs.
 
     z holds every element's local vector at the Dirichlet lift.  Chunk by
-    chunk, hybrid z[k:] is an element's skeleton right-hand side, and the
-    skeleton columns of hybrid are its clique of S_hat.  The cliques go
-    straight into the CSC arrays of A, duplicates kept, grouped by column:
-    the free local columns (e, b) are sorted stably by their solve column
-    free_cols[e, b], and each brings the free rows of hybrid[cls[e], :, b]
-    in ascending order.  Every column of A then holds its entries element
-    by element, in the order in which scipy's COO -> CSC counting sort
-    leaves a COO of the cliques listed element by element, and
-    sum_duplicates sorts and sums each column as that conversion does: A
-    is the COO route's bit for bit.  It sums and never prunes, so the
-    exact zeros stay entries of A: the finest system of the p=1 uniform
-    L-shape study holds 8,960 of them, and pruning them (as a sum of
-    per-chunk sparse matrices would) changes the minimum-degree order and
-    takes nnz(L+U) from 2.62M to 4.88M.  The transient is the uncompressed
-    data and indices, 12 bytes per clique entry, a few integers per local
-    column, and one chunk of runs, whose gathers and their copies without
-    the prescribed rows take about 32 bytes per entry: 2.0 times the bytes
-    of A on the p=1 L-shape with 6,144 elements, where the COO, with its
-    row and column arrays and the conversion's copies, took 4.2 times.
+    chunk, hybrid z[k:] is an element's skeleton right-hand side, summed
+    into b before A is built.  The skeleton columns of hybrid are the
+    element's clique of S_hat.  The cliques go straight into the CSC
+    arrays of A, duplicates kept, grouped by column: the free local
+    columns (e, j) are sorted stably by their solve column free_cols[e,
+    j], and each brings the free rows of hybrid[cls[e], :, j] in ascending
+    order.  Every column of A then holds its entries element by element,
+    in the order in which scipy's COO -> CSC counting sort leaves a COO of
+    the cliques listed element by element, and sum_duplicates sorts and
+    sums each column as that conversion does: A is the COO route's bit for
+    bit.  It sums and never prunes, so the exact zeros stay entries of A:
+    the finest system of the p=1 uniform L-shape study holds 8,960 of
+    them, and pruning them (as a sum of per-chunk sparse matrices would)
+    changes the minimum-degree order and takes nnz(L+U) from 2.62M to
+    4.88M.  The sorted local columns are one int32 array of flat positions
+    e (n - k) + j, and a chunk of them recovers e and j by np.divmod.  The
+    build peaks in its last chunk, holding the uncompressed data and
+    indices, 12 bytes per clique entry, the structure, 12 bytes per free
+    local column (freed before the conversion), and one chunk of runs: a
+    run's gather and its copy without the prescribed rows take about 18
+    bytes per row of hybrid, and runs are counted at 128 bytes a row, so a
+    chunk's transient stays near _CHUNK_BYTES / 7.  The peak is 1.62 times
+    the bytes of A on the p=1 L-shape with 6,144 elements and 1.63 times
+    at p=3 with 384; the COO, with its row and column arrays and the
+    conversion's copies, took 4.2 times at p=1.
     """
     k, n, ns = dofmap.k_int, dofmap.n_local, dofmap.num_free_skeleton
     fcols, hybrid = dofmap.free_cols, ops["hybrid"]
@@ -672,24 +688,31 @@ def _skeleton_system(dofmap, ops, cls, chunks, z):
     r_hat = np.empty(fcols.shape)
     for c in chunks:
         r_hat[c] = (hybrid[cls[c]] @ z[c, k:, None])[..., 0]
-    elem, col = np.nonzero(own)
-    order = np.argsort(cols, kind="stable")
-    elem, col = elem[order], col[order]
+    b = np.bincount(cols, r_hat[own], minlength=ns)
+    del r_hat
+    # the free local columns (e, j) sorted stably by their solve column,
+    # as flat positions e (n - k) + j; the prescribed ones, -1, come first
+    pos = np.argsort(fcols, axis=None, kind="stable")[own.size - len(cols):]
+    pos = pos.astype(np.int32)
     # run r of the sorted local columns fills data[runs[r]:runs[r + 1]]
-    runs = np.concatenate([[0], np.cumsum(own.sum(axis=1)[elem])])
+    runs = np.concatenate([[0], np.cumsum(own.sum(axis=1)[pos // (n - k)])])
     data, indices = np.empty(runs[-1]), np.empty(runs[-1], fcols.dtype)
     columns = np.swapaxes(hybrid, 1, 2)
-    for c in _chunks(len(elem), 32 * (n - k)):
-        e, rows = elem[c], own[elem[c]]
+    # a run's transient is about 18 (n - k) bytes; counting it at 128
+    # (n - k) keeps a chunk's small against the data and indices beside it
+    for c in _chunks(len(pos), 128 * (n - k)):
+        e, col = np.divmod(pos[c], n - k)
+        rows = own[e]
         lo, hi = runs[c.start:c.stop + 1][[0, -1]]
-        data[lo:hi] = columns[cls[e], col[c], :n - k][rows]
+        data[lo:hi] = columns[cls[e], col, :n - k][rows]
         indices[lo:hi] = fcols[e][rows]
-    # column j takes the runs of its per_column[j] local columns
+    # solve column i takes the runs of its per_column[i] local columns
     per_column = np.bincount(cols, minlength=ns)
     indptr = runs[np.concatenate([[0], np.cumsum(per_column)])]
+    del pos, runs
     A = sp.csc_matrix((data, indices, indptr), shape=(ns, ns))
     A.sum_duplicates()
-    return A, np.bincount(cols, r_hat[own], minlength=ns)
+    return A, b
 
 
 def _recover(dofmap, ops, cls, chunks, z, x):
@@ -769,6 +792,7 @@ def _solve_spd(A, b, tol):
         raise SolverError("linear solver failed: the matrix has a "
                           "non-finite or non-positive diagonal entry, so it "
                           "is not SPD", residual=np.inf)
+    del diagonal        # no copy of A's diagonal under the factor
     try:
         lu = spla.splu(A, permc_spec=_ORDERING, diag_pivot_thresh=0.0,
                        relax=_RELAX, panel_size=_PANEL_SIZE,

@@ -21,6 +21,8 @@ them giving 2, 3, or 4 children).  Because edge marking is a global edge
 property, midpoints match across neighbours and the result is conforming.
 """
 
+from collections.abc import Iterable
+
 import numpy as np
 
 from .spaces import _check_array, _check_integer, affine_maps
@@ -243,13 +245,15 @@ def refine_marked(mesh, marked):
     safe); the input is never changed.
 
     marked is an iterable of integer triangle indices, repeats allowed.  A
-    boolean mask, any non-integer value, an index out of range, and an
-    index array that is not 1-D (0-d or 2-D) raise ValueError
-    (spaces._check_array).
+    boolean mask, any non-integer value, an index out of range, a scalar
+    index, and an index array that is not 1-D (0-d or 2-D) raise
+    ValueError (spaces._check_array).
     """
-    marked = np.unique(_check_array(
-        marked if isinstance(marked, np.ndarray) else list(marked), "marked",
-        (None,), integer=True))
+    # a set or a generator becomes a list; an array, or a scalar, which
+    # the gate refuses, goes to the gate as it is
+    if isinstance(marked, Iterable) and not isinstance(marked, np.ndarray):
+        marked = list(marked)
+    marked = np.unique(_check_array(marked, "marked", (None,), integer=True))
     if marked.size == 0:
         return mesh
     nt = mesh.num_triangles

@@ -62,17 +62,18 @@ def _check_flag(value, name):
 def _check_array(value, name, shape, integer=False):
     """Return value as a new float64 array, or int64 when integer, and
     raise ValueError unless its shape matches shape, a tuple in which None
-    stands for any length.  With integer, a non-empty array of a dtype
-    that is not an integer dtype (bools included) is refused too."""
+    stands for any length, and a non-empty array holds integers, or real
+    numbers (an integer or a floating dtype) when not integer: bools,
+    strings, objects and complex numbers are refused."""
     arr = np.asarray(value)
     if (arr.ndim != len(shape)
             or any(n not in (None, m) for n, m in zip(shape, arr.shape))
-            or integer and arr.size
-            and not np.issubdtype(arr.dtype, np.integer)):
+            or arr.size and arr.dtype.kind not in ("iu" if integer
+                                                   else "iuf")):
         raise ValueError(
             f"{name} has shape {arr.shape} and dtype {arr.dtype}, expected "
-            f"{str(shape).replace('None', '*')}"
-            + ("; it must hold integers" if integer else ""))
+            f"{str(shape).replace('None', '*')}; it must hold "
+            + ("integers" if integer else "real numbers"))
     return np.array(arr, dtype=np.int64 if integer else float)
 
 

@@ -41,10 +41,12 @@ def test_mark_parameter_validation():
 def test_mark_refuses_eta_that_is_not_1d():
     # one value per element: a matrix or a scalar names no elements
     with pytest.raises(ValueError, match=r"^eta_local has shape \(2, 2\) "
-                       r"and dtype float64, expected \(\*,\)$"):
+                       r"and dtype float64, expected \(\*,\); it must hold "
+                       r"real numbers$"):
         mark(np.ones((2, 2)), 0.5)
     with pytest.raises(ValueError, match=r"^eta_local has shape \(\) and "
-                       r"dtype float64, expected \(\*,\)$"):
+                       r"dtype float64, expected \(\*,\); it must hold real "
+                       r"numbers$"):
         mark(3.0, 0.5)
 
 

@@ -1406,11 +1406,22 @@ def test_skeleton_system_is_the_coo_route_bit_for_bit(case, budget,
         assert (want.data == 0.0).any()     # exact zeros kept as entries
 
 
-def test_skeleton_system_peak_memory_stays_near_its_matrix():
-    # the cliques go straight into the CSC arrays of A, so one build's
-    # traced peak stays below 2.5 times the bytes of A; a COO of the
-    # cliques, its values gathered chunk by chunk and converted once,
-    # takes 4.2 times, 31.5 MiB for 7.5 MiB
+def compact_bytes(A):
+    """Bytes of the data, indices and indptr of a CSC matrix in canonical
+    format, whose data and indices hold nnz entries."""
+    return A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+
+
+@pytest.mark.parametrize("p, levels, nt", [(1, 5, 6144), (3, 3, 384)],
+                         ids=["p1", "p3"])
+def test_skeleton_system_peak_memory_stays_near_its_matrix(p, levels, nt):
+    # the cliques go straight into the CSC arrays of A from an int32
+    # structure, in chunks of runs whose transient stays small, so one
+    # build's traced peak stays below 1.9 times the bytes of A (1.62 and
+    # 1.63 times); int64 element, column and order arrays and chunks four
+    # times as large took 2.02 and 2.56 times, and a COO of the cliques,
+    # its values gathered chunk by chunk and converted once, 4.2 times at
+    # p=1, 31.5 MiB for 7.5 MiB
     import tracemalloc
 
     from dpglab.dpg import _skeleton_system
@@ -1418,9 +1429,9 @@ def test_skeleton_system_peak_memory_stays_near_its_matrix():
 
     problem = lshape_singular()
     mesh = lshape_mesh()
-    for _ in range(5):
+    for _ in range(levels):
         mesh = refine_uniform(mesh)
-    args = skeleton_system_args(mesh, TrialSpace(1), problem.kind,
+    args = skeleton_system_args(mesh, TrialSpace(p), problem.kind,
                                 problem.source, problem.dirichlet)
     tracemalloc.start()
     try:
@@ -1428,8 +1439,47 @@ def test_skeleton_system_peak_memory_stays_near_its_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert mesh.num_triangles == nt
+    assert peak < 1.9 * compact_bytes(A)
+
+
+def test_sparse_solve_starts_with_little_beside_its_matrix(monkeypatch):
+    # when _solve_spd starts, and splu maps its factor on top of what is
+    # alive, the solve holds A, b and what recovery needs, but no whole-
+    # mesh lift z and no structure of the build: the memory traced since
+    # before assemble_solve stays below 1.7 times the bytes of A (1.56
+    # times; holding z and int64 skeleton_cols took 1.80 times)
+    import tracemalloc
+
+    import dpglab.dpg as dpg
+    from dpglab.problems import lshape_singular
+
+    problem = lshape_singular()
+    mesh = lshape_mesh()
+    for _ in range(5):
+        mesh = refine_uniform(mesh)
+
+    def solve(mesh):
+        return assemble_solve(mesh, TrialSpace(1), problem.kind,
+                              problem.source, dirichlet=problem.dirichlet)
+
+    solve(lshape_mesh())            # reference tables and quadrature cached
+    entry = []
+    real_solve = dpg._solve_spd
+
+    def spy(A, b, tol):
+        entry.append((tracemalloc.get_traced_memory()[0], compact_bytes(A)))
+        return real_solve(A, b, tol)
+
+    monkeypatch.setattr(dpg, "_solve_spd", spy)
+    tracemalloc.start()
+    try:
+        solve(mesh)
+    finally:
+        tracemalloc.stop()
     assert mesh.num_triangles == 6144
-    assert peak < 2.5 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
+    [(live, a_bytes)] = entry
+    assert live < 1.7 * a_bytes
 
 
 def test_large_solve_runs_in_several_element_chunks():

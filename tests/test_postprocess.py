@@ -115,7 +115,8 @@ def test_element_rejects_non_polynomial_u_length():
 def test_element_rejects_bad_sigma_shape(shape):
     with pytest.raises(ValueError, match=(
             rf"^sigma_coeffs has shape {re.escape(str((8,) + shape))} and "
-            r"dtype float64, expected \(8, 2, \*\)$")):
+            r"dtype float64, expected \(8, 2, \*\); it must hold real "
+            r"numbers$")):
         postprocess_fields(unit_square_mesh(2), np.zeros((8, 1)),
                            np.zeros((8,) + shape))
 
@@ -123,14 +124,16 @@ def test_element_rejects_bad_sigma_shape(shape):
 def test_fields_need_one_row_per_element():
     mesh = unit_square_mesh(2)      # 8 elements
     with pytest.raises(ValueError, match=r"^u_coeffs has shape \(7, 1\) and "
-                       r"dtype float64, expected \(8, \*\)$"):
+                       r"dtype float64, expected \(8, \*\); it must hold "
+                       r"real numbers$"):
         postprocess_fields(mesh, np.zeros((7, 1)), np.zeros((8, 2, 1)))
     with pytest.raises(ValueError, match=r"^sigma_coeffs has shape "
                        r"\(7, 2, 1\) and dtype float64, expected "
-                       r"\(8, 2, \*\)$"):
+                       r"\(8, 2, \*\); it must hold real numbers$"):
         postprocess_fields(mesh, np.zeros((8, 1)), np.zeros((7, 2, 1)))
     with pytest.raises(ValueError, match=r"^u_coeffs has shape \(1,\) and "
-                       r"dtype float64, expected \(8, \*\)$"):
+                       r"dtype float64, expected \(8, \*\); it must hold "
+                       r"real numbers$"):
         postprocess_fields(mesh, np.zeros(1), np.zeros((8, 2, 1)))
 
 

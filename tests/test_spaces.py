@@ -199,12 +199,21 @@ def test_array_rules_are_the_gate_of_spaces(site):
     if integer:
         # a float array and a boolean mask of the right shape
         bad += [good.astype(float), good != 0]
+    else:
+        # integers are real numbers (Mesh takes integer vertex lists), but
+        # booleans, strings and objects of the right shape are not
+        call(good.astype(int))
+        bad += [good != 0, good.astype(str), good.astype(object)]
+    if name == "marked":
+        # a scalar index, which is not iterable, is one axis too few
+        bad += [1, np.int64(1)]
     want = str(shape).replace("None", "*")
-    rule = "; it must hold integers" if integer else ""
+    rule = "; it must hold " + ("integers" if integer else "real numbers")
     for value in bad:
+        got = np.asarray(value)
         with pytest.raises(ValueError, match=(
-                rf"^{name} has shape {re.escape(str(value.shape))} and dtype "
-                rf"{value.dtype}, expected {re.escape(want + rule)}$")):
+                rf"^{name} has shape {re.escape(str(got.shape))} and dtype "
+                rf"{got.dtype}, expected {re.escape(want + rule)}$")):
             call(value)
 
 
