@@ -259,15 +259,21 @@ def _reference_tables(p):
     leg = EdgeBasis(p).values(t)
     tab["SK"] = np.empty((3, 2, 2 + p, V.shape[0]))
     tab["FX"] = np.empty((3, 2, p + 1, V.shape[0]))
-    for le in range(3):
-        for flip in (0, 1):
-            order = slice(None, None, -1 if flip else 1)
-            a, b = REFERENCE_VERTICES[[(le + 1) % 3, (le + 2) % 3][order]]
-            pts = a + t[:, None] * (b - a)
-            EV = ScalarBasis(p + DELTA_P).values(pts)   # (n_t, nqe)
-            trace = np.vstack([hat[order], bub])
-            tab["SK"][le, flip] = np.einsum("jk,ik,k->ji", trace, EV, we)
-            tab["FX"][le, flip] = np.einsum("jk,ik,k->ji", leg, EV, we)
+    configs = [(le, flip) for le in range(3) for flip in (0, 1)]
+    pts = []
+    for le, flip in configs:
+        ends = [(le + 1) % 3, (le + 2) % 3]
+        a, b = REFERENCE_VERTICES[ends[::-1] if flip else ends]
+        pts.append(a + t[:, None] * (b - a))
+    # the test basis at the points of all six in one call, then one
+    # contiguous (n_t, nqe) block per configuration
+    EV = ScalarBasis(p + DELTA_P).values(np.concatenate(pts))
+    EV = np.ascontiguousarray(
+        EV.reshape(V.shape[0], len(configs), len(t)).swapaxes(0, 1))
+    for (le, flip), ev in zip(configs, EV):
+        trace = np.vstack([hat[::-1] if flip else hat, bub])
+        tab["SK"][le, flip] = np.einsum("jk,ik,k->ji", trace, ev, we)
+        tab["FX"][le, flip] = np.einsum("jk,ik,k->ji", leg, ev, we)
     return tab
 
 
@@ -618,8 +624,9 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *,
     dofmap = DofMap(mesh, trial)
     prescribed = (np.zeros(dofmap.n_skeleton) if dirichlet is None else
                   _dirichlet_values(dofmap, dirichlet))
-    # moments (f, v_i)_T against the scalar test functions
-    load = (np.zeros((nt, dofmap.n_t)) if source is None else
+    # moments (f, v_i)_T against the scalar test functions; without a
+    # source, a broadcast zero, not a dense array alive under the factor
+    load = (np.broadcast_to(0.0, (nt, dofmap.n_t)) if source is None else
             mesh.det[:, None] * project_l2(p + DELTA_P, source, mesh,
                                            exactness))
     store = ClassStore() if store is None else store
@@ -679,7 +686,15 @@ def _skeleton_system(dofmap, ops, cls, chunks, z):
     chunk's transient stays near _CHUNK_BYTES / 7.  The peak is 1.62 times
     the bytes of A on the p=1 L-shape with 6,144 elements and 1.63 times
     at p=3 with 384; the COO, with its row and column arrays and the
-    conversion's copies, took 4.2 times at p=1.
+    conversion's copies, took 4.2 times at p=1.  sum_duplicates sums in
+    place and leaves A on views of the first nnz slots of data and indices
+    (643,185 of 862,904 at p=1), so the build drops A, shrinks both to nnz
+    by ndarray.resize, a realloc in place, and returns the CSC matrix
+    rebuilt on them.  A copy of the summed entries would hold both buffers
+    at once and raise the peak.  With it, and a broadcast zero load for a
+    problem without a source, the memory live when _solve_spd starts is
+    1.16 times the bytes of A at p=1 and 1.31 times at p=3 (1.56 and 1.60
+    times on the uncompressed buffers).
     """
     k, n, ns = dofmap.k_int, dofmap.n_local, dofmap.num_free_skeleton
     fcols, hybrid = dofmap.free_cols, ops["hybrid"]
@@ -712,7 +727,12 @@ def _skeleton_system(dofmap, ops, cls, chunks, z):
     del pos, runs
     A = sp.csc_matrix((data, indices, indptr), shape=(ns, ns))
     A.sum_duplicates()
-    return A, b
+    # resize refuses an array that a view still references: A goes first
+    nnz, indptr = A.nnz, A.indptr
+    del A
+    data.resize(nnz)
+    indices.resize(nnz)
+    return sp.csc_matrix((data, indices, indptr), shape=(ns, ns)), b
 
 
 def _recover(dofmap, ops, cls, chunks, z, x):

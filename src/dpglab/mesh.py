@@ -159,11 +159,13 @@ class Mesh:
     def total_area(self):
         return float(self.areas().sum())
 
-    def to_physical(self, pts):
-        """Images v0 + J xhat of reference points pts (npts, 2) under every
-        element map; shape (nt, npts, 2)."""
-        origin = self.vertices[self.triangles[:, 0]]
-        return origin[:, None, :] + pts @ self.jac.transpose(0, 2, 1)
+    def to_physical(self, pts, elements=slice(None)):
+        """Images v0 + J xhat of reference points pts (npts, 2) under the
+        maps of elements, an index array or a slice (all by default);
+        shape (number of elements, npts, 2)."""
+        origin = self.vertices[self.triangles[elements, 0]]
+        return (origin[:, None, :]
+                + pts @ self.jac[elements].transpose(0, 2, 1))
 
     def diameters(self):
         """Longest edge length of every triangle; shape (nt,)."""

@@ -237,11 +237,10 @@ class ScalarBasis:
 def basis_at_quadrature(degree, exactness):
     """Cached, read-only values (dim, npts) and reference gradients
     (dim, npts, 2) of ScalarBasis(degree) at the points of
-    triangle_quadrature(exactness); both arguments are checked as there,
-    since the cache is typed."""
-    basis = ScalarBasis(degree)
-    pts = triangle_quadrature(exactness).points
-    values, gradients = basis.values(pts), basis.gradients(pts)
+    triangle_quadrature(exactness), both from one run of the recurrence;
+    both arguments are checked as there, since the cache is typed."""
+    jets = ScalarBasis(degree)._jets(triangle_quadrature(exactness).points)
+    values, gradients = jets[0], np.moveaxis(jets[1:], 0, 2)
     values.flags.writeable = False
     gradients.flags.writeable = False
     return values, gradients
