@@ -61,10 +61,12 @@ def mark(eta_local, theta):
 
 @dataclass
 class AdaptiveStep:
-    """One SOLVE/ESTIMATE pass of the adaptive loop."""
+    """One SOLVE/ESTIMATE pass of the adaptive loop: its mesh, its
+    Solution and its ErrorReport.  The postprocessed field is not kept:
+    the report holds its error err_u_post, and postprocess_all(solution)
+    rebuilds it bit for bit."""
     mesh: object
     solution: object
-    postprocessed: object       # postprocess_all's array, or None
     report: object
 
 
@@ -91,7 +93,9 @@ def adaptive_loop(problem, trial, theta=0.25, max_dofs=10000,
     Returns
     -------
     AdaptiveRun with one AdaptiveStep per solve; dof counts increase
-    strictly from step to step.
+    strictly from step to step.  Every step keeps its mesh, solution and
+    report, so the run holds all of them at once; the postprocessed
+    fields are not kept (AdaptiveStep).
     """
     return AdaptiveRun(steps=list(_steps(
         problem, trial, "adaptive", theta, max_dofs, max_steps, postprocess,
@@ -149,11 +153,12 @@ def _steps(problem, trial, mode, theta, max_dofs, max_steps, postprocess,
         solution = assemble_solve(mesh, trial, problem.kind, problem.source,
                                   dirichlet=problem.dirichlet,
                                   solver_tol=solver_tol, store=store)
-        post = postprocess_all(solution) if postprocess else None
-        report = error_report(solution, post, problem,
-                              extra_exactness=error_exactness_bump)
-        yield AdaptiveStep(mesh=mesh, solution=solution, postprocessed=post,
-                           report=report)
+        # the postprocessed field is a temporary: no name keeps it alive
+        # under the next solve
+        report = error_report(
+            solution, postprocess_all(solution) if postprocess else None,
+            problem, extra_exactness=error_exactness_bump)
+        yield AdaptiveStep(mesh=mesh, solution=solution, report=report)
         solves += 1
         if max_dofs is not None and solution.num_dofs >= max_dofs:
             return

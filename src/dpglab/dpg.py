@@ -73,9 +73,10 @@ _solve_spd solves it, and _recover applies inner and w.  Each element
 stage gets its own z at the lift, so that under the sparse factor only
 A, b and what recovery reads are alive.  Both element stages run their
 products over chunks of elements whose gathered class operators fill at
-most _CHUNK_BYTES, and the store condenses the classes new to a mesh
-in chunks of the same size, so no operator is copied once per element
-of the whole mesh.  No result depends on the chunk size.
+most _CHUNK_BYTES, 1 MiB, and the store condenses the classes new to a
+mesh in chunks of the same size, so no operator is copied once per
+element of the whole mesh, and the holes that freed chunks leave in the
+heap stay small.  No result depends on the chunk size.
 The dense algebra is numpy's alone: np.linalg.cholesky and
 np.linalg.solve take a whole stack of class matrices in one call each,
 and scipy holds the sparse assembly and factorization.
@@ -363,8 +364,24 @@ def _local_systems(dofmap, kind, elements):
 # bytes of class operators that one chunk gathers: a solve runs its
 # per-element products, and ClassStore.update its condensations, over
 # chunks of elements or classes this large, so that no operator is ever
-# copied for every element at once.  Results do not depend on it
-_CHUNK_BYTES = 4 << 20
+# copied for every element at once; _skeleton_system's runs and
+# error_report's points are chunked by the same budget, error_report's at
+# the element count of a 4 MiB budget (see there).  Results do not
+# depend on it.  The gathers of a larger chunk, once freed, leave heap
+# holes that the adaptive study's later steps keep resident under their
+# sparse factor.  Peak RSS of one lshape-p1-adaptive benchmark child
+# (mean of seeds 1-6, draw 0), and _recover at p=1 with 6,144 elements
+# (warm, best of 5, two runs, 2 vCPUs):
+#
+#     budget    peak RSS    _recover
+#     4 MiB     88.9 MiB    20-29 ms
+#     2 MiB     86.6 MiB    13-18 ms
+#     1 MiB     86.7 MiB    12-19 ms
+#     512 KiB   86.4 MiB    12-19 ms
+#     256 KiB   86.5 MiB    16-26 ms
+#
+# The uniform workloads moved by less than 0.3 MiB between 4 and 1 MiB
+_CHUNK_BYTES = 1 << 20
 
 
 def _class_bytes(dofmap):
@@ -683,14 +700,15 @@ def _skeleton_system(dofmap, ops, cls, chunks, z):
     local column (freed before the conversion), and one chunk of runs: a
     run's gather and its copy without the prescribed rows take about 18
     bytes per row of hybrid, and runs are counted at 128 bytes a row, so a
-    chunk's transient stays near _CHUNK_BYTES / 7.  The peak is 1.62 times
-    the bytes of A on the p=1 L-shape with 6,144 elements and 1.63 times
-    at p=3 with 384; the COO, with its row and column arrays and the
-    conversion's copies, took 4.2 times at p=1.  sum_duplicates sums in
-    place and leaves A on views of the first nnz slots of data and indices
-    (643,185 of 862,904 at p=1), so the build drops A, shrinks both to nnz
-    by ndarray.resize, a realloc in place, and returns the CSC matrix
-    rebuilt on them.  A copy of the summed entries would hold both buffers
+    chunk's transient stays near _CHUNK_BYTES / 7, about 150 KB.  The peak
+    is 1.62 times the bytes of A on the p=1 L-shape with 6,144 elements
+    and 1.41 times at p=3 with 384 (1.62 and 1.63 times with chunks of 4
+    MiB); the COO, with its row and column arrays and the conversion's
+    copies, took 4.2 times at p=1.  sum_duplicates sums in place and
+    leaves A on views of the first nnz slots of data and indices (643,185
+    of 862,904 at p=1), so the build drops A, shrinks both to nnz by
+    ndarray.resize, a realloc in place, and returns the CSC matrix rebuilt
+    on them.  A copy of the summed entries would hold both buffers
     at once and raise the peak.  With it, and a broadcast zero load for a
     problem without a source, the memory live when _solve_spd starts is
     1.16 times the bytes of A at p=1 and 1.31 times at p=3 (1.56 and 1.60
@@ -727,11 +745,14 @@ def _skeleton_system(dofmap, ops, cls, chunks, z):
     del pos, runs
     A = sp.csc_matrix((data, indices, indptr), shape=(ns, ns))
     A.sum_duplicates()
-    # resize refuses an array that a view still references: A goes first
+    # A holds the only views of data and indices, so it goes first.
+    # resize's reference check would also count what a profile or trace
+    # hook holds of the arrays themselves, a bound method or a frame's
+    # locals, and refuse; with A gone no view is left, so it is off
     nnz, indptr = A.nnz, A.indptr
     del A
-    data.resize(nnz)
-    indices.resize(nnz)
+    data.resize(nnz, refcheck=False)
+    indices.resize(nnz, refcheck=False)
     return sp.csc_matrix((data, indices, indptr), shape=(ns, ns)), b
 
 

@@ -201,9 +201,13 @@ def error_report(solution, postprocessed, problem, extra_exactness=0):
     sq_sigma = solution.sigma_coeffs[:, 0, :] @ V_s
     sy_vals = solution.sigma_coeffs[:, 1, :] @ V_s
     sq_post = None if postprocessed is None else postprocessed @ V
-    # a chunk holds about a dozen float arrays of its points; counting
-    # them at 64 keeps its transient small against the whole arrays
-    for c in _chunks(nt, 512 * len(w)):
+    # a chunk holds about a dozen float arrays of its points, about 96
+    # bytes a point, counted at 128: under the 1 MiB budget a chunk holds
+    # as many elements as under 4 MiB at 512 bytes a point.  Chunks a
+    # quarter of that size gave the same peak RSS and made error_report
+    # about 20% slower in the p1 adaptive study: each chunk evaluates the
+    # exact solution in a few dozen numpy calls
+    for c in _chunks(nt, 128 * len(w)):
         xy = mesh.to_physical(pts, c)
         x, y = xy[..., 0], xy[..., 1]
         wq = mesh.det[c, None] * w[None, :]

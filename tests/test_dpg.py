@@ -1427,8 +1427,9 @@ def test_skeleton_system_peak_memory_stays_near_its_matrix(p, levels, nt):
     # the cliques go straight into the CSC arrays of A from an int32
     # structure, in chunks of runs whose transient stays small, so one
     # build's traced peak stays below 1.9 times the bytes of A (1.62 and
-    # 1.63 times); int64 element, column and order arrays and chunks four
-    # times as large took 2.02 and 2.56 times, and a COO of the cliques,
+    # 1.41 times; 1.62 and 1.63 times with chunks of 4 MiB); int64
+    # element, column and order arrays, with runs counted at 32 bytes a
+    # row, not 128, took 2.02 and 2.56 times, and a COO of the cliques,
     # its values gathered chunk by chunk and converted once, 4.2 times at
     # p=1, 31.5 MiB for 7.5 MiB
     import tracemalloc
@@ -1491,6 +1492,99 @@ def test_sparse_solve_starts_with_little_beside_its_matrix(monkeypatch):
     assert mesh.num_triangles == 6144
     [(live, a_bytes)] = entry
     assert live < 1.3 * a_bytes
+
+
+@pytest.mark.parametrize("hook", ["setprofile", "settrace", "cProfile"])
+def test_solve_under_a_profile_or_trace_hook_is_the_untraced_solve(
+        hook, monkeypatch):
+    # a profile or trace hook holds references to the arrays of a running
+    # solve (a bound method, a frame's locals), which resize's reference
+    # check counted as views, so shrinking A's buffers raised ValueError.
+    # Under each hook the solve is the untraced one bit for bit, with A's
+    # buffers still at nnz
+    import cProfile
+    import sys
+
+    import dpglab.dpg as dpg
+    from dpglab.problems import lshape_singular
+
+    problem = lshape_singular()
+    mesh = corner_refined_lshape(2, 2)
+
+    def solve():
+        return assemble_solve(mesh, TrialSpace(1), problem.kind,
+                              problem.source, dirichlet=problem.dirichlet)
+
+    want = solve()
+    matrices = []
+    real_solve = dpg._solve_spd
+
+    def spy(A, b, tol):
+        matrices.append(A)
+        return real_solve(A, b, tol)
+
+    monkeypatch.setattr(dpg, "_solve_spd", spy)
+    if hook == "cProfile":
+        got = cProfile.Profile().runcall(solve)
+    else:
+        get_hook, set_hook = (getattr(sys, "get" + hook[3:]),
+                              getattr(sys, hook))
+        old = get_hook()
+        set_hook(lambda *args: None)
+        try:
+            got = solve()
+        finally:
+            set_hook(old)
+    assert_same_solution(got, want)
+    [A] = matrices
+    assert buffer_length(A.data) == buffer_length(A.indices) == A.nnz
+
+
+@pytest.mark.parametrize("p, levels, nt, bound_mb",
+                         [(1, 5, 6144, 6.0), (3, 4, 1536, 4.5)],
+                         ids=["p1", "p3"])
+def test_recovery_transient_stays_small(p, levels, nt, bound_mb,
+                                        monkeypatch):
+    # _recover gathers the class operators of one chunk of elements at a
+    # time, so its traced peak above its entry is its whole-mesh outputs
+    # and a few chunks: 4.64 MiB at p=1 and 3.01 MiB at p=3 with chunks
+    # of 1 MiB, 8.22 and 7.10 MiB with chunks of 4 MiB.  A whole solve's
+    # traced peak does not show it, since the skeleton build sets that
+    # (14.54 and 14.56 MiB at p=1 with either budget)
+    import tracemalloc
+
+    import dpglab.dpg as dpg
+    from dpglab.problems import lshape_singular
+
+    problem = lshape_singular()
+    mesh = lshape_mesh()
+    for _ in range(levels):
+        mesh = refine_uniform(mesh)
+
+    def solve(mesh):
+        return assemble_solve(mesh, TrialSpace(p), problem.kind,
+                              problem.source, dirichlet=problem.dirichlet)
+
+    solve(lshape_mesh())            # reference tables and quadrature cached
+    above = []
+    real_recover = dpg._recover
+
+    def spy(*args):
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = real_recover(*args)
+        above.append(tracemalloc.get_traced_memory()[1] - entry)
+        return out
+
+    monkeypatch.setattr(dpg, "_recover", spy)
+    tracemalloc.start()
+    try:
+        solve(mesh)
+    finally:
+        tracemalloc.stop()
+    assert mesh.num_triangles == nt
+    [peak] = above
+    assert peak < bound_mb * 2 ** 20
 
 
 def test_large_solve_runs_in_several_element_chunks():
