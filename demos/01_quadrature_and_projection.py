@@ -32,8 +32,9 @@ element = Mesh([[0.0, 0.0], [0.9, 0.1], [0.2, 0.8]], [[0, 1, 2]], [0])
 f = lambda x, y: np.exp(x) * np.sin(y)
 coeffs = project_l2(2, f, element, exactness=12)[0]
 rule = triangle_quadrature(12)
-xy = element.to_physical(rule.points)[0]
-w = rule.weights * element.det[0]
+jac, det, _ = element.geometry()
+xy = element.to_physical(rule.points, jac=jac)[0]
+w = rule.weights * det[0]
 vals = coeffs @ ScalarBasis(2).values(rule.points)
 resid = f(xy[:, 0], xy[:, 1]) - vals
 print(f"projection coefficients: {np.array2string(coeffs, precision=4)}")

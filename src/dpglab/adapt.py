@@ -95,7 +95,10 @@ def adaptive_loop(problem, trial, theta=0.25, max_dofs=10000,
     AdaptiveRun with one AdaptiveStep per solve; dof counts increase
     strictly from step to step.  Every step keeps its mesh, solution and
     report, so the run holds all of them at once; the postprocessed
-    fields are not kept (AdaptiveStep).
+    fields are not kept (AdaptiveStep).  A kept step holds about 95
+    bytes of mesh per element (topology and vertices; Mesh.geometry
+    computes the rest where it is used) and a Solution of 49 bytes per
+    element at p=0 and 122 at p=1.
     """
     return AdaptiveRun(steps=list(_steps(
         problem, trial, "adaptive", theta, max_dofs, max_steps, postprocess,

@@ -36,9 +36,11 @@ global sparse system holds the free skeleton dofs alone,
 and the fields come back element by element, x_I = S_II^{-1} (r_I -
 S_IS x_S).
 
-The element geometry comes from the mesh, which computes it once: J,
-det J and J^{-1} (Mesh.jac, det, inv) and the orientation of the local
-edges (Mesh.edge_flips).  The scalar test basis is orthonormal on the
+The element geometry comes from the mesh: J, det J and J^{-1}
+(Mesh.geometry), computed where they are used (the class keys, the
+load's points and scale, and the class representatives that are
+condensed), and the orientation of the local edges (Mesh.edge_flips),
+which the mesh stores.  The scalar test basis is orthonormal on the
 reference element, so the load moments (f, v_i)_T are det J times the L2
 projection of f (spaces.project_l2), every mass block of G_T and B_T is
 det J times an identity slice, and G_T = det J I + K_T with K_T the
@@ -308,8 +310,8 @@ def _local_systems(dofmap, kind, elements):
     ne = elements.shape[0]
     # G and B below depend only on the Jacobian and the edge flips, so
     # elements that share both get bitwise equal matrices
-    jac, det = mesh.jac[elements], mesh.det[elements]
-    inv_t = mesh.inv[elements].transpose(0, 2, 1)  # J^{-T}, maps gradients
+    jac, det, inv = mesh.geometry(elements)
+    inv_t = inv.transpose(0, 2, 1)  # J^{-T}, maps gradients
 
     sv = slice(0, n_t)
     st = (slice(n_t, 2 * n_t), slice(2 * n_t, 3 * n_t))
@@ -400,11 +402,11 @@ def _chunks(count, item_bytes):
 
 
 def _element_classes(mesh):
-    """Group the elements by the bits of their Jacobian mesh.jac and their
-    mesh.edge_flips, all that G and B depend on.  Returns the class keys
-    (one int64 row per class: the four Jacobian entries' bits and the three
-    flips), one representative element per class and the class of every
-    element.
+    """Group the elements by the bits of their Jacobian J (Mesh.geometry)
+    and their mesh.edge_flips, all that G and B depend on.  Returns the
+    class keys (one int64 row per class: the four Jacobian entries' bits
+    and the three flips), one representative element per class and the
+    class of every element.
 
     A stable lexsort of the key columns, first column first, orders the
     rows as signed int64 tuples, and a class begins wherever a sorted row
@@ -413,7 +415,8 @@ def _element_classes(mesh):
     in lexicographic order, the lowest element of each class as its
     representative."""
     nt = mesh.num_triangles
-    key = np.column_stack([mesh.jac.reshape(nt, 4).view(np.int64),
+    jac = mesh.geometry()[0]
+    key = np.column_stack([jac.reshape(nt, 4).view(np.int64),
                            mesh.edge_flips])
     order = np.lexsort(key.T[::-1])
     key = key[order]
@@ -644,8 +647,8 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *,
     # moments (f, v_i)_T against the scalar test functions; without a
     # source, a broadcast zero, not a dense array alive under the factor
     load = (np.broadcast_to(0.0, (nt, dofmap.n_t)) if source is None else
-            mesh.det[:, None] * project_l2(p + DELTA_P, source, mesh,
-                                           exactness))
+            mesh.geometry()[1][:, None]
+            * project_l2(p + DELTA_P, source, mesh, exactness))
     store = ClassStore() if store is None else store
     ops, cls, condensed = store.update(dofmap, kind)
     chunks = _chunks(nt, _class_bytes(dofmap))

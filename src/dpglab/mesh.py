@@ -60,10 +60,14 @@ class Mesh:
     tri_edges : (nt, 3) int array, global edge id of local edge k.
     edge_flips : (nt, 3) bool array, local edge k (from local vertex k+1
         to k+2) runs against its global edge (from low to high vertex).
-    jac, det, inv : the affine maps x = v0 + J xhat of the oriented
-        triangles (spaces.affine_maps): J and J^{-1} (nt, 2, 2), det J > 0.
     boundary_edge : (ne,) bool, boundary_vertex : (nv,) bool.
     h_max : float, maximum element diameter (longest edge).
+
+    vertices is the only float array the mesh holds, about 95 bytes in
+    all per element.  The element geometry, J, det J and J^{-1}, is
+    computed where it is used (geometry()), each stage for its own
+    elements: stored with the edge lengths, it took another 85 bytes per
+    element of every mesh that an adaptive run keeps.
     """
 
     def __init__(self, vertices, triangles, refinement_edges):
@@ -81,33 +85,24 @@ class Mesh:
                 (refinement_edges >= 0) & (refinement_edges <= 2)).all():
             raise ValueError("refinement edge indices must be in {0, 1, 2}")
 
-        # normalize orientation: flip clockwise triangles, remap their
-        # refinement edge (v1, v2 swapped: edges 1, 2 too), map them anew
-        jac, det, inv = affine_maps(vertices[triangles])
-        flip = det < 0.0
+        # normalize orientation: flip clockwise triangles and remap their
+        # refinement edge (v1, v2 swapped: edges 1, 2 too); affine_maps
+        # refuses a degenerate triangle
+        flip = affine_maps(vertices[triangles])[1] < 0.0
         if flip.any():
             triangles[flip] = triangles[flip][:, [0, 2, 1]]
             refinement_edges[flip] = _FLIP_REFEDGE[refinement_edges[flip]]
-            jac[flip], det[flip], inv[flip] = affine_maps(
-                vertices[triangles[flip]])
 
         self.vertices = vertices
         self.triangles = triangles
         self.refinement_edges = refinement_edges
-        self.jac, self.det, self.inv = jac, det, inv
 
         self._build_edges()
-
-        lengths = np.linalg.norm(
-            self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]],
-            axis=1)
-        self.edge_lengths = lengths
-        self.h_max = float(lengths[self.tri_edges].max()) if len(triangles) else 0.0
+        self.h_max = float(self.diameters().max()) if len(triangles) else 0.0
 
         for arr in (self.vertices, self.triangles, self.refinement_edges,
                     self.edges, self.tri_edges, self.edge_flips,
-                    self.boundary_edge, self.boundary_vertex,
-                    self.edge_lengths, self.jac, self.det, self.inv):
+                    self.boundary_edge, self.boundary_vertex):
             arr.setflags(write=False)
 
     def _build_edges(self):
@@ -152,24 +147,42 @@ class Mesh:
     def num_edges(self):
         return self.edges.shape[0]
 
+    def geometry(self, elements=slice(None)):
+        """The affine maps x = v0 + J xhat of elements, an index array or
+        a slice (all by default), computed anew by spaces.affine_maps on
+        the oriented triangles: J and J^{-1} (ne, 2, 2) and det J > 0
+        (ne,), read-only.  A caller maps each element once per stage and
+        passes J on (to_physical)."""
+        maps = affine_maps(self.vertices[self.triangles[elements]])
+        for arr in maps:
+            arr.setflags(write=False)
+        return maps
+
     def areas(self):
         """Triangle areas; shape (nt,)."""
-        return 0.5 * self.det
+        return 0.5 * self.geometry()[1]
 
     def total_area(self):
         return float(self.areas().sum())
 
-    def to_physical(self, pts, elements=slice(None)):
+    def to_physical(self, pts, elements=slice(None), jac=None):
         """Images v0 + J xhat of reference points pts (npts, 2) under the
         maps of elements, an index array or a slice (all by default);
-        shape (number of elements, npts, 2)."""
+        shape (number of elements, npts, 2).  jac is their J when the
+        caller holds it already (geometry(elements)[0])."""
+        if jac is None:
+            jac = self.geometry(elements)[0]
         origin = self.vertices[self.triangles[elements, 0]]
-        return (origin[:, None, :]
-                + pts @ self.jac[elements].transpose(0, 2, 1))
+        return origin[:, None, :] + pts @ jac.transpose(0, 2, 1)
 
     def diameters(self):
-        """Longest edge length of every triangle; shape (nt,)."""
-        return self.edge_lengths[self.tri_edges].max(axis=1)
+        """Longest edge length of every triangle; shape (nt,).  The
+        lengths are those of the global edges, from their end vertices:
+        not from geometry(), whose J_1 - J_0 need not be v2 - v1 bit for
+        bit."""
+        ends = self.vertices[self.edges]
+        lengths = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)
+        return lengths[self.tri_edges].max(axis=1)
 
     def min_angle(self):
         """Smallest interior angle over all triangles, in radians."""
@@ -177,7 +190,7 @@ class Mesh:
         # the edges a, b from each corner have the cross product det J
         a, b = np.roll(p, -1, axis=1) - p, np.roll(p, -2, axis=1) - p
         dot = np.einsum("ekd,ekd->ek", a, b)
-        return float(np.arctan2(self.det[:, None], dot).min())
+        return float(np.arctan2(self.geometry()[1][:, None], dot).min())
 
     def __repr__(self):
         return (f"Mesh({self.num_vertices} vertices, "

@@ -64,8 +64,8 @@ def postprocess_fields(mesh, u_coeffs, sigma_coeffs):
     # (grad v_i, phi_j) against the degree-p modes phi_j of sigma_h
     tab = _reference_tables(p)
     n, n_s = _dim(p + 1), sigma_coeffs.shape[2]
-    det = mesh.det
-    inv_t = mesh.inv.transpose(0, 2, 1)     # J^{-T}, maps gradients
+    _, det, inv = mesh.geometry()
+    inv_t = inv.transpose(0, 2, 1)          # J^{-T}, maps gradients
 
     stiff = _stiffness(det, inv_t, tab["T1"][:, :, :n, :n])
     # (sigma_h, grad v_i)_T

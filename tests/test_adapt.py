@@ -189,6 +189,26 @@ def test_steps_store_holds_the_classes_of_each_mesh(mode, monkeypatch):
         assert sum(condensed) < sum(classes) / 2
 
 
+@pytest.mark.parametrize("p, max_dofs", [(0, 5000), (1, 25000)])
+def test_adaptive_loop_keeps_a_light_mesh_per_step(p, max_dofs):
+    # every step's mesh stays alive in the run; it holds its topology and
+    # its vertices, about 95 bytes per element, and computes its geometry
+    # where it is used (Mesh.geometry).  Stored J, det J, J^{-1} and edge
+    # lengths made it 180 bytes per element at both orders
+    run = adaptive_loop(lshape_singular(), TrialSpace(p), theta=0.25,
+                        max_dofs=max_dofs)
+    bases = {}
+    for step in run.steps:
+        for value in vars(step.mesh).values():
+            if isinstance(value, np.ndarray):
+                while isinstance(value.base, np.ndarray):
+                    value = value.base
+                bases[id(value)] = value
+    element_steps = sum(step.mesh.num_triangles for step in run.steps)
+    assert len(run.steps) > 10
+    assert sum(a.nbytes for a in bases.values()) <= 110 * element_steps
+
+
 def test_adaptive_refinement_concentrates_at_corner():
     # refinement keeps drilling into the reentrant corner: the smallest
     # element always touches the origin and the corner elements shrink

@@ -261,8 +261,8 @@ def element_loads(mesh, trial, source):
 
     p = trial.p
     f = (lambda x, y: 0.0) if source is None else source
-    moments = mesh.det[:, None] * project_l2(p + DELTA_P, f, mesh,
-                                             default_exactness(p))
+    moments = mesh.geometry()[1][:, None] * project_l2(
+        p + DELTA_P, f, mesh, default_exactness(p))
     F = np.zeros((mesh.num_triangles, 3 * moments.shape[1]))
     F[:, :moments.shape[1]] = moments
     return F
@@ -1151,7 +1151,8 @@ def row_unique_classes(mesh):
     """The oracle for _element_classes' lexsort: class keys,
     representatives and classes by a row-wise np.unique of the key rows."""
     nt = mesh.num_triangles
-    key = np.column_stack([mesh.jac.reshape(nt, 4).view(np.int64),
+    jac = mesh.geometry()[0]
+    key = np.column_stack([jac.reshape(nt, 4).view(np.int64),
                            mesh.edge_flips])
     keys, rep, cls = np.unique(key, axis=0, return_index=True,
                                return_inverse=True)
@@ -1176,9 +1177,10 @@ def test_element_classes_match_row_wise_unique(case):
         # Jacobian entries +0.0 and -0.0 (bits 0 and -2^63) and negative
         # values, whose bits are negative int64s, with many repeated rows
         rng = np.random.default_rng(2)
+        jac = rng.choice([0.0, -0.0, -1.0], (2000, 2, 2))
         mesh = SimpleNamespace(
             num_triangles=2000,
-            jac=rng.choice([0.0, -0.0, -1.0], (2000, 2, 2)),
+            geometry=lambda: (jac, None, None),
             edge_flips=rng.random((2000, 3)) < 0.5)
         classes = None
     got = _element_classes(mesh)
@@ -1538,6 +1540,46 @@ def test_solve_under_a_profile_or_trace_hook_is_the_untraced_solve(
     assert_same_solution(got, want)
     [A] = matrices
     assert buffer_length(A.data) == buffer_length(A.indices) == A.nnz
+
+
+def test_each_stage_maps_an_element_at_most_once(monkeypatch):
+    # the mesh stores no geometry, so every stage maps what it uses
+    # (Mesh.geometry): the solve all elements once for the class keys
+    # and the class representatives once more, postprocessing and the
+    # error report each element once, the report one chunk at a time
+    # for both its points and its weights.  Mapping the whole mesh per
+    # chunk would map it once per chunk, 37 times here.  The spy takes
+    # the place of spaces.affine_maps under both names that reach it
+    import dpglab.mesh
+    import dpglab.spaces
+    from dpglab.postprocess import postprocess_all
+    from dpglab.problems import lshape_singular
+
+    problem = lshape_singular()
+    mesh = lshape_mesh()
+    for _ in range(5):
+        mesh = refine_uniform(mesh)
+    nt = mesh.num_triangles
+    assert nt == 6144
+    real_affine_maps = dpglab.spaces.affine_maps
+    mapped = []
+
+    def spy(verts):
+        mapped.append(len(verts))
+        return real_affine_maps(verts)
+
+    for module in (dpglab.mesh, dpglab.spaces):
+        monkeypatch.setattr(module, "affine_maps", spy)
+    solution = assemble_solve(mesh, TrialSpace(1), problem.kind,
+                              problem.source, dirichlet=problem.dirichlet)
+    classes = solution.diagnostics["element_classes"]
+    assert sum(mapped) <= nt + classes
+    mapped.clear()
+    post = postprocess_all(solution)
+    assert sum(mapped) <= nt
+    mapped.clear()
+    error_report(solution, post, problem)
+    assert len(mapped) > 1 and sum(mapped) <= nt
 
 
 @pytest.mark.parametrize("p, levels, nt, bound_mb",

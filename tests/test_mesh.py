@@ -28,8 +28,8 @@ def test_unit_square_minimal():
     assert (m.num_vertices, m.num_triangles, m.num_edges) == (4, 2, 5)
     # refinement edge of both triangles is the hypotenuse
     for t in range(2):
-        ge = m.tri_edges[t, m.refinement_edges[t]]
-        assert m.edge_lengths[ge] == pytest.approx(np.sqrt(2.0))
+        a, b = m.vertices[m.edges[m.tri_edges[t, m.refinement_edges[t]]]]
+        assert np.linalg.norm(b - a) == pytest.approx(np.sqrt(2.0))
     assert m.h_max == pytest.approx(np.sqrt(2.0))
 
 
@@ -187,19 +187,19 @@ def test_orientation_normalization():
 
 
 def test_element_geometry_matches_independent_formulas():
-    # jac, det, inv and edge_flips are computed once, after orientation;
-    # inputs with every second triangle clockwise
+    # geometry() maps the triangles after orientation, and edge_flips is
+    # computed once; inputs with every second triangle clockwise
     base = refine_marked(refine_uniform(lshape_mesh()), [0, 5, 9])
     tris = base.triangles.copy()
     tris[1::2] = tris[1::2][:, [0, 2, 1]]
     mesh = Mesh(base.vertices, tris, base.refinement_edges)
     v = mesh.vertices[mesh.triangles]
-    assert np.array_equal(mesh.jac, np.stack([v[:, 1] - v[:, 0],
-                                              v[:, 2] - v[:, 0]], axis=2))
-    assert (mesh.det > 0).all()
-    assert np.allclose(mesh.det, np.linalg.det(mesh.jac), rtol=1e-13, atol=0)
-    assert np.allclose(mesh.inv, np.linalg.inv(mesh.jac), rtol=1e-13,
-                       atol=1e-13)
+    jac, det, inv = mesh.geometry()
+    assert np.array_equal(jac, np.stack([v[:, 1] - v[:, 0],
+                                         v[:, 2] - v[:, 0]], axis=2))
+    assert (det > 0).all()
+    assert np.allclose(det, np.linalg.det(jac), rtol=1e-13, atol=0)
+    assert np.allclose(inv, np.linalg.inv(jac), rtol=1e-13, atol=1e-13)
     # areas bit for bit the half cross product of the input triangles
     w = mesh.vertices[tris]
     d1, d2 = w[:, 1] - w[:, 0], w[:, 2] - w[:, 0]
@@ -213,8 +213,41 @@ def test_element_geometry_matches_independent_formulas():
     # x = v0 + J xhat maps the reference vertices onto the triangles
     ref = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     assert np.array_equal(mesh.to_physical(ref), v)
-    for arr in (mesh.jac, mesh.det, mesh.inv, mesh.edge_flips):
+    for arr in (jac, det, inv, mesh.edge_flips):
         assert not arr.flags.writeable
+
+
+def test_geometry_is_affine_maps_of_the_oriented_triangles():
+    # the mesh stores no geometry: geometry(elements) maps the oriented
+    # triangles anew, bit for bit spaces.affine_maps, for a slice, an
+    # index array and the whole mesh, read-only; inputs with every third
+    # triangle clockwise
+    from dpglab.spaces import affine_maps
+
+    base = refine_marked(refine_uniform(lshape_mesh()), [0, 5, 9])
+    tris = base.triangles.copy()
+    tris[::3] = tris[::3][:, [0, 2, 1]]
+    mesh = Mesh(base.vertices, tris, base.refinement_edges)
+    assert not np.array_equal(mesh.triangles, tris)
+    for elements in (slice(3, 17), np.array([20, 2, 2, 7]), slice(None)):
+        got = mesh.geometry(elements)
+        want = affine_maps(mesh.vertices[mesh.triangles[elements]])
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert np.array_equal(g.view(np.int64), w.view(np.int64))
+            assert not g.flags.writeable
+        assert (got[1] > 0).all()
+    # diameters and h_max are the lengths of the global edges bit for
+    # bit, from the vertices: J_1 - J_0 need not be v2 - v1 in floats
+    ends = mesh.vertices[mesh.edges]
+    lengths = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)
+    assert np.array_equal(mesh.diameters(),
+                          lengths[mesh.tri_edges].max(axis=1))
+    assert mesh.h_max == lengths.max()
+    # vertices is the only float array the mesh holds
+    floats = [name for name, value in vars(mesh).items()
+              if isinstance(value, np.ndarray) and value.dtype.kind == "f"]
+    assert floats == ["vertices"]
 
 
 def row_unique_edges(triangles):

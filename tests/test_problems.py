@@ -239,7 +239,7 @@ def whole_array_errors(sol, post, problem):
     V = ScalarBasis(sol.trial.p + 1).values(rule.points)
     xy = mesh.to_physical(rule.points)
     x, y = xy[..., 0], xy[..., 1]
-    wq = mesh.det[:, None] * rule.weights[None, :]
+    wq = mesh.geometry()[1][:, None] * rule.weights[None, :]
     u = problem.exact(x, y)
     gx, gy = problem.exact_grad(x, y)
     n_u, n_s = sol.u_coeffs.shape[1], sol.sigma_coeffs.shape[2]

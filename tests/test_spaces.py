@@ -357,7 +357,7 @@ def to_reference(mesh, pts):
     """Reference coordinates of physical points pts (nt, npts, 2), row e
     pulled back through the map of element e."""
     origin = mesh.vertices[mesh.triangles[:, 0]]
-    return (pts - origin[:, None, :]) @ mesh.inv.transpose(0, 2, 1)
+    return (pts - origin[:, None, :]) @ mesh.geometry()[2].transpose(0, 2, 1)
 
 
 def basis_function(mesh, basis, coeffs):
