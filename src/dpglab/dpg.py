@@ -80,22 +80,73 @@ mesh in chunks of the same size, so no operator is copied once per
 element of the whole mesh, and the holes that freed chunks leave in the
 heap stay small.  No result depends on the chunk size.
 The dense algebra is numpy's alone: np.linalg.cholesky and
-np.linalg.solve take a whole stack of class matrices in one call each,
-and scipy holds the sparse assembly and factorization.
+np.linalg.solve take a whole stack of class matrices in one call each.
+The sparse work runs in scipy's compiled kernels, called directly: those
+of the _sparsetools module with which csc_matrix sorts and sums the
+columns of A, takes its diagonal and multiplies it by a vector, and
+SuperLU's gstrf (_factor), both modules loaded from their files in
+scipy's install directory (_scipy_extension).  None of scipy's packages
+is imported: scipy.sparse and scipy.sparse.linalg took 28 MiB and 0.15 s
+of every process that imported dpglab (60 MiB and 0.29 s in all, 32 MiB
+and 0.14 s without them; Python 3.11, numpy 2.4, scipy 1.17, 2 vCPUs).
+Each kernel is called as scipy's own csc_matrix method or splu calls it,
+with the same arguments in the same order, so A, its factor and the
+solution are those of the scipy calls bit for bit.
 """
 
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .spaces import (MAX_QUADRATURE_DEGREE, REFERENCE_VERTICES, EdgeBasis,
                      ScalarBasis, _check_flag, _check_integer,
                      _check_unit_interval, basis_at_quadrature, edge_bubbles,
                      edge_quadrature, point_values, project_l2,
                      triangle_quadrature)
+
+
+def _scipy_extension(*parts):
+    """scipy's compiled extension module scipy.<parts>, loaded from its
+    file in scipy's install directory.  find_spec finds that directory
+    without importing scipy, so no package of scipy is imported; a module
+    that is imported already is reused.  Raises ImportError that names
+    the file and scipy's version if the file is missing."""
+    name = ".".join(("scipy",) + parts)
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ModuleNotFoundError("dpglab needs scipy", name="scipy")
+    folder = os.path.join(spec.submodule_search_locations[0], *parts[:-1])
+    for suffix in EXTENSION_SUFFIXES:
+        path = os.path.join(folder, parts[-1] + suffix)
+        if os.path.isfile(path):
+            loader = ExtensionFileLoader(name, path)
+            module = loader.create_module(
+                importlib.util.spec_from_loader(name, loader))
+            loader.exec_module(module)
+            # single-phase initialization registers the module under its
+            # name; without its package there, a later import of
+            # scipy.sparse would find it but not bind it to the package,
+            # so it loads its own copy instead
+            if sys.modules.get(name) is module:
+                del sys.modules[name]
+            return module
+    from importlib.metadata import version
+    raise ImportError(
+        f"scipy {version('scipy')} has no file "
+        f"{os.path.join(folder, parts[-1])}{EXTENSION_SUFFIXES[0]} (nor one "
+        f"with another suffix of {EXTENSION_SUFFIXES}), which dpglab loads "
+        f"as {name}", name=name)
+
+
+_sparsetools = _scipy_extension("sparse", "_sparsetools")
+_superlu = _scipy_extension("sparse", "linalg", "_dsolve", "_superlu")
 
 REACTION_DIFFUSION = "reaction-diffusion"
 POISSON = "poisson"
@@ -198,7 +249,7 @@ class DofMap:
         ge = mesh.tri_edges
         flux = flux_offset + ge[..., None] * (p + 1) + np.arange(p + 1)
         # int32, half the bytes of int64 in every solve, and for free_cols
-        # the index type that scipy's sparse formats keep without a copy
+        # the index type of the skeleton system's CSC arrays
         self.skeleton_cols = np.concatenate([
             mesh.triangles, self.bubble_dofs(ge).reshape(nt, 3 * p),
             flux.reshape(nt, 3 * (p + 1))], axis=1).astype(np.int32)
@@ -668,13 +719,28 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *,
     u, sigma, eta_sq, galerkin = _recover(dofmap, ops, cls, chunks, lift(),
                                           x)
     diag.update(skeleton_dofs=dofmap.num_free_skeleton, **galerkin,
-                min_diameter=float(mesh.diameters().min()),
+                min_diameter=mesh.h_min,
                 element_classes=len(store), element_chunks=len(chunks),
                 classes_condensed=condensed)
     return Solution(mesh=mesh, trial=trial, num_dofs=dofmap.num_free,
                     skeleton_coeffs=x, u_coeffs=u, sigma_coeffs=sigma,
                     eta_local=np.sqrt(eta_sq),
                     eta=float(np.sqrt(eta_sq.sum())), diagnostics=diag)
+
+
+@dataclass(frozen=True, eq=False)
+class _CSC:
+    """A square sparse matrix in scipy's canonical CSC format: the rows of
+    each column sorted, no duplicates, data and indices of nnz entries.
+    It has the attributes of scipy's csc_matrix that _solve_spd reads."""
+    data: np.ndarray        # (nnz,) float64
+    indices: np.ndarray     # (nnz,) int32 row of each entry
+    indptr: np.ndarray      # (n + 1,) int32 start of each column
+    shape: tuple
+
+    @property
+    def nnz(self):
+        return int(self.indptr[-1])
 
 
 def _skeleton_system(dofmap, ops, cls, chunks, z):
@@ -690,14 +756,15 @@ def _skeleton_system(dofmap, ops, cls, chunks, z):
     j], and each brings the free rows of hybrid[cls[e], :, j] in ascending
     order.  Every column of A then holds its entries element by element,
     in the order in which scipy's COO -> CSC counting sort leaves a COO of
-    the cliques listed element by element, and sum_duplicates sorts and
-    sums each column as that conversion does: A is the COO route's bit for
-    bit.  It sums and never prunes, so the exact zeros stay entries of A:
-    the finest system of the p=1 uniform L-shape study holds 8,960 of
-    them, and pruning them (as a sum of per-chunk sparse matrices would)
-    changes the minimum-degree order and takes nnz(L+U) from 2.62M to
-    4.88M.  The sorted local columns are one int32 array of flat positions
-    e (n - k) + j, and a chunk of them recovers e and j by np.divmod.  The
+    the cliques listed element by element, and the kernels of
+    csc_matrix.sum_duplicates, called in its order, sort and sum each
+    column as that conversion does: A is the COO route's bit for bit.  It
+    sums and never prunes, so the exact zeros stay entries of A: the
+    finest system of the p=1 uniform L-shape study holds 8,960 of them,
+    and pruning them (as a sum of per-chunk sparse matrices would) changes
+    the minimum-degree order and takes nnz(L+U) from 2.62M to 4.88M.  The
+    sorted local columns are one int32 array of flat positions e (n - k)
+    + j, and a chunk of them recovers e and j by np.divmod.  The
     build peaks in its last chunk, holding the uncompressed data and
     indices, 12 bytes per clique entry, the structure, 12 bytes per free
     local column (freed before the conversion), and one chunk of runs: a
@@ -707,15 +774,14 @@ def _skeleton_system(dofmap, ops, cls, chunks, z):
     is 1.62 times the bytes of A on the p=1 L-shape with 6,144 elements
     and 1.41 times at p=3 with 384 (1.62 and 1.63 times with chunks of 4
     MiB); the COO, with its row and column arrays and the conversion's
-    copies, took 4.2 times at p=1.  sum_duplicates sums in place and
-    leaves A on views of the first nnz slots of data and indices (643,185
-    of 862,904 at p=1), so the build drops A, shrinks both to nnz by
-    ndarray.resize, a realloc in place, and returns the CSC matrix rebuilt
-    on them.  A copy of the summed entries would hold both buffers
-    at once and raise the peak.  With it, and a broadcast zero load for a
-    problem without a source, the memory live when _solve_spd starts is
-    1.16 times the bytes of A at p=1 and 1.31 times at p=3 (1.56 and 1.60
-    times on the uncompressed buffers).
+    copies, took 4.2 times at p=1.  The sum runs in place and leaves the
+    entries in the first nnz slots of data and indices (643,185 of 862,904
+    at p=1), so the build shrinks both to nnz by ndarray.resize, a realloc
+    in place, and returns them as a _CSC.  A copy of the summed entries
+    would hold both buffers at once and raise the peak.  With it, and a
+    broadcast zero load for a problem without a source, the memory live
+    when _solve_spd starts is 1.16 times the bytes of A at p=1 and 1.31
+    times at p=3 (1.56 and 1.60 times on the uncompressed buffers).
     """
     k, n, ns = dofmap.k_int, dofmap.n_local, dofmap.num_free_skeleton
     fcols, hybrid = dofmap.free_cols, ops["hybrid"]
@@ -742,21 +808,25 @@ def _skeleton_system(dofmap, ops, cls, chunks, z):
         lo, hi = runs[c.start:c.stop + 1][[0, -1]]
         data[lo:hi] = columns[cls[e], col, :n - k][rows]
         indices[lo:hi] = fcols[e][rows]
-    # solve column i takes the runs of its per_column[i] local columns
+    # solve column i takes the runs of its per_column[i] local columns;
+    # int32, the type of indices, as csc_matrix would cast it
     per_column = np.bincount(cols, minlength=ns)
-    indptr = runs[np.concatenate([[0], np.cumsum(per_column)])]
+    indptr = runs[np.concatenate([[0], np.cumsum(per_column)])].astype(
+        indices.dtype)
     del pos, runs
-    A = sp.csc_matrix((data, indices, indptr), shape=(ns, ns))
-    A.sum_duplicates()
-    # A holds the only views of data and indices, so it goes first.
-    # resize's reference check would also count what a profile or trace
-    # hook holds of the arrays themselves, a bound method or a frame's
-    # locals, and refuse; with A gone no view is left, so it is off
-    nnz, indptr = A.nnz, A.indptr
-    del A
+    # csc_matrix.sum_duplicates, kernel by kernel
+    if not _sparsetools.csr_has_canonical_format(ns, indptr, indices):
+        if not _sparsetools.csr_has_sorted_indices(ns, indptr, indices):
+            _sparsetools.csr_sort_indices(ns, indptr, indices, data)
+        _sparsetools.csr_sum_duplicates(ns, ns, indptr, indices, data)
+    # shrink both to nnz in place.  No view of them exists, and resize's
+    # reference check would also count what a profile or trace hook holds
+    # of the arrays themselves, a bound method or a frame's locals, and
+    # refuse, so it is off
+    nnz = int(indptr[-1])
     data.resize(nnz, refcheck=False)
     indices.resize(nnz, refcheck=False)
-    return sp.csc_matrix((data, indices, indptr), shape=(ns, ns)), b
+    return _CSC(data, indices, indptr, (ns, ns)), b
 
 
 def _recover(dofmap, ops, cls, chunks, z, x):
@@ -812,24 +882,47 @@ _RELAX = 1
 _PANEL_SIZE = 4
 
 
+def _factor(A):
+    """SuperLU's factor of A, a square matrix in canonical CSC format
+    (A.data, A.indices, A.indptr and A.shape are read), by gstrf in
+    symmetric mode: the ordering _ORDERING of the graph of A + A',
+    applied to rows and columns alike, diagonal pivots, and supernodes of
+    _RELAX and _PANEL_SIZE.  It is the call that scipy.sparse.linalg.splu
+    makes with these options, so the factor is splu's bit for bit.  The
+    factor's L and U are never made: no solve reads them, so gstrf gets
+    no constructor for them (splu passes scipy.sparse's csc_array).
+    Raises RuntimeError on a singular A."""
+    return _superlu.gstrf(
+        A.shape[1], int(A.indptr[-1]), A.data, A.indices, A.indptr,
+        csc_construct_func=None, ilu=False,
+        options={"DiagPivotThresh": 0.0, "ColPerm": _ORDERING,
+                 "PanelSize": _PANEL_SIZE, "Relax": _RELAX,
+                 "SymmetricMode": True})
+
+
 def _solve_spd(A, b, tol):
     """Direct sparse solve with iterative refinement.
 
-    A is symmetric positive definite, so SuperLU runs in symmetric mode: a
-    minimum-degree ordering of the graph of A + A' applied to rows and
-    columns alike, and diagonal pivots, with small relaxed supernodes
-    (_RELAX, _PANEL_SIZE) that hold few explicit zeros.  Without row
+    A is a symmetric positive definite matrix in canonical CSC format, of
+    which A.data, A.indices, A.indptr and A.shape are read, so a scipy
+    csc_matrix does as well as _skeleton_system's _CSC.  _factor runs
+    SuperLU in symmetric mode, with diagonal pivots: without row
     pivoting the residual check of the refinement loop is what catches a
     bad factorization.  Refinement is there for badly scaled systems; no
-    supported study has needed a step of it.  The diagnostics record the
-    ordering and the supernode pair next to the method, the refinement
-    steps, the residual and nnz of A and of its factor.
+    supported study has needed a step of it.  The diagonal and the
+    products A x are scipy's csr_diagonal and csc_matvec kernels, as
+    csc_matrix calls them.  The diagnostics record the ordering and the
+    supernode pair next to the method, the refinement steps, the
+    residual and nnz of A and of its factor.
 
     Raises SolverError on a non-finite or non-positive diagonal entry, a
     singular factor, or a residual that refinement cannot bring to tol.
     """
+    n, nnz = A.shape[0], int(A.indptr[-1])
     bnorm = float(np.linalg.norm(b))
-    diagonal = A.diagonal()
+    diagonal = np.empty(n)
+    _sparsetools.csr_diagonal(0, n, n, A.indptr, A.indices, A.data,
+                              diagonal)
     if not (np.isfinite(diagonal) & (diagonal > 0.0)).all():
         # an SPD matrix has a finite positive diagonal; refuse before any
         # factorization divides by such an entry
@@ -838,9 +931,7 @@ def _solve_spd(A, b, tol):
                           "is not SPD", residual=np.inf)
     del diagonal        # no copy of A's diagonal under the factor
     try:
-        lu = spla.splu(A, permc_spec=_ORDERING, diag_pivot_thresh=0.0,
-                       relax=_RELAX, panel_size=_PANEL_SIZE,
-                       options={"SymmetricMode": True})
+        lu = _factor(A)
     except RuntimeError as exc:
         raise SolverError(f"linear solver failed: {exc}",
                           residual=np.inf) from exc
@@ -849,7 +940,9 @@ def _solve_spd(A, b, tol):
         # the last iterate is the last one checked: no solve after it
         if it:
             x = x + lu.solve(res)
-        res = b - A @ x
+        ax = np.zeros(n)
+        _sparsetools.csc_matvec(n, n, A.indptr, A.indices, A.data, x, ax)
+        res = b - ax
         # b = 0 (zero source and Dirichlet data) divides by 1: x = 0 then
         # passes at once, and a non-finite x still fails
         rel = float(np.linalg.norm(res)) / (bnorm or 1.0)
@@ -857,7 +950,7 @@ def _solve_spd(A, b, tol):
             return x, {"method": "direct", "iterations": it,
                        "rel_residual": rel, "ordering": _ORDERING,
                        "relax": _RELAX, "panel_size": _PANEL_SIZE,
-                       "nnz_A": int(A.nnz), "nnz_factor": int(lu.nnz)}
+                       "nnz_A": nnz, "nnz_factor": int(lu.nnz)}
     raise SolverError(
         f"linear solver failed: residual {rel:.3e} after {it} refinement "
         f"steps (target {tol:.1e})", residual=rel)

@@ -61,7 +61,8 @@ class Mesh:
     edge_flips : (nt, 3) bool array, local edge k (from local vertex k+1
         to k+2) runs against its global edge (from low to high vertex).
     boundary_edge : (ne,) bool, boundary_vertex : (nv,) bool.
-    h_max : float, maximum element diameter (longest edge).
+    h_max, h_min : float, largest and smallest element diameter
+        (longest edge); 0.0 without triangles.
 
     vertices is the only float array the mesh holds, about 95 bytes in
     all per element.  The element geometry, J, det J and J^{-1}, is
@@ -98,7 +99,8 @@ class Mesh:
         self.refinement_edges = refinement_edges
 
         self._build_edges()
-        self.h_max = float(self.diameters().max()) if len(triangles) else 0.0
+        h = self.diameters() if len(triangles) else np.zeros(1)
+        self.h_max, self.h_min = float(h.max()), float(h.min())
 
         for arr in (self.vertices, self.triangles, self.refinement_edges,
                     self.edges, self.tri_edges, self.edge_flips,

@@ -27,6 +27,10 @@ from functools import lru_cache
 from math import factorial
 
 import numpy as np
+# imported here, not lazily in the first study: np.unique reads
+# np.ma.is_masked (numpy 2.4), and the Gauss rules come from leggauss
+import numpy.ma  # noqa: F401
+from numpy.polynomial.legendre import leggauss
 
 MAX_QUADRATURE_DEGREE = 20
 
@@ -112,7 +116,7 @@ class QuadratureRule:
 
 def _gauss_legendre_01(n):
     # Gauss-Legendre nodes/weights transplanted from [-1, 1] to [0, 1].
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = leggauss(n)
     return 0.5 * (x + 1.0), 0.5 * w
 
 

@@ -931,11 +931,13 @@ def test_failed_refinement_stops_at_its_last_checked_iterate(monkeypatch):
     # a target no solve reaches: four iterates, one LU solve each, four
     # residual checks, and the error reports the residual of the last
     # iterate, the one after three refinement steps
+    import scipy.sparse as sp
+
     import dpglab.dpg as dpg
     from dpglab.dpg import SolverError
     from dpglab.problems import lshape_singular
 
-    real_splu = dpg.spla.splu
+    real_factor = dpg._factor
     matrices, solves = [], []
 
     class CountingLU:
@@ -946,11 +948,12 @@ def test_failed_refinement_stops_at_its_last_checked_iterate(monkeypatch):
             solves.append((rhs, self.lu.solve(rhs)))
             return solves[-1][1]
 
-    def counting_splu(A, **options):
-        matrices.append(A)
-        return CountingLU(real_splu(A, **options))
+    def counting_factor(A):
+        matrices.append(sp.csc_matrix((A.data, A.indices, A.indptr),
+                                      shape=A.shape))
+        return CountingLU(real_factor(A))
 
-    monkeypatch.setattr(dpg.spla, "splu", counting_splu)
+    monkeypatch.setattr(dpg, "_factor", counting_factor)
     problem = lshape_singular()
     with pytest.raises(SolverError) as failure:
         assemble_solve(lshape_mesh(), TrialSpace(1), problem.kind,
@@ -971,6 +974,8 @@ def test_refinement_reaches_tol_from_a_perturbed_factor(monkeypatch):
     # no supported study needs a refinement step, so the success path is
     # forced: SuperLU factors A (1 + 1e-6), whose first solve misses the
     # target, and refinement against the true A must still reach it
+    import scipy.sparse as sp
+
     import dpglab.dpg as dpg
     from dpglab.problems import lshape_singular
 
@@ -983,10 +988,10 @@ def test_refinement_reaches_tol_from_a_perturbed_factor(monkeypatch):
                               solver_tol=tol)
 
     exact = solve()
-    real_splu = dpg.spla.splu
-    monkeypatch.setattr(dpg.spla, "splu",
-                        lambda A, **options: real_splu(A * (1 + 1e-6),
-                                                       **options))
+    real_factor = dpg._factor
+    monkeypatch.setattr(dpg, "_factor", lambda A: real_factor(
+        sp.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape)
+        * (1 + 1e-6)))
     refined = solve()
     assert exact.diagnostics["iterations"] == 0
     assert refined.diagnostics["iterations"] >= 1
@@ -1407,6 +1412,69 @@ def test_skeleton_system_is_the_coo_route_bit_for_bit(case, budget,
     assert buffer_length(A.data) == buffer_length(A.indices) == A.nnz
     if case in ("lshape-p0", "lshape-p2", "lshape-p3"):
         assert (want.data == 0.0).any()     # exact zeros kept as entries
+
+
+def skeleton_case(case):
+    """assemble_solve's arguments for a case of
+    test_skeleton_system_is_the_coo_route_bit_for_bit."""
+    from dpglab.problems import lshape_singular
+
+    if case.startswith("lshape"):
+        problem = lshape_singular()
+        return (corner_refined_lshape(2, 2), TrialSpace(int(case[-1])),
+                problem.kind, problem.source, problem.dirichlet)
+    if case == "square-augmented-p2":
+        return (unit_square_mesh(4), TrialSpace(2, augmented=True),
+                REACTION_DIFFUSION, square_smooth().source,
+                lambda x, y: np.cos(x + 2.0 * y))
+    return (perturbed(refine_uniform(refine_uniform(lshape_mesh()))),
+            TrialSpace(1), POISSON, lambda x, y: 1.0 + x * y, None)
+
+
+@pytest.mark.parametrize("case", ["lshape-p0", "lshape-p1", "lshape-p2",
+                                  "lshape-p3", "square-augmented-p2",
+                                  "perturbed-p1"])
+def test_solve_is_public_splu_bit_for_bit(case):
+    # _solve_spd calls scipy's kernels itself (_factor is gstrf with the
+    # options splu builds, the residual csc_matvec): against the public
+    # splu on the same matrix, its solution, fill and residual are equal
+    # bit for bit
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    import dpglab.dpg as dpg
+
+    A, b = dpg._skeleton_system(*skeleton_system_args(*skeleton_case(case)))
+    x, diag = dpg._solve_spd(A, b, 1e-10)
+    public = sp.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape)
+    lu = spla.splu(public, permc_spec=dpg._ORDERING, diag_pivot_thresh=0.0,
+                   relax=dpg._RELAX, panel_size=dpg._PANEL_SIZE,
+                   options={"SymmetricMode": True})
+    want = lu.solve(b)
+    assert diag["iterations"] == 0
+    assert x.tobytes() == want.tobytes()
+    assert diag["nnz_factor"] == lu.nnz
+    assert diag["nnz_A"] == public.nnz
+    assert diag["rel_residual"] == (float(np.linalg.norm(b - public @ want))
+                                    / float(np.linalg.norm(b)))
+
+
+def test_scipy_kernels_are_reused_or_refused_by_file():
+    # a kernel module that scipy has imported is the one dpglab calls; a
+    # missing file is an ImportError naming it and scipy's version, with
+    # no fallback
+    from importlib.metadata import version
+
+    import scipy.sparse
+
+    import dpglab.dpg as dpg
+
+    assert (dpg._scipy_extension("sparse", "_sparsetools")
+            is scipy.sparse._sparsetools)
+    with pytest.raises(ImportError) as missing:
+        dpg._scipy_extension("sparse", "_no_such_kernel")
+    assert f"scipy {version('scipy')} has no file " in str(missing.value)
+    assert "_no_such_kernel" in str(missing.value)
 
 
 def buffer_length(a):

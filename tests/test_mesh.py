@@ -237,13 +237,14 @@ def test_geometry_is_affine_maps_of_the_oriented_triangles():
             assert np.array_equal(g.view(np.int64), w.view(np.int64))
             assert not g.flags.writeable
         assert (got[1] > 0).all()
-    # diameters and h_max are the lengths of the global edges bit for
-    # bit, from the vertices: J_1 - J_0 need not be v2 - v1 in floats
+    # diameters, h_max and h_min are the lengths of the global edges bit
+    # for bit, from the vertices: J_1 - J_0 need not be v2 - v1 in floats
     ends = mesh.vertices[mesh.edges]
     lengths = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)
     assert np.array_equal(mesh.diameters(),
                           lengths[mesh.tri_edges].max(axis=1))
     assert mesh.h_max == lengths.max()
+    assert mesh.h_min == lengths[mesh.tri_edges].max(axis=1).min()
     # vertices is the only float array the mesh holds
     floats = [name for name, value in vars(mesh).items()
               if isinstance(value, np.ndarray) and value.dtype.kind == "f"]
@@ -280,6 +281,7 @@ def test_edges_match_row_wise_unique():
         assert np.array_equal(m.tri_edges, tri_edges)
     assert empty.edges.shape == (0, 2)
     assert empty.tri_edges.shape == (0, 3)
+    assert empty.h_max == empty.h_min == 0.0
 
 
 def test_degenerate_triangle_rejected():

@@ -262,6 +262,45 @@ def test_cli_entry_point_subprocess(tmp_path):
     assert header == CSV_HEADER
 
 
+def fresh_process(script, *args):
+    """Run a Python script in a fresh interpreter; returns its stdout."""
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_loads_no_scipy_package():
+    # dpglab calls scipy's compiled sparse kernels from their files:
+    # scipy.sparse and scipy.sparse.linalg took about 30 MiB and 0.1 s of
+    # every process, scipy.linalg and numpy.f2py among their imports
+    out = fresh_process(
+        "import sys\n"
+        "import dpglab\n"
+        "print(' '.join(m for m in ('scipy', 'scipy.sparse',"
+        " 'scipy.sparse.linalg', 'scipy.linalg') if m in sys.modules))")
+    assert out.split() == []
+
+
+def test_studies_import_nothing_after_the_package(tmp_path):
+    # what the first study would import on first use (numpy.ma for
+    # np.unique, numpy.polynomial for the Gauss rules) is imported with
+    # the package, so it counts in the set-up and not in a study
+    out = fresh_process(
+        "import sys\n"
+        "import dpglab\n"
+        "from dpglab.study import StudyConfig, run_study\n"
+        "before = set(sys.modules)\n"
+        "run_study(StudyConfig(problem='lshape', p=1, levels=2,"
+        " postprocess=True, out=sys.argv[1] + '/uniform.csv'))\n"
+        "run_study(StudyConfig(problem='lshape', p=1, mode='adaptive',"
+        " max_dofs=500, postprocess=True,"
+        " out=sys.argv[1] + '/adaptive.csv'))\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))", str(tmp_path))
+    assert out.split() == []
+    assert len((tmp_path / "adaptive.csv").read_text().splitlines()) > 3
+
+
 def test_unwritable_out_is_refused_before_any_solve(tmp_path, monkeypatch,
                                                     capsys):
     # an --out in a missing directory, or naming a directory, used to
