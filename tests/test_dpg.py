@@ -855,7 +855,7 @@ def test_diagnostics_hold_the_keys_the_docstring_lists():
     # perfbench's gate reads rel_residual, and the three stages of a solve
     # each add their own keys: the set is pinned here and in the
     # assemble_solve docstring
-    keys = {"method", "iterations", "rel_residual", "ordering", "relax",
+    keys = {"method", "rel_residual", "ordering", "relax",
             "panel_size", "nnz_A", "nnz_factor", "skeleton_dofs",
             "galerkin_residual", "load_scale", "min_diameter",
             "element_classes", "element_chunks", "classes_condensed"}
@@ -877,7 +877,6 @@ def test_direct_solve_needs_no_refinement(p):
                          problem.kind, problem.source,
                          dirichlet=problem.dirichlet)
     assert sol.diagnostics["method"] == "direct"
-    assert sol.diagnostics["iterations"] == 0
     assert sol.diagnostics["rel_residual"] <= 1e-10
 
 
@@ -927,78 +926,47 @@ def test_solve_spd_zero_diagonal_raises_at_once():
         _solve_spd(A, np.ones(3), 1e-10)
 
 
-def test_failed_refinement_stops_at_its_last_checked_iterate(monkeypatch):
-    # a target no solve reaches: four iterates, one LU solve each, four
-    # residual checks, and the error reports the residual of the last
-    # iterate, the one after three refinement steps
-    import scipy.sparse as sp
-
+def test_a_missed_tolerance_fails_after_one_solve(monkeypatch):
+    # a target no solve reaches: one factorization, one solve with its
+    # factor, and the error reports the residual of that solve, the one
+    # that the same system reports at the default target
     import dpglab.dpg as dpg
     from dpglab.dpg import SolverError
     from dpglab.problems import lshape_singular
 
     real_factor = dpg._factor
-    matrices, solves = [], []
+    factors, solves = [], []
 
     class CountingLU:
         def __init__(self, lu):
-            self.lu, self.nnz = lu, lu.nnz
+            self.lu = lu
 
         def solve(self, rhs):
-            solves.append((rhs, self.lu.solve(rhs)))
-            return solves[-1][1]
+            solves.append(rhs)
+            return self.lu.solve(rhs)
 
     def counting_factor(A):
-        matrices.append(sp.csc_matrix((A.data, A.indices, A.indptr),
-                                      shape=A.shape))
+        factors.append(A)
         return CountingLU(real_factor(A))
 
-    monkeypatch.setattr(dpg, "_factor", counting_factor)
     problem = lshape_singular()
-    with pytest.raises(SolverError) as failure:
-        assemble_solve(lshape_mesh(), TrialSpace(1), problem.kind,
-                       problem.source, dirichlet=problem.dirichlet,
-                       solver_tol=1e-300)
-    assert len(matrices) == 1
-    assert len(solves) == 4
-    (A,), b = matrices, solves[0][0]
-    x = solves[0][1]
-    for _, correction in solves[1:]:
-        x = x + correction
-    rel = float(np.linalg.norm(b - A @ x)) / float(np.linalg.norm(b))
-    assert failure.value.residual == rel
-    assert f"residual {rel:.3e} after 3 refinement steps" in str(failure.value)
+    mesh = refine_uniform(lshape_mesh())
 
-
-def test_refinement_reaches_tol_from_a_perturbed_factor(monkeypatch):
-    # no supported study needs a refinement step, so the success path is
-    # forced: SuperLU factors A (1 + 1e-6), whose first solve misses the
-    # target, and refinement against the true A must still reach it
-    import scipy.sparse as sp
-
-    import dpglab.dpg as dpg
-    from dpglab.problems import lshape_singular
-
-    problem = lshape_singular()
-    mesh, tol = refine_uniform(lshape_mesh()), 1e-10
-
-    def solve():
+    def solve(tol):
         return assemble_solve(mesh, TrialSpace(1), problem.kind,
                               problem.source, dirichlet=problem.dirichlet,
                               solver_tol=tol)
 
-    exact = solve()
-    real_factor = dpg._factor
-    monkeypatch.setattr(dpg, "_factor", lambda A: real_factor(
-        sp.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape)
-        * (1 + 1e-6)))
-    refined = solve()
-    assert exact.diagnostics["iterations"] == 0
-    assert refined.diagnostics["iterations"] >= 1
-    assert refined.diagnostics["rel_residual"] <= tol
-    scale = np.abs(exact.skeleton_coeffs).max()
-    assert (np.abs(refined.skeleton_coeffs - exact.skeleton_coeffs).max()
-            <= 1e-10 * scale)
+    passed = solve(1e-10)
+    monkeypatch.setattr(dpg, "_factor", counting_factor)
+    with pytest.raises(SolverError) as failure:
+        solve(1e-300)
+    assert (len(factors), len(solves)) == (1, 1)
+    rel = passed.diagnostics["rel_residual"]
+    assert failure.value.residual.hex() == rel.hex()
+    assert (f"residual {rel:.3e} (target 1.0e-300)"
+            in str(failure.value))
+    assert "step" not in str(failure.value)
 
 
 def test_unknown_kind_is_refused_before_any_work():
@@ -1385,22 +1353,10 @@ def test_skeleton_system_is_the_coo_route_bit_for_bit(case, budget,
     # right-hand side, at any chunk size.  Run against the scipy floor
     # too, this pins the summation order of its COO -> CSC
     import dpglab.dpg as dpg
-    from dpglab.problems import lshape_singular
 
     if budget is not None:
         monkeypatch.setattr(dpg, "_CHUNK_BYTES", budget)
-    if case.startswith("lshape"):    # 108 elements in 22 classes
-        problem = lshape_singular()
-        args = (corner_refined_lshape(2, 2), TrialSpace(int(case[-1])),
-                problem.kind, problem.source, problem.dirichlet)
-    elif case == "square-augmented-p2":
-        args = (unit_square_mesh(4), TrialSpace(2, augmented=True),
-                REACTION_DIFFUSION, square_smooth().source,
-                lambda x, y: np.cos(x + 2.0 * y))
-    else:                            # 96 elements, 96 classes
-        args = (perturbed(refine_uniform(refine_uniform(lshape_mesh()))),
-                TrialSpace(1), POISSON, lambda x, y: 1.0 + x * y, None)
-    built = skeleton_system_args(*args)
+    built = skeleton_system_args(*skeleton_case(case))
     A, b = dpg._skeleton_system(*built)
     want, want_b = coo_skeleton_system(*built)
     assert A.indptr.dtype == want.indptr.dtype
@@ -1409,7 +1365,8 @@ def test_skeleton_system_is_the_coo_route_bit_for_bit(case, budget,
     assert np.array_equal(A.indices, want.indices)
     assert A.data.tobytes() == want.data.tobytes()
     assert b.tobytes() == want_b.tobytes()
-    assert buffer_length(A.data) == buffer_length(A.indices) == A.nnz
+    assert (buffer_length(A.data) == buffer_length(A.indices)
+            == int(A.indptr[-1]))
     if case in ("lshape-p0", "lshape-p2", "lshape-p3"):
         assert (want.data == 0.0).any()     # exact zeros kept as entries
 
@@ -1419,7 +1376,7 @@ def skeleton_case(case):
     test_skeleton_system_is_the_coo_route_bit_for_bit."""
     from dpglab.problems import lshape_singular
 
-    if case.startswith("lshape"):
+    if case.startswith("lshape"):    # 108 elements in 22 classes
         problem = lshape_singular()
         return (corner_refined_lshape(2, 2), TrialSpace(int(case[-1])),
                 problem.kind, problem.source, problem.dirichlet)
@@ -1427,6 +1384,7 @@ def skeleton_case(case):
         return (unit_square_mesh(4), TrialSpace(2, augmented=True),
                 REACTION_DIFFUSION, square_smooth().source,
                 lambda x, y: np.cos(x + 2.0 * y))
+    # 96 elements, 96 classes
     return (perturbed(refine_uniform(refine_uniform(lshape_mesh()))),
             TrialSpace(1), POISSON, lambda x, y: 1.0 + x * y, None)
 
@@ -1451,7 +1409,6 @@ def test_solve_is_public_splu_bit_for_bit(case):
                    relax=dpg._RELAX, panel_size=dpg._PANEL_SIZE,
                    options={"SymmetricMode": True})
     want = lu.solve(b)
-    assert diag["iterations"] == 0
     assert x.tobytes() == want.tobytes()
     assert diag["nnz_factor"] == lu.nnz
     assert diag["nnz_A"] == public.nnz
@@ -1463,6 +1420,7 @@ def test_scipy_kernels_are_reused_or_refused_by_file():
     # a kernel module that scipy has imported is the one dpglab calls; a
     # missing file is an ImportError naming it and scipy's version, with
     # no fallback
+    import sys
     from importlib.metadata import version
 
     import scipy.sparse
@@ -1475,6 +1433,12 @@ def test_scipy_kernels_are_reused_or_refused_by_file():
         dpg._scipy_extension("sparse", "_no_such_kernel")
     assert f"scipy {version('scipy')} has no file " in str(missing.value)
     assert "_no_such_kernel" in str(missing.value)
+    # a pure-Python module is no compiled kernel: refused before it runs
+    name = "scipy.sparse._spfuncs"
+    assert name not in sys.modules
+    with pytest.raises(ImportError, match=name):
+        dpg._scipy_extension("sparse", "_spfuncs")
+    assert name not in sys.modules
 
 
 def buffer_length(a):
@@ -1607,7 +1571,8 @@ def test_solve_under_a_profile_or_trace_hook_is_the_untraced_solve(
             set_hook(old)
     assert_same_solution(got, want)
     [A] = matrices
-    assert buffer_length(A.data) == buffer_length(A.indices) == A.nnz
+    assert (buffer_length(A.data) == buffer_length(A.indices)
+            == int(A.indptr[-1]))
 
 
 def test_each_stage_maps_an_element_at_most_once(monkeypatch):
