@@ -87,8 +87,10 @@ columns of A, takes its diagonal and multiplies it by a vector, and
 SuperLU's gstrf (_factor), both modules loaded from their files in
 scipy's install directory (_scipy_extension).  None of scipy's packages
 is imported: scipy.sparse and scipy.sparse.linalg took 28 MiB and 0.15 s
-of every process that imported dpglab (60 MiB and 0.29 s in all, 32 MiB
-and 0.14 s without them; Python 3.11, numpy 2.4, scipy 1.17, 2 vCPUs).
+of every process that imported dpglab (60 MiB and 0.29 s in all).  With
+them gone, and numpy.ma and numpy.polynomial too (spaces), the import
+takes about 31 MiB and 0.1 s (Python 3.11, numpy 2.4, scipy 1.17, 2
+vCPUs).
 Each kernel is called as scipy's own csc_matrix method or splu calls it,
 with the same arguments in the same order, so A, its factor and the
 solution are those of the scipy calls bit for bit.

@@ -270,9 +270,11 @@ def refine_marked(mesh, marked):
     # the gate refuses, goes to the gate as it is
     if isinstance(marked, Iterable) and not isinstance(marked, np.ndarray):
         marked = list(marked)
-    marked = np.unique(_check_array(marked, "marked", (None,), integer=True))
+    # sorted and deduplicated by hand: np.unique would import numpy.ma
+    marked = np.sort(_check_array(marked, "marked", (None,), integer=True))
     if marked.size == 0:
         return mesh
+    marked = marked[np.concatenate(([True], marked[1:] != marked[:-1]))]
     nt = mesh.num_triangles
     if marked[0] < 0 or marked[-1] >= nt:
         raise ValueError("marked triangle index out of range")

@@ -26,11 +26,10 @@ import numbers
 from functools import lru_cache
 from math import factorial
 
+# numpy's core alone: the Gauss rules are leggauss's own algorithm
+# (_leggauss), and no call reaches np.unique's np.ma.is_masked (numpy 2.4),
+# so no process loads numpy.polynomial or numpy.ma (1.7 MiB between them)
 import numpy as np
-# imported here, not lazily in the first study: np.unique reads
-# np.ma.is_masked (numpy 2.4), and the Gauss rules come from leggauss
-import numpy.ma  # noqa: F401
-from numpy.polynomial.legendre import leggauss
 
 MAX_QUADRATURE_DEGREE = 20
 
@@ -114,9 +113,63 @@ class QuadratureRule:
         self.weights.setflags(write=False)
 
 
+def _legval(x, c):
+    """Legendre series with coefficients c at the points x by Clenshaw's
+    recurrence, numpy.polynomial.legendre.legval's operations in its
+    order."""
+    if len(c) == 1:
+        c0, c1 = c[0], 0
+    elif len(c) == 2:
+        c0, c1 = c[0], c[1]
+    else:
+        nd = len(c)
+        c0, c1 = c[-2], c[-1]
+        for i in range(3, len(c) + 1):
+            tmp = c0
+            nd = nd - 1
+            c0 = c[-i] - c1 * ((nd - 1) / nd)
+            c1 = tmp + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
+def _leggauss(n):
+    """Gauss-Legendre points and weights of [-1, 1], n >= 1 of them:
+    numpy.polynomial.legendre.leggauss step for step.  The eigenvalues of
+    the symmetric scaled companion matrix of P_n (Golub and Welsch 1969),
+    one Newton step, then weights from P_{n-1} and P_n', symmetrized and
+    scaled to sum to 2.  The rules are leggauss's bit for bit on a numpy
+    whose legval rounds as _legval does (numpy 2.4's).  Where legval
+    rounds its Clenshaw steps as (c1*(nd - 1))/nd instead (numpy 1.x),
+    leggauss's points differ from these in the last bit and its weights by
+    up to about 1e-13 relative."""
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    # legcompanion(c): P_n's coefficients are those of e_n, so the
+    # correction it subtracts from the last column is zero and only the
+    # two off-diagonals remain
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    off = np.arange(1, n) * scl[:-1] * scl[1:]
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    dy = _legval(x, c)
+    # legder(c) exactly: P_n' = sum of (2k + 1) P_k over k = n-1, n-3, ...
+    der = np.zeros(n)
+    der[n - 1::-2] = 2 * np.arange(n - 1, -1, -2) + 1
+    df = _legval(x, der)
+    x -= dy / df
+    # the factors are scaled to avoid overflow
+    fm = _legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2. / w.sum()
+    return x, w
+
+
 def _gauss_legendre_01(n):
     # Gauss-Legendre nodes/weights transplanted from [-1, 1] to [0, 1].
-    x, w = leggauss(n)
+    x, w = _leggauss(n)
     return 0.5 * (x + 1.0), 0.5 * w
 
 

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from dpglab.mesh import Mesh, refine_marked, refine_uniform
-from dpglab.spaces import (EdgeBasis, ScalarBasis, _check_array,
-                           basis_at_quadrature, edge_bubbles, edge_quadrature,
-                           monomial_exponents, monomial_integral, project_l2,
-                           triangle_quadrature)
+from dpglab.spaces import (EdgeBasis, ScalarBasis, _check_array, _leggauss,
+                           _legval, basis_at_quadrature, edge_bubbles,
+                           edge_quadrature, monomial_exponents,
+                           monomial_integral, project_l2, triangle_quadrature)
 
 
 @pytest.mark.parametrize("degree", [0, 1, 2, 3, 5, 8, 12, 20])
@@ -234,6 +234,25 @@ def test_check_array_returns_a_new_array_of_the_asked_dtype():
     assert _check_array(frozen, "x", (3,), integer=True).flags.writeable
     # an empty index array has no dtype to refuse
     assert _check_array([], "x", (None,), integer=True).dtype == np.int64
+
+
+@pytest.mark.parametrize("n", range(1, 22))
+def test_leggauss_is_numpys_bit_for_bit(n, monkeypatch):
+    # spaces keeps numpy.polynomial out of the import with its own copy of
+    # leggauss's algorithm; n = 1..21 are all the rules that
+    # triangle_quadrature (degree <= 20) and edge_quadrature (degree <= 40)
+    # build.  A numpy whose legval rounds its Clenshaw steps otherwise than
+    # _legval (numpy 1.x: (c1*(nd - 1))/nd) runs leggauss on _legval here,
+    # so every other step of it is still compared bit for bit
+    from numpy.polynomial import legendre
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    probe = np.linspace(-1.0, 1.0, 101)
+    if legendre.legval(probe, c).tobytes() != _legval(probe, c).tobytes():
+        monkeypatch.setattr(legendre, "legval", _legval)
+    x, w = _leggauss(n)
+    want_x, want_w = legendre.leggauss(n)
+    assert np.array_equal(x, want_x) and np.array_equal(w, want_w)
 
 
 def test_edge_quadrature_exactness():

@@ -283,22 +283,40 @@ def test_import_loads_no_scipy_package():
 
 
 def test_studies_import_nothing_after_the_package(tmp_path):
-    # what the first study would import on first use (numpy.ma for
-    # np.unique, numpy.polynomial for the Gauss rules) is imported with
-    # the package, so it counts in the set-up and not in a study
+    # the package and its studies run on numpy's core: the Gauss rules are
+    # spaces._leggauss, not numpy.polynomial's leggauss, and refine_marked
+    # dedupes without np.unique, which reads np.ma.is_masked (numpy 2.4).
+    # A study imports nothing the package has not, so all of the import
+    # counts in the set-up.  numpy 1.x imports numpy.ma and numpy.polynomial
+    # with numpy itself, so what counts is that neither dpglab nor a study
+    # adds them.  The augmented p=2 square study with its source runs
+    # project_l2 and the Dirichlet bubbles' edge rules too
     out = fresh_process(
         "import sys\n"
+        "import numpy\n"
+        "def subpackages():\n"
+        "    return ' '.join(m for m in ('numpy.ma', 'numpy.polynomial')"
+        " if m in sys.modules)\n"
+        "print(subpackages())\n"
         "import dpglab\n"
         "from dpglab.study import StudyConfig, run_study\n"
+        "print(subpackages())\n"
         "before = set(sys.modules)\n"
         "run_study(StudyConfig(problem='lshape', p=1, levels=2,"
         " postprocess=True, out=sys.argv[1] + '/uniform.csv'))\n"
         "run_study(StudyConfig(problem='lshape', p=1, mode='adaptive',"
         " max_dofs=500, postprocess=True,"
         " out=sys.argv[1] + '/adaptive.csv'))\n"
+        "run_study(StudyConfig(problem='square', p=2, trial='augmented',"
+        " levels=2, out=sys.argv[1] + '/augmented.csv'))\n"
+        "print(subpackages())\n"
         "print(' '.join(sorted(set(sys.modules) - before)))", str(tmp_path))
-    assert out.split() == []
+    with_numpy, after_import, after_studies, new_modules = out.splitlines()
+    assert after_import == with_numpy
+    assert after_studies == with_numpy
+    assert new_modules.split() == []
     assert len((tmp_path / "adaptive.csv").read_text().splitlines()) > 3
+    assert len((tmp_path / "augmented.csv").read_text().splitlines()) == 3
 
 
 def test_unwritable_out_is_refused_before_any_solve(tmp_path, monkeypatch,
