@@ -75,10 +75,10 @@ _solve_spd solves it, and _recover applies inner and w.  Each element
 stage gets its own z at the lift, so that under the sparse factor only
 A, b and what recovery reads are alive.  Both element stages run their
 products over chunks of elements whose gathered class operators fill at
-most _CHUNK_BYTES, 1 MiB, and the store condenses the classes new to a
-mesh in chunks of the same size, so no operator is copied once per
-element of the whole mesh, and the holes that freed chunks leave in the
-heap stay small.  No result depends on the chunk size.
+most _CHUNK_BYTES, and the store condenses the classes new to a mesh in
+chunks of the same size, so no operator is copied once per element of
+the whole mesh, and the holes that freed chunks leave in the heap stay
+small.  No result depends on the chunk size.
 The dense algebra is numpy's alone: np.linalg.cholesky and
 np.linalg.solve take a whole stack of class matrices in one call each.
 The sparse work runs in scipy's compiled kernels, called directly: those
@@ -86,11 +86,9 @@ of the _sparsetools module with which csc_matrix sorts and sums the
 columns of A, takes its diagonal and multiplies it by a vector, and
 SuperLU's gstrf (_factor), both modules loaded from their files in
 scipy's install directory (_scipy_extension).  None of scipy's packages
-is imported: scipy.sparse and scipy.sparse.linalg took 28 MiB and 0.15 s
-of every process that imported dpglab (60 MiB and 0.29 s in all).  With
-them gone, and numpy.ma and numpy.polynomial too (spaces), the import
-takes about 31 MiB and 0.1 s (Python 3.11, numpy 2.4, scipy 1.17, 2
-vCPUs).
+is imported, so that a process that imports dpglab carries numpy's core
+and these two modules alone; test_import_loads_no_scipy_package and the
+CI import-footprint step check it.
 Each kernel is called as scipy's own csc_matrix method or splu calls it,
 with the same arguments in the same order, so A, its factor and the
 solution are those of the scipy calls bit for bit.
@@ -321,8 +319,10 @@ def _reference_tables(p):
         ends = [(le + 1) % 3, (le + 2) % 3]
         a, b = REFERENCE_VERTICES[ends[::-1] if flip else ends]
         pts.append(a + t[:, None] * (b - a))
-    # the test basis at the points of all six in one call, then one
-    # contiguous (n_t, nqe) block per configuration
+    # the test basis at the points of all six in one call, since each call
+    # runs the whole recurrence, gradients included, and every study
+    # process builds the table anew; then one contiguous (n_t, nqe) block
+    # per configuration
     EV = ScalarBasis(p + DELTA_P).values(np.concatenate(pts))
     EV = np.ascontiguousarray(
         EV.reshape(V.shape[0], len(configs), len(t)).swapaxes(0, 1))
@@ -420,22 +420,14 @@ def _local_systems(dofmap, kind, elements):
 # per-element products, and ClassStore.update its condensations, over
 # chunks of elements or classes this large, so that no operator is ever
 # copied for every element at once; _skeleton_system's runs and
-# error_report's points are chunked by the same budget, error_report's at
-# the element count of a 4 MiB budget (see there).  Results do not
-# depend on it.  The gathers of a larger chunk, once freed, leave heap
-# holes that the adaptive study's later steps keep resident under their
-# sparse factor.  Peak RSS of one lshape-p1-adaptive benchmark child
-# (mean of seeds 1-6, draw 0), and _recover at p=1 with 6,144 elements
-# (warm, best of 5, two runs, 2 vCPUs):
-#
-#     budget    peak RSS    _recover
-#     4 MiB     88.9 MiB    20-29 ms
-#     2 MiB     86.6 MiB    13-18 ms
-#     1 MiB     86.7 MiB    12-19 ms
-#     512 KiB   86.4 MiB    12-19 ms
-#     256 KiB   86.5 MiB    16-26 ms
-#
-# The uniform workloads moved by less than 0.3 MiB between 4 and 1 MiB
+# error_report's points are chunked by the same budget, each at its own
+# cost per row or point (see there).  Results do not depend on it.  The
+# gathers of a larger chunk, once freed, leave heap holes that the
+# adaptive study's later steps keep resident under their sparse factor;
+# a smaller chunk makes more numpy calls.  The p=1 adaptive L-shape CLI
+# study to 25,000 dofs peaks at 56.9, 53.3 and 53.6 MiB and runs in
+# 0.58, 0.56 and 0.63 s in process, with chunks of 4 MiB, 1 MiB and
+# 256 KiB (Python 3.11, numpy 2.4, 2 vCPUs)
 _CHUNK_BYTES = 1 << 20
 
 
@@ -584,11 +576,11 @@ def condense(gram, coupling):
     LinAlgError passes through for a Gram that is not SPD.
 
     numpy has no stacked triangular solve, so W comes from np.linalg.solve,
-    an LU with partial pivoting, which swaps rows of L: its sub-diagonal
-    entries reach 2.02 times the diagonal at p = 3.  The LU stays backward
-    stable.  On one p = 3 element Gram, h from 0.1 down to 1e-6, it leaves
-    |L W - C| / |C| at most 8.3e-16, against 2.5e-16 for a triangular
-    solve.
+    an LU with partial pivoting, which swaps rows of L where its
+    sub-diagonal entries pass its diagonal, as they do on small p = 3
+    elements.  The LU stays backward stable:
+    test_condense_symmetry_and_nullspace holds L W = C to 1e-13 on such a
+    Gram.
     """
     factor = np.linalg.cholesky(gram)
     whitened = np.linalg.solve(factor, coupling)
@@ -757,30 +749,25 @@ def _skeleton_system(dofmap, ops, cls, chunks, z):
     in the order in which scipy's COO -> CSC counting sort leaves a COO of
     the cliques listed element by element, and the kernels of
     csc_matrix.sum_duplicates, called in its order, sort and sum each
-    column as that conversion does: A is the COO route's bit for bit.  It
-    sums and never prunes, so the exact zeros stay entries of A: the
-    finest system of the p=1 uniform L-shape study holds 8,960 of them,
-    and pruning them (as a sum of per-chunk sparse matrices would) changes
-    the minimum-degree order and takes nnz(L+U) from 2.62M to 4.88M.  The
-    sorted local columns are one int32 array of flat positions e (n - k)
-    + j, and a chunk of them recovers e and j by np.divmod.  The
-    build peaks in its last chunk, holding the uncompressed data and
-    indices, 12 bytes per clique entry, the structure, 12 bytes per free
-    local column (freed before the conversion), and one chunk of runs: a
-    run's gather and its copy without the prescribed rows take about 18
-    bytes per row of hybrid, and runs are counted at 128 bytes a row, so a
-    chunk's transient stays near _CHUNK_BYTES / 7, about 150 KB.  The peak
-    is 1.62 times the bytes of A on the p=1 L-shape with 6,144 elements
-    and 1.41 times at p=3 with 384 (1.62 and 1.63 times with chunks of 4
-    MiB); the COO, with its row and column arrays and the conversion's
-    copies, took 4.2 times at p=1.  The sum runs in place and leaves the
-    entries in the first nnz slots of data and indices (643,185 of 862,904
-    at p=1), so the build shrinks both to nnz by ndarray.resize, a realloc
-    in place, and returns them as a _CSC.  A copy of the summed entries
-    would hold both buffers at once and raise the peak.  With it, and a
-    broadcast zero load for a problem without a source, the memory live
-    when _solve_spd starts is 1.16 times the bytes of A at p=1 and 1.31
-    times at p=3 (1.56 and 1.60 times on the uncompressed buffers).
+    column as that conversion does: A is the COO route's bit for bit
+    (test_skeleton_system_is_the_coo_route_bit_for_bit).  It sums and
+    never prunes, so the exact zeros stay entries of A: pruning them, as a
+    sum of per-chunk sparse matrices would, changes the minimum-degree
+    order and raises the fill.  The sorted local columns are one int32
+    array of flat positions e (n - k) + j, and a chunk of them recovers e
+    and j by np.divmod.  The build peaks in its last chunk, holding the
+    uncompressed data and indices, 12 bytes per clique entry, the
+    structure, 12 bytes per free local column (freed before the
+    conversion), and one chunk of runs;
+    test_skeleton_system_peak_memory_stays_near_its_matrix bounds that
+    peak at 1.9 times the bytes of A.  The sum runs in place and leaves
+    the entries in the first nnz slots of data and indices, so the build
+    shrinks both to nnz by ndarray.resize, a realloc in place, and returns
+    them as a _CSC.  A copy of the summed entries would hold both buffers
+    at once and raise the peak.  With it, and a broadcast zero load for a
+    problem without a source, the memory live when _solve_spd starts
+    stays below 1.3 times the bytes of A
+    (test_sparse_solve_starts_with_little_beside_its_matrix).
     """
     k, n, ns = dofmap.k_int, dofmap.n_local, dofmap.num_free_skeleton
     fcols, hybrid = dofmap.free_cols, ops["hybrid"]
@@ -799,8 +786,9 @@ def _skeleton_system(dofmap, ops, cls, chunks, z):
     runs = np.concatenate([[0], np.cumsum(own.sum(axis=1)[pos // (n - k)])])
     data, indices = np.empty(runs[-1]), np.empty(runs[-1], fcols.dtype)
     columns = np.swapaxes(hybrid, 1, 2)
-    # a run's transient is about 18 (n - k) bytes; counting it at 128
-    # (n - k) keeps a chunk's small against the data and indices beside it
+    # a run's gather and its copy without the prescribed rows take about
+    # 18 bytes per row of hybrid; counting them at 128 keeps a chunk's
+    # transient near _CHUNK_BYTES / 7, small against data and indices
     for c in _chunks(len(pos), 128 * (n - k)):
         e, col = np.divmod(pos[c], n - k)
         rows = own[e]
@@ -857,9 +845,9 @@ def _recover(dofmap, ops, cls, chunks, z, x):
         res = w @ both
         eta_sq[c] = np.einsum("em,em->e", res[..., 0], res[..., 0])
         bt_both[c] = np.swapaxes(w[:, :, :n], 1, 2) @ res
-    galerkin = {}
+    galerkin, cols = {}, fcols[own]
     for i, name in enumerate(("galerkin_residual", "load_scale")):
-        sums = np.bincount(fcols[own], bt_both[:, k:, i][own],
+        sums = np.bincount(cols, bt_both[:, k:, i][own],
                            minlength=dofmap.num_free_skeleton)
         galerkin[name] = float(np.max([np.abs(bt_both[:, :k, i]).max(),
                                        np.abs(sums).max()]))
@@ -872,11 +860,11 @@ _ORDERING = "MMD_AT_PLUS_A"
 # supernodes of at most _RELAX columns, panels of _PANEL_SIZE columns.
 # The default relaxation merges small subtrees of the elimination tree
 # into supernodes whose columns differ in structure and stores the
-# difference as explicit zeros.  On the p=1 uniform L-shape system of
-# 30,721 skeleton dofs this pair takes nnz(L+U) from 2.62M to 2.13M and
-# the factor time from 236 to 166 ms (2 cores).  relax = 2 gives the same
-# fill and relax = 4 a little more; relax = panel_size = 40 crashed at
-# process exit
+# difference as explicit zeros: on the p=1 uniform L-shape system of
+# 30,721 skeleton dofs nnz(L+U) is 2.62M with SuperLU's defaults and
+# 2.13M with this pair.  A larger pair (relax = panel_size = 40) crashed
+# at process exit, which the CI step "Largest routine skeleton
+# factorization in a fresh process" would show
 _RELAX = 1
 _PANEL_SIZE = 4
 
@@ -909,12 +897,12 @@ def _solve_spd(A, b, tol):
     SuperLU in symmetric mode, with diagonal pivots: without row
     pivoting the residual check is what catches a bad factorization.
     No iterative refinement follows: in working precision it repairs
-    only an unstable elimination, and this one is backward stable; every
-    supported study passes at a relative residual of at most 1.3e-13.
-    The diagonal and the product A x are scipy's csr_diagonal and
-    csc_matvec kernels, as csc_matrix calls them.  The diagnostics record
-    the ordering and the supernode pair next to the method, the residual
-    and nnz of A and of its factor.
+    only an unstable elimination, and this one is backward stable
+    (test_direct_solve_needs_no_refinement: p = 0..3 pass the default
+    tolerance after the one solve).  The diagonal and the product A x
+    are scipy's csr_diagonal and csc_matvec kernels, as csc_matrix calls
+    them.  The diagnostics record the ordering and the supernode pair
+    next to the method, the residual and nnz of A and of its factor.
 
     Raises SolverError on a non-finite or non-positive diagonal entry, a
     singular factor, or a relative residual that misses tol (a non-finite

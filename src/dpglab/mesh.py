@@ -64,11 +64,12 @@ class Mesh:
     h_max, h_min : float, largest and smallest element diameter
         (longest edge); 0.0 without triangles.
 
-    vertices is the only float array the mesh holds, about 95 bytes in
-    all per element.  The element geometry, J, det J and J^{-1}, is
-    computed where it is used (geometry()), each stage for its own
-    elements: stored with the edge lengths, it took another 85 bytes per
-    element of every mesh that an adaptive run keeps.
+    vertices is the only float array the mesh holds.  The element
+    geometry, J, det J and J^{-1}, is computed where it is used
+    (geometry()), each stage for its own elements, so that each mesh an
+    adaptive run keeps holds its topology and vertices alone
+    (test_adaptive_loop_keeps_a_light_mesh_per_step bounds them at 110
+    bytes per element).
     """
 
     def __init__(self, vertices, triangles, refinement_edges):
@@ -115,8 +116,8 @@ class Mesh:
         self.edge_flips = flips.reshape(3, t.shape[0]).T.copy()
         # the key lo nv + hi orders the rows (lo, hi) lexicographically
         # and is exact in int64 for nv < 3e9.  return_index makes
-        # np.unique argsort stably, as np.lexsort does: with its default
-        # int64 argsort a p=3 study's peak RSS grew by 0.25 MiB
+        # np.unique argsort stably, as np.lexsort does; its default sort
+        # raised a p=3 study's peak RSS
         raw = np.sort(raw, axis=1)
         nv = self.vertices.shape[0]
         codes, _, inverse = np.unique(raw[:, 0] * nv + raw[:, 1],

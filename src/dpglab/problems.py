@@ -151,12 +151,12 @@ def error_report(solution, postprocessed, problem, extra_exactness=0):
         Bump, an integer >= 0, added to the default error-quadrature
         exactness 2(p+3) + 4.  No Gauss rule resolves the singular
         problem's |grad u - sigma_h|^2 ~ r^(-2/3) on the elements at the
-        reentrant corner, and a bump does not cure it: raising it by 4
-        moves the final err_sigma of the uniform L-shape studies by 1.4%
-        (p = 1, 6 levels) and 3.0% (p = 3, 5 levels).  Against a
-        collapsed-coordinate oracle the reported err_sigma there reads
-        2.9% (p = 1) and 7.3% (p = 3) low from level 1 on, and 6.8% and
-        16% low at level 0; err_u is off by at most 2.8e-3.
+        reentrant corner, and a bump does not cure it.  Against a
+        collapsed-coordinate oracle the reported err_sigma of the uniform
+        L-shape reads 2.9% (p = 1) and 7.3% (p = 3) low from level 1 on,
+        and 6.8% and 16% low at level 0, and err_u is off by at most
+        2.9e-3; test_reported_lshape_errors_against_the_corner_oracle pins
+        both.
 
     Returns
     -------
@@ -168,9 +168,8 @@ def error_report(solution, postprocessed, problem, extra_exactness=0):
     chunks of elements (dpg._chunks), written in place into those arrays;
     each error is the square root of one np.sum of its array, so no result
     depends on the chunks.  The report holds those arrays and one chunk's
-    points, not a dozen whole-mesh point arrays: at 6,144 p=1 elements
-    its traced peak went from 25.5 to 10.2 MiB with a postprocessed field
-    and from 25.3 to 7.7 MiB without.
+    points, not a dozen whole-mesh point arrays
+    (test_error_report_peak_memory_stays_small).
 
     Raises ValueError on an extra_exactness error_exactness refuses or a
     postprocessed of another shape, and when problem.exact or
@@ -202,11 +201,11 @@ def error_report(solution, postprocessed, problem, extra_exactness=0):
     sy_vals = solution.sigma_coeffs[:, 1, :] @ V_s
     sq_post = None if postprocessed is None else postprocessed @ V
     # a chunk holds about a dozen float arrays of its points, about 96
-    # bytes a point, counted at 128: under the 1 MiB budget a chunk holds
-    # as many elements as under 4 MiB at 512 bytes a point.  Chunks a
-    # quarter of that size gave the same peak RSS and made error_report
-    # about 20% slower in the p1 adaptive study: each chunk evaluates the
-    # exact solution in a few dozen numpy calls
+    # bytes a point, counted at 128.  Each chunk evaluates the exact
+    # solution in a few dozen numpy calls: chunks a quarter of this size
+    # (512 bytes a point) gave the same peak RSS in the p1 adaptive CLI
+    # study to 25,000 dofs, where error_report took 0.117 s against 0.090
+    # (2 vCPUs)
     for c in _chunks(nt, 128 * len(w)):
         jac, det, _ = mesh.geometry(c)
         xy = mesh.to_physical(pts, c, jac)

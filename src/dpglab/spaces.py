@@ -28,7 +28,8 @@ from math import factorial
 
 # numpy's core alone: the Gauss rules are leggauss's own algorithm
 # (_leggauss), and no call reaches np.unique's np.ma.is_masked (numpy 2.4),
-# so no process loads numpy.polynomial or numpy.ma (1.7 MiB between them)
+# so no process loads numpy.polynomial or numpy.ma
+# (test_studies_import_nothing_after_the_package)
 import numpy as np
 
 MAX_QUADRATURE_DEGREE = 20
@@ -119,8 +120,6 @@ def _legval(x, c):
     order."""
     if len(c) == 1:
         c0, c1 = c[0], 0
-    elif len(c) == 2:
-        c0, c1 = c[0], c[1]
     else:
         nd = len(c)
         c0, c1 = c[-2], c[-1]
@@ -138,10 +137,9 @@ def _leggauss(n):
     the symmetric scaled companion matrix of P_n (Golub and Welsch 1969),
     one Newton step, then weights from P_{n-1} and P_n', symmetrized and
     scaled to sum to 2.  The rules are leggauss's bit for bit on a numpy
-    whose legval rounds as _legval does (numpy 2.4's).  Where legval
+    whose legval rounds as _legval does (numpy 2.4's); where legval
     rounds its Clenshaw steps as (c1*(nd - 1))/nd instead (numpy 1.x),
-    leggauss's points differ from these in the last bit and its weights by
-    up to about 1e-13 relative."""
+    leggauss's rules differ from these in their last bits."""
     c = np.zeros(n + 1)
     c[-1] = 1.0
     # legcompanion(c): P_n's coefficients are those of e_n, so the
@@ -181,10 +179,10 @@ def _gauss_legendre_01(n):
 def triangle_quadrature(degree):
     """Quadrature on the reference triangle, exact to the given total degree.
 
-    Uses the Duffy (collapsed square) transform of a tensor Gauss-Legendre
-    rule: (u, v) in [0,1]^2 maps to (u, v(1-u)) with Jacobian (1-u).  The
-    extra Jacobian factor raises the u-degree by one, which the node count
-    accounts for.
+    Uses the Duffy (collapsed square) transform of the tensor product of
+    one Gauss-Legendre rule with itself: (u, v) in [0,1]^2 maps to (u,
+    v(1-u)) with Jacobian (1-u).  The extra Jacobian factor raises the
+    u-degree by one, which the node count accounts for.
 
     Parameters
     ----------
@@ -199,11 +197,10 @@ def triangle_quadrature(degree):
     _check_integer(degree, "quadrature degree", 0, MAX_QUADRATURE_DEGREE)
     n = (degree + 3) // 2
     u, wu = _gauss_legendre_01(n)
-    v, wv = _gauss_legendre_01(n)
-    uu, vv = np.meshgrid(u, v, indexing="ij")
+    uu, vv = np.meshgrid(u, u, indexing="ij")
     x = uu.ravel()
     y = (vv * (1.0 - uu)).ravel()
-    w = (np.outer(wu * (1.0 - u), wv)).ravel()
+    w = (np.outer(wu * (1.0 - u), wu)).ravel()
     return QuadratureRule(np.column_stack([x, y]), w, degree)
 
 

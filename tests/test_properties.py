@@ -250,6 +250,38 @@ def test_mark_is_a_minimal_doerfler_set(eta, theta):
         assert running[k - 2] < theta * running[-1]
 
 
+def mark_oracle(eta, theta):
+    """mark() in plain Python: the elements ordered by (-eta_i^2, i), the
+    squares summed one by one in that order, and the shortest prefix whose
+    running sum reaches theta times the last, sorted; nothing when that
+    total is zero."""
+    sq = [e * e for e in eta]
+    order = sorted(range(len(eta)), key=lambda i: (-sq[i], i))
+    running, total = [], 0.0
+    for i in order:
+        total += sq[i]
+        running.append(total)
+    if total == 0.0:
+        return []
+    k = next(j for j, s in enumerate(running) if s >= theta * total)
+    return sorted(order[:k + 1])
+
+
+@hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
+                     database=None)
+@hypothesis.given(
+    eta=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=1,
+                 max_size=40),
+    theta=st.one_of(st.sampled_from([0.25, 0.5, 0.75]),
+                    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)))
+def test_mark_matches_a_pure_python_oracle(eta, theta):
+    # exact ties and zeros are common among these values, and the squares
+    # and their sums are exact, so a cut can fall inside a run of equal
+    # contributions or on the threshold itself: equal contributions are
+    # taken in ascending element order
+    assert mark(np.array(eta), theta).tolist() == mark_oracle(eta, theta)
+
+
 SPACES = [(TrialSpace(1), POISSON), (TrialSpace(1, augmented=True), POISSON),
           (TrialSpace(0), POISSON), (TrialSpace(0), REACTION_DIFFUSION)]
 
