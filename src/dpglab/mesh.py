@@ -52,12 +52,17 @@ class Mesh:
     triangle listed twice, or an edge of more than two triangles raises
     ValueError.
 
+    The mesh keeps its index arrays, triangles, edges and tri_edges, as
+    int32 and refinement_edges as int8, each narrowed once the checks
+    above have bounded its values; int32 holds the indices of any mesh
+    below 2**31 vertices (32 GiB of coordinates).
+
     Derived attributes
     ------------------
-    edges : (ne, 2) int array, each row sorted low < high, rows in
-        lexicographic order: sorted by the integer key low * nv + high,
-        which is exact for nv < 3e9.
-    tri_edges : (nt, 3) int array, global edge id of local edge k.
+    edges : (ne, 2) int32 array, each row sorted low < high, rows in
+        lexicographic order: sorted by the key low * nv + high, formed in
+        int64, where it is exact for nv < 3e9.
+    tri_edges : (nt, 3) int32 array, global edge id of local edge k.
     edge_flips : (nt, 3) bool array, local edge k (from local vertex k+1
         to k+2) runs against its global edge (from low to high vertex).
     boundary_edge : (ne,) bool, boundary_vertex : (nv,) bool.
@@ -68,7 +73,7 @@ class Mesh:
     geometry, J, det J and J^{-1}, is computed where it is used
     (geometry()), each stage for its own elements, so that each mesh an
     adaptive run keeps holds its topology and vertices alone
-    (test_adaptive_loop_keeps_a_light_mesh_per_step bounds them at 110
+    (test_adaptive_loop_keeps_a_light_mesh_per_step bounds them at 56
     bytes per element).
     """
 
@@ -95,9 +100,11 @@ class Mesh:
             triangles[flip] = triangles[flip][:, [0, 2, 1]]
             refinement_edges[flip] = _FLIP_REFEDGE[refinement_edges[flip]]
 
+        # the range checks bound every index by nv and every refinement
+        # edge by 2, so neither narrowing can wrap
         self.vertices = vertices
-        self.triangles = triangles
-        self.refinement_edges = refinement_edges
+        self.triangles = triangles.astype(np.int32)
+        self.refinement_edges = refinement_edges.astype(np.int8)
 
         self._build_edges()
         h = self.diameters() if len(triangles) else np.zeros(1)
@@ -115,16 +122,18 @@ class Mesh:
         flips = raw[:, 0] > raw[:, 1]
         self.edge_flips = flips.reshape(3, t.shape[0]).T.copy()
         # the key lo nv + hi orders the rows (lo, hi) lexicographically
-        # and is exact in int64 for nv < 3e9.  return_index makes
-        # np.unique argsort stably, as np.lexsort does; its default sort
-        # raised a p=3 study's peak RSS
-        raw = np.sort(raw, axis=1)
+        # and is exact in int64 for nv < 3e9, so the pairs are widened
+        # first: from the int32 columns it would wrap once nv > 46,340.
+        # return_index makes np.unique argsort stably, as np.lexsort
+        # does; its default sort raised a p=3 study's peak RSS
+        raw = np.sort(raw.astype(np.int64), axis=1)
         nv = self.vertices.shape[0]
         codes, _, inverse = np.unique(raw[:, 0] * nv + raw[:, 1],
                                       return_index=True, return_inverse=True)
-        edges = np.column_stack([codes // nv, codes % nv])
+        edges = np.column_stack([codes // nv, codes % nv]).astype(np.int32)
         self.edges = edges
-        self.tri_edges = inverse.reshape(3, t.shape[0]).T.copy()
+        self.tri_edges = inverse.reshape(3, t.shape[0]).T.astype(np.int32,
+                                                                 order="C")
 
         # counterclockwise neighbours run along their shared edge in
         # opposite directions, so no edge is run along twice in one
@@ -296,7 +305,7 @@ def refine_marked(mesh, marked):
 
     # one new vertex per marked edge, appended in edge order
     n_new = int(edge_marked.sum())
-    midpoint_vertex = np.full(mesh.num_edges, -1, dtype=np.int64)
+    midpoint_vertex = np.full(mesh.num_edges, -1, dtype=np.int32)
     midpoint_vertex[edge_marked] = mesh.num_vertices + np.arange(n_new)
     mids = 0.5 * (mesh.vertices[mesh.edges[edge_marked, 0]] +
                   mesh.vertices[mesh.edges[edge_marked, 1]])
@@ -310,10 +319,11 @@ def refine_marked(mesh, marked):
     #   slot 0  (m_ab, c, m_ca) or (c, a, m_ab),  slot 1  (a, m_ab, m_ca),
     #   slot 2  (m_ab, b, m_bc) or (b, c, m_ab),  slot 3  (c, m_ab, m_bc);
     # slot 1 exists when (c, a) is marked, slot 3 when (b, c) is, and
-    # every child refines through edge 2, its (v0, v1)
-    kids = np.empty((nt, 4, 3), dtype=np.int64)
+    # every child refines through edge 2, its (v0, v1); in the mesh's
+    # own types, int32 and int8
+    kids = np.empty((nt, 4, 3), dtype=np.int32)
     kids[:, 0] = mesh.triangles
-    ref = np.full((nt, 4), 2, dtype=np.int64)
+    ref = np.full((nt, 4), 2, dtype=np.int8)
     ref[:, 0] = mesh.refinement_edges
     keep = np.tile([True, False, False, False], (nt, 1))
     split = np.flatnonzero(edge_marked[ref_edge_of])

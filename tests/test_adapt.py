@@ -191,10 +191,10 @@ def test_steps_store_holds_the_classes_of_each_mesh(mode, monkeypatch):
 
 @pytest.mark.parametrize("p, max_dofs", [(0, 5000), (1, 25000)])
 def test_adaptive_loop_keeps_a_light_mesh_per_step(p, max_dofs):
-    # every step's mesh stays alive in the run; it holds its topology and
-    # its vertices, about 95 bytes per element, and computes its geometry
-    # where it is used (Mesh.geometry).  Stored J, det J, J^{-1} and edge
-    # lengths made it 180 bytes per element at both orders
+    # every step's mesh stays alive in the run; it holds its topology, in
+    # int32 and int8, and its vertices, about 52 bytes per element, and
+    # computes its geometry where it is used (Mesh.geometry).  int64
+    # topology, or stored J, det J, J^{-1} and edge lengths, fail the bound
     run = adaptive_loop(lshape_singular(), TrialSpace(p), theta=0.25,
                         max_dofs=max_dofs)
     bases = {}
@@ -206,7 +206,7 @@ def test_adaptive_loop_keeps_a_light_mesh_per_step(p, max_dofs):
                 bases[id(value)] = value
     element_steps = sum(step.mesh.num_triangles for step in run.steps)
     assert len(run.steps) > 10
-    assert sum(a.nbytes for a in bases.values()) <= 110 * element_steps
+    assert sum(a.nbytes for a in bases.values()) <= 56 * element_steps
 
 
 def test_adaptive_refinement_concentrates_at_corner():

@@ -49,7 +49,7 @@ def test_unit_square_numbering_matches_a_cell_loop(n):
             ll, ul = j * (n + 1) + i, (j + 1) * (n + 1) + i
             tris += [(ll, ll + 1, ul + 1), (ll, ul + 1, ul)]
     m = unit_square_mesh(n)
-    assert m.triangles.tobytes() == np.array(tris, dtype=np.int64).tobytes()
+    assert m.triangles.tobytes() == np.array(tris, dtype=np.int32).tobytes()
     assert m.vertices[tris[0][2]].tolist() == [1.0 / n, 1.0 / n]
 
 
@@ -245,10 +245,14 @@ def test_geometry_is_affine_maps_of_the_oriented_triangles():
                           lengths[mesh.tri_edges].max(axis=1))
     assert mesh.h_max == lengths.max()
     assert mesh.h_min == lengths[mesh.tri_edges].max(axis=1).min()
-    # vertices is the only float array the mesh holds
+    # vertices is the only float array the mesh holds; its indices are
+    # int32 and its refinement edges int8
     floats = [name for name, value in vars(mesh).items()
               if isinstance(value, np.ndarray) and value.dtype.kind == "f"]
     assert floats == ["vertices"]
+    for name in ("triangles", "edges", "tri_edges"):
+        assert getattr(mesh, name).dtype == np.int32
+    assert mesh.refinement_edges.dtype == np.int8
 
 
 def row_unique_edges(triangles):
@@ -264,7 +268,8 @@ def row_unique_edges(triangles):
 def test_edges_match_row_wise_unique():
     # the key lo nv + hi gives the row-wise grouping bit for bit: on a
     # relabelled mesh (other orientations, no order between labels and
-    # positions), on an NVB refinement of it, and on no triangles at all
+    # positions), on an NVB refinement of it, on no triangles at all, and
+    # on 47,089 vertices, where the key passes int32's range
     rng = np.random.default_rng(11)
     mesh = refine_uniform(refine_uniform(lshape_mesh()))
     label = rng.permutation(mesh.num_vertices)
@@ -274,9 +279,9 @@ def test_edges_match_row_wise_unique():
     refined = refine_marked(relabelled, rng.choice(mesh.num_triangles, 20))
     empty = Mesh(np.zeros((3, 2)), np.zeros((0, 3), dtype=np.int64),
                  np.zeros(0, dtype=np.int64))
-    for m in (mesh, relabelled, refined, empty):
+    for m in (mesh, relabelled, refined, empty, unit_square_mesh(216)):
         edges, tri_edges = row_unique_edges(m.triangles)
-        assert m.edges.dtype == edges.dtype == np.int64
+        assert m.edges.dtype == edges.dtype == np.int32
         assert np.array_equal(m.edges, edges)
         assert np.array_equal(m.tri_edges, tri_edges)
     assert empty.edges.shape == (0, 2)

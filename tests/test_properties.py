@@ -158,9 +158,10 @@ def test_refine_marked_matches_a_recursive_bisection_oracle(data, start):
         want = nvb_oracle(mesh, marked)
         mesh = refine_marked(mesh, marked)
         got = (mesh.vertices, mesh.triangles, mesh.refinement_edges)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype and g.shape == w.shape
-            assert g.tobytes() == w.tobytes()
+        for g, w, dtype in zip(got, want, (np.float64, np.int32, np.int8)):
+            assert g.dtype == dtype and g.shape == w.shape
+            assert np.array_equal(g, w)
+            assert g.tobytes() == w.astype(dtype).tobytes()
 
 
 @hypothesis.settings(max_examples=30, deadline=None, derandomize=True,
