@@ -1,20 +1,18 @@
-"""Newest-vertex bisection in action: uniform sweeps, marked refinement
-with conforming closure, shape regularity, and the plain-text dump format.
+"""Newest-vertex bisection in action: uniform sweeps, and marked
+refinement with conforming closure and shape regularity.
 """
-
-import tempfile
 
 import numpy as np
 
-from dpglab.mesh import (load_mesh, lshape_mesh, refine_marked,
-                         refine_uniform, save_mesh, unit_square_mesh)
+from dpglab.mesh import (lshape_mesh, refine_marked, refine_uniform,
+                         unit_square_mesh)
 
 print("=== uniform refinement of the unit square ===")
 mesh = unit_square_mesh(1)
 for level in range(4):
     print(f"level {level}: {mesh.num_triangles:4d} triangles, "
           f"{mesh.num_vertices:4d} vertices, h_max = {mesh.h_max:.4f}, "
-          f"area = {mesh.total_area():.12f}")
+          f"area = {0.5 * mesh.geometry()[1].sum():.12f}")
     mesh = refine_uniform(mesh)
 
 print()
@@ -31,14 +29,4 @@ for step in range(5):
     print(f"step {step}: marked {len(marked)} -> {mesh.num_triangles:3d} "
           f"triangles (closure keeps the mesh conforming), "
           f"min angle = {np.degrees(mesh.min_angle()):.1f} deg")
-print(f"area preserved: {mesh.total_area():.12f} (exact 3)")
-
-print()
-print("=== dump and reload ===")
-with tempfile.NamedTemporaryFile(suffix=".txt", mode="w", delete=False) as fh:
-    path = fh.name
-save_mesh(mesh, path)
-back = load_mesh(path)
-same = (np.array_equal(back.vertices, mesh.vertices)
-        and np.array_equal(back.triangles, mesh.triangles))
-print(f"round trip through {path}: exact = {same}")
+print(f"area preserved: {0.5 * mesh.geometry()[1].sum():.12f} (exact 3)")

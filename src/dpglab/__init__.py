@@ -8,8 +8,8 @@ adaptive newest-vertex-bisection refinement.
 from .adapt import AdaptiveRun, AdaptiveStep, adaptive_loop, mark
 from .dpg import (POISSON, REACTION_DIFFUSION, DofMap, Solution, SolverError,
                   TrialSpace, assemble_solve, condense)
-from .mesh import (Mesh, load_mesh, lshape_mesh, refine_marked,
-                   refine_uniform, save_mesh, unit_square_mesh)
+from .mesh import (Mesh, lshape_mesh, refine_marked, refine_uniform,
+                   unit_square_mesh)
 from .postprocess import postprocess_all, postprocess_fields
 from .problems import (ErrorReport, ManufacturedProblem, error_report,
                        lshape_singular, square_smooth)
@@ -24,8 +24,8 @@ __all__ = [
     "AdaptiveRun", "AdaptiveStep", "adaptive_loop", "mark",
     "POISSON", "REACTION_DIFFUSION", "DofMap", "Solution", "SolverError",
     "TrialSpace", "assemble_solve", "condense",
-    "Mesh", "load_mesh", "lshape_mesh", "refine_marked", "refine_uniform",
-    "save_mesh", "unit_square_mesh",
+    "Mesh", "lshape_mesh", "refine_marked", "refine_uniform",
+    "unit_square_mesh",
     "postprocess_all", "postprocess_fields",
     "ErrorReport", "ManufacturedProblem", "error_report", "lshape_singular",
     "square_smooth",

@@ -41,8 +41,9 @@ def build_parser():
                      help="number of refinement levels / solve steps")
     run.add_argument("--max-dofs", type=int,
                      help="stop once the dof count reaches this bound")
-    run.add_argument("--postprocess", action="store_true",
-                     help="also compute the superconvergent postprocessed field")
+    run.add_argument(
+        "--postprocess", action="store_true",
+        help="also compute the superconvergent postprocessed field")
     run.add_argument("--out", help="CSV output path")
     run.add_argument("--solver-tol", type=float,
                      help="relative residual target of the linear solver")

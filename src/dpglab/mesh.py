@@ -170,13 +170,6 @@ class Mesh:
             arr.setflags(write=False)
         return maps
 
-    def areas(self):
-        """Triangle areas; shape (nt,)."""
-        return 0.5 * self.geometry()[1]
-
-    def total_area(self):
-        return float(self.areas().sum())
-
     def to_physical(self, pts, elements=slice(None), jac=None):
         """Images v0 + J xhat of reference points pts (npts, 2) under the
         maps of elements, an index array or a slice (all by default);
@@ -355,65 +348,3 @@ def refine_uniform(mesh):
     """
     out = refine_marked(mesh, np.arange(mesh.num_triangles))
     return refine_marked(out, np.arange(out.num_triangles))
-
-
-def save_mesh(mesh, path):
-    """Write a mesh as plain text, exactly reloadable by load_mesh.
-
-    Format: one header line ``vertices <nv> triangles <nt>``, then one
-    ``v x y`` line per vertex, then one ``t i j k r`` line per triangle
-    (r = refinement edge index).
-    """
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"vertices {mesh.num_vertices} triangles {mesh.num_triangles}\n")
-        for x, y in mesh.vertices:
-            fh.write(f"v {float(x)!r} {float(y)!r}\n")
-        for (i, j, k), r in zip(mesh.triangles, mesh.refinement_edges):
-            fh.write(f"t {i} {j} {k} {r}\n")
-
-
-def load_mesh(path):
-    """Read a mesh written by save_mesh.
-
-    Raises ValueError naming the file and the line when the header is not
-    a mesh header, a header count is negative, a header count or a vertex
-    or triangle entry is not a number, a vertex or triangle line is
-    missing or has the wrong number of entries, or content follows the
-    last declared triangle.
-    """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    header = lines[0].split() if lines else []
-    if len(header) != 4 or header[0] != "vertices" or header[2] != "triangles":
-        raise ValueError(f"not a mesh file: {path}")
-
-    def numbers(n, tokens, kind):
-        try:
-            return [kind(x) for x in tokens]
-        except ValueError:
-            raise ValueError(f"{path}, line {n + 1}: expected "
-                             f"{kind.__name__} entries, got "
-                             f"{' '.join(tokens)!r}") from None
-
-    nv, nt = numbers(0, header[1::2], int)
-    if min(nv, nt) < 0:
-        raise ValueError(f"{path}, line 1: header count {min(nv, nt)} is "
-                         "negative")
-
-    def records(first, count, tag, width, kind):
-        rows = []
-        for n in range(first, first + count):
-            tok = lines[n].split() if n < len(lines) else []
-            if len(tok) != width + 1 or tok[0] != tag:
-                raise ValueError(f"{path}, line {n + 1}: expected "
-                                 f"'{tag}' and {width} numbers")
-            rows.append(numbers(n, tok[1:], kind))
-        return np.array(rows, dtype=kind).reshape(count, width)
-
-    vertices = records(1, nv, "v", 2, float)
-    tris = records(1 + nv, nt, "t", 4, int)
-    for n in range(1 + nv + nt, len(lines)):
-        if lines[n].strip():
-            raise ValueError(f"{path}, line {n + 1}: content after the "
-                             f"{nt} declared triangles")
-    return Mesh(vertices, tris[:, :3], tris[:, 3])

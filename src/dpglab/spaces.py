@@ -271,7 +271,8 @@ class ScalarBasis:
                 lin = ((2 * n + al - 1) * ((2 * n + al) * (2 * n + al - 2) * b
                                            + al ** 2 * const))
                 r.append((_jet_product(lin, r[n - 1])
-                          - 2 * (n + al - 1) * (n - 1) * (2 * n + al) * r[n - 2])
+                          - 2 * (n + al - 1) * (n - 1) * (2 * n + al)
+                          * r[n - 2])
                          / (2 * n * (n + al) * (2 * n + al - 2)))
             for j in range(self.degree - i + 1):
                 funcs[i, j] = (np.sqrt(2.0 * (2 * i + 1) * (i + j + 1))
@@ -319,7 +320,8 @@ class EdgeBasis:
         if self.degree >= 1:
             vals[1] = s
         for k in range(1, self.degree):
-            vals[k + 1] = ((2 * k + 1) * s * vals[k] - k * vals[k - 1]) / (k + 1)
+            vals[k + 1] = ((2 * k + 1) * s * vals[k]
+                           - k * vals[k - 1]) / (k + 1)
         scale = np.sqrt(2.0 * np.arange(self.degree + 1) + 1.0)
         return scale[:, None] * vals
 

@@ -74,9 +74,9 @@ class StudyConfig:
     levels and max_dofs are integers >= 1 or None, not both None, theta
     and solver_tol real numbers in (0, 1), postprocess a bool or a numpy
     bool, and quad_bump an integer >= 0 within the error quadrature's
-    cap.  The type and range rules are the gates of spaces.  No number field takes a bool.  out, when
-    given, names a file in an existing directory, so that a wrong path
-    fails before the first solve.
+    cap.  The type and range rules are the gates of spaces.  No number
+    field takes a bool.  out, when given, names a file in an existing
+    directory, so that a wrong path fails before the first solve.
     """
     problem: str = "square"
     p: int = 0

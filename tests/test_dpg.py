@@ -5,8 +5,7 @@ import pytest
 
 from dpglab.dpg import (POISSON, REACTION_DIFFUSION, DofMap, TrialSpace,
                         _local_systems, assemble_solve, condense)
-from dpglab.mesh import (Mesh, load_mesh, lshape_mesh, refine_uniform,
-                         save_mesh, unit_square_mesh)
+from dpglab.mesh import Mesh, lshape_mesh, refine_uniform, unit_square_mesh
 from dpglab.problems import ManufacturedProblem, error_report, square_smooth
 from dpglab.spaces import ScalarBasis, project_l2
 
@@ -21,7 +20,7 @@ def constant_test_vector(p, delta_p=2):
 
 def test_local_gram_constant_tests():
     mesh = unit_square_mesh(2)
-    area = mesh.areas()[0]
+    area = 0.5 * mesh.geometry()[1][0]
     for p in (0, 1):
         G = _local_systems(DofMap(mesh, TrialSpace(p)), REACTION_DIFFUSION,
                            [0])[0][0]
@@ -50,7 +49,7 @@ def test_local_gram_spd_on_random_triangles():
 
 def test_local_b_constant_pairings():
     mesh = unit_square_mesh(2)
-    area = mesh.areas()[0]
+    area = 0.5 * mesh.geometry()[1][0]
     trial = TrialSpace(0)
     cv, n_t = constant_test_vector(0)
     cu = np.zeros(DofMap(mesh, trial).n_local)
@@ -237,7 +236,7 @@ def test_local_systems_match_physical_space_quadrature(p, augmented, kind):
 
 def test_local_load_cases():
     mesh = unit_square_mesh(2)
-    area = mesh.areas()[0]
+    area = 0.5 * mesh.geometry()[1][0]
     trial = TrialSpace(0)
     F0 = element_loads(mesh, trial, lambda x, y: np.zeros_like(x))[0]
     assert np.allclose(F0, 0.0)
@@ -395,21 +394,18 @@ def test_mesh_without_triangles_is_refused():
         assemble_solve(empty, TrialSpace(1), REACTION_DIFFUSION, None)
 
 
-def test_vertex_outside_every_triangle_is_refused(tmp_path):
-    # its uhat dof has no equation; refused before any data is evaluated,
-    # also when the mesh comes back from a file
+def test_vertex_outside_every_triangle_is_refused():
+    # its uhat dof has no equation; refused before any data is evaluated
     def never(x, y):
         raise AssertionError("data evaluated")
 
     square = unit_square_mesh(2)
     orphan = Mesh(np.vstack([square.vertices, [[5.0, 5.0]]]),
                   square.triangles, square.refinement_edges)
-    save_mesh(orphan, tmp_path / "orphan.mesh")
-    for mesh in (orphan, load_mesh(tmp_path / "orphan.mesh")):
-        with pytest.raises(ValueError, match="^vertex 9 belongs to no "
-                                             "triangle$"):
-            assemble_solve(mesh, TrialSpace(1), square_smooth().kind, never,
-                           never)
+    with pytest.raises(ValueError, match="^vertex 9 belongs to no "
+                                         "triangle$"):
+        assemble_solve(orphan, TrialSpace(1), square_smooth().kind, never,
+                       never)
 
 
 

@@ -1,12 +1,12 @@
-"""Mesh construction, newest-vertex bisection, and dump format tests."""
+"""Mesh construction and newest-vertex bisection tests."""
 
 import re
 
 import numpy as np
 import pytest
 
-from dpglab.mesh import (Mesh, load_mesh, lshape_mesh, refine_marked,
-                         refine_uniform, save_mesh, unit_square_mesh)
+from dpglab.mesh import (Mesh, lshape_mesh, refine_marked, refine_uniform,
+                         unit_square_mesh)
 
 
 def assert_conforming(mesh):
@@ -36,7 +36,7 @@ def test_unit_square_minimal():
 def test_unit_square_two_by_two():
     m = unit_square_mesh(2)
     assert (m.num_vertices, m.num_triangles, m.num_edges) == (9, 8, 16)
-    assert m.total_area() == pytest.approx(1.0, rel=1e-14)
+    assert 0.5 * m.geometry()[1].sum() == pytest.approx(1.0, rel=1e-14)
     assert_conforming(m)
 
 
@@ -67,7 +67,7 @@ def test_lshape_initial_mesh():
     m = lshape_mesh()
     assert m.num_triangles == 6
     assert int(m.boundary_vertex.sum()) == 8
-    assert m.total_area() == pytest.approx(3.0, rel=1e-14)
+    assert 0.5 * m.geometry()[1].sum() == pytest.approx(3.0, rel=1e-14)
     # every triangle touches the reentrant corner at the origin
     for tri in m.triangles:
         assert np.any(np.all(m.vertices[tri] == 0.0, axis=1))
@@ -143,21 +143,21 @@ def test_refine_uniform_counts_and_h():
     assert m1.h_max <= m0.h_max / 2 + 1e-12
     m2 = refine_uniform(m1)
     assert m2.num_triangles == 32
-    assert m2.total_area() == pytest.approx(1.0, rel=1e-12)
+    assert 0.5 * m2.geometry()[1].sum() == pytest.approx(1.0, rel=1e-12)
     assert_conforming(m2)
 
 
 def test_nvb_invariants_over_eight_rounds():
     rng = np.random.default_rng(7)
     m = lshape_mesh()
-    area0 = m.total_area()
+    area0 = 0.5 * m.geometry()[1].sum()
     min_angle0 = m.min_angle()
     for _ in range(8):
         k = max(1, m.num_triangles // 5)
         marked = rng.choice(m.num_triangles, size=k, replace=False)
         m = refine_marked(m, marked)
         assert_conforming(m)
-        assert m.total_area() == pytest.approx(area0, rel=1e-12)
+        assert 0.5 * m.geometry()[1].sum() == pytest.approx(area0, rel=1e-12)
     assert m.min_angle() >= min_angle0 / 2 - 1e-12
 
 
@@ -180,7 +180,7 @@ def test_orientation_normalization():
     # a clockwise triangle is flipped and its refinement edge remapped
     verts = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
     m = Mesh(verts, np.array([[0, 1, 2]]), np.array([1]))
-    assert m.areas()[0] > 0
+    assert m.geometry()[1][0] > 0
     ge = m.tri_edges[0, m.refinement_edges[0]]
     # edge 1 of the original ordering was (v2, v0) = {(1,0), (0,0)}
     assert set(m.edges[ge]) == {0, 2}
@@ -200,11 +200,11 @@ def test_element_geometry_matches_independent_formulas():
     assert (det > 0).all()
     assert np.allclose(det, np.linalg.det(jac), rtol=1e-13, atol=0)
     assert np.allclose(inv, np.linalg.inv(jac), rtol=1e-13, atol=1e-13)
-    # areas bit for bit the half cross product of the input triangles
+    # det J bit for bit the cross product of the input triangles
     w = mesh.vertices[tris]
     d1, d2 = w[:, 1] - w[:, 0], w[:, 2] - w[:, 0]
     cross = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    assert np.array_equal(mesh.areas(), 0.5 * np.abs(cross))
+    assert np.array_equal(det, np.abs(cross))
     # local edge k runs from local vertex k+1 to k+2
     start = mesh.triangles[:, [1, 2, 0]]
     assert np.array_equal(mesh.edge_flips,
@@ -314,51 +314,11 @@ FOLDED = [
 
 @pytest.mark.parametrize("verts, tris, ref", FOLDED,
                          ids=["folded", "repeated-triangle"])
-def test_folded_mesh_rejected(tmp_path, verts, tris, ref):
+def test_folded_mesh_rejected(verts, tris, ref):
     # both used to be accepted, and a solve on them returned an estimator
     # with no error
     with pytest.raises(ValueError, match="same direction"):
         Mesh(verts, tris, ref)
-    path = tmp_path / "mesh.txt"
-    path.write_text(f"vertices {len(verts)} triangles {len(tris)}\n"
-                    + "".join(f"v {x} {y}\n" for x, y in verts)
-                    + "".join(f"t {i} {j} {k} {r}\n"
-                              for (i, j, k), r in zip(tris, ref)))
-    with pytest.raises(ValueError, match="same direction"):
-        load_mesh(path)
-
-
-def test_mesh_dump_roundtrip(tmp_path):
-    m = refine_marked(lshape_mesh(), [0, 2])
-    path = tmp_path / "mesh.txt"
-    save_mesh(m, path)
-    back = load_mesh(path)
-    assert np.array_equal(back.vertices, m.vertices)
-    assert np.array_equal(back.triangles, m.triangles)
-    assert np.array_equal(back.refinement_edges, m.refinement_edges)
-    header = path.read_text().splitlines()[0]
-    assert header == f"vertices {m.num_vertices} triangles {m.num_triangles}"
-
-
-@pytest.mark.parametrize("mangle, line, detail", [
-    (lambda lines: lines[:-1], 18, ""),
-    (lambda lines: lines[:3] + ["v 0.5"] + lines[4:], 4, ""),
-    (lambda lines: lines + ["t 0 1 2 0"], 19, ""),
-    (lambda lines: ["vertices x triangles 8"] + lines[1:], 1, ""),
-    (lambda lines: lines[:3] + ["v 0.5 y"] + lines[4:], 4, ""),
-    (lambda lines: lines[:12] + ["t 0 1 2.5 0"] + lines[13:], 13, ""),
-    # the triangle records would start at line 1 + nv = 0
-    (lambda lines: ["vertices -1 triangles 1", "t 0 1 2 0"], 1,
-     " header count -1 is negative"),
-], ids=["truncated", "short-vertex-line", "extra-line", "non-numeric-count",
-        "non-numeric-vertex", "non-integer-triangle", "negative-count"])
-def test_load_mesh_rejects_malformed_file(tmp_path, mangle, line, detail):
-    path = tmp_path / "mesh.txt"
-    save_mesh(unit_square_mesh(2), path)    # 9 vertices, 8 triangles
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(mangle(lines)) + "\n")
-    with pytest.raises(ValueError, match=f"mesh.txt, line {line}:{detail}"):
-        load_mesh(path)
 
 
 @pytest.mark.parametrize("bad", [-1, 4], ids=["negative", "too-large"])
@@ -391,22 +351,6 @@ def test_mesh_rejects_non_integer_indices(tris, ref):
 def test_mesh_refuses_values_out_of_range(verts, tris, ref, message):
     with pytest.raises(ValueError, match=rf"^{message}$"):
         Mesh(verts, tris, ref)
-
-
-def test_load_mesh_refuses_a_file_without_a_mesh_header(tmp_path):
-    path = tmp_path / "hello.txt"
-    path.write_text("hello\n")
-    with pytest.raises(ValueError,
-                       match=rf"^not a mesh file: {re.escape(str(path))}$"):
-        load_mesh(path)
-
-
-def test_load_mesh_rejects_out_of_range_vertex_index(tmp_path):
-    path = tmp_path / "mesh.txt"
-    path.write_text("vertices 3 triangles 1\nv 0 0\nv 1 0\nv 0 1\n"
-                    "t 0 1 5 0\n")
-    with pytest.raises(ValueError, match="vertex indices"):
-        load_mesh(path)
 
 
 def test_mesh_arrays_immutable():

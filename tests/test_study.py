@@ -319,6 +319,17 @@ def test_studies_import_nothing_after_the_package(tmp_path):
     assert len((tmp_path / "augmented.csv").read_text().splitlines()) == 3
 
 
+def test_package_exports_resolve():
+    # import dpglab never reads __all__, so a stale name in it (one whose
+    # function has gone) fails only a star import
+    import dpglab
+    assert all(hasattr(dpglab, name) for name in dpglab.__all__)
+    assert len(set(dpglab.__all__)) == len(dpglab.__all__)
+    namespace = {}
+    exec("from dpglab import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(dpglab.__all__)
+
+
 def test_unwritable_out_is_refused_before_any_solve(tmp_path, monkeypatch,
                                                     capsys):
     # an --out in a missing directory, or naming a directory, used to
