@@ -58,7 +58,11 @@ def mark(eta_local, theta):
     # shortest prefix of the sorted contributions reaching theta * total;
     # total is read off the same cumulative sum so the prefix always exists
     k = int(np.searchsorted(running, theta * total, side="left")) + 1
-    return np.sort(order[:k])
+    # ascending by a mask, not by np.sort: numpy's unstable int64 sort
+    # pages code of its own into a study
+    marked = np.zeros(eta_sq.size, dtype=bool)
+    marked[order[:k]] = True
+    return np.flatnonzero(marked)
 
 
 @dataclass

@@ -124,11 +124,14 @@ class Mesh:
         # the key lo nv + hi orders the rows (lo, hi) lexicographically
         # and is exact in int64 for nv < 3e9, so the pairs are widened
         # first: from the int32 columns it would wrap once nv > 46,340.
-        # return_index makes np.unique argsort stably, as np.lexsort
-        # does; its default sort raised a p=3 study's peak RSS
-        raw = np.sort(raw.astype(np.int64), axis=1)
+        # lo and hi come from np.minimum and np.maximum, not np.sort, and
+        # return_index makes np.unique argsort stably, as np.lexsort does:
+        # numpy's unstable int64 sort pages code of its own into a study
+        raw = raw.astype(np.int64)
+        lo = np.minimum(raw[:, 0], raw[:, 1])
+        hi = np.maximum(raw[:, 0], raw[:, 1])
         nv = self.vertices.shape[0]
-        codes, _, inverse = np.unique(raw[:, 0] * nv + raw[:, 1],
+        codes, _, inverse = np.unique(lo * nv + hi,
                                       return_index=True, return_inverse=True)
         edges = np.column_stack([codes // nv, codes % nv]).astype(np.int32)
         self.edges = edges
@@ -273,13 +276,13 @@ def refine_marked(mesh, marked):
     # the gate refuses, goes to the gate as it is
     if isinstance(marked, Iterable) and not isinstance(marked, np.ndarray):
         marked = list(marked)
-    # sorted and deduplicated by hand: np.unique would import numpy.ma
-    marked = np.sort(_check_array(marked, "marked", (None,), integer=True))
+    # neither sorted nor deduplicated: marked is read only as an index
+    # that sets edge_marked, which repeats and order leave alone
+    marked = _check_array(marked, "marked", (None,), integer=True)
     if marked.size == 0:
         return mesh
-    marked = marked[np.concatenate(([True], marked[1:] != marked[:-1]))]
     nt = mesh.num_triangles
-    if marked[0] < 0 or marked[-1] >= nt:
+    if marked.min() < 0 or marked.max() >= nt:
         raise ValueError("marked triangle index out of range")
 
     t2e = mesh.tri_edges

@@ -26,7 +26,7 @@ import numbers
 from functools import lru_cache
 from math import factorial
 
-# numpy's core alone: the Gauss rules are leggauss's own algorithm
+# numpy's core alone: the Gauss rules are a table of leggauss's
 # (_leggauss), and no call reaches np.unique's np.ma.is_masked (numpy 2.4),
 # so no process loads numpy.polynomial or numpy.ma
 # (test_studies_import_nothing_after_the_package)
@@ -114,55 +114,122 @@ class QuadratureRule:
         self.weights.setflags(write=False)
 
 
-def _legval(x, c):
-    """Legendre series with coefficients c at the points x by Clenshaw's
-    recurrence, numpy.polynomial.legendre.legval's operations in its
-    order."""
-    if len(c) == 1:
-        c0, c1 = c[0], 0
-    else:
-        nd = len(c)
-        c0, c1 = c[-2], c[-1]
-        for i in range(3, len(c) + 1):
-            tmp = c0
-            nd = nd - 1
-            c0 = c[-i] - c1 * ((nd - 1) / nd)
-            c1 = tmp + c1 * x * ((2 * nd - 1) / nd)
-    return c0 + c1 * x
+# the Gauss-Legendre rules n = 1..21 on [-1, 1], numpy 2.4's leggauss bit
+# for bit: rule n is entries n * n // 4 onward, its (n + 1) // 2 nodes
+# x >= 0 in ascending order (+0.0 for odd n) and their weights, each rule
+# from a new line.  Literal data, not leggauss's eigenvalue algorithm, so
+# that no process calls a LAPACK eigensolver and every numpy and LAPACK
+# gets the same rules.  edge_quadrature(2 * MAX_QUADRATURE_DEGREE) needs
+# n = MAX_QUADRATURE_DEGREE + 1
+_GAUSS_NODES = np.array((
+    0.0,
+    0.5773502691896257,
+    0.0, 0.7745966692414834,
+    0.33998104358485626, 0.8611363115940526,
+    0.0, 0.5384693101056831, 0.906179845938664,
+    0.2386191860831969, 0.6612093864662645, 0.9324695142031519,
+    0.0, 0.4058451513773972, 0.7415311855993945, 0.9491079123427586,
+    0.18343464249564978, 0.525532409916329, 0.7966664774136267,
+    0.9602898564975362,
+    0.0, 0.3242534234038089, 0.6133714327005904, 0.8360311073266358,
+    0.9681602395076261,
+    0.14887433898163122, 0.4333953941292472, 0.6794095682990244,
+    0.8650633666889845, 0.9739065285171717,
+    0.0, 0.26954315595234496, 0.5190961292068118, 0.7301520055740494,
+    0.8870625997680953, 0.978228658146057,
+    0.1252334085114689, 0.3678314989981802, 0.5873179542866175,
+    0.7699026741943047, 0.9041172563704748, 0.9815606342467192,
+    0.0, 0.2304583159551348, 0.44849275103644687, 0.6423493394403402,
+    0.8015780907333099, 0.9175983992229779, 0.9841830547185881,
+    0.10805494870734367, 0.31911236892788974, 0.5152486363581541,
+    0.6872929048116855, 0.827201315069765, 0.9284348836635735,
+    0.9862838086968124,
+    0.0, 0.20119409399743451, 0.3941513470775634, 0.5709721726085388,
+    0.7244177313601701, 0.8482065834104272, 0.9372733924007058,
+    0.9879925180204854,
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+    0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+    0.9445750230732326, 0.9894009349916499,
+    0.0, 0.17848418149584785, 0.3512317634538763, 0.5126905370864769,
+    0.6576711592166907, 0.7815140038968014, 0.8802391537269859,
+    0.9506755217687677, 0.9905754753144174,
+    0.08477501304173529, 0.2518862256915055, 0.41175116146284263,
+    0.5597708310739475, 0.6916870430603532, 0.8037049589725231,
+    0.8926024664975557, 0.9558239495713978, 0.991565168420931,
+    0.0, 0.16035864564022537, 0.31656409996362983, 0.46457074137596094,
+    0.600545304661681, 0.7209661773352294, 0.8227146565371428,
+    0.9031559036148179, 0.96020815213483, 0.9924068438435844,
+    0.07652652113349734, 0.22778585114164507, 0.37370608871541955,
+    0.5108670019508271, 0.636053680726515, 0.7463319064601508,
+    0.8391169718222188, 0.912234428251326, 0.9639719272779138,
+    0.993128599185095,
+    0.0, 0.1455618541608951, 0.2880213168024011, 0.4243421202074388,
+    0.5516188358872198, 0.6671388041974123, 0.7684399634756779,
+    0.8533633645833173, 0.9200993341504008, 0.9672268385663063,
+    0.9937521706203895,
+))
+_GAUSS_WEIGHTS = np.array((
+    2.0,
+    1.0,
+    0.8888888888888888, 0.5555555555555557,
+    0.6521451548625464, 0.34785484513745357,
+    0.5688888888888887, 0.4786286704993663, 0.23692688505618928,
+    0.46791393457269104, 0.3607615730481387, 0.17132449237917027,
+    0.4179591836734693, 0.3818300505051187, 0.27970539148927687,
+    0.12948496616886973,
+    0.36268378337836166, 0.3137066458778869, 0.22238103445337443,
+    0.10122853629037706,
+    0.33023935500125984, 0.3123470770400029, 0.2606106964029356,
+    0.18064816069485737, 0.08127438836157416,
+    0.2955242247147528, 0.2692667193099965, 0.219086362515982,
+    0.1494513491505804, 0.06667134430868814,
+    0.2729250867779005, 0.26280454451024654, 0.23319376459199057,
+    0.1862902109277343, 0.12558036946490433, 0.05566856711617393,
+    0.2491470458134027, 0.2334925365383546, 0.20316742672306573,
+    0.16007832854334642, 0.10693932599531907, 0.04717533638651141,
+    0.23255155323087393, 0.22628318026289737, 0.2078160475368885,
+    0.17814598076194552, 0.13887351021978733, 0.0921214998377288,
+    0.04048400476531557,
+    0.21526385346315793, 0.20519846372129572, 0.18553839747793788,
+    0.15720316715819363, 0.12151857068790331, 0.08015808715975999,
+    0.03511946033175175,
+    0.2025782419255613, 0.1984314853271116, 0.1861610000155622,
+    0.16626920581699398, 0.13957067792615444, 0.10715922046717141,
+    0.0703660474881084, 0.030753241996117203,
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+    0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+    0.062253523938647456, 0.027152459411754176,
+    0.17944647035620653, 0.17656270536699253, 0.1680041021564499,
+    0.15404576107681026, 0.1351363684685255, 0.11188384719340397,
+    0.08503614831717912, 0.05545952937398796, 0.02414830286854758,
+    0.1691423829631439, 0.16427648374583304, 0.15468467512626555,
+    0.14064291467065093, 0.1225552067114787, 0.10094204410628728,
+    0.07642573025488957, 0.049714548894969394, 0.021616013526481497,
+    0.16105444984878362, 0.15896884339395434, 0.15276604206585961,
+    0.14260670217360646, 0.12875396253933621, 0.111566645547334,
+    0.09149002162244999, 0.06904454273764117, 0.04481422676569959,
+    0.01946178822972652,
+    0.15275338713072628, 0.14917298647260424, 0.1420961093183824,
+    0.1316886384491769, 0.1181945319615186, 0.1019301198172407,
+    0.08327674157670471, 0.06267204833410879, 0.040601429800386446,
+    0.017614007139150893,
+    0.1460811336496907, 0.14452440398997027, 0.1398873947910734,
+    0.13226893863333763, 0.12183141605372864, 0.1087972991671484,
+    0.09344442345603395, 0.07610011362837911, 0.05713442542685717,
+    0.03695378977085188, 0.01601722825777436,
+))
 
 
 def _leggauss(n):
-    """Gauss-Legendre points and weights of [-1, 1], n >= 1 of them:
-    numpy.polynomial.legendre.leggauss step for step.  The eigenvalues of
-    the symmetric scaled companion matrix of P_n (Golub and Welsch 1969),
-    one Newton step, then weights from P_{n-1} and P_n', symmetrized and
-    scaled to sum to 2.  The rules are leggauss's bit for bit on a numpy
-    whose legval rounds as _legval does (numpy 2.4's); where legval
-    rounds its Clenshaw steps as (c1*(nd - 1))/nd instead (numpy 1.x),
-    leggauss's rules differ from these in their last bits."""
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    # legcompanion(c): P_n's coefficients are those of e_n, so the
-    # correction it subtracts from the last column is zero and only the
-    # two off-diagonals remain
-    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
-    off = np.arange(1, n) * scl[:-1] * scl[1:]
-    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
-    dy = _legval(x, c)
-    # legder(c) exactly: P_n' = sum of (2k + 1) P_k over k = n-1, n-3, ...
-    der = np.zeros(n)
-    der[n - 1::-2] = 2 * np.arange(n - 1, -1, -2) + 1
-    df = _legval(x, der)
-    x -= dy / df
-    # the factors are scaled to avoid overflow
-    fm = _legval(x, c[1:])
-    fm /= np.abs(fm).max()
-    df /= np.abs(df).max()
-    w = 1 / (fm * df)
-    w = (w + w[::-1]) / 2
-    x = (x - x[::-1]) / 2
-    w *= 2. / w.sum()
-    return x, w
+    """Gauss-Legendre points and weights of [-1, 1], 1 <= n <= 21 of them,
+    equal to numpy.polynomial.legendre.leggauss(n) byte for byte: its rules
+    are symmetric to the last bit, x = (x - x[::-1]) / 2 and w averaged
+    with w[::-1], so the nodes < 0 are those > 0 negated."""
+    start = n * n // 4
+    x = _GAUSS_NODES[start:start + (n + 1) // 2]
+    w = _GAUSS_WEIGHTS[start:start + (n + 1) // 2]
+    return (np.concatenate((-x[::-1][:n // 2], x)),
+            np.concatenate((w[::-1][:n // 2], w)))
 
 
 def _gauss_legendre_01(n):

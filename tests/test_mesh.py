@@ -96,9 +96,16 @@ def test_refine_marked_empty_returns_input():
     assert refine_marked(m0, []) is m0
 
 
-def test_refine_marked_rejects_bad_index():
-    with pytest.raises(ValueError):
-        refine_marked(unit_square_mesh(1), [5])
+@pytest.mark.parametrize("marked", [[-1], [5], [0, 5], [-1, 3]],
+                         ids=["negative", "past-the-end",
+                              "valid-and-past-the-end",
+                              "negative-and-past-the-end"])
+def test_refine_marked_rejects_bad_index(marked):
+    # a negative index would wrap through fancy indexing and refine a
+    # triangle from the end; the mesh has two
+    with pytest.raises(ValueError,
+                       match="marked triangle index out of range"):
+        refine_marked(unit_square_mesh(1), marked)
 
 
 def test_refine_marked_rejects_boolean_mask():

@@ -284,8 +284,8 @@ def test_import_loads_no_scipy_package():
 
 def test_studies_import_nothing_after_the_package(tmp_path):
     # the package and its studies run on numpy's core: the Gauss rules are
-    # spaces._leggauss, not numpy.polynomial's leggauss, and refine_marked
-    # dedupes without np.unique, which reads np.ma.is_masked (numpy 2.4).
+    # a table in spaces, not numpy.polynomial's leggauss, and refine_marked
+    # leaves out np.unique, which reads np.ma.is_masked (numpy 2.4).
     # A study imports nothing the package has not, so all of the import
     # counts in the set-up.  numpy 1.x imports numpy.ma and numpy.polynomial
     # with numpy itself, so what counts is that neither dpglab nor a study
@@ -317,6 +317,36 @@ def test_studies_import_nothing_after_the_package(tmp_path):
     assert new_modules.split() == []
     assert len((tmp_path / "adaptive.csv").read_text().splitlines()) > 3
     assert len((tmp_path / "augmented.csv").read_text().splitlines()) == 3
+
+
+def test_studies_call_no_eigensolver_and_no_sort(tmp_path):
+    # the Gauss rules are a table, and mesh and adapt order their indices
+    # without np.sort: LAPACK's symmetric eigensolver and numpy's unstable
+    # int64 sort would each page code of their own into every study.  The
+    # three studies of test_studies_import_nothing_after_the_package, and
+    # a p=3 one for its larger rules
+    out = fresh_process(
+        "import sys\n"
+        "import numpy as np\n"
+        "def refused(name):\n"
+        "    def call(*args, **kwargs):\n"
+        "        raise AssertionError(name + ' called in a study')\n"
+        "    return call\n"
+        "np.linalg.eigvalsh = refused('np.linalg.eigvalsh')\n"
+        "np.sort = refused('np.sort')\n"
+        "from dpglab.study import StudyConfig, run_study\n"
+        "run_study(StudyConfig(problem='lshape', p=1, levels=2,"
+        " postprocess=True, out=sys.argv[1] + '/uniform.csv'))\n"
+        "run_study(StudyConfig(problem='lshape', p=1, mode='adaptive',"
+        " max_dofs=500, postprocess=True,"
+        " out=sys.argv[1] + '/adaptive.csv'))\n"
+        "run_study(StudyConfig(problem='square', p=2, trial='augmented',"
+        " levels=2, out=sys.argv[1] + '/augmented.csv'))\n"
+        "run_study(StudyConfig(problem='lshape', p=3, levels=3,"
+        " out=sys.argv[1] + '/p3.csv'))\n"
+        "print('done')", str(tmp_path))
+    assert out.split() == ["done"]
+    assert len((tmp_path / "p3.csv").read_text().splitlines()) == 4
 
 
 def test_package_exports_resolve():
