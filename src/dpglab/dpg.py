@@ -58,8 +58,17 @@ factors each Gram once, G = L L', and whitens [B | E] into w = L^{-1}
 [B | E] = [W_B | W_E], whose Gram w' w holds S = W_B' W_B and R = B'
 G^{-1} E = W_B' W_E in its first n rows; the second
 condensation factors S_II and leaves hybrid = [S_hat | R_S - S_SI
-S_II^{-1} R_I] and inner = S_II^{-1} [S_IS | R_I].  These three stacks
-are the class operators, kept as the condensations return them.  The
+S_II^{-1} R_I] and inner = S_II^{-1} [S_IS | R_I].  These are the
+class operators.  hybrid and inner are kept as the condensation returns
+them, and w without its blocks that are zero by construction.  G
+couples v only with v and tau only with tau, so L is block diagonal
+too.  The tau rows of B hold u, sigma and uhat alone; its v rows hold
+sigma, the fluxes and, for reaction-diffusion only, u; E has v rows
+only.  So the store keeps w's v rows on the columns [s, k) and [b, n +
+n_t), and its tau rows on [0, b), where b is the first flux column and
+s = n_u for Poisson, 0 for reaction-diffusion (_w_blocks): 982 of
+1,392 doubles per class at p=1 and 5,307 of 7,155 at p=3 (Poisson),
+hybrid and inner included.  _recover rebuilds w chunk by chunk.  The
 fields never enter the global system, so DofMap numbers the skeleton
 alone, and its free_cols give each element's skeleton columns in the
 numbering of the solve.  Every element has one local vector z_T = [-x_T |
@@ -432,9 +441,12 @@ _CHUNK_BYTES = 1 << 20
 
 
 def _class_bytes(dofmap):
-    """Bytes of one class's stored operators: w (m x (n + n_t)), and
+    """Bytes of one class's operators as a chunk gathers them: w whole
+    (m x (n + n_t), rebuilt from its stored blocks by _whitened), and
     hybrid and inner (n x (n - k + n_t) together), for m test and n local
-    trial functions, k of them interior, and n_t scalar test functions."""
+    trial functions, k of them interior, and n_t scalar test functions:
+    1,392 doubles at p=1 and 7,155 at p=3 for Poisson, of which the
+    store keeps 982 and 5,307 (_w_blocks)."""
     n_t, n = dofmap.n_t, dofmap.n_local
     return 8 * ((3 * n_t + n) * (n + n_t) - n * dofmap.k_int)
 
@@ -472,10 +484,23 @@ def _element_classes(mesh):
     return key[first], order[first], cls
 
 
+def _w_blocks(dofmap, kind):
+    """Columns (s, b) of the blocks of w = L^{-1} [B | E] that are not
+    zero by construction: the v rows, the first n_t, on [s, k) and [b, n
+    + n_t), the tau rows on [0, b); k = k_int, b is the first flux column
+    and s is n_u for POISSON, which has no (u, v) mass, and 0 for
+    REACTION_DIFFUSION."""
+    s = dofmap.n_u if kind == POISSON else 0
+    return s, dofmap.k_int + 3 + 3 * dofmap.trial.p
+
+
 def _condense_classes(dofmap, kind, rep):
     """Both condensations for the classes with representative elements
-    rep of dofmap's mesh: the three operators a solve reads, one
-    row per class, each as its condensation returns it.
+    rep of dofmap's mesh: the operators a solve reads, one row per class,
+    hybrid and inner as the condensation returns them, and w as its two
+    blocks that are not zero by construction (_w_blocks), w_v its v rows
+    on [s, k) and [b, n + n_t) side by side and w_tau its tau rows on
+    [0, b).
 
     A load is one more coupling column: E = eye(m, n_t) picks the scalar
     test rows, so F_T = E load_T, and condensing [B | E] gives w = L^{-1}
@@ -499,10 +524,14 @@ def _condense_classes(dofmap, kind, rep):
             "not SPD in floating point; smallest element diameter of the "
             f"classes condensed {dofmap.mesh.diameters()[rep].min():.3e}",
             residual=np.inf) from exc
-    k = dofmap.k_int
+    k, n_t = dofmap.k_int, dofmap.n_t
+    s, b = _w_blocks(dofmap, kind)
     try:
         inner_schur, w_i, l_i = condense(schur[:, :k, :k], schur[:, :k, k:])
-        return {"w": w, "hybrid": schur[:, k:n, k:] - inner_schur[:, :n - k],
+        return {"w_v": np.concatenate([w[:, :n_t, s:k], w[:, :n_t, b:]],
+                                      axis=2),
+                "w_tau": w[:, n_t:, :b],
+                "hybrid": schur[:, k:n, k:] - inner_schur[:, :n - k],
                 # L_I^-T W_I = S_II^{-1} [S_IS | R_I]
                 "inner": np.linalg.solve(np.swapaxes(l_i, -1, -2), w_i)}
     except np.linalg.LinAlgError as exc:
@@ -514,14 +543,19 @@ def _condense_classes(dofmap, kind, rep):
 class ClassStore:
     """Condensed element-class operators, kept from one solve to the next.
 
-    A class key (_element_classes) fixes G, B and so the three stacks of
-    _condense_classes, w, hybrid and inner, for a given trial space and
-    problem kind.  They act on an element's local vector [-x | load], so
-    the source and the Dirichlet data never enter them.  Refinement
-    leaves most elements of an adaptive step alone, and with them their
-    classes, so a solve condenses only the classes new to its mesh.  Each
-    update keeps exactly the classes of its mesh, one stacked row per
-    class in class order, and drops the rest.
+    A class key (_element_classes) fixes G, B and so the four stacks of
+    _condense_classes, w_v, w_tau, hybrid and inner, for a given trial
+    space and problem kind.  w_v and w_tau are the blocks of w that are
+    not zero by construction (_w_blocks), and _whitened rebuilds w from
+    them for one chunk of elements at a time: a class keeps 982 doubles
+    at p=1 and 5,307 at p=3 (Poisson), and a chunk gathers 1,392 and
+    7,155 per element (_class_bytes).  The operators act on an element's
+    local vector [-x | load], so the source and the Dirichlet data never
+    enter them.  Refinement leaves most elements of an adaptive step
+    alone, and with them their classes, so a solve condenses only the
+    classes new to its mesh.  Each update keeps exactly the classes of
+    its mesh, one stacked row per class in class order, and drops the
+    rest.
     """
 
     def __init__(self):
@@ -536,7 +570,7 @@ class ClassStore:
         """Operator stacks for the element classes of dofmap's mesh
         (_element_classes).  The stored classes are taken by their rows,
         which copies them bit for bit; the classes not stored yet are
-        condensed in chunks of _CHUNK_BYTES worth of stored operators and
+        condensed in chunks of _CHUNK_BYTES worth of _class_bytes and
         written into their rows (numpy's stacked cholesky and solve factor
         each matrix on its own, so a class's operators do not depend on
         the chunk).  Returns (stacks, the class of every element, number
@@ -578,7 +612,11 @@ def condense(gram, coupling):
     numpy has no stacked triangular solve, so W comes from np.linalg.solve,
     an LU with partial pivoting, which swaps rows of L where its
     sub-diagonal entries pass its diagonal, as they do on small p = 3
-    elements.  The LU stays backward stable:
+    elements.  On a block-diagonal Gram, as the element Grams are in (v,
+    tau), L is block diagonal, its diagonal positive and its entries off
+    the blocks exact zeros, so the pivoting swaps rows only within a
+    block, and a zero block of C gives a zero block of W (_w_blocks).
+    The LU stays backward stable:
     test_condense_symmetry_and_nullspace holds L W = C to 1e-13 on such a
     Gram.
     """
@@ -710,8 +748,8 @@ def assemble_solve(mesh, trial, kind, source, dirichlet=None, *,
         *_skeleton_system(dofmap, ops, cls, chunks, lift()), solver_tol)
     x = prescribed.copy()
     x[dofmap.free] = x_free
-    u, sigma, eta_sq, galerkin = _recover(dofmap, ops, cls, chunks, lift(),
-                                          x)
+    u, sigma, eta_sq, galerkin = _recover(dofmap, kind, ops, cls, chunks,
+                                          lift(), x)
     diag.update(skeleton_dofs=dofmap.num_free_skeleton, **galerkin,
                 min_diameter=mesh.h_min,
                 element_classes=len(store), element_chunks=len(chunks),
@@ -816,17 +854,34 @@ def _skeleton_system(dofmap, ops, cls, chunks, z):
     return _CSC(data, indices, indptr, (ns, ns)), b
 
 
-def _recover(dofmap, ops, cls, chunks, z, x):
+def _whitened(dofmap, kind, w_v, w_tau, rows):
+    """w of the classes rows, rebuilt whole from its stored blocks w_v
+    and w_tau (_condense_classes) in a zeroed, C-ordered buffer.  The
+    blocks left out are exact zeros of the condensation, which may hold
+    -0.0 where this holds +0.0.  A signed zero moves a sum only when all
+    its terms are zero, and _recover's results read w's products only
+    squared or by their magnitude."""
+    n_t, k = dofmap.n_t, dofmap.k_int
+    s, b = _w_blocks(dofmap, kind)
+    w = np.zeros((len(rows), 3 * n_t, dofmap.n_local + n_t))
+    w[:, :n_t, s:k] = w_v[rows, :, :k - s]
+    w[:, :n_t, b:] = w_v[rows, :, k - s:]
+    w[:, n_t:, :b] = w_tau[rows]
+    return w
+
+
+def _recover(dofmap, kind, ops, cls, chunks, z, x):
     """Fields, squared local estimator and Galerkin check of a solve with
     the skeleton dofs x; returns (u_coeffs, sigma_coeffs, eta^2 per
     element, {"galerkin_residual": ..., "load_scale": ...}).
 
     Chunk by chunk, with the skeleton solution in z, the fields x_I =
-    inner z[k:] complete it, and w z = L^{-1} (F - B x) gives the local
-    estimator |w z|.  Taken at the Dirichlet lift as well, W_B' w z gives
-    the condensed load of the free trial dofs, the scale of the Galerkin
-    check: B' G^{-1} (F - B x) = W_B' w z vanishes on the free trial dofs
-    up to solver accuracy.  An interior dof belongs to one element, and
+    inner z[k:] complete it, and w z = L^{-1} (F - B x), with w rebuilt
+    by _whitened, gives the local estimator |w z|.  Taken at the
+    Dirichlet lift as well, W_B' w z gives the condensed load of the free
+    trial dofs, the scale of the Galerkin check: B' G^{-1} (F - B x) =
+    W_B' w z vanishes on the free trial dofs up to solver accuracy.  An
+    interior dof belongs to one element, and
     the skeleton dofs sum in the numbering of the solve; np.max keeps a
     NaN of either part.
     """
@@ -841,7 +896,7 @@ def _recover(dofmap, ops, cls, chunks, z, x):
         interior = (ops["inner"][cls[c]] @ both[:, k:, :1])[..., 0]
         u[c], sigma[c] = interior[:, :n_u], interior[:, n_u:]
         both[:, :k, 0] = -interior
-        w = ops["w"][cls[c]]
+        w = _whitened(dofmap, kind, ops["w_v"], ops["w_tau"], cls[c])
         res = w @ both
         eta_sq[c] = np.einsum("em,em->e", res[..., 0], res[..., 0])
         bt_both[c] = np.swapaxes(w[:, :, :n], 1, 2) @ res

@@ -1086,11 +1086,11 @@ def test_diagnostics_report_the_smallest_element_diameter():
 @pytest.mark.parametrize("kind", [REACTION_DIFFUSION, POISSON])
 @pytest.mark.parametrize("p", [0, 1, 2, 3])
 def test_condense_classes_match_dense_oracle(p, kind):
-    # the three stacks of both condensations against dense solves with G
-    # and S_II: w'w = [B | E]' G^{-1} [B | E], hybrid the Schur complement
-    # of S_II in it, and S_II inner = [S_IS | R_I]; on a perturbed mesh
-    # every element is a class of its own
-    from dpglab.dpg import _class_bytes, _condense_classes
+    # the stacks of both condensations against dense solves with G and
+    # S_II: w'w = [B | E]' G^{-1} [B | E] for w rebuilt from its stored
+    # blocks, hybrid the Schur complement of S_II in it, and S_II inner =
+    # [S_IS | R_I]; on a perturbed mesh every element is a class of its own
+    from dpglab.dpg import _class_bytes, _condense_classes, _whitened
 
     mesh = perturbed(refine_uniform(lshape_mesh()))
     trial = TrialSpace(p)
@@ -1104,16 +1104,88 @@ def test_condense_classes_match_dense_oracle(p, kind):
     S = condense_oracle(G, np.concatenate([B, load_rows], axis=2))[0]
     S_II, S_I = S[:, :k, :k], S[:, :k, k:]
 
-    assert sorted(ops) == ["hybrid", "inner", "w"]
-    assert ops["w"].shape == (nc, m, n + n_t)
+    s = dm.n_u if kind == POISSON else 0
+    b = dm.flux_cols.min()
+    assert sorted(ops) == ["hybrid", "inner", "w_tau", "w_v"]
+    assert ops["w_v"].shape == (nc, n_t, k - s + n + n_t - b)
+    assert ops["w_tau"].shape == (nc, m - n_t, b)
     assert ops["hybrid"].shape == (nc, n - k, n - k + n_t)
     assert ops["inner"].shape == (nc, k, n - k + n_t)
-    w = ops["w"]
+    w = _whitened(dm, kind, ops["w_v"], ops["w_tau"], np.arange(nc))
+    assert w.shape == (nc, m, n + n_t)
     assert_close13(np.swapaxes(w, 1, 2) @ w, S)
     hybrid = S[:, k:n, k:] - S[:, k:n, :k] @ np.linalg.solve(S_II, S_I)
     assert_close13(ops["hybrid"], hybrid)
     assert np.abs(S_II @ ops["inner"] - S_I).max() <= 1e-12 * np.abs(S_I).max()
-    assert sum(a[0].nbytes for a in ops.values()) == _class_bytes(dm)
+    # a chunk gathers w whole in place of its two stored blocks
+    stored = sum(a[0].nbytes for a in ops.values())
+    assert (stored - ops["w_v"][0].nbytes - ops["w_tau"][0].nbytes
+            + w[0].nbytes == _class_bytes(dm))
+
+
+# doubles that a class keeps (w's two blocks, hybrid and inner) for each
+# kind and p
+STORED_PER_CLASS = {REACTION_DIFFUSION: (252, 1012, 2628, 5517),
+                    POISSON: (246, 982, 2538, 5307)}
+
+
+@pytest.mark.parametrize("case", ["perturbed", "diameter-1e-6"])
+@pytest.mark.parametrize("kind", [REACTION_DIFFUSION, POISSON])
+@pytest.mark.parametrize("p", [0, 1, 2, 3])
+def test_class_store_drops_only_exact_zeros_of_w(p, kind, case,
+                                                 monkeypatch):
+    # G is block diagonal in (v, tau), the tau rows of B hold u, sigma and
+    # uhat, its v rows sigma, the fluxes and (reaction-diffusion) u, and E
+    # has v rows only.  So the blocks of w = L^{-1} [B | E] that the store
+    # drops are exact zeros, also where the LU of condense pivots (every
+    # class at diameter 1.4e-6), the rebuilt w is condense's bit for bit,
+    # and so is every number _recover gives
+    import dpglab.dpg as dpg
+    from dpglab.dpg import (_chunks, _class_bytes, _condense_classes,
+                            _element_classes, _whitened)
+
+    mesh = refine_uniform(lshape_mesh())
+    if case == "perturbed":          # 24 elements, 24 classes
+        mesh = perturbed(mesh)
+    else:                            # 24 elements in 8 classes
+        mesh = Mesh(2e-6 * mesh.vertices, mesh.triangles,
+                    mesh.refinement_edges)
+    dm = DofMap(mesh, TrialSpace(p))
+    _, rep, cls = _element_classes(mesh)
+    G, B = _local_systems(dm, kind, rep)
+    nc, m, n = B.shape
+    n_t, k = dm.n_t, dm.k_int
+    full = condense(G, np.concatenate(
+        [B, np.broadcast_to(np.eye(m, n_t), (nc, m, n_t))], axis=2))[1]
+    if case != "perturbed":
+        L = np.linalg.cholesky(G)
+        diagonal = np.diagonal(L, axis1=1, axis2=2)[:, None, :]
+        assert (np.abs(np.tril(L, -1)) > diagonal).any(axis=(1, 2)).all()
+        assert mesh.diameters().max() < 1.5e-6
+    s = dm.n_u if kind == POISSON else 0
+    b = dm.flux_cols.min()
+    for block in (full[:, :n_t, :s], full[:, :n_t, k:b], full[:, n_t:, b:]):
+        assert (block == 0.0).all()
+
+    ops = _condense_classes(dm, kind, rep)
+    assert sum(a[0].nbytes for a in ops.values()) == \
+        8 * STORED_PER_CLASS[kind][p]
+    assert np.array_equal(
+        _whitened(dm, kind, ops["w_v"], ops["w_tau"], cls), full[cls])
+
+    rng = np.random.default_rng(p)
+    z = rng.standard_normal((mesh.num_triangles, n + n_t))
+    x = rng.standard_normal(dm.n_skeleton)
+    args = (dm, kind, ops, cls, _chunks(mesh.num_triangles,
+                                        _class_bytes(dm)), z, x)
+    got = dpg._recover(*args)
+    monkeypatch.setattr(dpg, "_whitened",
+                        lambda dofmap, kind, w_v, w_tau, rows: full[rows])
+    want = dpg._recover(*args)
+    for array, oracle in zip(got[:3], want[:3]):
+        assert array.tobytes() == oracle.tobytes()
+    assert {name: v.hex() for name, v in got[3].items()} == \
+        {name: v.hex() for name, v in want[3].items()}
 
 
 def row_unique_classes(mesh):
@@ -1214,7 +1286,8 @@ def test_class_store_reuses_operators_bitwise():
     ops, cls, condensed = store.update(DofMap(first.mesh, first.trial),
                                        problem.kind)
     assert np.array_equal(cls, _element_classes(mesh)[2])
-    assert condensed == 0 and len(ops["w"]) == classes
+    assert condensed == 0
+    assert [len(a) for a in ops.values()] == [classes] * 4
     assert classes < mesh.num_triangles
     second = solve(TrialSpace(1), store)
     assert second.diagnostics["classes_condensed"] == 0
@@ -1294,8 +1367,9 @@ def test_solve_peak_memory_stays_below_the_class_operators_per_element():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    class_bytes = sum(a[0].nbytes for a in store.ops.values())
-    assert class_bytes == _class_bytes(DofMap(sol.mesh, sol.trial)) == 7155 * 8
+    stored = sum(a[0].nbytes for a in store.ops.values())
+    class_bytes = _class_bytes(DofMap(sol.mesh, sol.trial))
+    assert (stored, class_bytes) == (5307 * 8, 7155 * 8)
     assert mesh.num_triangles == 1536
     assert peak < mesh.num_triangles * class_bytes / 2     # 41.9 MiB
 
@@ -1618,8 +1692,8 @@ def test_recovery_transient_stays_small(p, levels, nt, bound_mb,
                                         monkeypatch):
     # _recover gathers the class operators of one chunk of elements at a
     # time, so its traced peak above its entry is its whole-mesh outputs
-    # and a few chunks: 4.64 MiB at p=1 and 3.01 MiB at p=3 with chunks
-    # of 1 MiB, 8.22 and 7.10 MiB with chunks of 4 MiB.  A whole solve's
+    # and a few chunks: 4.64 MiB at p=1 and 3.25 MiB at p=3 with chunks
+    # of 1 MiB, 9.08 and 8.08 MiB with chunks of 4 MiB.  A whole solve's
     # traced peak does not show it, since the skeleton build sets that
     # (14.54 and 14.56 MiB at p=1 with either budget)
     import tracemalloc
