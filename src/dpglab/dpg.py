@@ -79,15 +79,15 @@ the skeleton solution, and w z_T = L^{-1} (F_T - B_T x_T) = w_T.  |w_T|
 is the local estimator eta(T), the test norm of the residual
 representer, and W_B' w_T its Galerkin vector.  assemble_solve runs in
 three stages: _skeleton_system takes hybrid z_T[k:] into the sparse
-system, writing the element cliques straight into its CSC arrays,
-_solve_spd solves it, and _recover applies inner and w.  Each element
-stage gets its own z at the lift, so that under the sparse factor only
-A, b and what recovery reads are alive.  Both element stages run their
-products over chunks of elements whose gathered class operators fill at
-most _CHUNK_BYTES, and the store condenses the classes new to a mesh in
-chunks of the same size, so no operator is copied once per element of
-the whole mesh, and the holes that freed chunks leave in the heap stay
-small.  No result depends on the chunk size.
+system, summing the element cliques into CSC arrays allocated at their
+exact size, _solve_spd solves it, and _recover applies inner and w.
+Each element stage gets its own z at the lift, so that under the sparse
+factor only A, b and what recovery reads are alive.  Both element stages
+run their products over chunks of elements whose gathered class
+operators fill at most _CHUNK_BYTES, and the store condenses the classes
+new to a mesh in chunks of the same size, so no operator is copied once
+per element of the whole mesh, and the holes that freed chunks leave in
+the heap stay small.  No result depends on the chunk size.
 The dense algebra is numpy's alone: np.linalg.cholesky and
 np.linalg.solve take a whole stack of class matrices in one call each.
 The sparse work runs in scipy's compiled kernels, called directly: those
@@ -428,15 +428,16 @@ def _local_systems(dofmap, kind, elements):
 # bytes of class operators that one chunk gathers: a solve runs its
 # per-element products, and ClassStore.update its condensations, over
 # chunks of elements or classes this large, so that no operator is ever
-# copied for every element at once; _skeleton_system's runs and
-# error_report's points are chunked by the same budget, each at its own
-# cost per row or point (see there).  Results do not depend on it.  The
-# gathers of a larger chunk, once freed, leave heap holes that the
-# adaptive study's later steps keep resident under their sparse factor;
-# a smaller chunk makes more numpy calls.  The p=1 adaptive L-shape CLI
-# study to 25,000 dofs peaks at 56.9, 53.3 and 53.6 MiB and runs in
-# 0.58, 0.56 and 0.63 s in process, with chunks of 4 MiB, 1 MiB and
-# 256 KiB (Python 3.11, numpy 2.4, 2 vCPUs)
+# copied for every element at once; _skeleton_system's column blocks
+# and error_report's points are chunked by the same budget, each at its
+# own cost per local column or point (see there).  Results do not
+# depend on it.  The gathers of a larger chunk, once freed, leave heap
+# holes that the adaptive study's later steps keep resident under their
+# sparse factor; a smaller chunk makes more numpy calls.  The p=1
+# adaptive L-shape study to 25,000 dofs, in a child process, peaks at
+# 54.7, 52.6 and 51.9 MiB and runs in 0.77, 0.73 and 0.78 s, with
+# chunks of 4 MiB, 1 MiB and 256 KiB (medians of 5; Python 3.11, numpy
+# 2.4, 2 vCPUs); the heap's layout alone moves that peak by about 1 MiB
 _CHUNK_BYTES = 1 << 20
 
 
@@ -772,6 +773,35 @@ class _CSC:
     shape: tuple
 
 
+def _column_counts(dofmap):
+    """Entries of each column of the skeleton system, from the mesh's
+    incidences alone, before any is gathered: the column of a free
+    skeleton dof holds the distinct free dofs of the elements around its
+    vertex or edge.  With f_T the free dofs of element T and s_E those of
+    edge E and its two end vertices, a free vertex v holds the sum of f_T
+    over its elements less the dofs counted twice: v once per element
+    past the first, and each edge from v with its far vertex once.  A
+    free vertex is interior, so its elements close a fan with as many
+    edges from v as elements, and that is 1 - sum s_E over the edges
+    from v.  An edge dof holds the sum of f_T over the edge's elements,
+    less s_E if two share it.  Holds for every Mesh, whose edges have at
+    most two elements; _skeleton_system checks it block by block.
+    Returns one int64 per free skeleton dof, in the numbering of the
+    solve."""
+    mesh, p, free = dofmap.mesh, dofmap.trial.p, dofmap.free
+    nv, ne = mesh.num_vertices, mesh.num_edges
+    f = np.repeat((dofmap.free_cols >= 0).sum(axis=1), 3)
+    ends = mesh.edges
+    shared = p * ~mesh.boundary_edge + p + 1 + free[ends].sum(axis=1)
+    vertex = (np.bincount(mesh.triangles.ravel(), f, nv) + 1
+              - np.bincount(ends.ravel(), np.repeat(shared, 2), nv))
+    sides = np.bincount(mesh.tri_edges.ravel(), minlength=ne)
+    edge = np.bincount(mesh.tri_edges.ravel(), f, ne) - (sides - 1) * shared
+    counts = np.concatenate([vertex, np.repeat(edge, p),
+                             np.repeat(edge, p + 1)])
+    return counts[free].astype(np.int64)
+
+
 def _skeleton_system(dofmap, ops, cls, chunks, z):
     """The skeleton system (A, b) in the numbering of the solve
     (DofMap.free_cols), A = S_hat and b = r_hat on the free skeleton dofs.
@@ -779,32 +809,32 @@ def _skeleton_system(dofmap, ops, cls, chunks, z):
     z holds every element's local vector at the Dirichlet lift.  Chunk by
     chunk, hybrid z[k:] is an element's skeleton right-hand side, summed
     into b before A is built.  The skeleton columns of hybrid are the
-    element's clique of S_hat.  The cliques go straight into the CSC
-    arrays of A, duplicates kept, grouped by column: the free local
-    columns (e, j) are sorted stably by their solve column free_cols[e,
-    j], and each brings the free rows of hybrid[cls[e], :, j] in ascending
-    order.  Every column of A then holds its entries element by element,
-    in the order in which scipy's COO -> CSC counting sort leaves a COO of
-    the cliques listed element by element, and the kernels of
-    csc_matrix.sum_duplicates, called in its order, sort and sum each
-    column as that conversion does: A is the COO route's bit for bit
-    (test_skeleton_system_is_the_coo_route_bit_for_bit).  It sums and
-    never prunes, so the exact zeros stay entries of A: pruning them, as a
-    sum of per-chunk sparse matrices would, changes the minimum-degree
-    order and raises the fill.  The sorted local columns are one int32
-    array of flat positions e (n - k) + j, and a chunk of them recovers e
-    and j by np.divmod.  The build peaks in its last chunk, holding the
-    uncompressed data and indices, 12 bytes per clique entry, the
-    structure, 12 bytes per free local column (freed before the
-    conversion), and one chunk of runs;
+    element's clique of S_hat.  A's data and indices are allocated at
+    nnz, whose columns _column_counts gives before any entry is gathered,
+    and filled already summed, one block of whole columns at a time.
+    The free local columns (e, j) are sorted stably by their solve column
+    free_cols[e, j], as one int32 array of flat positions e (n - k) + j.
+    A block recovers e and j by np.divmod and gathers, for each of its
+    local columns, the free rows of hybrid[cls[e], :, j] in ascending
+    order, into buffers of about _CHUNK_BYTES / 5.  Every column holds
+    its entries element by element, in the order in which scipy's COO ->
+    CSC counting sort leaves a COO of the cliques listed element by
+    element.  The kernels of csc_matrix.sum_duplicates sort and sum each
+    column of the block on its own as that conversion does, the sort
+    skipped only if every column of A is sorted already, as
+    csc_matrix.sum_duplicates skips it; a block with an unsorted column
+    starts the blocks over with the sort.  So A is the COO route's bit
+    for bit (test_skeleton_system_is_the_coo_route_bit_for_bit).  It
+    sums and never prunes, so the exact zeros stay entries of A: pruning
+    them, as a sum of per-chunk sparse matrices would, changes the
+    minimum-degree order and raises the fill.  Raises RuntimeError,
+    naming the block, if a block's summed columns differ from their
+    counts.  The build peaks in a block, holding A, the sorted local
+    columns (4 bytes each) and the block's buffers;
     test_skeleton_system_peak_memory_stays_near_its_matrix bounds that
-    peak at 1.9 times the bytes of A.  The sum runs in place and leaves
-    the entries in the first nnz slots of data and indices, so the build
-    shrinks both to nnz by ndarray.resize, a realloc in place, and returns
-    them as a _CSC.  A copy of the summed entries would hold both buffers
-    at once and raise the peak.  With it, and a broadcast zero load for a
+    peak at 1.3 times the bytes of A.  With a broadcast zero load for a
     problem without a source, the memory live when _solve_spd starts
-    stays below 1.3 times the bytes of A
+    stays below 1.3 times the bytes of A too
     (test_sparse_solve_starts_with_little_beside_its_matrix).
     """
     k, n, ns = dofmap.k_int, dofmap.n_local, dofmap.num_free_skeleton
@@ -820,37 +850,53 @@ def _skeleton_system(dofmap, ops, cls, chunks, z):
     # as flat positions e (n - k) + j; the prescribed ones, -1, come first
     pos = np.argsort(fcols, axis=None, kind="stable")[own.size - len(cols):]
     pos = pos.astype(np.int32)
-    # run r of the sorted local columns fills data[runs[r]:runs[r + 1]]
-    runs = np.concatenate([[0], np.cumsum(own.sum(axis=1)[pos // (n - k)])])
-    data, indices = np.empty(runs[-1]), np.empty(runs[-1], fcols.dtype)
-    columns = np.swapaxes(hybrid, 1, 2)
-    # a run's gather and its copy without the prescribed rows take about
-    # 18 bytes per row of hybrid; counting them at 128 keeps a chunk's
-    # transient near _CHUNK_BYTES / 7, small against data and indices
-    for c in _chunks(len(pos), 128 * (n - k)):
-        e, col = np.divmod(pos[c], n - k)
-        rows = own[e]
-        lo, hi = runs[c.start:c.stop + 1][[0, -1]]
-        data[lo:hi] = columns[cls[e], col, :n - k][rows]
-        indices[lo:hi] = fcols[e][rows]
-    # solve column i takes the runs of its per_column[i] local columns;
+    # solve column i takes the local columns pos[first[i]:first[i + 1]]
+    first = np.concatenate([[0], np.cumsum(np.bincount(cols,
+                                                       minlength=ns))])
+    del cols
+    # blocks of whole columns: a block takes the columns whose first
+    # local column falls in one window of _CHUNK_BYTES / 128 (n - k).  A
+    # local column's gather, its copy without the prescribed rows and
+    # their indices take about 26 bytes per row of hybrid, so a block's
+    # buffers stay near _CHUNK_BYTES / 5
+    step = max(1, _CHUNK_BYTES // (128 * (n - k)))
+    starts = np.flatnonzero(np.diff(first[:-1] // step, prepend=-1))
+    blocks = list(zip(starts, np.append(starts[1:], ns)))
+    per_element = own.sum(axis=1)
     # int32, the type of indices, as csc_matrix would cast it
-    per_column = np.bincount(cols, minlength=ns)
-    indptr = runs[np.concatenate([[0], np.cumsum(per_column)])].astype(
-        indices.dtype)
-    del pos, runs
-    # csc_matrix.sum_duplicates, kernel by kernel
-    if not _sparsetools.csr_has_canonical_format(ns, indptr, indices):
-        if not _sparsetools.csr_has_sorted_indices(ns, indptr, indices):
-            _sparsetools.csr_sort_indices(ns, indptr, indices, data)
-        _sparsetools.csr_sum_duplicates(ns, ns, indptr, indices, data)
-    # shrink both to nnz in place.  No view of them exists, and resize's
-    # reference check would also count what a profile or trace hook holds
-    # of the arrays themselves, a bound method or a frame's locals, and
-    # refuse, so it is off
-    nnz = int(indptr[-1])
-    data.resize(nnz, refcheck=False)
-    indices.resize(nnz, refcheck=False)
+    indptr = np.concatenate([[0], np.cumsum(_column_counts(dofmap))]).astype(
+        fcols.dtype)
+    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], fcols.dtype)
+    columns = np.swapaxes(hybrid, 1, 2)
+
+    def fill(sort):
+        for lo, hi in blocks:
+            e, col = np.divmod(pos[first[lo]:first[hi]], n - k)
+            rows = own[e]
+            block_indices = fcols[e][rows]
+            ptr = np.concatenate([[0], np.cumsum(per_element[e])])[
+                first[lo:hi + 1] - first[lo]].astype(indptr.dtype)
+            # csc_matrix.sum_duplicates, kernel by kernel, on the block
+            if not (sort or _sparsetools.csr_has_sorted_indices(
+                    hi - lo, ptr, block_indices)):
+                return False
+            block_data = columns[cls[e], col, :n - k][rows]
+            if sort:
+                _sparsetools.csr_sort_indices(hi - lo, ptr, block_indices,
+                                              block_data)
+            _sparsetools.csr_sum_duplicates(hi - lo, ns, ptr, block_indices,
+                                            block_data)
+            if not np.array_equal(ptr, indptr[lo:hi + 1] - indptr[lo]):
+                raise RuntimeError(
+                    f"skeleton system: columns {lo} to {hi - 1} sum to "
+                    f"{ptr[-1]} entries, {indptr[hi] - indptr[lo]} by "
+                    "their counts")
+            data[indptr[lo]:indptr[hi]] = block_data[:ptr[-1]]
+            indices[indptr[lo]:indptr[hi]] = block_indices[:ptr[-1]]
+        return True
+
+    if not fill(sort=False):
+        fill(sort=True)
     return _CSC(data, indices, indptr, (ns, ns)), b
 
 

@@ -1411,23 +1411,40 @@ def coo_skeleton_system(dofmap, ops, cls, chunks, z):
     return A, np.bincount(fcols[own], r_hat[own], minlength=ns)
 
 
+SKELETON_CASES = ["lshape-p0", "lshape-p1", "lshape-p2", "lshape-p3",
+                  "square-augmented-p2", "perturbed-p1"]
+
+
 @pytest.mark.parametrize("budget", [1, None, 1 << 40],
                          ids=["one-element", "default", "one-chunk"])
-@pytest.mark.parametrize("case", ["lshape-p0", "lshape-p1", "lshape-p2",
-                                  "lshape-p3", "square-augmented-p2",
-                                  "perturbed-p1"])
+@pytest.mark.parametrize("case", SKELETON_CASES + ["one-element-p1",
+                                                   "two-element-p0"])
 def test_skeleton_system_is_the_coo_route_bit_for_bit(case, budget,
                                                       monkeypatch):
     # the column-grouped build against the COO route: the same pattern,
     # exact zeros included, the same bits in every entry and the same
     # right-hand side, at any chunk size.  Run against the scipy floor
-    # too, this pins the summation order of its COO -> CSC
+    # too, this pins the summation order of its COO -> CSC.  As in
+    # csc_matrix.sum_duplicates, the sort runs on every column, or on none
+    # when every column is sorted already (one element; two elements
+    # whose first two columns are sorted and their third is not)
     import dpglab.dpg as dpg
 
     if budget is not None:
         monkeypatch.setattr(dpg, "_CHUNK_BYTES", budget)
     built = skeleton_system_args(*skeleton_case(case))
-    A, b = dpg._skeleton_system(*built)
+    sorted_columns = []
+    sort = dpg._sparsetools.csr_sort_indices
+
+    def sort_spy(n, *arrays):
+        sorted_columns.append(n)
+        sort(n, *arrays)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dpg._sparsetools, "csr_sort_indices", sort_spy)
+        A, b = dpg._skeleton_system(*built)
+    assert sum(sorted_columns) == (0 if case == "one-element-p1"
+                                   else A.shape[0])
     want, want_b = coo_skeleton_system(*built)
     assert A.indptr.dtype == want.indptr.dtype
     assert A.indices.dtype == want.indices.dtype
@@ -1454,9 +1471,74 @@ def skeleton_case(case):
         return (unit_square_mesh(4), TrialSpace(2, augmented=True),
                 REACTION_DIFFUSION, square_smooth().source,
                 lambda x, y: np.cos(x + 2.0 * y))
+
+    def source(x, y):
+        return 1.0 + x * y
+
+    if case == "one-element-p1":
+        # the fluxes alone are free, and the local edges run in the order
+        # of their global numbers: every column is sorted
+        return (Mesh([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]], [[2, 1, 0]], [0]),
+                TrialSpace(1), POISSON, source, None)
+    if case == "two-element-p0":
+        # the two boundary edges of element 0 come first, each a sorted
+        # column; the shared edge's column lists element 0's fluxes in
+        # ascending order, then element 1's in descending order
+        return (Mesh([[0.5, -1.0], [0.0, 0.0], [1.0, 0.0], [0.5, 1.0]],
+                     [[2, 1, 0], [1, 2, 3]], [0, 0]),
+                TrialSpace(0), POISSON, source, None)
+    if case.startswith("marked"):
+        # NVB of random marked sets, with their closures
+        from dpglab.mesh import refine_marked
+
+        rng = np.random.default_rng(3)
+        mesh = unit_square_mesh(2)
+        for _ in range(4):
+            mesh = refine_marked(mesh, rng.choice(
+                mesh.num_triangles, mesh.num_triangles // 3, replace=False))
+        return (mesh, TrialSpace(int(case[-1])), POISSON, source, None)
     # 96 elements, 96 classes
     return (perturbed(refine_uniform(refine_uniform(lshape_mesh()))),
-            TrialSpace(1), POISSON, lambda x, y: 1.0 + x * y, None)
+            TrialSpace(1), POISSON, source, None)
+
+
+@pytest.mark.parametrize("case", SKELETON_CASES + [
+    f"marked-p{p}" for p in range(4)])
+def test_column_counts_are_the_coo_routes(case):
+    # _column_counts reads the mesh's incidences alone: the entries of
+    # each column are the COO route's after its sum, exact zeros included
+    import dpglab.dpg as dpg
+
+    built = skeleton_system_args(*skeleton_case(case))
+    want, _ = coo_skeleton_system(*built)
+    counts = dpg._column_counts(built[0])
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, np.diff(want.indptr))
+
+
+@pytest.mark.parametrize("shift", [1, -1])
+def test_skeleton_system_refuses_a_block_off_its_counts(shift, monkeypatch):
+    # A is allocated at nnz by the counts and filled block by block; a
+    # count one off is a wrong matrix, so the block that holds it raises
+    # and names its columns
+    import re
+
+    import dpglab.dpg as dpg
+
+    built = skeleton_system_args(*skeleton_case("lshape-p1"))
+    counts = dpg._column_counts
+
+    def shifted(dofmap):
+        out = counts(dofmap)
+        out[40] += shift
+        return out
+
+    monkeypatch.setattr(dpg, "_column_counts", shifted)
+    with pytest.raises(RuntimeError, match="skeleton system: columns") as exc:
+        dpg._skeleton_system(*built)
+    lo, hi = map(int, re.search(r"columns (\d+) to (\d+)",
+                                str(exc.value)).groups())
+    assert lo <= 40 <= hi
 
 
 @pytest.mark.parametrize("case", ["lshape-p0", "lshape-p1", "lshape-p2",
@@ -1528,14 +1610,16 @@ def compact_bytes(A):
 @pytest.mark.parametrize("p, levels, nt", [(1, 5, 6144), (3, 3, 384)],
                          ids=["p1", "p3"])
 def test_skeleton_system_peak_memory_stays_near_its_matrix(p, levels, nt):
-    # the cliques go straight into the CSC arrays of A from an int32
-    # structure, in chunks of runs whose transient stays small, so one
-    # build's traced peak stays below 1.9 times the bytes of A (1.62 and
-    # 1.41 times; 1.62 and 1.63 times with chunks of 4 MiB); int64
-    # element, column and order arrays, with runs counted at 32 bytes a
-    # row, not 128, took 2.02 and 2.56 times, and a COO of the cliques,
-    # its values gathered chunk by chunk and converted once, 4.2 times at
-    # p=1, 31.5 MiB for 7.5 MiB
+    # A's data and indices are allocated at nnz and filled already
+    # summed, one block of columns at a time, from an int32 structure, so
+    # one build's traced peak stays below 1.3 times the bytes of A (1.15
+    # and 1.18 times; 1.24 and 1.54 times with chunks of 4 MiB, whose
+    # block buffers do not shrink with A).  The uncompressed cliques
+    # summed in place and shrunk to nnz took 1.62 and 1.41 times; int64
+    # element, column and order arrays besides, with runs counted at 32
+    # bytes a row, not 128, 2.02 and 2.56 times, and a COO of the
+    # cliques, its values gathered chunk by chunk and converted once, 4.2
+    # times at p=1, 31.5 MiB for 7.5 MiB
     import tracemalloc
 
     from dpglab.dpg import _skeleton_system
@@ -1554,7 +1638,7 @@ def test_skeleton_system_peak_memory_stays_near_its_matrix(p, levels, nt):
     finally:
         tracemalloc.stop()
     assert mesh.num_triangles == nt
-    assert peak < 1.9 * compact_bytes(A)
+    assert peak < 1.3 * compact_bytes(A)
 
 
 def test_sparse_solve_starts_with_little_beside_its_matrix(monkeypatch):
@@ -1603,9 +1687,9 @@ def test_solve_under_a_profile_or_trace_hook_is_the_untraced_solve(
         hook, monkeypatch):
     # a profile or trace hook holds references to the arrays of a running
     # solve (a bound method, a frame's locals), which resize's reference
-    # check counted as views, so shrinking A's buffers raised ValueError.
-    # Under each hook the solve is the untraced one bit for bit, with A's
-    # buffers still at nnz
+    # check counted as views when the build still shrank A's buffers, and
+    # raised ValueError.  Under each hook the solve is the untraced one
+    # bit for bit, with A's buffers at nnz
     import cProfile
     import sys
 
@@ -1694,8 +1778,10 @@ def test_recovery_transient_stays_small(p, levels, nt, bound_mb,
     # time, so its traced peak above its entry is its whole-mesh outputs
     # and a few chunks: 4.64 MiB at p=1 and 3.25 MiB at p=3 with chunks
     # of 1 MiB, 9.08 and 8.08 MiB with chunks of 4 MiB.  A whole solve's
-    # traced peak does not show it, since the skeleton build sets that
-    # (14.54 and 14.56 MiB at p=1 with either budget)
+    # traced peak does not show it with chunks of 1 MiB, since the
+    # skeleton build sets that (11.01 MiB at p=1, against 7.54 MiB in
+    # _recover); with chunks of 4 MiB _recover sets it (11.98 MiB, the
+    # build 11.70)
     import tracemalloc
 
     import dpglab.dpg as dpg
