@@ -80,7 +80,9 @@ is the local estimator eta(T), the test norm of the residual
 representer, and W_B' w_T its Galerkin vector.  assemble_solve runs in
 three stages: _skeleton_system takes hybrid z_T[k:] into the sparse
 system, summing the element cliques into CSC arrays allocated at their
-exact size, _solve_spd solves it, and _recover applies inner and w.
+exact size in one pass over blocks of whole columns, each block
+gathered, sorted and summed column by column, _solve_spd solves it,
+and _recover applies inner and w.
 Each element stage gets its own z at the lift, so that under the sparse
 factor only A, b and what recovery reads are alive.  Both element stages
 run their products over chunks of elements whose gathered class
@@ -814,23 +816,31 @@ def _skeleton_system(dofmap, ops, cls, chunks, z):
     and filled already summed, one block of whole columns at a time.
     The free local columns (e, j) are sorted stably by their solve column
     free_cols[e, j], as one int32 array of flat positions e (n - k) + j.
-    A block recovers e and j by np.divmod and gathers, for each of its
-    local columns, the free rows of hybrid[cls[e], :, j] in ascending
-    order, into buffers of about _CHUNK_BYTES / 5.  Every column holds
-    its entries element by element, in the order in which scipy's COO ->
-    CSC counting sort leaves a COO of the cliques listed element by
-    element.  The kernels of csc_matrix.sum_duplicates sort and sum each
-    column of the block on its own as that conversion does, the sort
-    skipped only if every column of A is sorted already, as
-    csc_matrix.sum_duplicates skips it; a block with an unsorted column
-    starts the blocks over with the sort.  So A is the COO route's bit
-    for bit (test_skeleton_system_is_the_coo_route_bit_for_bit).  It
-    sums and never prunes, so the exact zeros stay entries of A: pruning
-    them, as a sum of per-chunk sparse matrices would, changes the
+    Two column pointers over them serve every block: first, where each
+    solve column's local columns start, and runs, where its gathered
+    rows start before they are summed, each element's free count summed
+    over the column's local columns.  In one pass over the
+    blocks, a block recovers e and j by np.divmod and gathers, for each
+    of its local columns, the free rows of hybrid[cls[e], :, j] in
+    ascending order, into buffers of about _CHUNK_BYTES / 5.  Every
+    column holds its entries element by element, in the order in which
+    scipy's COO -> CSC counting sort leaves a COO of the cliques listed
+    element by element.  The kernels of csc_matrix.sum_duplicates sort
+    and sum each column of the block on its own as that conversion does,
+    and the sort runs on every column, also where sum_duplicates would
+    skip it because every column of A is sorted already: the sort moves
+    a sum only by reordering equal rows, and a sorted column holds no
+    row three times, since each element puts into every column it
+    touches all its free skeleton dofs, at least 3 (p + 1) distinct
+    fluxes, while two equal rows sum to the same double in either
+    order.  So A is the COO route's bit for bit
+    (test_skeleton_system_is_the_coo_route_bit_for_bit).  It sums and
+    never prunes, so the exact zeros stay entries of A: pruning them,
+    as a sum of per-chunk sparse matrices would, changes the
     minimum-degree order and raises the fill.  Raises RuntimeError,
     naming the block, if a block's summed columns differ from their
     counts.  The build peaks in a block, holding A, the sorted local
-    columns (4 bytes each) and the block's buffers;
+    columns (4 bytes each), the two pointers and the block's buffers;
     test_skeleton_system_peak_memory_stays_near_its_matrix bounds that
     peak at 1.3 times the bytes of A.  With a broadcast zero load for a
     problem without a source, the memory live when _solve_spd starts
@@ -850,9 +860,14 @@ def _skeleton_system(dofmap, ops, cls, chunks, z):
     # as flat positions e (n - k) + j; the prescribed ones, -1, come first
     pos = np.argsort(fcols, axis=None, kind="stable")[own.size - len(cols):]
     pos = pos.astype(np.int32)
-    # solve column i takes the local columns pos[first[i]:first[i + 1]]
+    # solve column i takes the local columns pos[first[i]:first[i + 1]],
+    # and gathers runs[i + 1] - runs[i] free rows from them: its
+    # elements' free counts, one per local column
     first = np.concatenate([[0], np.cumsum(np.bincount(cols,
                                                        minlength=ns))])
+    per_element = own.sum(axis=1)
+    runs = np.concatenate([[0], np.cumsum(np.bincount(
+        cols, np.repeat(per_element, per_element), ns))]).astype(fcols.dtype)
     del cols
     # blocks of whole columns: a block takes the columns whose first
     # local column falls in one window of _CHUNK_BYTES / 128 (n - k).  A
@@ -861,42 +876,29 @@ def _skeleton_system(dofmap, ops, cls, chunks, z):
     # buffers stay near _CHUNK_BYTES / 5
     step = max(1, _CHUNK_BYTES // (128 * (n - k)))
     starts = np.flatnonzero(np.diff(first[:-1] // step, prepend=-1))
-    blocks = list(zip(starts, np.append(starts[1:], ns)))
-    per_element = own.sum(axis=1)
     # int32, the type of indices, as csc_matrix would cast it
     indptr = np.concatenate([[0], np.cumsum(_column_counts(dofmap))]).astype(
         fcols.dtype)
     data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], fcols.dtype)
     columns = np.swapaxes(hybrid, 1, 2)
-
-    def fill(sort):
-        for lo, hi in blocks:
-            e, col = np.divmod(pos[first[lo]:first[hi]], n - k)
-            rows = own[e]
-            block_indices = fcols[e][rows]
-            ptr = np.concatenate([[0], np.cumsum(per_element[e])])[
-                first[lo:hi + 1] - first[lo]].astype(indptr.dtype)
-            # csc_matrix.sum_duplicates, kernel by kernel, on the block
-            if not (sort or _sparsetools.csr_has_sorted_indices(
-                    hi - lo, ptr, block_indices)):
-                return False
-            block_data = columns[cls[e], col, :n - k][rows]
-            if sort:
-                _sparsetools.csr_sort_indices(hi - lo, ptr, block_indices,
-                                              block_data)
-            _sparsetools.csr_sum_duplicates(hi - lo, ns, ptr, block_indices,
-                                            block_data)
-            if not np.array_equal(ptr, indptr[lo:hi + 1] - indptr[lo]):
-                raise RuntimeError(
-                    f"skeleton system: columns {lo} to {hi - 1} sum to "
-                    f"{ptr[-1]} entries, {indptr[hi] - indptr[lo]} by "
-                    "their counts")
-            data[indptr[lo]:indptr[hi]] = block_data[:ptr[-1]]
-            indices[indptr[lo]:indptr[hi]] = block_indices[:ptr[-1]]
-        return True
-
-    if not fill(sort=False):
-        fill(sort=True)
+    for lo, hi in zip(starts, np.append(starts[1:], ns)):
+        e, col = np.divmod(pos[first[lo]:first[hi]], n - k)
+        rows = own[e]
+        block_indices = fcols[e][rows]
+        block_data = columns[cls[e], col, :n - k][rows]
+        ptr = runs[lo:hi + 1] - runs[lo]
+        # csc_matrix.sum_duplicates, kernel by kernel, on the block
+        _sparsetools.csr_sort_indices(hi - lo, ptr, block_indices,
+                                      block_data)
+        _sparsetools.csr_sum_duplicates(hi - lo, ns, ptr, block_indices,
+                                        block_data)
+        if not np.array_equal(ptr, indptr[lo:hi + 1] - indptr[lo]):
+            raise RuntimeError(
+                f"skeleton system: columns {lo} to {hi - 1} sum to "
+                f"{ptr[-1]} entries, {indptr[hi] - indptr[lo]} by their "
+                "counts")
+        data[indptr[lo]:indptr[hi]] = block_data[:ptr[-1]]
+        indices[indptr[lo]:indptr[hi]] = block_indices[:ptr[-1]]
     return _CSC(data, indices, indptr, (ns, ns)), b
 
 

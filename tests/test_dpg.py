@@ -1417,17 +1417,18 @@ SKELETON_CASES = ["lshape-p0", "lshape-p1", "lshape-p2", "lshape-p3",
 
 @pytest.mark.parametrize("budget", [1, None, 1 << 40],
                          ids=["one-element", "default", "one-chunk"])
-@pytest.mark.parametrize("case", SKELETON_CASES + ["one-element-p1",
-                                                   "two-element-p0"])
+@pytest.mark.parametrize("case", SKELETON_CASES + [
+    "one-element-p1", "two-element-p0"] + [f"marked-p{p}" for p in range(4)])
 def test_skeleton_system_is_the_coo_route_bit_for_bit(case, budget,
                                                       monkeypatch):
     # the column-grouped build against the COO route: the same pattern,
     # exact zeros included, the same bits in every entry and the same
     # right-hand side, at any chunk size.  Run against the scipy floor
-    # too, this pins the summation order of its COO -> CSC.  As in
-    # csc_matrix.sum_duplicates, the sort runs on every column, or on none
-    # when every column is sorted already (one element; two elements
-    # whose first two columns are sorted and their third is not)
+    # too, this pins the summation order of its COO -> CSC.  The build
+    # sorts every column once, also where the COO route skips the sort
+    # because every column is sorted already (one element): a sorted
+    # column holds no row three times, and two equal rows sum to the
+    # same double in either order
     import dpglab.dpg as dpg
 
     if budget is not None:
@@ -1443,8 +1444,7 @@ def test_skeleton_system_is_the_coo_route_bit_for_bit(case, budget,
     with monkeypatch.context() as patch:
         patch.setattr(dpg._sparsetools, "csr_sort_indices", sort_spy)
         A, b = dpg._skeleton_system(*built)
-    assert sum(sorted_columns) == (0 if case == "one-element-p1"
-                                   else A.shape[0])
+    assert sum(sorted_columns) == A.shape[0]
     want, want_b = coo_skeleton_system(*built)
     assert A.indptr.dtype == want.indptr.dtype
     assert A.indices.dtype == want.indices.dtype
