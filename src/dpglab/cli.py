@@ -4,7 +4,8 @@ Command-line driver for convergence studies.
     dpg-lab run --problem square --p 1 --trial augmented --mode uniform \
                 --levels 6 --out square_p1.csv
 
-Exit codes: 0 on success, 2 on a bad configuration, 3 on solver failure.
+Exit codes: 0 on success, 2 on a bad configuration, 3 on solver failure,
+which still prints the table of the levels completed before it.
 """
 
 import argparse
@@ -62,6 +63,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except SolverError as exc:
+        _print_table(getattr(exc, "records", []))
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER_FAILURE
     _print_table(records)

@@ -66,9 +66,8 @@ too.  The tau rows of B hold u, sigma and uhat alone; its v rows hold
 sigma, the fluxes and, for reaction-diffusion only, u; E has v rows
 only.  So the store keeps w's v rows on the columns [s, k) and [b, n +
 n_t), and its tau rows on [0, b), where b is the first flux column and
-s = n_u for Poisson, 0 for reaction-diffusion (_w_blocks): 982 of
-1,392 doubles per class at p=1 and 5,307 of 7,155 at p=3 (Poisson),
-hybrid and inner included.  _recover rebuilds w chunk by chunk.  The
+s = n_u for Poisson, 0 for reaction-diffusion (_w_blocks; _class_bytes
+counts what that saves).  _recover rebuilds w chunk by chunk.  The
 fields never enter the global system, so DofMap numbers the skeleton
 alone, and its free_cols give each element's skeleton columns in the
 numbering of the solve.  Every element has one local vector z_T = [-x_T |
@@ -550,15 +549,13 @@ class ClassStore:
     _condense_classes, w_v, w_tau, hybrid and inner, for a given trial
     space and problem kind.  w_v and w_tau are the blocks of w that are
     not zero by construction (_w_blocks), and _whitened rebuilds w from
-    them for one chunk of elements at a time: a class keeps 982 doubles
-    at p=1 and 5,307 at p=3 (Poisson), and a chunk gathers 1,392 and
-    7,155 per element (_class_bytes).  The operators act on an element's
-    local vector [-x | load], so the source and the Dirichlet data never
-    enter them.  Refinement leaves most elements of an adaptive step
-    alone, and with them their classes, so a solve condenses only the
-    classes new to its mesh.  Each update keeps exactly the classes of
-    its mesh, one stacked row per class in class order, and drops the
-    rest.
+    them for one chunk of elements at a time (_class_bytes counts both
+    sizes).  The operators act on an element's local vector [-x | load],
+    so the source and the Dirichlet data never enter them.  Refinement
+    leaves most elements of an adaptive step alone, and with them their
+    classes, so a solve condenses only the classes new to its mesh.  Each
+    update keeps exactly the classes of its mesh, one stacked row per
+    class in class order, and drops the rest.
     """
 
     def __init__(self):
@@ -966,8 +963,8 @@ _ORDERING = "MMD_AT_PLUS_A"
 # difference as explicit zeros: on the p=1 uniform L-shape system of
 # 30,721 skeleton dofs nnz(L+U) is 2.62M with SuperLU's defaults and
 # 2.13M with this pair.  A larger pair (relax = panel_size = 40) crashed
-# at process exit, which the CI step "Largest routine skeleton
-# factorization in a fresh process" would show
+# at process exit, which the "p=3 uniform, 5 levels" row of the CI step
+# "Studies in fresh processes" would show
 _RELAX = 1
 _PANEL_SIZE = 4
 

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .adapt import MODES, _check_loop, _steps
-from .dpg import TrialSpace
+from .dpg import SolverError, TrialSpace
 from .problems import lshape_singular, square_smooth
 from .spaces import _check_integer
 
@@ -137,7 +137,7 @@ def run_study(config):
     shared loop (adapt._steps) into a record as it completes.  Writes the
     CSV table to config.out when set; on a solver failure, in either mode,
     the partial table of the completed levels is flushed before the error
-    propagates.
+    propagates, and the SolverError carries their records as `records`.
     """
     config.validate()
     records = []
@@ -150,6 +150,9 @@ def run_study(config):
             records.append(ConvergenceRecord(
                 level=level, dofs=step.solution.num_dofs,
                 h_max=step.mesh.h_max, **asdict(step.report)))
+    except SolverError as exc:
+        exc.records = records
+        raise
     finally:
         _attach_eocs(records)
         if config.out is not None:

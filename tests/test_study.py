@@ -13,6 +13,25 @@ from dpglab.study import (CSV_HEADER, ConfigError, ConvergenceRecord,
                           StudyConfig, fit_slope, run_study)
 
 
+@pytest.fixture
+def third_solve_fails(monkeypatch):
+    """Make the study loop's third assemble_solve, and every later one,
+    raise SolverError("injected failure")."""
+    import dpglab.adapt as adapt_mod
+    from dpglab.dpg import SolverError
+
+    real = adapt_mod.assemble_solve
+    calls = {"n": 0}
+
+    def flaky(*args, **kwargs):
+        calls["n"] += 1
+        if calls["n"] >= 3:
+            raise SolverError("injected failure", residual=1.0)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(adapt_mod, "assemble_solve", flaky)
+
+
 def synthetic_records(dofs, errs):
     return [ConvergenceRecord(level=i, dofs=d, h_max=1.0 / d, err_u=e)
             for i, (d, e) in enumerate(zip(dofs, errs))]
@@ -250,6 +269,20 @@ def test_cli_solver_failure_exit_code(monkeypatch, capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
+def test_cli_prints_completed_levels_on_solver_failure(third_solve_fails,
+                                                       capsys):
+    # the table of the two completed levels reaches stdout, the message
+    # stderr
+    code = main(["run", "--problem", "square", "--p", "0", "--levels", "5"])
+    captured = capsys.readouterr()
+    assert code == 3
+    header, *rows = captured.out.splitlines()
+    assert header.split() == [c for c in CSV_HEADER.split(",")
+                              if not c.startswith("eoc_")]
+    assert [row.split()[0] for row in rows] == ["0", "1"]
+    assert "solver failure: injected failure" in captured.err
+
+
 def test_cli_entry_point_subprocess(tmp_path):
     out = tmp_path / "sub.csv"
     proc = subprocess.run(
@@ -383,21 +416,11 @@ def test_unwritable_out_is_refused_before_any_solve(tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("mode", ["uniform", "adaptive"])
-def test_partial_table_flushed_on_failure(tmp_path, monkeypatch, mode):
+def test_partial_table_flushed_on_failure(tmp_path, third_solve_fails,
+                                          mode):
     # the CSV holds the completed levels when a later solve blows up
-    import dpglab.adapt as adapt_mod
     from dpglab.dpg import SolverError
 
-    real = adapt_mod.assemble_solve
-    calls = {"n": 0}
-
-    def flaky(*args, **kwargs):
-        calls["n"] += 1
-        if calls["n"] >= 3:
-            raise SolverError("injected failure", residual=1.0)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(adapt_mod, "assemble_solve", flaky)
     out = tmp_path / "partial.csv"
     config = StudyConfig(problem="square", p=0, trial="standard",
                          mode=mode, levels=5, out=str(out))
