@@ -3,10 +3,11 @@ Manufactured model problems and error-quantity evaluation.
 
 Two benchmark problems are provided: a smooth reaction-diffusion problem on
 the unit square and a corner-singular Poisson problem on the L-shaped
-domain.  Both carry the exact solution, its gradient, the source term
-(None on the L-shape, where f = 0), and Dirichlet boundary data, the trace
-of the exact solution, so that discretization errors can be measured in
-L2 by elementwise quadrature.
+domain.  Both carry one callable that gives the exact solution and its
+gradient from one evaluation, the source term (None on the L-shape, where
+f = 0), and Dirichlet boundary data, the trace of the exact solution, so
+that discretization errors can be measured in L2 by elementwise
+quadrature.
 """
 
 from dataclasses import dataclass
@@ -25,17 +26,20 @@ from .spaces import (MAX_QUADRATURE_DEGREE, _check_array, _check_integer,
 class ManufacturedProblem:
     """A PDE problem with known exact solution and its initial mesh.
 
-    exact and source map coordinate arrays (x, y) to value arrays, and
-    source is None for f = 0; exact_grad returns a pair of arrays
-    (du/dx, du/dy).  The Dirichlet data is the trace of the exact
-    solution, so dirichlet is a read-only property that returns exact
-    itself: no field can disagree with it.
+    exact_fields maps coordinate arrays (x, y) to the triple (u, du/dx,
+    du/dy), value and gradient from one evaluation; source maps them to
+    values and is None for f = 0.  exact(x, y) is u alone, the first
+    entry of exact_fields.  The Dirichlet data is the trace of the exact
+    solution, so dirichlet is a read-only property that returns exact: no
+    field can disagree with it.
     """
     kind: str                        # REACTION_DIFFUSION | POISSON
-    exact: Callable
-    exact_grad: Callable
+    exact_fields: Callable           # (x, y) -> (u, du/dx, du/dy)
     source: Optional[Callable]      # None for f = 0
     initial_mesh: Callable           # () -> Mesh of the problem's domain
+
+    def exact(self, x, y):
+        return self.exact_fields(x, y)[0]
 
     @property
     def dirichlet(self):
@@ -51,27 +55,27 @@ def square_smooth():
     exact 0 or 1 coordinate and exact returns exactly 0.0 there.
     """
 
-    def exact(x, y):
-        return x * (1.0 - x) * y * (1.0 - y)
-
-    def exact_grad(x, y):
-        return ((1.0 - 2.0 * x) * y * (1.0 - y),
+    def exact_fields(x, y):
+        return (x * (1.0 - x) * y * (1.0 - y),
+                (1.0 - 2.0 * x) * y * (1.0 - y),
                 x * (1.0 - x) * (1.0 - 2.0 * y))
 
     def source(x, y):
-        return 2.0 * x * (1.0 - x) + 2.0 * y * (1.0 - y) + exact(x, y)
+        return (2.0 * x * (1.0 - x) + 2.0 * y * (1.0 - y)
+                + x * (1.0 - x) * y * (1.0 - y))
 
     return ManufacturedProblem(
-        kind=REACTION_DIFFUSION, exact=exact, exact_grad=exact_grad,
-        source=source, initial_mesh=lambda: unit_square_mesh(1))
+        kind=REACTION_DIFFUSION, exact_fields=exact_fields, source=source,
+        initial_mesh=lambda: unit_square_mesh(1))
 
 
 def _lshape_polar(x, y):
-    # angle measured counterclockwise from the positive x axis, mapped to
-    # [0, 3pi/2]; the branch cut lies along the slit edge phi = 0, which
-    # the domain never straddles
-    phi = np.arctan2(y, x)
-    phi = np.where(phi < 0.0, phi + 2.0 * np.pi, phi)
+    # angle measured counterclockwise from the positive x axis, shifted in
+    # place to [0, 3pi/2]; the branch cut lies along the slit edge phi = 0,
+    # which the domain never straddles.  asarray lets a scalar point shift
+    # too
+    phi = np.asarray(np.arctan2(y, x))
+    phi[phi < 0.0] += 2.0 * np.pi
     return np.hypot(x, y), phi
 
 
@@ -85,17 +89,14 @@ def lshape_singular():
     both slit edges.  u lies in H^(1+2/3-eps) only, so uniform refinement
     converges at the reduced corner rate.  Dirichlet data is the trace of
     the exact solution (inhomogeneous on the outer boundary).  f = 0, so
-    the problem has no source (source is None).
+    the problem has no source (source is None).  u and its gradient come
+    from one polar map (r, phi) of the points.
 
     At the corner itself u = 0 and the gradient components are infinite
     (the evaluation never places a quadrature point there).
     """
 
-    def exact(x, y):
-        r, phi = _lshape_polar(x, y)
-        return r ** (2.0 / 3.0) * np.sin(2.0 * phi / 3.0)
-
-    def exact_grad(x, y):
+    def exact_fields(x, y):
         # du/dr = (2/3) r^(-1/3) cos(2 phi_b/3) and
         # (1/r) du/dphi_b = -(2/3) r^(-1/3) sin(2 phi_b/3) about the
         # bisector angle; rotated to Cartesian components they combine to
@@ -103,10 +104,11 @@ def lshape_singular():
         r, phi = _lshape_polar(x, y)
         with np.errstate(divide="ignore", invalid="ignore"):
             c = (2.0 / 3.0) * r ** (-1.0 / 3.0)
-            return -c * np.sin(phi / 3.0), c * np.cos(phi / 3.0)
+            return (r ** (2.0 / 3.0) * np.sin(2.0 * phi / 3.0),
+                    -c * np.sin(phi / 3.0), c * np.cos(phi / 3.0))
 
     return ManufacturedProblem(
-        kind=POISSON, exact=exact, exact_grad=exact_grad, source=None,
+        kind=POISSON, exact_fields=exact_fields, source=None,
         initial_mesh=lshape_mesh)
 
 
@@ -163,19 +165,19 @@ def error_report(solution, postprocessed, problem, extra_exactness=0):
     ErrorReport
 
     The discrete fields come from whole-mesh products, one (nt, npts)
-    array each.  The points are mapped, problem.exact and
-    problem.exact_grad called and the weighted squared errors formed over
-    chunks of elements (dpg._chunks), written in place into those arrays;
+    array each.  The points are mapped, problem.exact_fields called once
+    (u and its gradient from one evaluation, so one polar map a point on
+    the L-shape) and the weighted squared errors formed over chunks of
+    elements (dpg._chunks), written in place into those arrays;
     each error is the square root of one np.sum of its array, so no result
     depends on the chunks.  The report holds those arrays and one chunk's
     points, not a dozen whole-mesh point arrays
     (test_error_report_peak_memory_stays_small).
 
     Raises ValueError on an extra_exactness error_exactness refuses or a
-    postprocessed of another shape, and when problem.exact or
-    problem.exact_grad is non-finite at an error-quadrature point or
-    returns neither one value per point nor a scalar
-    (spaces.point_values).
+    postprocessed of another shape, and when an entry of
+    problem.exact_fields is non-finite at an error-quadrature point or is
+    neither one value per point nor a scalar (spaces.point_values).
     """
     mesh = solution.mesh
     p = solution.trial.p
@@ -212,9 +214,9 @@ def error_report(solution, postprocessed, problem, extra_exactness=0):
         x, y = xy[..., 0], xy[..., 1]
         wq = det[:, None] * w[None, :]
 
-        u_exact = point_values(problem.exact(x, y), x.shape, "problem.exact")
-        gx_exact, gy_exact = (point_values(g, x.shape, "problem.exact_grad")
-                              for g in problem.exact_grad(x, y))
+        u_exact, gx_exact, gy_exact = [
+            point_values(f, x.shape, "problem.exact_fields")
+            for f in problem.exact_fields(x, y)]
 
         sq_u[c] = wq * (u_exact - sq_u[c]) ** 2
         sq_sigma[c] = wq * ((gx_exact - sq_sigma[c]) ** 2 +

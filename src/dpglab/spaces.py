@@ -432,14 +432,16 @@ def affine_maps(verts):
 def point_values(values, shape, name):
     """values, what the callable name returned at points of the given
     shape, as a float array of that shape: a scalar is broadcast to every
-    point.  Another shape or a non-finite value raises ValueError."""
+    point, an array of that shape is returned as it is (np.broadcast_to
+    would make a view of it in a dozen Python-level calls).  Another shape
+    or a non-finite value raises ValueError."""
     values = np.asarray(values, dtype=float)
     if values.ndim and values.shape != shape:
         raise ValueError(f"{name} returned shape {values.shape}, expected "
                          f"{shape} (one value per point) or a scalar")
     if not np.isfinite(values).all():
         raise ValueError(f"{name} has non-finite values")
-    return np.broadcast_to(values, shape)
+    return values if values.ndim else np.broadcast_to(values, shape)
 
 
 def project_l2(degree, f, mesh, exactness=None):

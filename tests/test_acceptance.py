@@ -206,8 +206,7 @@ def test_criterion_7_property_suite():
     # polynomial exactness: affine Poisson solution, Augmented(0)
     affine = ManufacturedProblem(
         kind=POISSON,
-        exact=lambda x, y: x + y,
-        exact_grad=lambda x, y: (np.ones_like(x), np.ones_like(y)),
+        exact_fields=lambda x, y: (x + y, np.ones_like(x), np.ones_like(y)),
         source=lambda x, y: np.zeros_like(x),
         initial_mesh=lambda: unit_square_mesh(1))
     sol = assemble_solve(unit_square_mesh(2), TrialSpace(0, augmented=True),

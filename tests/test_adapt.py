@@ -138,12 +138,9 @@ def test_adaptive_loop_stops_when_the_estimator_vanishes():
 
     from dpglab.mesh import unit_square_mesh
 
-    def zero(x, y):
-        return 0.0 * x
-
     problem = dataclasses.replace(
-        square_smooth(), source=None, exact=zero,
-        exact_grad=lambda x, y: (0.0 * x, 0.0 * y),
+        square_smooth(), source=None,
+        exact_fields=lambda x, y: (0.0 * x, 0.0 * x, 0.0 * y),
         initial_mesh=lambda: unit_square_mesh(2))
     run = adaptive_loop(problem, TrialSpace(1), max_dofs=10 ** 6)
     assert len(run.steps) == 1

@@ -546,12 +546,9 @@ def test_dirichlet_data_of_wrong_shape_is_refused(p, data):
 
 
 def affine_poisson_problem():
-    def exact(x, y):
-        return x + y
-
     return ManufacturedProblem(
-        kind=POISSON, exact=exact,
-        exact_grad=lambda x, y: (np.ones_like(x), np.ones_like(y)),
+        kind=POISSON,
+        exact_fields=lambda x, y: (x + y, np.ones_like(x), np.ones_like(y)),
         source=lambda x, y: np.zeros_like(x),
         initial_mesh=lambda: unit_square_mesh(1))
 
@@ -1844,11 +1841,9 @@ def polynomial_poisson_problem(p):
             return np.zeros_like(np.asarray(x, dtype=float))
         return np.asarray(x, dtype=float) ** i * np.asarray(y, dtype=float) ** j
 
-    def exact(x, y):
-        return sum(c * monomial(x, y, i, j) for i, j, c in terms)
-
-    def exact_grad(x, y):
-        return (sum(c * i * monomial(x, y, i - 1, j) for i, j, c in terms),
+    def exact_fields(x, y):
+        return (sum(c * monomial(x, y, i, j) for i, j, c in terms),
+                sum(c * i * monomial(x, y, i - 1, j) for i, j, c in terms),
                 sum(c * j * monomial(x, y, i, j - 1) for i, j, c in terms))
 
     def source(x, y):       # -Lap(u)
@@ -1857,8 +1852,7 @@ def polynomial_poisson_problem(p):
                     for i, j, c in terms)
 
     return ManufacturedProblem(
-        kind=POISSON, exact=exact,
-        exact_grad=exact_grad, source=source,
+        kind=POISSON, exact_fields=exact_fields, source=source,
         initial_mesh=lshape_mesh)
 
 

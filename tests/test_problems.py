@@ -85,7 +85,7 @@ def test_lshape_gradient_closed_form():
         x, y = rng.uniform(-1, 1, 2)
         if (x >= -0.02 and y <= 0.02) or np.hypot(x, y) < 0.2:
             continue
-        gx, gy = p.exact_grad(x, y)
+        _, gx, gy = p.exact_fields(x, y)
         fx = (p.exact(x + h, y) - p.exact(x - h, y)) / (2 * h)
         fy = (p.exact(x, y + h) - p.exact(x, y - h)) / (2 * h)
         assert abs(gx - fx) < 1e-6 and abs(gy - fy) < 1e-6
@@ -95,7 +95,8 @@ def test_lshape_gradient_closed_form():
 def test_lshape_origin_is_flagged_singular():
     p = lshape_singular()
     assert p.exact(0.0, 0.0) == 0.0
-    gx, gy = p.exact_grad(0.0, 0.0)
+    u, gx, gy = p.exact_fields(0.0, 0.0)
+    assert u == 0.0
     assert not np.isfinite(gx) or not np.isfinite(gy)
 
 
@@ -116,18 +117,15 @@ def test_error_report_exact_postprocessed_field():
     from dpglab.dpg import POISSON
     from dpglab.problems import ManufacturedProblem
 
-    def exact(x, y):
-        return x * x + y
-
     problem = ManufacturedProblem(
-        kind=POISSON, exact=exact,
-        exact_grad=lambda x, y: (2.0 * x, np.ones_like(y)),
+        kind=POISSON,
+        exact_fields=lambda x, y: (x * x + y, 2.0 * x, np.ones_like(y)),
         source=lambda x, y: -2.0 * np.ones_like(x),
         initial_mesh=lambda: unit_square_mesh(1))
     mesh = unit_square_mesh(2)
     sol = assemble_solve(mesh, TrialSpace(1), problem.kind, problem.source,
                          dirichlet=problem.dirichlet)
-    post = project_l2(2, exact, mesh, exactness=12)
+    post = project_l2(2, problem.exact, mesh, exactness=12)
     rep = error_report(sol, post, problem)
     assert rep.err_u_post < 1e-12
 
@@ -148,11 +146,11 @@ def test_error_report_refuses_a_postprocessed_field_of_another_shape(bad):
             "wrong rows": post[:-1]}[bad]
     calls = []
 
-    def recording_exact(x, y):
+    def recording_fields(x, y):
         calls.append(x.shape)
-        return problem.exact(x, y)
+        return problem.exact_fields(x, y)
 
-    recording = dataclasses.replace(problem, exact=recording_exact)
+    recording = dataclasses.replace(problem, exact_fields=recording_fields)
     with pytest.raises(ValueError, match=r"postprocessed has shape .*"
                                          r"expected \(8, 6\)"):
         error_report(sol, post, recording)
@@ -160,36 +158,51 @@ def test_error_report_refuses_a_postprocessed_field_of_another_shape(bad):
 
 
 def test_dirichlet_data_is_the_exact_solution():
-    # dirichlet is exact itself, not a field that could disagree with it
+    # dirichlet is exact itself, the first entry of exact_fields, not a
+    # field that could disagree with it; value and gradient are one field
+    import dataclasses
+
     from dpglab.problems import ManufacturedProblem
 
+    assert [f.name for f in dataclasses.fields(ManufacturedProblem)] == [
+        "kind", "exact_fields", "source", "initial_mesh"]
+    x = np.array([[0.0, 1.0, -1.0, 0.5]])
+    y = np.array([[-1.0, 0.5, 1.0, 0.0]])
     for problem in (square_smooth(), lshape_singular()):
-        assert problem.dirichlet is problem.exact
+        assert problem.dirichlet == problem.exact
+        u = problem.exact_fields(x, y)[0]
+        assert problem.dirichlet(x, y).tobytes() == u.tobytes()
+        assert problem.exact(x, y).tobytes() == u.tobytes()
+    with pytest.raises(TypeError):
+        ManufacturedProblem(kind=REACTION_DIFFUSION, exact_fields=np.add,
+                            source=np.add, dirichlet=np.add,
+                            initial_mesh=unit_square_mesh)
     with pytest.raises(TypeError):
         ManufacturedProblem(kind=REACTION_DIFFUSION, exact=np.add,
                             exact_grad=np.add, source=np.add,
-                            dirichlet=np.add, initial_mesh=unit_square_mesh)
+                            initial_mesh=unit_square_mesh)
 
 
 @pytest.mark.parametrize("broken", ["exact", "exact_grad"])
 def test_error_report_rejects_non_finite_exact_solution(broken):
-    # a NaN at the error-quadrature points must not turn into err_u = nan
+    # a NaN at the error-quadrature points must not turn into err_u = nan;
+    # broken names the entry of exact_fields at fault, the value u
+    # (exact) or the gradient (exact_grad)
     import dataclasses
 
     problem = square_smooth()
     mesh = unit_square_mesh(2)
     sol = assemble_solve(mesh, TrialSpace(1), problem.kind, problem.source)
 
-    def nan_exact(x, y):
-        return np.where(x > 0.5, np.nan, problem.exact(x, y))
+    def nan_fields(x, y):
+        u, gx, gy = problem.exact_fields(x, y)
+        if broken == "exact":
+            return np.where(x > 0.5, np.nan, u), gx, gy
+        return u, gx, np.where(y < 0.25, np.inf, gy)
 
-    def nan_grad(x, y):
-        gx, gy = problem.exact_grad(x, y)
-        return gx, np.where(y < 0.25, np.inf, gy)
-
-    bad = dataclasses.replace(problem, **{
-        broken: nan_exact if broken == "exact" else nan_grad})
-    with pytest.raises(ValueError, match=f"problem.{broken} has non-finite"):
+    bad = dataclasses.replace(problem, exact_fields=nan_fields)
+    with pytest.raises(ValueError,
+                       match="problem.exact_fields has non-finite"):
         error_report(sol, None, bad)
 
 
@@ -203,15 +216,15 @@ def test_error_report_rejects_exact_solution_of_wrong_shape(broken):
     mesh = unit_square_mesh(2)
     sol = assemble_solve(mesh, TrialSpace(1), problem.kind, problem.source)
 
-    def one_row_exact(x, y):
-        return problem.exact(x, y)[0]
+    def one_row_fields(x, y):
+        u, gx, gy = problem.exact_fields(x, y)
+        if broken == "exact":
+            return u[0], gx, gy
+        return u, gx[0], gy[0]
 
-    def one_row_grad(x, y):
-        return tuple(g[0] for g in problem.exact_grad(x, y))
-
-    bad = dataclasses.replace(problem, **{
-        broken: one_row_exact if broken == "exact" else one_row_grad})
-    with pytest.raises(ValueError, match=f"problem.{broken} returned shape"):
+    bad = dataclasses.replace(problem, exact_fields=one_row_fields)
+    with pytest.raises(ValueError,
+                       match="problem.exact_fields returned shape"):
         error_report(sol, None, bad)
 
 
@@ -221,11 +234,10 @@ def test_error_report_broadcasts_a_scalar_exact_solution():
     problem = square_smooth()
     mesh = unit_square_mesh(2)
     sol = assemble_solve(mesh, TrialSpace(1), problem.kind, problem.source)
-    zero = dataclasses.replace(problem, exact=lambda x, y: 0.0,
-                               exact_grad=lambda x, y: (0.0, 0.0))
+    zero = dataclasses.replace(problem,
+                               exact_fields=lambda x, y: (0.0, 0.0, 0.0))
     arrays = dataclasses.replace(
-        problem, exact=lambda x, y: np.zeros_like(x),
-        exact_grad=lambda x, y: (np.zeros_like(x), np.zeros_like(y)))
+        problem, exact_fields=lambda x, y: (np.zeros_like(x),) * 3)
     assert error_report(sol, None, zero) == error_report(sol, None, arrays)
 
 
@@ -240,8 +252,7 @@ def whole_array_errors(sol, post, problem):
     xy = mesh.to_physical(rule.points)
     x, y = xy[..., 0], xy[..., 1]
     wq = mesh.geometry()[1][:, None] * rule.weights[None, :]
-    u = problem.exact(x, y)
-    gx, gy = problem.exact_grad(x, y)
+    u, gx, gy = problem.exact_fields(x, y)
     n_u, n_s = sol.u_coeffs.shape[1], sol.sigma_coeffs.shape[2]
     err_u = np.sqrt(np.sum(wq * (u - sol.u_coeffs @ V[:n_u]) ** 2))
     err_sigma = np.sqrt(np.sum(
@@ -289,6 +300,77 @@ def test_error_report_in_chunks_is_the_whole_array_sum(case, size,
     assert size == 1 or nt % size      # the last chunk of five is partial
     assert ((report.err_u, report.err_sigma, report.err_u_post)
             == whole_array_errors(sol, post, problem))
+
+
+def separate_polar(x, y):
+    # an oracle of problems._lshape_polar that shares no code with it: the
+    # angle shifted into [0, 3pi/2] in a copy made by np.where
+    phi = np.arctan2(y, x)
+    phi = np.where(phi < 0.0, phi + 2.0 * np.pi, phi)
+    return np.hypot(x, y), phi
+
+
+def separate_lshape_fields(x, y):
+    """(u, du/dx, du/dy) of lshape_singular, the value and the gradient
+    each from its own polar map, with the same expressions."""
+    r, phi = separate_polar(x, y)
+    u = r ** (2.0 / 3.0) * np.sin(2.0 * phi / 3.0)
+    r, phi = separate_polar(x, y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = (2.0 / 3.0) * r ** (-1.0 / 3.0)
+        return u, -c * np.sin(phi / 3.0), c * np.cos(phi / 3.0)
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_error_report_maps_each_point_to_polar_coordinates_once(
+        p, monkeypatch):
+    # exact_fields gives u and grad u from one evaluation: one call, and
+    # one polar map of the points, per chunk of elements, and the same
+    # bits as a value and a gradient that each map the points themselves
+    import dataclasses
+
+    import dpglab.dpg as dpg
+    import dpglab.problems as problems
+    from dpglab.problems import error_exactness
+
+    problem, mesh = lshape_singular(), lshape_mesh()
+    for _ in range(2):
+        mesh = refine_uniform(mesh)
+    oracle = dataclasses.replace(problem, exact_fields=separate_lshape_fields)
+    sol = assemble_solve(mesh, TrialSpace(p), problem.kind, problem.source,
+                         dirichlet=problem.dirichlet)
+    oracle_sol = assemble_solve(mesh, TrialSpace(p), oracle.kind,
+                                oracle.source, dirichlet=oracle.dirichlet)
+    assert oracle_sol.u_coeffs.tobytes() == sol.u_coeffs.tobytes()
+    post = postprocess_all(sol)
+
+    calls = {"exact_fields": 0, "_lshape_polar": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        return wrapper
+
+    counting = dataclasses.replace(problem, exact_fields=counted(
+        "exact_fields", problem.exact_fields))
+    monkeypatch.setattr(problems, "_lshape_polar", counted(
+        "_lshape_polar", problems._lshape_polar))
+    # 20 elements a chunk: five chunks of the 96, the last one partial
+    item_bytes = 128 * len(triangle_quadrature(error_exactness(p)).weights)
+    monkeypatch.setattr(dpg, "_CHUNK_BYTES", 20 * item_bytes)
+    chunks = len(dpg._chunks(mesh.num_triangles, item_bytes))
+    assert chunks == 5
+    report = error_report(sol, post, counting)
+    assert calls == {"exact_fields": chunks, "_lshape_polar": chunks}
+    want = error_report(sol, post, oracle)
+    assert calls["_lshape_polar"] == chunks      # the oracle maps its own
+    assert ([float(v).hex() for v in dataclasses.astuple(report)]
+            == [float(v).hex() for v in dataclasses.astuple(want)])
+    # the angle is shifted in place, a scalar point included
+    for x, y in [(0.5, -0.25), (-0.5, 0.5), (0.75, 0.0)]:
+        assert ([float(v).hex() for v in problems._lshape_polar(x, y)]
+                == [float(v).hex() for v in separate_polar(x, y)])
 
 
 def test_error_report_peak_memory_stays_small():
@@ -451,8 +533,8 @@ def oracle_errors(sol, problem, n=80):
         uh = sol.u_coeffs[elements] @ ScalarBasis(
             sol.trial.u_degree).values(pts)
         gh = sol.sigma_coeffs[elements] @ ScalarBasis(sol.trial.p).values(pts)
-        gx, gy = problem.exact_grad(x, y)
-        err_u += np.sum(wq * (problem.exact(x, y) - uh) ** 2)
+        u, gx, gy = problem.exact_fields(x, y)
+        err_u += np.sum(wq * (u - uh) ** 2)
         err_sigma += np.sum(wq * ((gx - gh[:, 0]) ** 2 + (gy - gh[:, 1]) ** 2))
     return np.sqrt(err_u), np.sqrt(err_sigma)
 
